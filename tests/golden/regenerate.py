@@ -1,0 +1,71 @@
+"""Golden CLI outputs: ``PYTHONPATH=src python tests/golden/regenerate.py``.
+
+Each ``*.golden`` file next to this script holds the exit code, stdout and
+stderr of one ``toristack`` command, run with ``TORISTACK_DEGREE_BOUND``
+unset. The commands are: for every fixture in ``tests/fixtures``, the JSON
+and text reports and ``mfr`` and ``stabilizer`` on its first maximal cone;
+for every refused document in ``refused/``, ``validate`` (JSON and text)
+and ``report``. ``tests/test_golden.py`` compares the files byte for byte.
+Only a change meant to alter output regenerates them.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parents[1]
+
+
+def cases() -> list[tuple[str, list[str]]]:
+    """(golden file name, argv with paths relative to the repository root)."""
+    out = []
+    for path in sorted((ROOT / "tests" / "fixtures").glob("*.json")):
+        rel = str(path.relative_to(ROOT))
+        cone = ",".join(str(i) for i in json.loads(path.read_text())["max_cones"][0])
+        out += [
+            (f"{path.stem}.report.golden", ["report", rel]),
+            (f"{path.stem}.report-text.golden", ["report", rel, "--format", "text"]),
+            (f"{path.stem}.mfr.golden", ["mfr", rel, "--cone", cone]),
+            (f"{path.stem}.stabilizer.golden", ["stabilizer", rel, "--cone", cone]),
+        ]
+    for path in sorted((HERE / "refused").glob("*.json")):
+        rel = str(path.relative_to(ROOT))
+        out += [
+            (f"refused-{path.stem}.validate.golden", ["validate", rel]),
+            (f"refused-{path.stem}.validate-text.golden", ["validate", rel, "--format", "text"]),
+            (f"refused-{path.stem}.report.golden", ["report", rel]),
+        ]
+    return out
+
+
+def render(argv: list[str]) -> str:
+    """Run one command in-process; its exit code, stdout and stderr as text."""
+    from toristack.cli import main
+
+    absolute = [str(ROOT / a) if a.endswith(".json") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(absolute)
+    stdout, stderr = out.getvalue(), err.getvalue()
+    return (f"$ toristack {' '.join(argv)}\n"
+            f"exit code: {code}\n"
+            f"--- stdout ({len(stdout.encode())} bytes)\n{stdout}"
+            f"--- stderr ({len(stderr.encode())} bytes)\n{stderr}")
+
+
+def main() -> int:
+    os.environ.pop("TORISTACK_DEGREE_BOUND", None)
+    for name, argv in cases():
+        (HERE / name).write_bytes(render(argv).encode())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.exit(main())
