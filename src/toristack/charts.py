@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import stackyfan as fans
 from .cones import Cone
@@ -57,6 +57,10 @@ class LocalChart:
         if not self.group.invariant_factors:
             return "trivial"
         return " x ".join(f"mu_{d}" for d in self.group.invariant_factors)
+
+    def cycle_coordinates(self, face: Sequence[int]) -> list[int]:
+        """Indices of the coordinates whose fan rays lie in ``face``."""
+        return sorted(i for i, rho in enumerate(self.fan_rays) if rho in face)
 
 
 def split_cone(sigma: Cone) -> tuple[list[IntVec], list[IntVec]]:
@@ -190,13 +194,8 @@ def cycle_ideal_in_chart(sf: StackyFan, sigma_face: Iterable[int],
     In the chart over tau_chart the cycle of a face sigma is cut out by the
     coordinates whose rays lie in sigma; returns their indices.
     """
-    fan = sf.fan
-    face = fan.normalize(sigma_face)
-    chart_cone = fan.normalize(tau_chart)
-    if not set(face) <= set(chart_cone):
-        raise ValueError(f"cone {face} is not a face of chart cone {chart_cone}")
-    chart = local_chart(sf, chart_cone)
-    return sorted(i for i, rho in enumerate(chart.fan_rays) if rho in face)
+    face, chart_cone = fans.face_of_chart(sf.fan, sigma_face, tau_chart)
+    return local_chart(sf, chart_cone).cycle_coordinates(face)
 
 
 def boundary_divisors(sf: StackyFan) -> list[dict]:
@@ -205,18 +204,25 @@ def boundary_divisors(sf: StackyFan) -> list[dict]:
     Charts run over the maximal cones containing the ray; the generic
     stabilizer along the divisor is cyclic of order equal to the level.
     """
+    return boundary_divisors_from_charts(
+        sf, {c: local_chart(sf, c) for c in sf.fan.maximal_cones})
+
+
+def boundary_divisors_from_charts(sf: StackyFan,
+                                  charts: Mapping[tuple[int, ...], LocalChart]) -> list[dict]:
+    """``boundary_divisors`` read from charts already computed, keyed by cone."""
     out = []
     for rho in range(len(sf.fan.rays)):
-        charts = {}
+        coordinates = {}
         for c in sf.fan.maximal_cones:
             if rho in c:
-                coords = cycle_ideal_in_chart(sf, (rho,), c)
+                coords = charts[c].cycle_coordinates((rho,))
                 if len(coords) != 1:
                     raise AssertionError("a ray must be cut by exactly one chart coordinate")
-                charts[c] = coords[0]
+                coordinates[c] = coords[0]
         out.append({
             "ray": rho,
             "level": sf.levels[rho],
-            "chart_coordinates": charts,
+            "chart_coordinates": coordinates,
         })
     return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +26,7 @@ from . import cones as conelib
 from . import monoids as monoidlib
 from . import stackyfan as fanlib
 from .linalg import FiniteAbelianGroup
-from .stackyfan import Fan, FanError, InvalidLevel, StackyFan
+from .stackyfan import FanError, StackyFan
 
 _JSON_SAFE_INT = 2 ** 53 - 1
 DEGREE_BOUND_ENV = "TORISTACK_DEGREE_BOUND"
@@ -89,7 +90,7 @@ def document_from_json(text: str) -> FanDocument:
         max_cones.append(tuple(c))
     levels = {}
     for key, value in (raw.get("levels") or {}).items():
-        _expect(isinstance(key, str) and key.lstrip("-").isdigit(),
+        _expect(re.fullmatch("-?[0-9]+", key) is not None,
                 f"level key {key!r} must be a decimal ray index")
         _expect(_int_like(value), f"level for ray {key} must be an integer")
         levels[int(key)] = value
@@ -114,66 +115,25 @@ def document_to_json(doc: FanDocument) -> str:
     return emit_json(document_to_dict(doc))
 
 
+def check_document(doc: FanDocument) -> tuple[list[FanError], StackyFan | None]:
+    """Every rule the document breaks, and its stacky fan if none."""
+    return fanlib.stacky_fan_violations(doc.rank, doc.rays, doc.max_cones,
+                                        doc.levels, doc.characteristics)
+
+
 def validation_errors(doc: FanDocument) -> list[dict]:
     """Every document/axiom violation, as structured entries."""
     errors = []
-    ok_rays = True
-    for i, r in enumerate(doc.rays):
-        if all(x == 0 for x in r):
-            errors.append({"code": "NonPrimitiveRay", "ray": i,
-                           "message": f"ray {i} = {list(r)} is the zero vector"})
-            ok_rays = False
-            continue
-        from .linalg import primitive_vector
-        prim = primitive_vector(r)
-        if prim != r:
-            errors.append({"code": "NonPrimitiveRay", "ray": i,
-                           "message": f"ray {i} = {list(r)} is not primitive; use {list(prim)}"})
-            ok_rays = False
-    seen = {}
-    for i, r in enumerate(doc.rays):
-        if r in seen:
-            errors.append({"code": "DuplicateRay", "ray": i,
-                           "message": f"ray {i} duplicates ray {seen[r]}"})
-            ok_rays = False
-        else:
-            seen[r] = i
-    ok_cones = True
-    for c in doc.max_cones:
-        bad = [i for i in c if i < 0 or i >= len(doc.rays)]
-        if bad:
-            errors.append({"code": "RayIndexOutOfRange", "cone": list(c),
-                           "message": f"cone {list(c)} references unknown rays {bad}"})
-            ok_cones = False
-    for idx, n in sorted(doc.levels.items()):
-        if idx < 0 or idx >= len(doc.rays):
-            errors.append({"code": "InvalidLevel", "ray": idx,
-                           "message": f"level given for unknown ray {idx}"})
-        elif n < 1:
-            errors.append({"code": "InvalidLevel", "ray": idx,
-                           "message": f"level on ray {idx} must be >= 1, got {n}"})
-    for p in doc.characteristics:
-        if p < 0:
-            errors.append({"code": "InvalidCharacteristic",
-                           "message": f"characteristic {p} must be a nonnegative integer"})
-    if not (ok_rays and ok_cones):
-        return errors
-    try:
-        fanlib.validate_fan(doc.rays, doc.max_cones, ambient_rank=doc.rank)
-    except fanlib.NonSimplicial as e:
-        errors.append({"code": "NonSimplicial", "cone": list(e.cone_indices),
-                       "message": str(e)})
-    except fanlib.IntersectionNotFace as e:
-        errors.append({"code": "IntersectionNotFace",
-                       "cones": [list(c) for c in e.cone_pair], "message": str(e)})
-    except FanError as e:
-        errors.append({"code": type(e).__name__, "message": str(e)})
+    for e in check_document(doc)[0]:
+        entry = {"code": type(e).__name__, "message": str(e)}
+        if isinstance(e, (fanlib.NonPrimitiveRay, fanlib.DuplicateRay, fanlib.InvalidLevel)):
+            entry["ray"] = e.ray_index
+        elif isinstance(e, (fanlib.RayIndexOutOfRange, fanlib.NonSimplicial)):
+            entry["cone"] = list(e.cone_indices)
+        elif isinstance(e, fanlib.IntersectionNotFace):
+            entry["cones"] = [list(c) for c in e.cone_pair]
+        errors.append(entry)
     return errors
-
-
-def build_stacky_fan(doc: FanDocument) -> StackyFan:
-    fan = fanlib.validate_fan(doc.rays, doc.max_cones, ambient_rank=doc.rank)
-    return StackyFan.build(fan, doc.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -214,37 +174,30 @@ def _group_dict(g: FiniteAbelianGroup) -> dict:
 # ---------------------------------------------------------------------------
 # reports
 
-def report_data(doc: FanDocument) -> dict:
-    sf = build_stacky_fan(doc)
+def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     fan = sf.fan
     chars = doc.characteristics
     smooth_canonical = (all(n == 1 for n in sf.levels)
                         and all(conelib.multiplicity(fan.cone_geometry(c)) == 1
                                 for c in fan.maximal_cones))
-    cones_out = []
-    for c in fan.cones:
-        geometry = fan.cone_geometry(c)
-        chart = chartlib.local_chart(sf, c)
-        cones_out.append({
-            "id": cone_id(c),
-            "ray_indices": list(c),
-            "dim": len(c),
-            "multiplicity": conelib.multiplicity(geometry) if c else 1,
-            "stacky_multiplicity": fanlib.stacky_multiplicity(sf, c),
-            "stabilizer": _group_dict(chart.group),
-        })
+    charts = {c: chartlib.local_chart(sf, c) for c in fan.cones}
+    cones_out = [{
+        "id": cone_id(c),
+        "ray_indices": list(c),
+        "dim": len(c),
+        "multiplicity": conelib.multiplicity(fan.cone_geometry(c)) if c else 1,
+        "stacky_multiplicity": fanlib.stacky_multiplicity(sf, c),
+        "stabilizer": _group_dict(charts[c].group),
+    } for c in fan.cones]
     charts_out = []
     for c in fan.maximal_cones:
-        chart = chartlib.local_chart(sf, c)
-        faces = [f for f in fan.cones if set(f) <= set(c)]
-        cycle_ideals = []
-        for f in faces:
-            cycle_ideals.append({
-                "cone": cone_id(f),
-                "chart_coordinates": chartlib.cycle_ideal_in_chart(sf, f, c),
-                "coarse_generators": [list(v) for v in
-                                      fanlib.cycle_ideal_classical(fan, f, c)],
-            })
+        chart = charts[c]
+        generators = monoidlib.monoid_generators(conelib.dual_cone(fan.cone_geometry(c)))
+        cycle_ideals = [{
+            "cone": cone_id(f),
+            "chart_coordinates": chart.cycle_coordinates(f),
+            "coarse_generators": [list(v) for v in fanlib.cycle_generators(fan, generators, f)],
+        } for f in fan.cones if set(f) <= set(c)]
         charts_out.append({
             "cone": cone_id(c),
             "r": chart.r,
@@ -261,15 +214,12 @@ def report_data(doc: FanDocument) -> dict:
             },
             "cycle_ideals": cycle_ideals,
         })
-    boundary = []
-    for entry in chartlib.boundary_divisors(sf):
-        boundary.append({
-            "ray": entry["ray"],
-            "level": entry["level"],
-            "generic_stabilizer": f"mu_{entry['level']}" if entry["level"] > 1 else "trivial",
-            "chart_coordinates": {cone_id(c): i
-                                  for c, i in sorted(entry["chart_coordinates"].items())},
-        })
+    boundary = [{
+        "ray": entry["ray"],
+        "level": entry["level"],
+        "generic_stabilizer": f"mu_{entry['level']}" if entry["level"] > 1 else "trivial",
+        "chart_coordinates": {cone_id(c): i for c, i in sorted(entry["chart_coordinates"].items())},
+    } for entry in chartlib.boundary_divisors_from_charts(sf, charts)]
     out = {
         "document": document_to_dict(doc),
         "fan": {
@@ -293,22 +243,18 @@ def report_data(doc: FanDocument) -> dict:
     return out
 
 
-def mfr_data(doc: FanDocument, cone_selector: Sequence[int]) -> dict:
-    sf = build_stacky_fan(doc)
+def mfr_data(sf: StackyFan, cone_selector: Sequence[int], degree_bound: int) -> dict:
     key = sf.fan.normalize(cone_selector)
     if not key:
         raise ValueError("the zero cone has a trivial monoid; pick a nonzero cone")
     local, res, fan_rays, n_prime, n_doubleprime = chartlib.chart_resolution(sf, key)
-    degree_bound = int(os.environ.get(DEGREE_BOUND_ENV, DEFAULT_DEGREE_BOUND))
-    correspondence = []
-    for line in monoidlib.irreducible_ray_correspondence(res):
-        correspondence.append({
-            "index": line.index,
-            "free_generator": [x for x in line.generator],
-            "ray": list(line.ray),
-            "prime_facet_rays": [list(r) for r in line.facet_rays],
-            "fan_ray": fan_rays[line.index],
-        })
+    correspondence = [{
+        "index": line.index,
+        "free_generator": list(line.generator),
+        "ray": list(line.ray),
+        "prime_facet_rays": [list(r) for r in line.facet_rays],
+        "fan_ray": fan_rays[line.index],
+    } for line in monoidlib.irreducible_ray_correspondence(res)]
     return {
         "cone": cone_id(key),
         "r": len(key),
@@ -326,8 +272,7 @@ def mfr_data(doc: FanDocument, cone_selector: Sequence[int]) -> dict:
     }
 
 
-def stabilizer_data(doc: FanDocument, cone_selector: Sequence[int]) -> dict:
-    sf = build_stacky_fan(doc)
+def stabilizer_data(sf: StackyFan, cone_selector: Sequence[int]) -> dict:
     key = sf.fan.normalize(cone_selector)
     group = chartlib.stabilizer(sf, key)
     return {
@@ -430,39 +375,34 @@ def cmd_validate(args) -> int:
     if args.format == "json":
         sys.stdout.write(emit_json({"ok": not errors, "errors": errors}))
     else:
-        if errors:
-            for e in errors:
-                sys.stdout.write(f"{e['code']}: {e['message']}\n")
-        else:
-            sys.stdout.write("OK\n")
+        sys.stdout.write("".join(f"{e['code']}: {e['message']}\n" for e in errors) or "OK\n")
     return 0 if not errors else 1
 
 
-def _guarded(doc: FanDocument, fn, args):
-    errors = validation_errors(doc)
-    if errors:
-        for e in errors:
-            sys.stderr.write(f"{e['code']}: {e['message']}\n")
+def _guarded(doc: FanDocument, compute, args):
+    found, sf = check_document(doc)
+    sys.stderr.writelines(f"{type(e).__name__}: {e}\n" for e in found)
+    if found:
         return 1
-    data = fn()
-    if args.format == "json":
-        sys.stdout.write(emit_json(data))
-    else:
-        sys.stdout.write(args.render(data))
+    data = compute(sf)
+    sys.stdout.write(emit_json(data) if args.format == "json" else args.render(data))
     return 0
 
 
 def cmd_report(args) -> int:
     doc = _load_document(args.file)
     args.render = render_report_text
-    return _guarded(doc, lambda: report_data(doc), args)
+    return _guarded(doc, lambda sf: report_data(doc, sf), args)
 
 
 def cmd_mfr(args) -> int:
     doc = _load_document(args.file)
     args.render = render_mfr_text
     selector = _parse_cone_flag(args.cone)
-    return _guarded(doc, lambda: mfr_data(doc, selector), args)
+    bound = os.environ.get(DEGREE_BOUND_ENV, str(DEFAULT_DEGREE_BOUND))
+    _expect(re.fullmatch("[0-9]+", bound) and int(bound) > 0,
+            f"{DEGREE_BOUND_ENV} must be a positive decimal integer, got {bound!r}")
+    return _guarded(doc, lambda sf: mfr_data(sf, selector, int(bound)), args)
 
 
 def cmd_stabilizer(args) -> int:
@@ -472,14 +412,13 @@ def cmd_stabilizer(args) -> int:
         f"of order {d['stabilizer']['order']} "
         f"(stacky multiplicity {d['stacky_multiplicity']})\n")
     selector = _parse_cone_flag(args.cone)
-    return _guarded(doc, lambda: stabilizer_data(doc, selector), args)
+    return _guarded(doc, lambda sf: stabilizer_data(sf, selector), args)
 
 
 def cmd_complete(args) -> int:
     doc = _load_document(args.file)
     args.render = lambda d: f"complete: {d['complete']}\n"
-    return _guarded(doc, lambda: {
-        "complete": fanlib.is_complete(build_stacky_fan(doc).fan)}, args)
+    return _guarded(doc, lambda sf: {"complete": fanlib.is_complete(sf.fan)}, args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,16 +28,8 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Sequence) -> tuple:
-    return tuple(c * a for a in v)
 
 
 def is_zero_vector(v: Sequence) -> bool:

@@ -28,19 +28,24 @@ class FanError(ValueError):
 
 
 class NonPrimitiveRay(FanError):
-    def __init__(self, ray):
+    def __init__(self, ray_index, ray):
+        self.ray_index = ray_index
         self.ray = tuple(ray)
-        try:
-            hint = f"; use {primitive_vector(self.ray)}"
-        except ValueError:
-            hint = ""
-        super().__init__(f"ray {self.ray} is not primitive{hint}")
+        fix = (f"is not primitive; use {list(primitive_vector(ray))}" if any(ray)
+               else "is the zero vector")
+        super().__init__(f"ray {ray_index} = {list(ray)} {fix}")
 
 
 class DuplicateRay(FanError):
-    def __init__(self, ray):
-        self.ray = tuple(ray)
-        super().__init__(f"duplicate ray {self.ray}")
+    def __init__(self, ray_index, first):
+        self.ray_index = ray_index
+        super().__init__(f"ray {ray_index} duplicates ray {first}")
+
+
+class RayIndexOutOfRange(FanError):
+    def __init__(self, cone, unknown):
+        self.cone_indices = tuple(cone)
+        super().__init__(f"cone {list(cone)} references unknown rays {unknown}")
 
 
 class NonSimplicial(FanError):
@@ -58,10 +63,17 @@ class IntersectionNotFace(FanError):
 
 
 class InvalidLevel(FanError):
-    def __init__(self, ray_index, value):
+    def __init__(self, ray_index, value, known_ray):
         self.ray_index = ray_index
         self.value = value
-        super().__init__(f"level on ray {ray_index} must be a positive integer, got {value!r}")
+        super().__init__(f"level on ray {ray_index} must be >= 1, got {value!r}" if known_ray
+                         else f"level given for unknown ray {ray_index}")
+
+
+class InvalidCharacteristic(FanError):
+    def __init__(self, value):
+        self.value = value
+        super().__init__(f"characteristic {value} must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -83,41 +95,77 @@ class Fan:
             raise ValueError(f"cone {key} is not in the fan")
         return key
 
-    def dim(self, indices: Iterable[int]) -> int:
-        return len(self.normalize(indices))
+
+def _ray_violations(rays: Sequence[IntVec], maximal_cones: Sequence[Sequence[int]],
+                    ambient_rank: int) -> list[FanError]:
+    """Violations of the ray rules and of the cones' index range, in order."""
+    found, first = [], {}
+    for i, r in enumerate(rays):
+        if len(r) != ambient_rank:
+            found.append(FanError(f"ray {r} does not have length {ambient_rank}"))
+        elif not any(r) or primitive_vector(r) != r:
+            found.append(NonPrimitiveRay(i, r))
+    for i, r in enumerate(rays):
+        if first.setdefault(r, i) != i:
+            found.append(DuplicateRay(i, first[r]))
+    for c in maximal_cones:
+        unknown = [i for i in c if not 0 <= i < len(rays)]
+        if unknown:
+            found.append(RayIndexOutOfRange(c, unknown))
+    return found
+
+
+def level_violations(ray_count: int, levels: Mapping[int, int]) -> list[InvalidLevel]:
+    """Every level must sit on an existing ray and be a positive integer."""
+    found = []
+    for idx, value in sorted((int(k), v) for k, v in levels.items()):
+        known = 0 <= idx < ray_count
+        if not known or not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            found.append(InvalidLevel(idx, value, known))
+    return found
+
+
+def stacky_fan_violations(ambient_rank: int, rays: Sequence[Sequence[int]],
+                          maximal_cones: Sequence[Sequence[int]], levels: Mapping[int, int],
+                          characteristics: Sequence[int]) -> tuple[list[FanError], StackyFan | None]:
+    """Every rule the document breaks, in listing order, and its stacky fan if
+    none. ``validate_fan`` checks the geometric axioms, up to the first failure,
+    once the rays and cone indices are sound."""
+    rays = [tuple(r) for r in rays]
+    structural = _ray_violations(rays, maximal_cones, ambient_rank)
+    found = (structural + level_violations(len(rays), levels)
+             + [InvalidCharacteristic(p) for p in characteristics if p < 0])
+    if not structural:
+        try:
+            fan = validate_fan(rays, maximal_cones, ambient_rank)
+        except FanError as e:
+            found.append(e)
+    return found, (None if found else StackyFan.build(fan, levels))
 
 
 def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence[int]],
                  ambient_rank: int | None = None) -> Fan:
-    """Construct a fan, checking every axiom; raises FanError subclasses.
+    """Construct a fan, checking every axiom; raises the first violation.
 
     Rays must be primitive and pairwise distinct (hence pairwise
     non-proportional once simpliciality holds), cones simplicial, and the
     intersection of any two cones must be the cone on their shared rays.
     """
     rays = [tuple(int(x) for x in r) for r in rays]
+    maximal_cones = [tuple(int(i) for i in c) for c in maximal_cones]
     if ambient_rank is None:
         if not rays:
             raise ValueError("ambient rank is required for a fan with no rays")
         ambient_rank = len(rays[0])
-    for r in rays:
-        if len(r) != ambient_rank:
-            raise FanError(f"ray {r} does not have length {ambient_rank}")
-        if all(x == 0 for x in r) or primitive_vector(r) != r:
-            raise NonPrimitiveRay(r)
-    seen = set()
-    for r in rays:
-        if r in seen:
-            raise DuplicateRay(r)
-        seen.add(r)
+    found = _ray_violations(rays, maximal_cones, ambient_rank)
+    if found:
+        raise found[0]
 
     normalized = set()
     for c in maximal_cones:
-        idx = tuple(sorted(set(int(i) for i in c)))
-        if len(idx) != len(list(c)):
-            raise FanError(f"cone {tuple(c)} repeats a ray index")
-        if idx and (idx[0] < 0 or idx[-1] >= len(rays)):
-            raise FanError(f"cone {idx} references a ray out of range")
+        idx = tuple(sorted(set(c)))
+        if len(idx) != len(c):
+            raise FanError(f"cone {c} repeats a ray index")
         mat = IntegerMatrix.from_rows([list(rays[i]) for i in idx], cols=ambient_rank)
         s, _, _ = smith_normal_form(mat)
         rank = sum(1 for i in range(min(mat.rows, mat.cols)) if s.entry(i, i) != 0)
@@ -153,21 +201,20 @@ class StackyFan:
 
     @classmethod
     def build(cls, fan: Fan, levels: Mapping[int, int] | None = None) -> "StackyFan":
+        levels = levels or {}
+        found = level_violations(len(fan.rays), levels)
+        if found:
+            raise found[0]
         table = [1] * len(fan.rays)
-        for key, value in (levels or {}).items():
-            idx = int(key)
-            if idx < 0 or idx >= len(fan.rays):
-                raise InvalidLevel(idx, value)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise InvalidLevel(idx, value)
-            table[idx] = value
-        sf = cls(fan, tuple(table))
+        for key, value in levels.items():
+            table[int(key)] = value
         # stacky-fan axioms: per cone the free-net points generate a free
         # monoid of rank dim(sigma) close to sigma; automatic here since the
         # points are positive multiples of linearly independent rays
         for c in fan.maximal_cones:
-            assert len({i for i in c}) == fan.cone_geometry(c).dim
-        return sf
+            if len(c) != fan.cone_geometry(c).dim:
+                raise AssertionError(f"maximal cone {c} has linearly dependent rays")
+        return cls(fan, tuple(table))
 
 
 def free_net_points(sf: StackyFan) -> dict[int, IntVec]:
@@ -234,6 +281,25 @@ def is_tame(sf: StackyFan, residue_characteristics: Sequence[int]) -> bool:
     return True
 
 
+def face_of_chart(fan: Fan, tau: Iterable[int],
+                  sigma_chart: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The cone keys of tau and of the chart cone; tau must be a face of it."""
+    tau_key = fan.normalize(tau)
+    sigma_key = fan.normalize(sigma_chart)
+    if not set(tau_key) <= set(sigma_key):
+        raise ValueError(f"cone {tau_key} is not a face of chart cone {sigma_key}")
+    return tau_key, sigma_key
+
+
+def cycle_generators(fan: Fan, generators: Sequence[IntVec], tau: tuple[int, ...]) -> list[IntVec]:
+    """The generators of sigma^vee intersect M (chart over sigma) that cut
+    out the cycle of the face tau: see ``cycle_ideal_classical``."""
+    if not tau:
+        return []
+    relint = conelib.relative_interior_point(fan.cone_geometry(tau))
+    return sorted(h for h in generators if dot(h, relint) > 0)
+
+
 def cycle_ideal_classical(fan: Fan, tau: Iterable[int], sigma_chart: Iterable[int]) -> list[IntVec]:
     """Generators of the ideal of the torus-invariant cycle of tau in a chart.
 
@@ -241,13 +307,6 @@ def cycle_ideal_classical(fan: Fan, tau: Iterable[int], sigma_chart: Iterable[in
     strictly positively with a relative interior point of tau; they generate
     the ideal of lattice points positive somewhere on tau.
     """
-    tau_key = fan.normalize(tau)
-    sigma_key = fan.normalize(sigma_chart)
-    if not set(tau_key) <= set(sigma_key):
-        raise ValueError(f"cone {tau_key} is not a face of chart cone {sigma_key}")
-    if not tau_key:
-        return []
-    sigma_cone = fan.cone_geometry(sigma_key)
-    dual = conelib.dual_cone(sigma_cone)
-    relint = conelib.relative_interior_point(fan.cone_geometry(tau_key))
-    return sorted(h for h in monoid_generators(dual) if dot(h, relint) > 0)
+    tau_key, sigma_key = face_of_chart(fan, tau, sigma_chart)
+    dual = conelib.dual_cone(fan.cone_geometry(sigma_key))
+    return cycle_generators(fan, monoid_generators(dual), tau_key)

@@ -7,6 +7,7 @@ from conftest import FIXTURES
 from toristack.cli import (
     DocumentParseError,
     FanDocument,
+    check_document,
     document_from_json,
     document_to_json,
     emit_json,
@@ -24,6 +25,12 @@ def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "toristack.cli", *args],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def stacky_fan(doc):
+    found, sf = check_document(doc)
+    assert found == []
+    return sf
 
 
 def write_doc(tmp_path, name, payload):
@@ -52,8 +59,20 @@ def test_parse_rejects_bad_schema():
         document_from_json('{"rank": 2, "rays": [[1, 0]], "max_cones": [[0]], "nope": 1}')
     with pytest.raises(DocumentParseError):
         document_from_json('{"rank": 2, "rays": [[1]], "max_cones": []}')
-    with pytest.raises(DocumentParseError):
-        document_from_json('{"rank": 1, "rays": [[1]], "max_cones": [[0]], "levels": {"x": 2}}')
+    for key in ("x", "--1", "\u00b2"):
+        with pytest.raises(DocumentParseError):
+            document_from_json('{"rank": 1, "rays": [[1]], "max_cones": [[0]], '
+                               '"levels": {"%s": 2}}' % key)
+
+
+@pytest.mark.parametrize("key", ["--1", "\u00b2"])
+def test_cli_level_key_not_decimal_exits_2(tmp_path, key):
+    path = write_doc(tmp_path, "key.json",
+                     {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]],
+                      "levels": {key: 2}})
+    code, _, err = run_cli("validate", path)
+    assert code == 2
+    assert err.startswith("parse error: level key")
 
 
 def test_validation_error_listing():
@@ -161,7 +180,7 @@ def test_report_byte_deterministic_on_fixtures():
 
 def test_report_values_p1_levels23():
     doc = document_from_json((FIXTURES / "p1_levels23.json").read_text())
-    data = report_data(doc)
+    data = report_data(doc, stacky_fan(doc))
     assert data["fan"]["complete"] is True
     assert data["fan"]["tame"] is True
     assert data["fan"]["deligne_mumford"] is True
@@ -171,7 +190,7 @@ def test_report_values_p1_levels23():
 
 def test_report_a1_char2_not_tame():
     doc = document_from_json((FIXTURES / "a1_cone.json").read_text())
-    data = report_data(doc)
+    data = report_data(doc, stacky_fan(doc))
     assert data["fan"]["tame"] is False
     assert data["fan"]["deligne_mumford"] is False
     assert data["fan"]["complete"] is False
@@ -179,7 +198,7 @@ def test_report_a1_char2_not_tame():
 
 def test_report_smooth_fan_notes_toric_variety():
     doc = document_from_json((FIXTURES / "p2.json").read_text())
-    data = report_data(doc)
+    data = report_data(doc, stacky_fan(doc))
     assert data["fan"]["smooth_canonical"] is True
     assert "toric variety" in data["fan"]["note"]
     for cone in data["cones"]:
@@ -188,7 +207,7 @@ def test_report_smooth_fan_notes_toric_variety():
 
 def test_mfr_data_a1():
     doc = document_from_json((FIXTURES / "a1_cone.json").read_text())
-    data = mfr_data(doc, [0, 1])
+    data = mfr_data(stacky_fan(doc), [0, 1], 6)
     assert data["denominators"] == [2, 2]
     assert data["cp_rays"] == [[0, 1], [2, -1]]
     assert data["cokernel"]["invariant_factors"] == [2]
@@ -198,20 +217,20 @@ def test_mfr_data_a1():
 
 def test_mfr_smooth_cone_identity():
     doc = document_from_json((FIXTURES / "a2.json").read_text())
-    data = mfr_data(doc, [0, 1])
+    data = mfr_data(stacky_fan(doc), [0, 1], 6)
     assert data["denominators"] == [1, 1]
     assert data["cokernel"]["invariant_factors"] == []
 
 
 def test_mfr_one_three_cone():
     doc = FanDocument(rank=2, rays=[(1, 0), (1, 3)], max_cones=[(0, 1)])
-    data = mfr_data(doc, [0, 1])
+    data = mfr_data(stacky_fan(doc), [0, 1], 6)
     assert data["cokernel"]["invariant_factors"] == [3]
 
 
 def test_stabilizer_data_matches_report():
     doc = document_from_json((FIXTURES / "p1_levels23.json").read_text())
-    data = stabilizer_data(doc, [1])
+    data = stabilizer_data(stacky_fan(doc), [1])
     assert data["stabilizer"]["invariant_factors"] == [3]
     assert data["stacky_multiplicity"] == 3
 
@@ -225,11 +244,21 @@ def test_cli_complete_command(tmp_path):
     assert code == 0 and json.loads(out)["complete"] is False
 
 
-def test_degree_bound_env_var(tmp_path, monkeypatch):
-    doc = document_from_json((FIXTURES / "a1_cone.json").read_text())
+def test_degree_bound_env_var(monkeypatch, capsys):
     monkeypatch.setenv("TORISTACK_DEGREE_BOUND", "3")
-    data = mfr_data(doc, [0, 1])
-    assert data["saturation_check_degree_bound"] == 3
+    rc = main(["mfr", str(FIXTURES / "a1_cone.json"), "--cone", "0,1"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["saturation_check_degree_bound"] == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+def test_degree_bound_must_be_positive_decimal(value, monkeypatch, capsys):
+    monkeypatch.setenv("TORISTACK_DEGREE_BOUND", value)
+    rc = main(["mfr", str(FIXTURES / "a1_cone.json"), "--cone", "0,1", "--format", "text"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: TORISTACK_DEGREE_BOUND ")
 
 
 # -- serialization -------------------------------------------------------------------
@@ -257,10 +286,40 @@ def test_internal_assertion_exits_3(monkeypatch, capsys):
     # consistency tripwires surface as exit code 3, never as a validation error
     import toristack.cli as cli_mod
 
-    def boom(doc):
+    def boom(doc, sf):
         raise AssertionError("tripwire")
 
     monkeypatch.setattr(cli_mod, "report_data", boom)
     rc = main(["report", str(FIXTURES / "p2.json")])
     assert rc == 3
     assert "tripwire" in capsys.readouterr().err
+
+
+def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatch, capsys):
+    # (P^1)^3: 27 cones, 8 maximal cones, 28 pairs of maximal cones
+    import toristack.charts as charts_mod
+    import toristack.cones as cones_mod
+    from itertools import product
+
+    charts, pairs = [], []
+    local_chart, intersect = charts_mod.local_chart, cones_mod.intersect
+
+    def counting_chart(sf, sigma):
+        charts.append(tuple(sigma))
+        return local_chart(sf, sigma)
+
+    def counting_intersect(c1, c2):
+        pairs.append(frozenset((c1.rays, c2.rays)))
+        return intersect(c1, c2)
+
+    monkeypatch.setattr(charts_mod, "local_chart", counting_chart)
+    monkeypatch.setattr(cones_mod, "intersect", counting_intersect)
+    rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
+                                          [-int(j == i) for j in range(3)])]
+    cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=3)]
+    path = write_doc(tmp_path, "p1_cubed.json", {"rank": 3, "rays": rays, "max_cones": cones})
+    assert main(["report", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["fan"]["num_cones"] == 27
+    assert sorted(charts) == sorted(tuple(c["ray_indices"]) for c in data["cones"])
+    assert len(pairs) == len(set(pairs)) == 28

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 from conftest import (
     a1_singularity_fan,
@@ -26,6 +29,7 @@ from toristack.stackyfan import (
     free_net_points,
     is_complete,
     is_tame,
+    stacky_fan_violations,
     stacky_multiplicity,
     validate_fan,
 )
@@ -65,7 +69,7 @@ def test_overlapping_cones_rejected():
 def test_non_primitive_ray_rejected():
     with pytest.raises(NonPrimitiveRay) as info:
         validate_fan([(2, 4)], [[0]])
-    assert "(1, 2)" in str(info.value)
+    assert "[1, 2]" in str(info.value)
 
 
 def test_zero_ray_rejected():
@@ -105,6 +109,49 @@ def test_level_validation():
         StackyFan.build(fan, {5: 2})
     with pytest.raises(InvalidLevel):
         StackyFan.build(fan, {0: True})
+
+
+def test_violations_listed_in_order_and_validate_fan_raises_the_first():
+    rays = [(2, 4), (1, 0), (1, 0)]
+    found, sf = stacky_fan_violations(2, rays, [(0, 5)], {0: 0, 9: 2}, [-1])
+    assert sf is None
+    assert [type(e).__name__ for e in found] == [
+        "NonPrimitiveRay", "DuplicateRay", "RayIndexOutOfRange",
+        "InvalidLevel", "InvalidLevel", "InvalidCharacteristic"]
+    assert [(e.ray_index, e.value) for e in found[3:5]] == [(0, 0), (9, 2)]
+    with pytest.raises(NonPrimitiveRay) as info:
+        validate_fan(rays, [(0, 5)], ambient_rank=2)
+    assert info.value.ray_index == 0
+
+
+def test_violations_stop_at_first_geometric_failure():
+    rays = [(1, 0), (1, 2), (1, 1), (0, 1)]
+    # two pairs overlap: (0, 1) with (2, 3), and (1, 3) with (2, 3)
+    found, sf = stacky_fan_violations(2, rays, [(0, 1), (2, 3), (1, 3)], {}, [])
+    assert sf is None
+    assert [e.cone_pair for e in found] == [((0, 1), (2, 3))]
+
+
+def test_valid_document_gives_its_stacky_fan():
+    found, sf = stacky_fan_violations(1, [(1,), (-1,)], [(0,), (1,)], {1: 3}, [0, 2])
+    assert found == []
+    assert sf == StackyFan.build(p1_fan(), {1: 3})
+
+
+def test_dependent_cone_tripwire_survives_optimize_flag():
+    # a Fan built without validation, holding a cone on dependent rays
+    code = (
+        "from toristack.stackyfan import Fan, StackyFan\n"
+        "fan = Fan(2, ((1, 0), (0, 1), (1, 1)), ((), (0, 1, 2)), ((0, 1, 2),))\n"
+        "try:\n"
+        "    StackyFan.build(fan, {})\n"
+        "except AssertionError as e:\n"
+        "    print('tripwire:', e)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("tripwire: maximal cone (0, 1, 2)")
 
 
 # -- free nets -------------------------------------------------------------------
