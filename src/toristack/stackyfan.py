@@ -115,7 +115,7 @@ def _ray_violations(rays: Sequence[IntVec], maximal_cones: Sequence[Sequence[int
     return found
 
 
-def level_violations(ray_count: int, levels: Mapping[int, int]) -> list[InvalidLevel]:
+def _level_violations(ray_count: int, levels: Mapping[int, int]) -> list[InvalidLevel]:
     """Every level must sit on an existing ray and be a positive integer."""
     found = []
     for idx, value in sorted((int(k), v) for k, v in levels.items()):
@@ -133,7 +133,7 @@ def stacky_fan_violations(ambient_rank: int, rays: Sequence[Sequence[int]],
     once the rays and cone indices are sound."""
     rays = [tuple(r) for r in rays]
     structural = _ray_violations(rays, maximal_cones, ambient_rank)
-    found = (structural + level_violations(len(rays), levels)
+    found = (structural + _level_violations(len(rays), levels)
              + [InvalidCharacteristic(p) for p in characteristics if p < 0])
     if not structural:
         try:
@@ -202,7 +202,7 @@ class StackyFan:
     @classmethod
     def build(cls, fan: Fan, levels: Mapping[int, int] | None = None) -> "StackyFan":
         levels = levels or {}
-        found = level_violations(len(fan.rays), levels)
+        found = _level_violations(len(fan.rays), levels)
         if found:
             raise found[0]
         table = [1] * len(fan.rays)
