@@ -100,7 +100,7 @@ def chart_resolution(sf: StackyFan, sigma: Iterable[int]):
     fan = sf.fan
     key = fan.normalize(sigma)
     if not key:
-        raise ValueError("the zero cone carries the trivial monoid")
+        raise ValueError("the zero cone has a trivial monoid; pick a nonzero cone")
     geometry = fan.cone_geometry(key)
     n_prime, n_doubleprime = split_cone(geometry)
     local_rays = _cone_in_split_coordinates(geometry, n_prime, n_doubleprime)

@@ -245,8 +245,6 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
 
 def mfr_data(sf: StackyFan, cone_selector: Sequence[int], degree_bound: int) -> dict:
     key = sf.fan.normalize(cone_selector)
-    if not key:
-        raise ValueError("the zero cone has a trivial monoid; pick a nonzero cone")
     local, res, fan_rays, n_prime, n_doubleprime = chartlib.chart_resolution(sf, key)
     correspondence = [{
         "index": line.index,

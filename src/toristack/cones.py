@@ -2,9 +2,14 @@
 
 A cone is stored with both descriptions: its extreme rays (primitive integer
 vectors, lexicographically sorted) and the inequalities cutting it out (the
-generators of the dual cone). Conversion between the two is done by
-enumerating tight subsets of the defining rows, which at this scale (ambient
-rank <= ~6) is the simplest exact form of the double-description method.
+generators of the dual cone). Every cone of a stacky fan is simplicial, and
+so is the dual of a full-dimensional one: when the generators are linearly
+independent, they are the rays and the dual rays are read off one inverse of
+the generator matrix, so one normal form (the kernel of the generators)
+settles the whole cone. Dependent generator sets (duals of lower-dimensional
+cones, intersections, face tests) go through the double-description method
+in its simplest exact form at this scale (ambient rank <= ~6): enumerating
+tight subsets of the defining rows.
 
 Cones that are not strictly convex (duals of lower-dimensional cones,
 intersections) are carried with an explicit lineality basis instead of being
@@ -27,7 +32,20 @@ from .linalg import (
     is_zero_vector,
     lattice_index,
     primitive_of_rational,
+    primitive_vector,
+    rational_inverse,
 )
+
+
+def _kernel(rows: Sequence[IntVec], d: int) -> list[IntVec]:
+    return integer_kernel_basis(IntegerMatrix.from_rows([list(r) for r in rows], cols=d))
+
+
+def _lift(coords: Iterable[IntVec], complement: Sequence[IntVec]) -> list[IntVec]:
+    """Primitive ambient vectors with the given complement coordinates, lex-sorted."""
+    d = len(complement[0])
+    return sorted({primitive_vector([sum(w[k] * c[j] for k, c in enumerate(complement))
+                                     for j in range(d)]) for w in coords})
 
 
 def _hcone_generators(ineq_rows: Sequence[IntVec], d: int) -> tuple[list[IntVec], list[IntVec]]:
@@ -35,23 +53,29 @@ def _hcone_generators(ineq_rows: Sequence[IntVec], d: int) -> tuple[list[IntVec]
 
     Returns (pointed_rays, lineality_basis). The pointed rays are primitive,
     deduplicated and lex-sorted; together with +/- the lineality basis they
-    generate the cone. Candidate rays are kernels of rank-(d-1) subsets of
-    the rows, which yields exactly the extreme rays of the pointed part.
+    generate the cone.
     """
     rows = sorted(set(tuple(int(x) for x in r) for r in ineq_rows) - {(0,) * d})
-    lineality = integer_kernel_basis(IntegerMatrix.from_rows([list(r) for r in rows], cols=d))
-    l = len(lineality)
-    dp = d - l
+    lineality = _kernel(rows, d)
+    return _tight_subset_rays(rows, lineality, d), lineality
+
+
+def _tight_subset_rays(rows: Sequence[IntVec], lineality: Sequence[IntVec], d: int) -> list[IntVec]:
+    """Pointed rays of {x : r.x >= 0 for every row r}, whose lineality is given.
+
+    In the ``complete_to_basis(lineality)`` coordinates, of dimension dp, the
+    candidates are the kernels of the rank-(dp-1) subsets of the rows: exactly
+    the extreme rays of the pointed part.
+    """
+    dp = d - len(lineality)
     if dp == 0:
-        return [], lineality
-    basis = list(lineality) + list(complete_to_basis(lineality, d))
+        return []
+    complement = complete_to_basis(lineality, d)
     # constraints in the complement coordinates (the lineality coordinates pair to zero)
-    reduced = sorted(set(
-        tuple(dot(r, basis[l + k]) for k in range(dp)) for r in rows) - {(0,) * dp})
+    reduced = sorted(set(tuple(dot(r, c) for c in complement) for r in rows) - {(0,) * dp})
     rays: set[IntVec] = set()
-    for subset in combinations(range(len(reduced)), dp - 1):
-        sub = IntegerMatrix.from_rows([list(reduced[i]) for i in subset], cols=dp)
-        ker = integer_kernel_basis(sub)
+    for subset in combinations(reduced, dp - 1):
+        ker = _kernel(subset, dp)
         if len(ker) != 1:
             continue
         w = ker[0]
@@ -60,11 +84,23 @@ def _hcone_generators(ineq_rows: Sequence[IntVec], d: int) -> tuple[list[IntVec]
             rays.add(w)
         elif all(s <= 0 for s in signs):
             rays.add(tuple(-x for x in w))
-    ambient = set()
-    for w in rays:
-        vec = tuple(sum(w[k] * basis[l + k][j] for k in range(dp)) for j in range(d))
-        ambient.add(primitive_of_rational([Fraction(x) for x in vec]))
-    return sorted(ambient), lineality
+    return _lift(rays, complement)
+
+
+def _simplicial_dual_rays(gens: Sequence[IntVec], lineality: Sequence[IntVec],
+                          d: int) -> list[IntVec]:
+    """Pointed rays of the dual of the cone on linearly independent generators.
+
+    In the ``complete_to_basis(lineality)`` coordinates the generators form an
+    invertible matrix; column j of its inverse pairs to 1 with generator j and
+    to 0 with the others, so it spans the dual ray that ``_tight_subset_rays``
+    finds as the kernel of the other generators.
+    """
+    if not gens:
+        return []
+    complement = complete_to_basis(lineality, d)
+    inverse = rational_inverse([[dot(g, c) for c in complement] for g in gens])
+    return _lift((primitive_of_rational(col) for col in zip(*inverse)), complement)
 
 
 @dataclass(frozen=True)
@@ -87,15 +123,17 @@ class Cone:
             if not is_zero_vector(g):
                 gens.append(primitive_of_rational([Fraction(x) for x in g]))
         gens = sorted(set(gens))
-        if not gens:
-            dual_p, dual_l = [], [tuple(int(i == j) for j in range(ambient_rank))
-                                 for i in range(ambient_rank)]
-            return cls(ambient_rank, (), (), 0, tuple(dual_p), tuple(dual_l))
-        dual_p, dual_l = _hcone_generators(gens, ambient_rank)
-        ineqs = list(dual_p) + list(dual_l) + [tuple(-x for x in v) for v in dual_l]
+        lineality = _kernel(gens, ambient_rank)
+        if len(gens) + len(lineality) == ambient_rank:
+            # linearly independent: the generators are the rays
+            return cls(ambient_rank, tuple(gens), (), len(gens),
+                       tuple(_simplicial_dual_rays(gens, lineality, ambient_rank)),
+                       tuple(lineality))
+        dual_p = _tight_subset_rays(gens, lineality, ambient_rank)
+        ineqs = list(dual_p) + list(lineality) + [tuple(-x for x in v) for v in lineality]
         rays, lin = _hcone_generators(ineqs, ambient_rank)
         return cls(ambient_rank, tuple(rays), tuple(lin),
-                   ambient_rank - len(dual_l), tuple(dual_p), tuple(dual_l))
+                   ambient_rank - len(lineality), tuple(dual_p), tuple(lineality))
 
     @property
     def strictly_convex(self) -> bool:

@@ -149,7 +149,15 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
 
     Rays must be primitive and pairwise distinct (hence pairwise
     non-proportional once simpliciality holds), cones simplicial, and the
-    intersection of any two cones must be the cone on their shared rays.
+    intersection of any two cones must be the cone on their shared rays tau.
+
+    The last check is certificate first. Let m be the sum of the dual rays of
+    sigma1 that vanish on tau. If m > 0 on the rays of sigma1 outside tau and
+    m < 0 on those of sigma2, then m >= 0 on sigma1 and m <= 0 on sigma2, and
+    each cone meets the hyperplane m^perp exactly in tau; since the
+    intersection lies in m^perp, it equals tau. The same is tried with the
+    cones swapped, and only when neither m certifies is the exact
+    intersection computed and compared.
     """
     rays = [tuple(int(x) for x in r) for r in rays]
     maximal_cones = [tuple(int(i) for i in c) for c in maximal_cones]
@@ -185,11 +193,34 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
               maximal)
 
     for c1, c2 in combinations(maximal, 2):
-        shared = tuple(sorted(set(c1) & set(c2)))
-        inter = conelib.intersect(fan.cone_geometry(c1), fan.cone_geometry(c2))
-        if inter != fan.cone_geometry(shared):
+        if not _meet_in_shared_face(fan, c1, c2):
             raise IntersectionNotFace(c1, c2)
     return fan
+
+
+def _separates(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...], shared: tuple[int, ...]) -> bool:
+    """Whether the sum m of c1's dual rays that vanish on the shared rays is
+    positive on c1's other rays and negative on c2's other rays."""
+    tau = [fan.rays[i] for i in shared]
+    m = [0] * fan.ambient_rank
+    for u in fan.cone_geometry(c1).dual_rays:
+        if all(dot(u, v) == 0 for v in tau):
+            m = [a + b for a, b in zip(m, u)]
+    return (all(dot(m, fan.rays[i]) > 0 for i in c1 if i not in shared)
+            and all(dot(m, fan.rays[i]) < 0 for i in c2 if i not in shared))
+
+
+def _meet_in_shared_face(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
+    """Whether two cones of the fan intersect in the cone on their shared rays.
+
+    A separating functional from either side certifies it; otherwise the
+    exact intersection is compared.
+    """
+    shared = tuple(sorted(set(c1) & set(c2)))
+    if _separates(fan, c1, c2, shared) or _separates(fan, c2, c1, shared):
+        return True
+    inter = conelib.intersect(fan.cone_geometry(c1), fan.cone_geometry(c2))
+    return inter == fan.cone_geometry(shared)
 
 
 @dataclass(frozen=True)

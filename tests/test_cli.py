@@ -228,6 +228,12 @@ def test_mfr_one_three_cone():
     assert data["cokernel"]["invariant_factors"] == [3]
 
 
+def test_mfr_zero_cone_exits_1():
+    code, out, err = run_cli("mfr", str(FIXTURES / "p2.json"), "--cone", "")
+    assert code == 1 and out == ""
+    assert "the zero cone has a trivial monoid; pick a nonzero cone" in err
+
+
 def test_stabilizer_data_matches_report():
     doc = document_from_json((FIXTURES / "p1_levels23.json").read_text())
     data = stabilizer_data(stacky_fan(doc), [1])
@@ -296,23 +302,31 @@ def test_internal_assertion_exits_3(monkeypatch, capsys):
 
 
 def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatch, capsys):
-    # (P^1)^3: 27 cones, 8 maximal cones, 28 pairs of maximal cones
+    # (P^1)^3: 27 cones, 8 maximal cones, 28 pairs of maximal cones, each
+    # settled by a separating functional without an exact intersection
     import toristack.charts as charts_mod
     import toristack.cones as cones_mod
+    import toristack.stackyfan as fan_mod
     from itertools import product
 
-    charts, pairs = [], []
-    local_chart, intersect = charts_mod.local_chart, cones_mod.intersect
+    charts, pairs, intersections = [], [], []
+    local_chart, meet = charts_mod.local_chart, fan_mod._meet_in_shared_face
+    intersect = cones_mod.intersect
 
     def counting_chart(sf, sigma):
         charts.append(tuple(sigma))
         return local_chart(sf, sigma)
 
+    def counting_meet(fan, c1, c2):
+        pairs.append(frozenset((c1, c2)))
+        return meet(fan, c1, c2)
+
     def counting_intersect(c1, c2):
-        pairs.append(frozenset((c1.rays, c2.rays)))
+        intersections.append((c1, c2))
         return intersect(c1, c2)
 
     monkeypatch.setattr(charts_mod, "local_chart", counting_chart)
+    monkeypatch.setattr(fan_mod, "_meet_in_shared_face", counting_meet)
     monkeypatch.setattr(cones_mod, "intersect", counting_intersect)
     rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
                                           [-int(j == i) for j in range(3)])]
@@ -323,3 +337,4 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
     assert data["fan"]["num_cones"] == 27
     assert sorted(charts) == sorted(tuple(c["ray_indices"]) for c in data["cones"])
     assert len(pairs) == len(set(pairs)) == 28
+    assert intersections == []

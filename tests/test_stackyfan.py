@@ -66,6 +66,23 @@ def test_overlapping_cones_rejected():
         validate_fan([(1, 0), (0, 1), (1, 2)], [[0, 1], [1, 2], [0, 2]])
 
 
+def test_overlap_without_certificate_falls_back_to_intersection(monkeypatch):
+    # no sum of dual rays separates (0, 1) from (0, 2): both lie above the
+    # shared ray (1, 0), so the exact intersection decides
+    import toristack.cones as cones_mod
+    calls, intersect = [], cones_mod.intersect
+
+    def counting_intersect(c1, c2):
+        calls.append((c1.rays, c2.rays))
+        return intersect(c1, c2)
+
+    monkeypatch.setattr(cones_mod, "intersect", counting_intersect)
+    with pytest.raises(IntersectionNotFace) as info:
+        validate_fan([(1, 0), (0, 1), (1, 2)], [[0, 1], [1, 2], [0, 2]])
+    assert info.value.cone_pair == ((0, 1), (0, 2))
+    assert calls == [(((0, 1), (1, 0)), ((1, 0), (1, 2)))]
+
+
 def test_non_primitive_ray_rejected():
     with pytest.raises(NonPrimitiveRay) as info:
         validate_fan([(2, 4)], [[0]])
