@@ -21,11 +21,10 @@ from .linalg import (
     IntVec,
     complete_to_basis,
     dot,
-    rational_solve,
     saturate,
     smith_normal_form,
 )
-from .monoids import admissible_resolution, monoid_from_cone
+from .monoids import admissible_resolution, monoid_from_cone, split_coordinates
 from .stackyfan import StackyFan
 
 
@@ -76,20 +75,6 @@ def split_cone(sigma: Cone) -> tuple[list[IntVec], list[IntVec]]:
     return list(n_prime), list(n_doubleprime)
 
 
-def _cone_in_split_coordinates(sigma: Cone, n_prime: Sequence[IntVec],
-                               n_doubleprime: Sequence[IntVec]) -> list[IntVec]:
-    basis = list(n_prime) + list(n_doubleprime)
-    basis_t = [list(col) for col in zip(*basis)]
-    out = []
-    r = len(n_prime)
-    for v in sigma.rays:
-        coords = rational_solve(basis_t, v)
-        if any(c.denominator != 1 for c in coords) or any(c != 0 for c in coords[r:]):
-            raise AssertionError("ray escapes the saturated span")
-        out.append(tuple(int(c) for c in coords[:r]))
-    return out
-
-
 def chart_resolution(sf: StackyFan, sigma: Iterable[int]):
     """Sharp chart monoid and its level-scaled resolution over a nonzero cone.
 
@@ -103,7 +88,7 @@ def chart_resolution(sf: StackyFan, sigma: Iterable[int]):
         raise ValueError("the zero cone has a trivial monoid; pick a nonzero cone")
     geometry = fan.cone_geometry(key)
     n_prime, n_doubleprime = split_cone(geometry)
-    local_rays = _cone_in_split_coordinates(geometry, n_prime, n_doubleprime)
+    local_rays = split_coordinates(geometry.rays, n_prime, n_doubleprime)
     ray_by_local = dict(zip(local_rays, key))
     tau = Cone.from_generators(local_rays, len(key))
     p = monoid_from_cone(tau)

@@ -192,7 +192,10 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     charts_out = []
     for c in fan.maximal_cones:
         chart = charts[c]
-        generators = monoidlib.monoid_generators(conelib.dual_cone(fan.cone_geometry(c)))
+        # a full-dimensional cone is its own chart cone (N' = Z^d), so the
+        # chart already holds the Hilbert basis of its dual
+        generators = (chart.coarse_generators if chart.torus_rank == 0 else
+                      monoidlib.monoid_generators(conelib.dual_cone(fan.cone_geometry(c))))
         cycle_ideals = [{
             "cone": cone_id(f),
             "chart_coordinates": chart.cycle_coordinates(f),

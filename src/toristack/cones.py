@@ -19,7 +19,6 @@ rejected; ``strictly_convex`` flags them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -28,12 +27,12 @@ from .linalg import (
     IntVec,
     complete_to_basis,
     dot,
+    integer_inverse,
     integer_kernel_basis,
     is_zero_vector,
     lattice_index,
     primitive_of_rational,
     primitive_vector,
-    rational_inverse,
 )
 
 
@@ -92,15 +91,16 @@ def _simplicial_dual_rays(gens: Sequence[IntVec], lineality: Sequence[IntVec],
     """Pointed rays of the dual of the cone on linearly independent generators.
 
     In the ``complete_to_basis(lineality)`` coordinates the generators form an
-    invertible matrix; column j of its inverse pairs to 1 with generator j and
-    to 0 with the others, so it spans the dual ray that ``_tight_subset_rays``
-    finds as the kernel of the other generators.
+    invertible matrix; column j of its inverse ``M / q`` pairs to 1 with
+    generator j and to 0 with the others, so column j of M (q > 0) spans the
+    dual ray that ``_tight_subset_rays`` finds as the kernel of the other
+    generators.
     """
     if not gens:
         return []
     complement = complete_to_basis(lineality, d)
-    inverse = rational_inverse([[dot(g, c) for c in complement] for g in gens])
-    return _lift((primitive_of_rational(col) for col in zip(*inverse)), complement)
+    m, _ = integer_inverse([[dot(g, c) for c in complement] for g in gens])
+    return _lift((primitive_vector(col) for col in zip(*m)), complement)
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class Cone:
             if len(g) != ambient_rank:
                 raise ValueError("generator length does not match ambient rank")
             if not is_zero_vector(g):
-                gens.append(primitive_of_rational([Fraction(x) for x in g]))
+                gens.append(primitive_of_rational(g))
         gens = sorted(set(gens))
         lineality = _kernel(gens, ambient_rank)
         if len(gens) + len(lineality) == ambient_rank:

@@ -1,10 +1,14 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here runs on Python's arbitrary-precision integers and
-``fractions.Fraction``; there is deliberately no floating point anywhere.
-The module provides the normal forms (Hermite, Smith), integer kernels,
-lattice saturation and finite-abelian-group bookkeeping that the rest of
-the package is built on.
+Everything here computes on Python's arbitrary-precision integers; there is
+deliberately no floating point, and ``fractions.Fraction`` is only accepted
+as input (``primitive_of_rational``) and named by ``FracVec``, the type of
+the printed resolution generators. A rational inverse is carried as a pair
+``(M, q)`` of an integer matrix and a positive integer with ``A^-1 = M / q``
+(``integer_inverse``), so solving against it takes integer dot products and
+one divisibility test per entry. The module also provides the normal forms
+(Hermite, Smith), integer kernels, lattice saturation and finite-abelian-
+group bookkeeping that the rest of the package is built on.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
+IntegerInverse = tuple[list[list[int]], int]
 
 
 # ---------------------------------------------------------------------------
@@ -26,10 +31,6 @@ def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum(a * b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def is_zero_vector(v: Sequence) -> bool:
@@ -44,24 +45,10 @@ def primitive_vector(v: Sequence[int]) -> IntVec:
     return tuple(int(a) // g for a in v)
 
 
-def primitive_of_rational(v: Sequence[Fraction]) -> IntVec:
-    """Primitive integer vector on the ray spanned by a rational vector."""
-    denom = math.lcm(*(Fraction(a).denominator for a in v)) if v else 1
-    return primitive_vector([int(Fraction(a) * denom) for a in v])
-
-
-def fraction_content(values: Iterable[Fraction]) -> Fraction:
-    """Positive generator of the subgroup of Q generated by the values.
-
-    Returns 0 when every value is zero.
-    """
-    vals = [Fraction(v) for v in values]
-    nonzero = [v for v in vals if v != 0]
-    if not nonzero:
-        return Fraction(0)
-    denom = math.lcm(*(v.denominator for v in nonzero))
-    num = math.gcd(*(abs(v.numerator * (denom // v.denominator)) for v in nonzero))
-    return Fraction(num, denom)
+def primitive_of_rational(v: Sequence) -> IntVec:
+    """Primitive integer vector on the ray spanned by an int/Fraction vector."""
+    denom = math.lcm(*(a.denominator for a in v)) if v else 1
+    return primitive_vector([int(a * denom) for a in v])
 
 
 # ---------------------------------------------------------------------------
@@ -165,29 +152,43 @@ class IntegerMatrix:
         return sign * m[n - 1][n - 1]
 
 
-def rational_inverse(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix with int/Fraction entries."""
+def integer_inverse(rows: Sequence[Sequence[int]]) -> IntegerInverse:
+    """Inverse of a square integer matrix as ``(M, q)`` with ``A^-1 = M / q``.
+
+    Fraction-free Gauss-Jordan elimination on ``[A | I]`` (Bareiss, Math.
+    Comp. 22, 1968): after step k every entry is a (k+1)-minor of the row-
+    permuted ``[A | I]``, so each division is exact and the left block ends
+    as ``+/-det A`` times I. ``q = |det A| > 0``; a singular matrix raises.
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+    a = [[int(x) for x in r] + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        a[k], a[piv] = a[piv], a[k]
+        rk = a[k]
+        p = rk[k]
         for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [r[n:] for r in a]
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], rk)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [[sign * x for x in r[n:]] for r in a], sign * prev
 
 
-def rational_solve(rows: Sequence[Sequence], b: Sequence) -> FracVec:
-    """Solve the square system (rows) * x = b exactly."""
-    inv = rational_inverse(rows)
-    return tuple(dot(r, b) for r in inv)
+def integer_solve(inverse: IntegerInverse, b: Sequence[int]) -> IntVec | None:
+    """``M b / q`` for ``inverse = (M, q)``; None when it is not integral."""
+    m, q = inverse
+    out = []
+    for row in m:
+        x, rem = divmod(dot(row, b), q)
+        if rem:
+            return None
+        out.append(x)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

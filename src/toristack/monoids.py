@@ -11,6 +11,7 @@ and height-one primes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -22,20 +23,19 @@ from .cones import Cone
 from .linalg import (
     FiniteAbelianGroup,
     FracVec,
+    IntegerInverse,
     IntegerMatrix,
     IntVec,
     cokernel_invariants,
     complete_to_basis,
     dot,
-    fraction_content,
     hermite_normal_form,
+    integer_inverse,
+    integer_solve,
     is_zero_vector,
-    rational_inverse,
-    rational_solve,
     saturate,
     smith_normal_form,
     unimodular_inverse,
-    vec_sub,
 )
 
 
@@ -55,50 +55,59 @@ def _hilbert_basis_full(ray_list: Sequence[IntVec], d: int) -> list[IntVec]:
 
     Enumerates the lattice points of the half-open fundamental parallelepiped
     of the primitive rays (one per residue class of Z^d modulo the ray
-    lattice), adds the rays, and filters to irreducible elements. All inner
-    loops run on integers: membership uses |det| times the inverse matrix.
+    lattice) and adds the rays. With ``A^-1 = M / vol`` for the ray matrix A,
+    every candidate carries its coordinates in the basis ``ray / vol``: the
+    residue vector it was built from for a parallelepiped point, ``vol * e_i``
+    for the i-th ray. The irreducible elements are then found by the
+    reduction rule of Normaliz (Bruns-Ichim, J. Algebra 324, 2010): in order
+    of degree (coordinate sum), h is reducible iff some already accepted
+    element is componentwise <= h, because every decomposition of a
+    reducible h starts with a Hilbert-basis element of lower degree.
     """
     a = IntegerMatrix.from_columns([list(r) for r in ray_list], rows=d)
-    ainv = rational_inverse(a.row_list())
-    vol = abs(a.determinant())
-    scaled = [[int(x * vol) for x in row] for row in ainv]  # vol * A^-1, integral
-
-    def scaled_coords(x: Sequence[int]) -> list[int]:
-        return [sum(r * xi for r, xi in zip(row, x)) for row in scaled]
-
+    scaled, vol = integer_inverse(a.row_list())  # vol = |det A|
     s, u, _ = smith_normal_form(a)
     diag = [s.entry(i, i) for i in range(d)]
+    # residue generators in scaled coordinates: M times the columns of U^-1
     uinv = unimodular_inverse(u)
-    candidates: set[IntVec] = set(ray_list)
-    for residue in product(*(range(di) for di in diag)):
-        x0 = uinv.apply(residue)
-        frac = [c % vol for c in scaled_coords(x0)]
+    steps = [(diag[j], [dot(row, uinv.column(j)) for row in scaled])
+             for j in range(d) if diag[j] > 1]
+    coords: dict[IntVec, tuple[int, ...]] = {
+        r: tuple(vol * int(i == k) for k in range(d)) for i, r in enumerate(ray_list)}
+    for residue in product(*(range(n) for n, _ in steps)):
+        frac = tuple(sum(c * w[i] for c, (_, w) in zip(residue, steps)) % vol for i in range(d))
         p = []
         for j in range(d):
-            num = sum(frac[i] * ray_list[i][j] for i in range(d))
-            q, rem = divmod(num, vol)
+            q, rem = divmod(sum(frac[i] * ray_list[i][j] for i in range(d)), vol)
             if rem:
                 raise AssertionError("parallelepiped point is not integral")
             p.append(q)
-        p = tuple(p)
-        if not is_zero_vector(p):
-            candidates.add(p)
-    # irreducibility: h is reducible iff h - g lies in the monoid for some
-    # nonzero generator g != h; comparing by degree halves the search
-    degree = {h: sum(scaled_coords(h)) for h in candidates}
-    by_degree = sorted(candidates, key=lambda h: (degree[h], h))
-    basis = []
-    for h in sorted(candidates):
-        reducible = False
-        for g in by_degree:
-            if degree[g] >= degree[h]:
-                break
-            if all(c >= 0 for c in scaled_coords(vec_sub(h, g))):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(h)
-    return basis
+        if any(frac):
+            coords[tuple(p)] = frac
+    accepted: list[tuple[tuple[int, ...], IntVec]] = []
+    for h in sorted(coords, key=lambda h: (sum(coords[h]), h)):
+        ch = coords[h]
+        if not any(all(x <= y for x, y in zip(cg, ch)) for cg, _ in accepted):
+            accepted.append((ch, h))
+    return sorted(h for _, h in accepted)
+
+
+def split_coordinates(vectors: Sequence[IntVec], n_prime: Sequence[IntVec],
+                      n_doubleprime: Sequence[IntVec]) -> list[IntVec]:
+    """Coordinates in the basis n_prime of vectors lying in its span.
+
+    n_prime + n_doubleprime must be a basis of the ambient lattice (one
+    inverse serves every vector); a vector outside the span of n_prime raises.
+    """
+    inverse = integer_inverse([list(col) for col in zip(*n_prime, *n_doubleprime)])
+    r = len(n_prime)
+    out = []
+    for v in vectors:
+        coords = integer_solve(inverse, v)
+        if coords is None or any(coords[r:]):
+            raise AssertionError("ray escapes the saturated span")
+        out.append(coords[:r])
+    return out
 
 
 def hilbert_basis(c: Cone) -> list[IntVec]:
@@ -115,15 +124,7 @@ def hilbert_basis(c: Cone) -> list[IntVec]:
     if c.dim == d:
         return _hilbert_basis_full(c.rays, d)
     span = saturate(list(c.rays))
-    full = list(span) + list(complete_to_basis(span, d))
-    full_t = [list(col) for col in zip(*full)]
-    local_rays = []
-    for r in c.rays:
-        coords = rational_solve(full_t, r)
-        if any(x.denominator != 1 for x in coords) or any(x != 0 for x in coords[c.dim:]):
-            raise AssertionError("ray not in the saturated span")
-        local_rays.append(tuple(int(x) for x in coords[:c.dim]))
-    local = _hilbert_basis_full(local_rays, c.dim)
+    local = _hilbert_basis_full(split_coordinates(c.rays, span, complete_to_basis(span, d)), c.dim)
     lifted = [tuple(dot(h, col) for col in zip(*span)) for h in local]
     return sorted(lifted)
 
@@ -140,12 +141,9 @@ def monoid_generators(c: Cone) -> list[IntVec]:
     lin = list(c.lineality)
     comp = complete_to_basis(lin, c.ambient_rank)
     # sharp image: drop the lineality coordinates in the completed basis
-    basis = lin + list(comp)
-    binv = rational_inverse([list(col) for col in zip(*basis)])
-    imaged = []
-    for g in c.rays:
-        y = [dot(row, g) for row in binv]
-        imaged.append(tuple(int(x) for x in y[len(lin):]))
+    # (a basis of the lattice, so every coordinate is integral)
+    inverse = integer_inverse([list(col) for col in zip(*lin, *comp)])
+    imaged = [integer_solve(inverse, g)[len(lin):] for g in c.rays]
     image_cone = Cone.from_generators(imaged, c.ambient_rank - len(lin))
     lifts = [tuple(dot(h, col) for col in zip(*comp)) for h in hilbert_basis(image_cone)]
     units = lin + [tuple(-x for x in v) for v in lin]
@@ -238,9 +236,9 @@ class FreeResolution:
             raise ValueError("levels must be positive integers")
         if any(b < 1 for b in self.denominators):
             raise ValueError("denominators must be positive integers")
+        m, q = self._basis_inverse
         for h in self.source.hilbert_basis:
-            c = self.coordinates(h)
-            if any(x.denominator != 1 or x < 0 for x in c):
+            if any(v % q or v < 0 for v in (dot(row, h) for row in m)):
                 raise AssertionError(
                     f"monoid element {h} is not a lattice point of the free monoid")
 
@@ -249,13 +247,23 @@ class FreeResolution:
         return all(n == 1 for n in self.levels)
 
     @cached_property
-    def _basis_inverse(self) -> list[list[Fraction]]:
-        cols = [list(g) for g in self.realized_generators]
-        return rational_inverse([list(r) for r in zip(*cols)])
+    def _scaled_generators(self) -> tuple[int, list[IntVec]]:
+        """(L, L * g_i): the realized generators over their common denominator."""
+        scale = math.lcm(*(x.denominator for g in self.realized_generators for x in g))
+        return scale, [tuple(int(x * scale) for x in g) for g in self.realized_generators]
+
+    @cached_property
+    def _basis_inverse(self) -> IntegerInverse:
+        """(M, q) with ``M / q`` the inverse of the realized generator matrix."""
+        scale, gens = self._scaled_generators
+        m, q = integer_inverse([list(r) for r in zip(*gens)])
+        g = math.gcd(scale, q)
+        return [[x * (scale // g) for x in row] for row in m], q // g
 
     def coordinates(self, x: Sequence) -> FracVec:
         """Coordinates of x in the realized generator basis."""
-        return tuple(dot(row, x) for row in self._basis_inverse)
+        m, q = self._basis_inverse
+        return tuple(Fraction(dot(row, x), q) for row in m)
 
     def coordinate_matrix(self) -> IntegerMatrix:
         """Columns: the standard basis of M written in the realized basis.
@@ -263,15 +271,10 @@ class FreeResolution:
         This is the matrix of P^gp -> F^gp; a non-integral entry means the
         resolution data is broken and raises.
         """
-        d = self.rank
-        cols = []
-        for k in range(d):
-            e = [int(i == k) for i in range(d)]
-            c = self.coordinates(e)
-            if any(x.denominator != 1 for x in c):
-                raise ValueError("non-integral coordinate matrix: broken resolution")
-            cols.append([int(x) for x in c])
-        return IntegerMatrix.from_columns(cols, rows=d)
+        m, q = self._basis_inverse
+        if any(x % q for row in m for x in row):
+            raise ValueError("non-integral coordinate matrix: broken resolution")
+        return IntegerMatrix.from_rows([[x // q for x in row] for row in m], cols=self.rank)
 
 
 def minimal_free_resolution(p: AffineMonoid) -> FreeResolution:
@@ -279,7 +282,8 @@ def minimal_free_resolution(p: AffineMonoid) -> FreeResolution:
 
     The free generators are v_i / b_i where v_i are the primitive rays of
     C(P) (lex order) and (1/b_i) Z is the image of P^gp under the i-th
-    ray coordinate.
+    ray coordinate: with ``A^-1 = M / q`` for the ray matrix A, that image is
+    generated by gcd(row i of M) / q.
     """
     if not p.sharp:
         raise ValueError("minimal free resolution requires a sharp monoid")
@@ -290,14 +294,13 @@ def minimal_free_resolution(p: AffineMonoid) -> FreeResolution:
         raise ValueError("defining cone must be full-dimensional (P^gp of full rank)")
     d = p.lattice_rank
     ray_list = c.rays
-    ainv = rational_inverse([list(col) for col in zip(*ray_list)])
+    m, q = integer_inverse([list(col) for col in zip(*ray_list)])
     denominators = []
-    for i in range(d):
-        content = fraction_content(ainv[i])
-        b = 1 / content
-        if b.denominator != 1:
+    for row in m:
+        content = math.gcd(*row)
+        if q % content:
             raise AssertionError("ray coordinate image is not of the form (1/b)Z")
-        denominators.append(int(b))
+        denominators.append(q // content)
     gens = tuple(tuple(Fraction(x, b) for x in v) for v, b in zip(ray_list, denominators))
     return FreeResolution(
         source=p, rank=d,
@@ -474,19 +477,20 @@ def restrict_resolution(p: AffineMonoid, res: FreeResolution,
     if len(subset) == d:
         return p, res
     r = len(subset)
+    m, den = res._basis_inverse  # integral on P, as __post_init__ checked
     projected = sorted(set(
-        tuple(int(res.coordinates(h)[i]) for i in subset) for h in p.hilbert_basis))
+        tuple(dot(m[i], h) // den for i in subset) for h in p.hilbert_basis))
     h_basis, _ = hermite_normal_form(IntegerMatrix.from_rows([list(g) for g in projected]))
     basis = [h_basis.row(i) for i in range(h_basis.rows) if not is_zero_vector(h_basis.row(i))]
     if len(basis) != r:
         raise AssertionError("projected monoid group is not of full rank")
-    basis_t = [list(col) for col in zip(*basis)]
+    basis_m, basis_den = inverse = integer_inverse([list(col) for col in zip(*basis)])
     recoord = []
     for g in projected:
-        y = rational_solve(basis_t, g)
-        if any(v.denominator != 1 for v in y):
+        y = integer_solve(inverse, g)
+        if y is None:
             raise AssertionError("projected generator outside its own group lattice")
-        recoord.append(tuple(int(v) for v in y))
+        recoord.append(y)
     q = AffineMonoid.from_dual_cone(Cone.from_generators(recoord, r))
     # the projection is guaranteed saturated: its lattice points must all be
     # reachable from the projected generators
@@ -497,8 +501,7 @@ def restrict_resolution(p: AffineMonoid, res: FreeResolution,
     res_q = minimal_free_resolution(q)
     # Projection stability: the images of the projected free generators must
     # be exactly the recomputed minimal free generators.
-    images = sorted(rational_solve(basis_t, [int(i == k) for k in range(r)])
-                    for i in range(r))
+    images = sorted(tuple(Fraction(x, basis_den) for x in col) for col in zip(*basis_m))
     recomputed = sorted(res_q.generators)
     if images != recomputed:
         raise AssertionError(
@@ -514,15 +517,12 @@ def saturation_intersection_check(res: FreeResolution, degree_bound: int) -> boo
     bound; each one lying in the lattice M must already lie in P.
     """
     p = res.source
-    d = res.rank
-    for a in product(range(degree_bound + 1), repeat=d):
+    scale, gens = res._scaled_generators
+    for a in product(range(degree_bound + 1), repeat=res.rank):
         if sum(a) > degree_bound or sum(a) == 0:
             continue
-        x = [Fraction(0)] * d
-        for coeff, g in zip(a, res.realized_generators):
-            x = [acc + coeff * gi for acc, gi in zip(x, g)]
-        if all(v.denominator == 1 for v in x):
-            pt = tuple(int(v) for v in x)
-            if not p.contains(pt):
+        x = [sum(coeff * g[j] for coeff, g in zip(a, gens)) for j in range(res.rank)]
+        if not any(v % scale for v in x):
+            if not p.contains(tuple(v // scale for v in x)):
                 return False
     return True

@@ -303,15 +303,19 @@ def test_internal_assertion_exits_3(monkeypatch, capsys):
 
 def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatch, capsys):
     # (P^1)^3: 27 cones, 8 maximal cones, 28 pairs of maximal cones, each
-    # settled by a separating functional without an exact intersection
+    # settled by a separating functional without an exact intersection; one
+    # Hilbert basis per nonzero cone, the maximal cones' coarse generators
+    # read from their charts
     import toristack.charts as charts_mod
     import toristack.cones as cones_mod
+    import toristack.monoids as monoids_mod
     import toristack.stackyfan as fan_mod
     from itertools import product
 
-    charts, pairs, intersections = [], [], []
+    charts, pairs, intersections, hilbert_bases = [], [], [], []
     local_chart, meet = charts_mod.local_chart, fan_mod._meet_in_shared_face
     intersect = cones_mod.intersect
+    hilbert_basis_full = monoids_mod._hilbert_basis_full
 
     def counting_chart(sf, sigma):
         charts.append(tuple(sigma))
@@ -327,7 +331,12 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
 
     monkeypatch.setattr(charts_mod, "local_chart", counting_chart)
     monkeypatch.setattr(fan_mod, "_meet_in_shared_face", counting_meet)
+    def counting_hilbert_basis(ray_list, d):
+        hilbert_bases.append(tuple(ray_list))
+        return hilbert_basis_full(ray_list, d)
+
     monkeypatch.setattr(cones_mod, "intersect", counting_intersect)
+    monkeypatch.setattr(monoids_mod, "_hilbert_basis_full", counting_hilbert_basis)
     rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
                                           [-int(j == i) for j in range(3)])]
     cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=3)]
@@ -338,3 +347,4 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
     assert sorted(charts) == sorted(tuple(c["ray_indices"]) for c in data["cones"])
     assert len(pairs) == len(set(pairs)) == 28
     assert intersections == []
+    assert len(hilbert_bases) == 26

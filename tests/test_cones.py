@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from oracles import fm_cone_contains
 
@@ -36,6 +37,21 @@ def test_rays_drops_interior_generators():
 
 def test_rays_single_generator():
     assert rays(cone((1, 2))) == ((1, 2),)
+
+
+@pytest.mark.parametrize("rational, integral", [
+    # independent generators: they are the rays
+    ([(Fraction(1, 2), Fraction(1, 3)), (Fraction(-2, 5), 1)], [(3, 2), (-2, 5)]),
+    ([(0, Fraction(7, 3), Fraction(-7, 2))], [(0, 2, -3)]),
+    # dependent generators: the double description
+    ([(Fraction(1, 2), 0), (Fraction(1, 4), Fraction(1, 4)), (0, Fraction(-5, 3))],
+     [(1, 0), (1, 1), (0, -1)]),
+])
+def test_fraction_generators_match_integer_multiples(rational, integral):
+    rank = len(integral[0])
+    a, b = Cone.from_generators(rational, rank), Cone.from_generators(integral, rank)
+    assert a == b
+    assert (a.dim, a.dual_rays, a.dual_lineality) == (b.dim, b.dual_rays, b.dual_lineality)
 
 
 def test_dual_first_orthant_self_dual():

@@ -8,6 +8,7 @@ from oracles import box_hilbert_basis
 from toristack.cones import Cone, dual_cone, multiplicity
 from toristack.monoids import (
     AffineMonoid,
+    FreeResolution,
     NotCloseError,
     NotSaturatedError,
     admissible_resolution,
@@ -282,6 +283,36 @@ def test_saturation_check_examples():
     assert saturation_intersection_check(minimal_free_resolution(a1), 6)
     n1 = monoid_from_cone(Cone.from_generators([(1,)], 1))
     assert saturation_intersection_check(admissible_resolution(n1, {(1,): 2}), 10)
+
+
+# -- tripwires on broken resolution data ------------------------------------------
+
+def orthant_resolution(*realized):
+    """A FreeResolution of the first-orthant monoid of Z^2 with the given generators."""
+    gens = tuple(tuple(frac(x) for x in g) for g in realized)
+    return FreeResolution(source=monoid_from_cone(sigma((1, 0), (0, 1))), rank=2,
+                          denominators=(1, 1), levels=(1, 1),
+                          generators=gens, realized_generators=gens)
+
+
+def test_resolution_rejects_negative_coordinate():
+    # (0, 1) = (1, 1) - (1, 0) is not in the free monoid
+    with pytest.raises(AssertionError, match="not a lattice point of the free monoid"):
+        orthant_resolution((1, 0), (1, 1))
+
+
+def test_resolution_rejects_non_integral_coordinate():
+    # (1, 0) = (2, 0) / 2 is not in the free monoid
+    with pytest.raises(AssertionError, match="not a lattice point of the free monoid"):
+        orthant_resolution((2, 0), (0, 1))
+
+
+def test_saturation_check_finds_lattice_point_outside_monoid():
+    # P <= F holds, since (0, 1) = (1, 0) + (-1, 1); but the generator (-1, 1)
+    # is a lattice point of F outside P
+    res = orthant_resolution((1, 0), (-1, 1))
+    assert res.coordinate_matrix().row_list() == [[1, 1], [0, 1]]
+    assert not saturation_intersection_check(res, 2)
 
 
 # -- headline properties ---------------------------------------------------------
