@@ -88,7 +88,7 @@ def chart_resolution(sf: StackyFan, sigma: Iterable[int]):
         raise ValueError("the zero cone has a trivial monoid; pick a nonzero cone")
     geometry = fan.cone_geometry(key)
     n_prime, n_doubleprime = split_cone(geometry)
-    local_rays = split_coordinates(geometry.rays, n_prime, n_doubleprime)
+    local_rays = split_coordinates([fan.rays[i] for i in key], n_prime, n_doubleprime)
     ray_by_local = dict(zip(local_rays, key))
     tau = Cone.from_generators(local_rays, len(key))
     p = monoid_from_cone(tau)

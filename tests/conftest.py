@@ -83,3 +83,14 @@ def zoo_fans():
 def random_stacky(rng: random.Random, fan, max_level: int = 4) -> StackyFan:
     levels = {i: rng.randint(1, max_level) for i in range(len(fan.rays))}
     return StackyFan.build(fan, levels)
+
+
+def shuffled(rng: random.Random, fan):
+    """The same fan with its ray indices permuted at random."""
+    new_index = list(range(len(fan.rays)))
+    rng.shuffle(new_index)
+    rays = [None] * len(new_index)
+    for old, new in enumerate(new_index):
+        rays[new] = fan.rays[old]
+    return validate_fan(rays, [[new_index[i] for i in c] for c in fan.maximal_cones],
+                        fan.ambient_rank)

@@ -2,12 +2,14 @@
 
 Deliberately share no code with the library: membership tests run through a
 local Gaussian solver, Hilbert bases come from exhaustive box enumeration,
-cone membership from Fourier-Motzkin elimination, and quotient groups from
-residue-class exploration keyed by fractional parts.
+cone membership from Fourier-Motzkin elimination, quotient groups from
+residue-class exploration keyed by fractional parts, and the rays of a dual
+cone one ray at a time.
 """
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 def solve_square(rows, rhs):
@@ -48,6 +50,43 @@ def det(rows):
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return result
+
+
+def basis_coordinates(basis, v):
+    """Integer coordinates of v in a basis of a saturated sublattice holding it.
+
+    Solved over Q on the first invertible square block of rows, then checked
+    on every row.
+    """
+    r, d = len(basis), len(v)
+    for picked in combinations(range(d), r):
+        square = [[b[j] for b in basis] for j in picked]
+        if det(square) != 0:
+            x = solve_square(square, [v[j] for j in picked])
+            assert all(sum(c * b[j] for c, b in zip(x, basis)) == v[j] for j in range(d))
+            assert all(c.denominator == 1 for c in x)
+            return tuple(int(c) for c in x)
+    raise ValueError("basis vectors are linearly dependent")
+
+
+def coordinate_rays(basis, ray_vectors):
+    """Rays of the dual of a simplicial cone, in basis coordinates, lex-sorted.
+
+    ``basis`` spans the saturated lattice of the span of the linearly
+    independent rays. For each ray j on its own, the functional equal to 1 on
+    ray j and 0 on the others is solved for and made primitive; it is paired
+    with j. Returns ([(dual ray, j)] in lex order, the rays in basis
+    coordinates).
+    """
+    local = [basis_coordinates(basis, v) for v in ray_vectors]
+    out = []
+    for j in range(len(local)):
+        w = solve_square(local, [int(k == j) for k in range(len(local))])
+        scale = math.lcm(*(x.denominator for x in w))
+        ints = [int(x * scale) for x in w]
+        g = math.gcd(*ints)
+        out.append((tuple(x // g for x in ints), j))
+    return sorted(out), local
 
 
 def box_hilbert_basis(ray_vectors, d):

@@ -1,14 +1,19 @@
+import math
 import random
 from itertools import product
 
 from conftest import (
+    FIXTURES,
     a1_singularity_fan,
     a2_fan,
     p1_fan,
     p2_fan,
+    random_full_cone_rays,
     random_stacky,
+    shuffled,
     zoo_fans,
 )
+from oracles import coordinate_rays, det
 
 from toristack.cones import Cone
 from toristack.charts import (
@@ -20,7 +25,8 @@ from toristack.charts import (
     split_cone,
     stabilizer,
 )
-from toristack.linalg import IntegerMatrix, smith_normal_form
+from toristack.cli import check_document, document_from_json
+from toristack.linalg import IntegerMatrix, dot, primitive_vector, smith_normal_form
 from toristack.stackyfan import StackyFan, is_tame, stacky_multiplicity, validate_fan
 
 
@@ -306,3 +312,46 @@ def test_correspondence_cardinalities_every_chart():
             assert len(chart.fan_rays) == chart.r == len(c)
             assert sorted(chart.fan_rays) == list(c)
             assert len(chart.action_weights) == chart.r
+
+
+# -- coordinates name their fan rays --------------------------------------------------
+
+def stacky_fans_with_shuffled_rays():
+    """The fixtures, the zoo with permuted ray indices and random levels, and
+    single random cones of rank 2-4 and |det| <= 60 whose rays are listed in
+    random order."""
+    out = [check_document(document_from_json(path.read_text()))[1]
+           for path in sorted(FIXTURES.glob("*.json"))]
+    rng = random.Random(2718)
+    out += [random_stacky(rng, shuffled(rng, fan)) for fan in zoo_fans()]
+    while len(out) < 60:
+        d = rng.randint(2, 4)
+        rays = [primitive_vector(v) for v in random_full_cone_rays(rng, d, 3)]
+        if abs(det(rays)) <= 60:
+            out.append(random_stacky(rng, validate_fan(rays, [list(range(d))])))
+    return out
+
+
+def element_order(weight, factors):
+    return math.lcm(*(d // math.gcd(x, d) for x, d in zip(weight, factors)))
+
+
+def test_coordinates_pair_with_their_fan_rays():
+    # coordinate i sits on the i-th ray of C(P) in lex order, which pairs
+    # positively with exactly one ray of the cone: that ray is fan_rays[i]
+    # and carries the level of the coordinate
+    for sf in stacky_fans_with_shuffled_rays():
+        fan = sf.fan
+        for c in fan.cones[1:]:
+            chart = local_chart(sf, c)
+            stars, local = coordinate_rays(chart.n_prime_basis, [fan.rays[i] for i in c])
+            for i, (w, _) in enumerate(stars):
+                rho = chart.fan_rays[i]
+                assert [j for j, u in zip(c, local) if dot(w, u) > 0] == [rho], (fan.rays, c)
+                assert chart.levels[i] == sf.levels[rho], (fan.rays, c)
+            if abs(det(local)) == 1:
+                # over a smooth cone G is the product of the mu_n of its rays
+                # and coordinate i generates the factor of its own ray
+                orders = [element_order(w, chart.group.invariant_factors)
+                          for w in chart.action_weights]
+                assert orders == list(chart.levels), (fan.rays, c)

@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
-from conftest import FIXTURES
+import random
+
+from conftest import FIXTURES, random_stacky, shuffled, zoo_fans
+from oracles import coordinate_rays
 
 from toristack.cli import (
     DocumentParseError,
@@ -203,6 +206,29 @@ def test_report_smooth_fan_notes_toric_variety():
     assert "toric variety" in data["fan"]["note"]
     for cone in data["cones"]:
         assert cone["stabilizer"]["cartier_dual"] == "trivial"
+
+
+def test_report_cycle_coordinates_carry_their_coarse_generators():
+    # a coordinate listed for a cycle sits on a ray of C(P) that is one of
+    # the cycle's coarse generators, restricted to N'
+    docs = [document_from_json(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+    rng = random.Random(1414)
+    for fan in zoo_fans():
+        sf = random_stacky(rng, shuffled(rng, fan))
+        docs.append(FanDocument(rank=fan.ambient_rank, rays=list(sf.fan.rays),
+                                max_cones=list(sf.fan.maximal_cones),
+                                levels=dict(enumerate(sf.levels))))
+    for doc in docs:
+        data = report_data(doc, stacky_fan(doc))
+        for chart in data["charts"]:
+            cone = [int(i) for i in chart["cone"].split(",") if i]
+            basis = chart["splitting"]["n_prime_basis"]
+            stars, _ = coordinate_rays(basis, [doc.rays[i] for i in cone])
+            for ci in chart["cycle_ideals"]:
+                restricted = {tuple(sum(a * b for a, b in zip(h, v)) for v in basis)
+                              for h in ci["coarse_generators"]}
+                for i in ci["chart_coordinates"]:
+                    assert stars[i][0] in restricted, (doc.rays, chart["cone"], ci)
 
 
 def test_mfr_data_a1():
