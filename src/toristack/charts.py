@@ -1,11 +1,14 @@
 """Local quotient presentations of the stack attached to a stacky fan.
 
 Over each cone sigma of dimension r the stack looks like [A^r / G] x T^(d-r)
-with G the Cartier dual of the finite abelian group F^gp / P^gp, where P is
-the sharp monoid of the cone (after splitting off the torus directions) and
-F the free monoid of its level-scaled resolution. The chart records G by
-invariant factors, the character (weight) through which G acts on each of
-the r coordinates, the lattice splitting, and the coarse chart data.
+with G the Cartier dual of F^gp / P^gp, where P is the sharp monoid of the
+cone (after splitting off the torus directions) and F the free monoid of its
+level-scaled resolution. That group is the cokernel of the free-net matrix,
+N' / <n_rho v_rho>, whose rows n_rho v_rho in a basis of the saturated span
+N' are the matrix of P^gp -> F^gp (the local group of a stacky fan,
+Borisov-Chen-Smith, J. AMS 18, 2005). A chart is one inverse of the ray
+matrix in N' and one Smith normal form of the free-net matrix; P and its
+resolution are built only by ``chart_resolution``.
 """
 
 from __future__ import annotations
@@ -18,25 +21,31 @@ from . import stackyfan as fans
 from .cones import Cone
 from .linalg import (
     FiniteAbelianGroup,
+    IntegerMatrix,
     IntVec,
     complete_to_basis,
     dot,
+    integer_inverse,
+    primitive_vector,
     saturate,
     smith_normal_form,
 )
 from .monoids import admissible_resolution, monoid_from_cone, split_coordinates
-from .stackyfan import StackyFan
+from .stackyfan import Fan, StackyFan
 
 
 @dataclass(frozen=True)
 class LocalChart:
     """Quotient-chart data [A^r/G] x T^(d-r) over one cone of the fan.
 
-    Chart coordinates are indexed by the lex-sorted rays of C(P); for
-    coordinate i, ``fan_rays[i]`` is the index of the fan ray it corresponds
-    to under the ray-star bijection and ``action_weights[i]`` is the image of
-    the i-th free generator in G, written as residues in invariant-factor
-    coordinates.
+    G is the cokernel of the free-net matrix, N'/<n_rho v_rho>, of order
+    ``multiplicity`` (the index of the ray lattice in N') times the product
+    of the levels. Chart coordinates are indexed by the lex-sorted rays of
+    C(P); for coordinate i, ``fan_rays[i]`` is the index of the fan ray it
+    corresponds to under the ray-star bijection (the one ray of the cone that
+    the i-th ray of C(P) pairs positively with) and ``action_weights[i]`` is
+    the image of the i-th free generator in G, written as residues in
+    invariant-factor coordinates.
     """
 
     cone: tuple[int, ...]
@@ -48,7 +57,12 @@ class LocalChart:
     fan_rays: tuple[int, ...]
     n_prime_basis: tuple[IntVec, ...]
     n_doubleprime_basis: tuple[IntVec, ...]
-    coarse_generators: tuple[IntVec, ...]
+    multiplicity: int
+
+    @property
+    def stacky_multiplicity(self) -> int:
+        """mult(sigma) times the product of the levels on the rays of sigma."""
+        return self.multiplicity * math.prod(self.levels)
 
     @property
     def group_label(self) -> str:
@@ -62,17 +76,38 @@ class LocalChart:
         return sorted(i for i, rho in enumerate(self.fan_rays) if rho in face)
 
 
-def split_cone(sigma: Cone) -> tuple[list[IntVec], list[IntVec]]:
-    """Lattice splitting N = N' + N'' with sigma full-dimensional in N'.
+def split_cone(rays: Sequence[IntVec], ambient_rank: int) -> tuple[list[IntVec], list[IntVec]]:
+    """Lattice splitting N = N' + N'' with the cone on ``rays`` full-dimensional in N'.
 
     N' is the saturation of the span of the rays; N'' is the canonical
     Hermite completion to a basis of the ambient lattice.
     """
-    if not sigma.strictly_convex:
-        raise ValueError("split_cone requires a strictly convex cone")
-    n_prime = saturate(list(sigma.rays))
-    n_doubleprime = complete_to_basis(n_prime, sigma.ambient_rank)
-    return list(n_prime), list(n_doubleprime)
+    n_prime = saturate(rays)
+    return n_prime, complete_to_basis(n_prime, ambient_rank)
+
+
+def _coordinates(fan: Fan, key: tuple[int, ...]):
+    """Splitting and chart coordinates of a cone.
+
+    With A the matrix of the cone's rays in N' coordinates (one per row, in
+    key order) and ``A^-1 = M / q``, column j of M pairs to q with ray j and
+    to 0 with the other rays: made primitive, it is the ray of C(P) on the
+    ray star of ray j, and q = |det A| is the multiplicity. Coordinates
+    follow the lex order of those rays of C(P).
+
+    Returns (n_prime, n_doubleprime, q, coordinates) with one triple (ray of
+    C(P), cone ray in N' coordinates, fan ray index) per coordinate.
+    """
+    rays = [fan.rays[i] for i in key]
+    n_prime, n_doubleprime = split_cone(rays, fan.ambient_rank)
+    local = split_coordinates(rays, n_prime, n_doubleprime)
+    m, q = integer_inverse(local)
+    coordinates = sorted((primitive_vector(col), local[j], key[j])
+                         for j, col in enumerate(zip(*m)))
+    for w, u, _ in coordinates:
+        if [v for v in local if dot(w, v) > 0] != [u]:
+            raise AssertionError("ray-star bijection failed in chart computation")
+    return n_prime, n_doubleprime, q, coordinates
 
 
 def chart_resolution(sf: StackyFan, sigma: Iterable[int]):
@@ -82,74 +117,53 @@ def chart_resolution(sf: StackyFan, sigma: Iterable[int]):
     fan_rays[i] is the fan ray index attached to the i-th free generator
     through the ray-star bijection.
     """
-    fan = sf.fan
-    key = fan.normalize(sigma)
+    key = sf.fan.normalize(sigma)
     if not key:
         raise ValueError("the zero cone has a trivial monoid; pick a nonzero cone")
-    geometry = fan.cone_geometry(key)
-    n_prime, n_doubleprime = split_cone(geometry)
-    local_rays = split_coordinates([fan.rays[i] for i in key], n_prime, n_doubleprime)
-    ray_by_local = dict(zip(local_rays, key))
-    tau = Cone.from_generators(local_rays, len(key))
-    p = monoid_from_cone(tau)
-
-    # attach levels to the free generators through the ray-star bijection:
-    # generator i sits on the i-th ray of C(P), which pairs positively with
-    # exactly one ray of the cone
-    fan_ray_of_coordinate = []
-    for w in p.defining_cone.rays:
-        hits = [c for c in local_rays if dot(w, c) > 0]
-        if len(hits) != 1:
-            raise AssertionError("ray-star bijection failed in chart computation")
-        fan_ray_of_coordinate.append(ray_by_local[hits[0]])
-    levels = tuple(sf.levels[i] for i in fan_ray_of_coordinate)
+    n_prime, n_doubleprime, _, coordinates = _coordinates(sf.fan, key)
+    p = monoid_from_cone(Cone.from_generators([u for _, u, _ in coordinates], len(key)))
+    if p.defining_cone.rays != tuple(w for w, _, _ in coordinates):
+        raise AssertionError("chart monoid rays differ from the chart coordinates")
+    fan_rays = tuple(rho for _, _, rho in coordinates)
+    levels = [sf.levels[rho] for rho in fan_rays]
     res = admissible_resolution(p, dict(zip(p.defining_cone.rays, levels)))
-    return p, res, tuple(fan_ray_of_coordinate), tuple(n_prime), tuple(n_doubleprime)
+    return p, res, fan_rays, tuple(n_prime), tuple(n_doubleprime)
 
 
 def local_chart(sf: StackyFan, sigma: Iterable[int]) -> LocalChart:
     """Compute the quotient chart over a cone of the stacky fan."""
     fan = sf.fan
     key = fan.normalize(sigma)
-    d = fan.ambient_rank
     r = len(key)
-    if r == 0:
-        return LocalChart(
-            cone=key, r=0, torus_rank=d,
-            group=FiniteAbelianGroup(),
-            action_weights=(), levels=(), fan_rays=(),
-            n_prime_basis=(), n_doubleprime_basis=tuple(
-                tuple(int(i == j) for j in range(d)) for i in range(d)),
-            coarse_generators=(),
-        )
-    p, res, fan_ray_of_coordinate, n_prime, n_doubleprime = chart_resolution(sf, key)
-    levels = res.levels
+    n_prime, n_doubleprime, q, coordinates = _coordinates(fan, key)
+    fan_rays = tuple(rho for _, _, rho in coordinates)
+    levels = tuple(sf.levels[rho] for rho in fan_rays)
 
-    b = res.coordinate_matrix()
-    s, u, _ = smith_normal_form(b)
+    free_net = [[n * x for x in u] for (_, u, _), n in zip(coordinates, levels)]
+    s, u, _ = smith_normal_form(IntegerMatrix.from_rows(free_net, cols=r))
     diag = [s.entry(i, i) for i in range(r)]
     if any(x == 0 for x in diag):
-        raise AssertionError("degenerate resolution lattice in chart computation")
+        raise AssertionError("degenerate free-net matrix in chart computation")
     torsion_rows = [i for i, x in enumerate(diag) if x > 1]
     group = FiniteAbelianGroup(tuple(diag[i] for i in torsion_rows))
     weights = tuple(
         tuple(u.entry(row, i) % diag[row] for row in torsion_rows)
         for i in range(r))
 
-    expected = fans.stacky_multiplicity(sf, key)
-    if group.order != expected:
-        raise AssertionError(
-            f"stabilizer order {group.order} differs from stacky multiplicity {expected}")
-    return LocalChart(
-        cone=key, r=r, torus_rank=d - r,
+    chart = LocalChart(
+        cone=key, r=r, torus_rank=fan.ambient_rank - r,
         group=group,
         action_weights=weights,
         levels=levels,
-        fan_rays=tuple(fan_ray_of_coordinate),
+        fan_rays=fan_rays,
         n_prime_basis=tuple(n_prime),
         n_doubleprime_basis=tuple(n_doubleprime),
-        coarse_generators=p.hilbert_basis,
+        multiplicity=q,
     )
+    if group.order != chart.stacky_multiplicity:
+        raise AssertionError(f"stabilizer order {group.order} differs from "
+                             f"stacky multiplicity {chart.stacky_multiplicity}")
+    return chart
 
 
 def stabilizer(sf: StackyFan, sigma: Iterable[int]) -> FiniteAbelianGroup:

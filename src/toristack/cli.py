@@ -25,7 +25,7 @@ from . import charts as chartlib
 from . import cones as conelib
 from . import monoids as monoidlib
 from . import stackyfan as fanlib
-from .linalg import FiniteAbelianGroup
+from .linalg import FiniteAbelianGroup, dot
 from .stackyfan import FanError, StackyFan
 
 _JSON_SAFE_INT = 2 ** 53 - 1
@@ -177,25 +177,25 @@ def _group_dict(g: FiniteAbelianGroup) -> dict:
 def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     fan = sf.fan
     chars = doc.characteristics
-    smooth_canonical = (all(n == 1 for n in sf.levels)
-                        and all(conelib.multiplicity(fan.cone_geometry(c)) == 1
-                                for c in fan.maximal_cones))
     charts = {c: chartlib.local_chart(sf, c) for c in fan.cones}
+    smooth_canonical = (all(n == 1 for n in sf.levels)
+                        and all(charts[c].multiplicity == 1 for c in fan.maximal_cones))
     cones_out = [{
         "id": cone_id(c),
         "ray_indices": list(c),
         "dim": len(c),
-        "multiplicity": conelib.multiplicity(fan.cone_geometry(c)) if c else 1,
-        "stacky_multiplicity": fanlib.stacky_multiplicity(sf, c),
+        "multiplicity": charts[c].multiplicity,
+        "stacky_multiplicity": charts[c].stacky_multiplicity,
         "stabilizer": _group_dict(charts[c].group),
     } for c in fan.cones]
     charts_out = []
     for c in fan.maximal_cones:
         chart = charts[c]
-        # a full-dimensional cone is its own chart cone (N' = Z^d), so the
-        # chart already holds the Hilbert basis of its dual
-        generators = (chart.coarse_generators if chart.torus_rank == 0 else
-                      monoidlib.monoid_generators(conelib.dual_cone(fan.cone_geometry(c))))
+        generators = monoidlib.monoid_generators(conelib.dual_cone(fan.cone_geometry(c)))
+        # restricted to N' (M modulo the units sigma^perp is M'), they are the
+        # Hilbert basis of the chart monoid P, and the units restrict to 0
+        coarse = sorted({tuple(dot(h, v) for v in chart.n_prime_basis)
+                         for h in generators} - {(0,) * chart.r})
         cycle_ideals = [{
             "cone": cone_id(f),
             "chart_coordinates": chart.cycle_coordinates(f),
@@ -210,7 +210,7 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
             "coordinate_levels": list(chart.levels),
             "coordinate_fan_rays": list(chart.fan_rays),
             "kummer_log_etale": chartlib.is_kummer_etale_chart(chart, chars),
-            "coarse_hilbert_basis": [list(v) for v in chart.coarse_generators],
+            "coarse_hilbert_basis": [list(v) for v in coarse],
             "splitting": {
                 "n_prime_basis": [list(v) for v in chart.n_prime_basis],
                 "n_doubleprime_basis": [list(v) for v in chart.n_doubleprime_basis],
@@ -274,12 +274,11 @@ def mfr_data(sf: StackyFan, cone_selector: Sequence[int], degree_bound: int) -> 
 
 
 def stabilizer_data(sf: StackyFan, cone_selector: Sequence[int]) -> dict:
-    key = sf.fan.normalize(cone_selector)
-    group = chartlib.stabilizer(sf, key)
+    chart = chartlib.local_chart(sf, cone_selector)
     return {
-        "cone": cone_id(key),
-        "stacky_multiplicity": fanlib.stacky_multiplicity(sf, key),
-        "stabilizer": _group_dict(group),
+        "cone": cone_id(chart.cone),
+        "stacky_multiplicity": chart.stacky_multiplicity,
+        "stabilizer": _group_dict(chart.group),
     }
 
 

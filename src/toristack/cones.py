@@ -6,10 +6,10 @@ generators of the dual cone). Every cone of a stacky fan is simplicial, and
 so is the dual of a full-dimensional one: when the generators are linearly
 independent, they are the rays and the dual rays are read off one inverse of
 the generator matrix, so one normal form (the kernel of the generators)
-settles the whole cone. Dependent generator sets (duals of lower-dimensional
-cones, intersections, face tests) go through the double-description method
-in its simplest exact form at this scale (ambient rank <= ~6): enumerating
-tight subsets of the defining rows.
+settles the whole cone, and its dual swaps the two descriptions. Dependent
+generator sets (intersections, face tests) go through the double-description
+method in its simplest exact form at this scale (ambient rank <= ~6):
+enumerating tight subsets of the defining rows.
 
 Cones that are not strictly convex (duals of lower-dimensional cones,
 intersections) are carried with an explicit lineality basis instead of being
@@ -164,12 +164,11 @@ def dual_cone(c: Cone) -> Cone:
     """The dual cone {m : <m, u> >= 0 for all u in c}.
 
     Strictly convex iff c is full-dimensional; otherwise the result carries
-    its lineality basis and is flagged via ``strictly_convex``.
+    its lineality basis and is flagged via ``strictly_convex``. Both
+    descriptions are already stored on c, so the two swap places.
     """
-    return Cone.from_generators(
-        list(c.dual_rays) + list(c.dual_lineality)
-        + [tuple(-x for x in v) for v in c.dual_lineality],
-        c.ambient_rank)
+    return Cone(c.ambient_rank, c.dual_rays, c.dual_lineality,
+                c.ambient_rank - len(c.lineality), c.rays, c.lineality)
 
 
 def is_simplicial(c: Cone) -> bool:

@@ -110,15 +110,6 @@ class IntegerMatrix:
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix.from_rows([list(self.column(j)) for j in range(self.cols)], cols=self.rows)
 
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            out.append([dot(r, other.column(j)) for j in range(other.cols)])
-        return IntegerMatrix.from_rows(out, cols=other.cols)
-
     def apply(self, v: Sequence[int]) -> IntVec:
         """Matrix-vector product."""
         if len(v) != self.cols:
@@ -203,12 +194,12 @@ def _row_sub(m: list[list[int]], i: int, k: int, q: int) -> None:
 def hermite_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
     """Row-style Hermite normal form.
 
-    Returns (H, U) with U unimodular, U @ A = H, pivots positive and
+    Returns (H, U) with U unimodular, U A = H, pivots positive and
     entries above each pivot reduced into [0, pivot).
     """
     m, n = a.rows, a.cols
     h = a.row_list()
-    u = IntegerMatrix.identity(m).row_list()
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
     pr = 0
     for c in range(n):
         if pr == m:
@@ -244,7 +235,7 @@ def hermite_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
 
 
 def smith_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Smith normal form with transforms: U @ A @ V = S.
+    """Smith normal form with transforms: U A V = S.
 
     S is diagonal with d_1 | d_2 | ... and d_i >= 0; U, V unimodular.
     Pivot selection follows the smallest-nonzero-entry heuristic, which keeps
@@ -252,8 +243,8 @@ def smith_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
     """
     m, n = a.rows, a.cols
     s = a.row_list()
-    u = IntegerMatrix.identity(m).row_list()
-    v = IntegerMatrix.identity(n).row_list()
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def col_op(j: int, k: int, q: int) -> None:
         # column j -= q * column k  (applied to s and v)

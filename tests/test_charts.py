@@ -15,7 +15,7 @@ from conftest import (
 )
 from oracles import coordinate_rays, det
 
-from toristack.cones import Cone
+from toristack.cones import Cone, multiplicity
 from toristack.charts import (
     boundary_divisors,
     cycle_ideal_in_chart,
@@ -26,7 +26,14 @@ from toristack.charts import (
     stabilizer,
 )
 from toristack.cli import check_document, document_from_json
-from toristack.linalg import IntegerMatrix, dot, primitive_vector, smith_normal_form
+from toristack.linalg import (
+    FiniteAbelianGroup,
+    IntegerMatrix,
+    dot,
+    primitive_vector,
+    smith_normal_form,
+)
+from toristack.monoids import admissible_resolution, monoid_from_cone, split_coordinates
 from toristack.stackyfan import StackyFan, is_tame, stacky_multiplicity, validate_fan
 
 
@@ -37,13 +44,13 @@ def ray_fan(level=1):
 # -- splitting -------------------------------------------------------------------
 
 def test_split_full_dimensional():
-    n1, n2 = split_cone(Cone.from_generators([(1, 0), (1, 2)], 2))
+    n1, n2 = split_cone([(1, 0), (1, 2)], 2)
     assert n1 == [(1, 0), (0, 1)]
     assert n2 == []
 
 
 def test_split_plane_cone_in_3d():
-    n1, n2 = split_cone(Cone.from_generators([(1, 1, 0), (1, -1, 0)], 3))
+    n1, n2 = split_cone([(1, 1, 0), (1, -1, 0)], 3)
     assert n1 == [(1, 0, 0), (0, 1, 0)]
     assert n2 == [(0, 0, 1)]
     stacked = IntegerMatrix.from_rows([list(v) for v in n1 + n2])
@@ -51,7 +58,7 @@ def test_split_plane_cone_in_3d():
 
 
 def test_split_zero_cone():
-    n1, n2 = split_cone(Cone.from_generators([], 3))
+    n1, n2 = split_cone([], 3)
     assert n1 == []
     assert len(n2) == 3
     assert abs(IntegerMatrix.from_rows([list(v) for v in n2]).determinant()) == 1
@@ -66,7 +73,7 @@ def test_split_random_direct_sum():
         c = Cone.from_generators(vecs, d)
         if not c.strictly_convex or not c.rays:
             continue
-        n1, n2 = split_cone(c)
+        n1, n2 = split_cone(c.rays, d)
         stacked = IntegerMatrix.from_rows([list(v) for v in list(n1) + list(n2)])
         assert abs(stacked.determinant()) == 1
 
@@ -176,8 +183,6 @@ def test_weights_generate_group():
 def test_invariant_monomials_are_exactly_p():
     # monomials of F fixed by every character are the images of P elements
     rng = random.Random(135)
-    from toristack.monoids import admissible_resolution, monoid_from_cone
-    from conftest import random_full_cone_rays
     degree = 6
     for _ in range(10):
         d = rng.randint(1, 2)
@@ -355,3 +360,62 @@ def test_coordinates_pair_with_their_fan_rays():
                 orders = [element_order(w, chart.group.invariant_factors)
                           for w in chart.action_weights]
                 assert orders == list(chart.levels), (fan.rays, c)
+
+
+def test_local_chart_builds_no_cone_monoid_or_resolution(monkeypatch):
+    # a chart is one inverse and one Smith normal form: no Cone, Hilbert
+    # basis or free resolution
+    import toristack.charts as charts_mod
+    import toristack.monoids as monoids_mod
+
+    sfs = stacky_fans_with_shuffled_rays()
+    calls = []
+
+    def forbidden(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"local_chart called {name}")
+        return record
+
+    monkeypatch.setattr(Cone, "from_generators", classmethod(forbidden("Cone.from_generators")))
+    for module in (monoids_mod, charts_mod):
+        for name in ("hilbert_basis", "admissible_resolution", "minimal_free_resolution"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden(name))
+    monkeypatch.setattr(monoids_mod, "_hilbert_basis_full", forbidden("_hilbert_basis_full"))
+    monkeypatch.setattr(monoids_mod.FreeResolution, "__post_init__", forbidden("FreeResolution"))
+    for sf in sfs:
+        for c in sf.fan.cones:
+            local_chart(sf, c)
+    assert calls == []
+
+
+def chart_through_resolution(sf, c):
+    """(group, weights, fan rays, levels) the long way: the local cone, the
+    Hilbert basis of its dual, the ray-star bijection one ray of C(P) at a
+    time, the level-scaled resolution, its coordinate matrix and its Smith
+    normal form."""
+    rays = [sf.fan.rays[i] for i in c]
+    local = split_coordinates(rays, *split_cone(rays, sf.fan.ambient_rank))
+    p = monoid_from_cone(Cone.from_generators(local, len(c)))
+    fan_rays = []
+    for w in p.defining_cone.rays:
+        hits = [rho for rho, u in zip(c, local) if dot(w, u) > 0]
+        assert len(hits) == 1
+        fan_rays.append(hits[0])
+    levels = tuple(sf.levels[rho] for rho in fan_rays)
+    res = admissible_resolution(p, dict(zip(p.defining_cone.rays, levels)))
+    s, u, _ = smith_normal_form(res.coordinate_matrix())
+    diag = [s.entry(i, i) for i in range(len(c))]
+    torsion = [i for i, x in enumerate(diag) if x > 1]
+    weights = tuple(tuple(u.entry(row, i) % diag[row] for row in torsion) for i in range(len(c)))
+    return FiniteAbelianGroup(tuple(diag[i] for i in torsion)), weights, tuple(fan_rays), levels
+
+
+def test_chart_matches_the_resolution_path():
+    for sf in stacky_fans_with_shuffled_rays():
+        for c in sf.fan.cones[1:]:
+            chart = local_chart(sf, c)
+            assert (chart.group, chart.action_weights, chart.fan_rays, chart.levels) \
+                == chart_through_resolution(sf, c), (sf.fan.rays, sf.levels, c)
+            assert chart.multiplicity == multiplicity(sf.fan.cone_geometry(c))

@@ -1,8 +1,7 @@
 import json
+import random
 import subprocess
 import sys
-
-import random
 
 from conftest import FIXTURES, random_stacky, shuffled, zoo_fans
 from oracles import coordinate_rays
@@ -267,6 +266,30 @@ def test_stabilizer_data_matches_report():
     assert data["stacky_multiplicity"] == 3
 
 
+def test_stabilizer_computes_no_hilbert_basis_or_resolution(monkeypatch):
+    import toristack.monoids as monoids_mod
+
+    calls = []
+    hilbert_basis_full = monoids_mod._hilbert_basis_full
+    post_init = monoids_mod.FreeResolution.__post_init__
+
+    def counting_hilbert_basis(ray_list, d):
+        calls.append("hilbert basis")
+        return hilbert_basis_full(ray_list, d)
+
+    def counting_resolution(res):
+        calls.append("free resolution")
+        post_init(res)
+
+    monkeypatch.setattr(monoids_mod, "_hilbert_basis_full", counting_hilbert_basis)
+    monkeypatch.setattr(monoids_mod.FreeResolution, "__post_init__", counting_resolution)
+    for name, cone in [("weighted_p2_levels", "1,2"), ("quotient_3d", "0,2"), ("mixed_dim", "0,1")]:
+        assert main(["stabilizer", str(FIXTURES / f"{name}.json"), "--cone", cone]) == 0
+    assert calls == []
+    assert main(["mfr", str(FIXTURES / "a1_cone.json"), "--cone", "0,1"]) == 0
+    assert calls == ["hilbert basis", "free resolution", "free resolution"]
+
+
 def test_cli_complete_command(tmp_path):
     code, out, _ = run_cli("complete", str(FIXTURES / "p1.json"))
     assert code == 0 and json.loads(out)["complete"] is True
@@ -330,8 +353,8 @@ def test_internal_assertion_exits_3(monkeypatch, capsys):
 def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatch, capsys):
     # (P^1)^3: 27 cones, 8 maximal cones, 28 pairs of maximal cones, each
     # settled by a separating functional without an exact intersection; one
-    # Hilbert basis per nonzero cone, the maximal cones' coarse generators
-    # read from their charts
+    # Hilbert basis per maximal cone (its printed coarse generators) and none
+    # in the charts
     import toristack.charts as charts_mod
     import toristack.cones as cones_mod
     import toristack.monoids as monoids_mod
@@ -373,4 +396,4 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
     assert sorted(charts) == sorted(tuple(c["ray_indices"]) for c in data["cones"])
     assert len(pairs) == len(set(pairs)) == 28
     assert intersections == []
-    assert len(hilbert_bases) == 26
+    assert len(hilbert_bases) == 8

@@ -14,7 +14,6 @@ from toristack.cones import (
     _hcone_generators,
     dual_cone,
     intersect,
-    is_full_dimensional,
 )
 from toristack.linalg import IntegerMatrix, primitive_vector, smith_normal_form
 from toristack.stackyfan import IntersectionNotFace, validate_fan
@@ -58,8 +57,9 @@ def test_simplicial_path_matches_double_description(drawn):
     c = Cone.from_generators(gens, d)
     assert record(c) == generic_record(gens, d)
     assert c.rays == tuple(sorted(set(gens))) and c.dim == len(gens)
-    if is_full_dimensional(c):
-        assert record(dual_cone(c)) == generic_record(list(c.dual_rays), d)
+    dual_generators = list(c.dual_rays) + list(c.dual_lineality) + [
+        tuple(-x for x in v) for v in c.dual_lineality]
+    assert record(dual_cone(c)) == generic_record(dual_generators, d)
 
 
 @st.composite
