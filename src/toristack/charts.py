@@ -119,7 +119,7 @@ def chart_resolution(sf: StackyFan, sigma: Iterable[int]):
     """
     key = sf.fan.normalize(sigma)
     if not key:
-        raise ValueError("the zero cone has a trivial monoid; pick a nonzero cone")
+        raise fans.ZeroConeSelected()
     n_prime, n_doubleprime, _, coordinates = _coordinates(sf.fan, key)
     p = monoid_from_cone(Cone.from_generators([u for _, u, _ in coordinates], len(key)))
     if p.defining_cone.rays != tuple(w for w, _, _ in coordinates):

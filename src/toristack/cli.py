@@ -6,8 +6,10 @@ to 1, and characteristics defaulting to [0]. Reports are byte-deterministic:
 canonical orderings everywhere, sorted keys, exact integers and rationals
 (large integers as decimal strings, rationals as "p/q").
 
-Exit codes: 0 success, 1 validation failure, 2 parse failure, 3 internal
-assertion (a consistency tripwire; indicates a bug, never expected).
+Exit codes: 0 success, 1 validation failure (every ``FanError``, including
+a cone selector naming no cone of the fan, or the zero cone for ``mfr``),
+2 parse failure, 3 internal error (a consistency tripwire or any other
+exception; indicates a bug, never expected).
 """
 
 from __future__ import annotations
@@ -459,11 +461,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DocumentParseError as e:
         sys.stderr.write(f"parse error: {e}\n")
         return 2
-    except (FanError, ValueError) as e:
+    except FanError as e:
         sys.stderr.write(f"validation error: {e}\n")
         return 1
-    except AssertionError as e:
-        sys.stderr.write(f"internal assertion failed (consistency tripwire): {e}\n")
+    except Exception as e:  # a consistency tripwire or any other bug
+        sys.stderr.write(f"internal error ({type(e).__name__}): {e}\n")
         return 3
 
 

@@ -7,9 +7,13 @@ so is the dual of a full-dimensional one: when the generators are linearly
 independent, they are the rays and the dual rays are read off one inverse of
 the generator matrix, so one normal form (the kernel of the generators)
 settles the whole cone, and its dual swaps the two descriptions. Dependent
-generator sets (intersections, face tests) go through the double-description
-method in its simplest exact form at this scale (ambient rank <= ~6):
-enumerating tight subsets of the defining rows.
+generator sets go through the double-description method in its simplest
+exact form at this scale (ambient rank <= ~6): enumerating tight subsets of
+the defining rows. Its callers are ``intersect`` and ``is_face`` (public, but
+called by no other module) and ``monoids.restrict_resolution``, whose
+projected Hilbert basis generates the projected cone. Fan validation uses
+none of it: it settles each pair of cones with a separating functional or a
+circuit sign test (``stackyfan._meet_in_shared_face``).
 
 Cones that are not strictly convex (duals of lower-dimensional cones,
 intersections) are carried with an explicit lineality basis instead of being

@@ -7,7 +7,8 @@ the printed resolution generators. A rational inverse is carried as a pair
 ``(M, q)`` of an integer matrix and a positive integer with ``A^-1 = M / q``
 (``integer_inverse``), so solving against it takes integer dot products and
 one divisibility test per entry. The module also provides the normal forms
-(Hermite, Smith), integer kernels, lattice saturation and finite-abelian-
+(Hermite, Smith), integer kernels, lattice saturation, fraction-free
+determinants and the circuits of a vector configuration, and finite-abelian-
 group bookkeeping that the rest of the package is built on.
 """
 
@@ -16,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import combinations
+from typing import Iterator, Sequence
 
 IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
@@ -120,27 +122,33 @@ class IntegerMatrix:
         """Fraction-free Bareiss determinant (square matrices only)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.row_list()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+        return determinant(self.row_list())
+
+
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix given as a list of rows, by
+    fraction-free Bareiss elimination: every division is exact."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [[int(x) for x in r] for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def integer_inverse(rows: Sequence[Sequence[int]]) -> IntegerInverse:
@@ -180,6 +188,55 @@ def integer_solve(inverse: IntegerInverse, b: Sequence[int]) -> IntVec | None:
             return None
         out.append(x)
     return tuple(out)
+
+
+def independent_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A maximal linearly independent subset of the rows, in their order.
+
+    Each row is reduced against the echelon rows kept so far (integer row
+    operations, so nothing leaves Z); it is kept when a remainder is left.
+    The kept rows span the row space, so they have the same kernel.
+    """
+    kept, echelon = [], []
+    for row in rows:
+        rest = [int(x) for x in row]
+        for p, e in echelon:
+            if rest[p]:
+                g = math.gcd(rest[p], e[p])
+                f, h = rest[p] // g, e[p] // g
+                rest = [h * x - f * y for x, y in zip(rest, e)]
+        if any(rest):
+            g = math.gcd(*rest)
+            echelon.append((next(j for j, x in enumerate(rest) if x), [x // g for x in rest]))
+            kept.append([int(x) for x in row])
+    return kept
+
+
+def circuit_vectors(columns: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """Every circuit of the columns, up to scale, as an integer relation vector.
+
+    With r independent rows of the matrix whose columns are given, each
+    (r+1)-subset S of the columns has the Cramer vector whose entry at the
+    k-th column of S is (-1)^k times the r x r minor without that column
+    (zero off S). It is a relation among the columns, and when nonzero its
+    support is a minimal dependent set: a circuit. Every circuit arises from
+    some S (extend it minus one column to a basis of the column span), so the
+    nonzero Cramer vectors are all the circuits, each perhaps several times.
+    Independent columns have none.
+    """
+    n = len(columns)
+    rows = independent_rows(list(zip(*columns)))
+    r = len(rows)
+    if r == n:
+        return
+    minors = {sub: determinant([[row[j] for j in sub] for row in rows])
+              for sub in combinations(range(n), r)}
+    for subset in combinations(range(n), r + 1):
+        c = [0] * n
+        for k, j in enumerate(subset):
+            c[j] = (-1) ** k * minors[subset[:k] + subset[k + 1:]]
+        if any(c):
+            yield c
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,12 @@ from typing import Iterable, Mapping, Sequence
 
 from . import cones as conelib
 from .cones import Cone
-from .linalg import IntegerMatrix, IntVec, dot, primitive_vector, smith_normal_form
+from .linalg import IntVec, circuit_vectors, dot, independent_rows, primitive_vector
 from .monoids import monoid_generators
+
+
+# residue characteristics are checked for primality below this bound only
+CHARACTERISTIC_LIMIT = 2 ** 64
 
 
 class FanError(ValueError):
@@ -73,7 +77,24 @@ class InvalidLevel(FanError):
 class InvalidCharacteristic(FanError):
     def __init__(self, value):
         self.value = value
-        super().__init__(f"characteristic {value} must be a nonnegative integer")
+        if value < 0:
+            reason = "must be a nonnegative integer"
+        elif value >= CHARACTERISTIC_LIMIT:
+            reason = "is too large: the limit is 2^64"
+        else:
+            reason = "is neither 0 nor a prime"
+        super().__init__(f"characteristic {value} {reason}")
+
+
+class ConeNotInFan(FanError):
+    def __init__(self, cone_indices):
+        self.cone_indices = tuple(cone_indices)
+        super().__init__(f"cone {self.cone_indices} is not in the fan")
+
+
+class ZeroConeSelected(FanError):
+    def __init__(self):
+        super().__init__("the zero cone has a trivial monoid; pick a nonzero cone")
 
 
 @dataclass(frozen=True)
@@ -92,8 +113,40 @@ class Fan:
     def normalize(self, indices: Iterable[int]) -> tuple[int, ...]:
         key = tuple(sorted(set(int(i) for i in indices)))
         if key not in set(self.cones):
-            raise ValueError(f"cone {key} is not in the fan")
+            raise ConeNotInFan(key)
         return key
+
+
+def is_residue_characteristic(p: int) -> bool:
+    """Whether p is 0 or a prime below 2^64.
+
+    Miller-Rabin with the twelve prime bases up to 37 has no strong
+    pseudoprime below 3.18 * 10^23 (Sorenson-Webster, Math. Comp. 86, 2017),
+    so the test is exact in that range.
+    """
+    if p == 0:
+        return True
+    if not 2 <= p < CHARACTERISTIC_LIMIT:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p in bases:
+        return True
+    if any(p % b == 0 for b in bases):
+        return False
+    s, odd = 0, p - 1
+    while odd % 2 == 0:
+        s, odd = s + 1, odd // 2
+    for b in bases:
+        x = pow(b, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _ray_violations(rays: Sequence[IntVec], maximal_cones: Sequence[Sequence[int]],
@@ -134,7 +187,8 @@ def stacky_fan_violations(ambient_rank: int, rays: Sequence[Sequence[int]],
     rays = [tuple(r) for r in rays]
     structural = _ray_violations(rays, maximal_cones, ambient_rank)
     found = (structural + _level_violations(len(rays), levels)
-             + [InvalidCharacteristic(p) for p in characteristics if p < 0])
+             + [InvalidCharacteristic(p) for p in characteristics
+                if not is_residue_characteristic(p)])
     if not structural:
         try:
             fan = validate_fan(rays, maximal_cones, ambient_rank)
@@ -156,8 +210,8 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     m < 0 on those of sigma2, then m >= 0 on sigma1 and m <= 0 on sigma2, and
     each cone meets the hyperplane m^perp exactly in tau; since the
     intersection lies in m^perp, it equals tau. The same is tried with the
-    cones swapped, and only when neither m certifies is the exact
-    intersection computed and compared.
+    cones swapped. When neither m certifies, an exact circuit sign test
+    decides (see ``_meet_in_shared_face``); no intersection is computed.
     """
     rays = [tuple(int(x) for x in r) for r in rays]
     maximal_cones = [tuple(int(i) for i in c) for c in maximal_cones]
@@ -174,10 +228,7 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
         idx = tuple(sorted(set(c)))
         if len(idx) != len(c):
             raise FanError(f"cone {c} repeats a ray index")
-        mat = IntegerMatrix.from_rows([list(rays[i]) for i in idx], cols=ambient_rank)
-        s, _, _ = smith_normal_form(mat)
-        rank = sum(1 for i in range(min(mat.rows, mat.cols)) if s.entry(i, i) != 0)
-        if rank != len(idx):
+        if len(independent_rows([rays[i] for i in idx])) != len(idx):
             raise NonSimplicial(idx)
         normalized.add(idx)
 
@@ -213,14 +264,26 @@ def _separates(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...], shared: tuple
 def _meet_in_shared_face(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
     """Whether two cones of the fan intersect in the cone on their shared rays.
 
-    A separating functional from either side certifies it; otherwise the
-    exact intersection is compared.
+    A separating functional from either side certifies it. Otherwise, with
+    A and B the rays of c1 and c2 outside the shared rays tau, a point of
+    both cones outside tau is a relation among the rays of A, B and tau that
+    is >= 0 on A and <= 0 on B, and nonzero there since each cone's rays are
+    independent. Such a relation is a conformal sum of circuits, so one
+    exists iff some circuit c, or -c, has those signs (De Loera-Rambau-
+    Santos, *Triangulations*, ch. 4). Each cone's rays being independent,
+    every circuit meets both A and B.
     """
     shared = tuple(sorted(set(c1) & set(c2)))
     if _separates(fan, c1, c2, shared) or _separates(fan, c2, c1, shared):
         return True
-    inter = conelib.intersect(fan.cone_geometry(c1), fan.cone_geometry(c2))
-    return inter == fan.cone_geometry(shared)
+    a = [fan.rays[i] for i in c1 if i not in shared]
+    b = [fan.rays[i] for i in c2 if i not in shared]
+    for c in circuit_vectors(a + b + [fan.rays[i] for i in shared]):
+        on_a, on_b = c[:len(a)], c[len(a):len(a) + len(b)]
+        if ((min(on_a) >= 0 and max(on_b) <= 0)
+                or (max(on_a) <= 0 and min(on_b) >= 0)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

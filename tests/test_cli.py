@@ -154,6 +154,29 @@ def test_cli_unknown_cone_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["stabilizer", "mfr"])
+def test_unknown_cone_is_a_validation_error(command, capsys):
+    rc = main([command, str(FIXTURES / "p2.json"), "--cone", "0,1,2"])
+    assert rc == 1
+    assert capsys.readouterr().err == "validation error: cone (0, 1, 2) is not in the fan\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_characteristic_neither_zero_nor_prime_is_refused(tmp_path, command):
+    path = write_doc(tmp_path, "chars.json",
+                     {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]],
+                      "characteristics": [4, 1]})
+    code, out, err = run_cli(command, path)
+    assert code == 1
+    messages = ["characteristic 4 is neither 0 nor a prime",
+                "characteristic 1 is neither 0 nor a prime"]
+    if command == "validate":
+        assert [(e["code"], e["message"]) for e in json.loads(out)["errors"]] == [
+            ("InvalidCharacteristic", m) for m in messages]
+    else:
+        assert out == "" and err == "".join(f"InvalidCharacteristic: {m}\n" for m in messages)
+
+
 # -- fixtures and determinism -------------------------------------------------------
 
 def fixture_files():
@@ -348,6 +371,22 @@ def test_internal_assertion_exits_3(monkeypatch, capsys):
     rc = main(["report", str(FIXTURES / "p2.json")])
     assert rc == 3
     assert "tripwire" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ValueError("bad value"), KeyError("missing")])
+def test_library_bug_exits_3(monkeypatch, capsys, error):
+    # an exception that is not a FanError is a bug, never a validation error
+    import toristack.cli as cli_mod
+
+    def boom(doc, sf):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "report_data", boom)
+    rc = main(["report", str(FIXTURES / "p2.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error ({type(error).__name__}): ")
+    assert "validation error" not in err
 
 
 def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatch, capsys):

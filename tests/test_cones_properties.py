@@ -1,6 +1,6 @@
-"""Property tests: the one-pass simplicial path and the certificate-first
-pairwise check against the generic two-pass construction and the exact
-intersection."""
+"""Property tests: the one-pass simplicial path and the pairwise check
+(separating certificate, then circuit sign test) against the generic
+two-pass construction and the exact intersection."""
 
 import pytest
 
@@ -65,7 +65,7 @@ def test_simplicial_path_matches_double_description(drawn):
 @st.composite
 def simplicial_pairs(draw, bound=3):
     """Two simplicial cones, neither inside the other, on a shared pool of rays."""
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 5))
     pool = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=d, max_size=d)
                          .filter(any).map(primitive_vector),
                          min_size=d, max_size=d + 3, unique=True))
@@ -83,6 +83,19 @@ def simplicial_pairs(draw, bound=3):
 @example(([(1, 0), (0, 1), (1, 2)], [0, 1], [0, 2]))  # overlapping along (1, 0)
 @example(([(1, 0), (0, 1), (-1, 0)], [0, 1], [1, 2]))  # meeting in a wall
 @example(([(1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 1, -1)], [0, 1], [2, 3]))  # crossing
+# relation spaces of the union of rays of dimension 2, 3 and 4, each overlapping and not
+@example(([(1, 0), (0, 1), (1, 1), (-1, 2)], [0, 1], [2, 3]))
+@example(([(1, 0), (0, 1), (-1, 1), (-1, -1)], [0, 1], [2, 3]))
+@example(([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1), (-1, 1, 1), (1, -1, 1)],
+          [0, 1, 2], [3, 4, 5]))
+@example(([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
+          [0, 1, 2], [3, 4, 5]))
+@example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+           (1, 1, 1, -1), (1, 1, -1, 1), (1, -1, 1, 1), (-1, 1, 1, 1)],
+          [0, 1, 2, 3], [4, 5, 6, 7]))
+@example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+           (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)],
+          [0, 1, 2, 3], [4, 5, 6, 7]))
 def test_pairwise_verdict_matches_exact_intersection(drawn):
     pool, c1, c2 = drawn
     d = len(pool[0])

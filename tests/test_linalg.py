@@ -1,13 +1,16 @@
 import math
 import random
+from itertools import combinations
 
 from oracles import det, quotient_torsion_counts
 
 from toristack.linalg import (
     FiniteAbelianGroup,
     IntegerMatrix,
+    circuit_vectors,
     cokernel_invariants,
     hermite_normal_form,
+    independent_rows,
     integer_kernel_basis,
     lattice_index,
     saturate,
@@ -219,3 +222,33 @@ def test_integer_kernel_basis():
         assert v[0] + 2 * v[1] + 3 * v[2] == 0
     assert len(k) == 2
     assert integer_kernel_basis(IntegerMatrix.identity(2)) == []
+
+
+def independent(vectors):
+    """Whether some maximal minor is nonzero (oracle: Fraction elimination)."""
+    if not vectors:
+        return True
+    d = len(vectors[0])
+    return any(det([[v[j] for j in cols] for v in vectors]) != 0
+               for cols in combinations(range(d), len(vectors)))
+
+
+def test_independent_rows_and_circuits_match_brute_force():
+    rng = random.Random(11)
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        n = rng.randint(1, d + 3)
+        columns = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(n)]
+        kept = independent_rows(columns)
+        rank = max(k for k in range(n + 1) if any(
+            independent([columns[j] for j in s]) for s in combinations(range(n), k)))
+        assert len(kept) == rank and independent(kept)
+        assert all(tuple(v) in columns for v in kept)
+        supports = set()
+        for c in circuit_vectors(columns):
+            assert all(sum(c[j] * columns[j][i] for j in range(n)) == 0 for i in range(d))
+            supports.add(frozenset(j for j in range(n) if c[j]))
+        circuits = {frozenset(s) for k in range(1, n + 1) for s in combinations(range(n), k)
+                    if not independent([columns[j] for j in s])
+                    and all(independent([columns[j] for j in s if j != t]) for t in s)}
+        assert supports == circuits

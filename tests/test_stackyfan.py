@@ -1,9 +1,12 @@
+import json
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 from conftest import (
+    FIXTURES,
     a1_singularity_fan,
     a2_fan,
     a3_fan,
@@ -18,6 +21,7 @@ from conftest import (
     zoo_fans,
 )
 
+from toristack.linalg import primitive_vector
 from toristack.stackyfan import (
     DuplicateRay,
     IntersectionNotFace,
@@ -28,6 +32,7 @@ from toristack.stackyfan import (
     cycle_ideal_classical,
     free_net_points,
     is_complete,
+    is_residue_characteristic,
     is_tame,
     stacky_fan_violations,
     stacky_multiplicity,
@@ -66,21 +71,75 @@ def test_overlapping_cones_rejected():
         validate_fan([(1, 0), (0, 1), (1, 2)], [[0, 1], [1, 2], [0, 2]])
 
 
-def test_overlap_without_certificate_falls_back_to_intersection(monkeypatch):
+def test_overlap_without_certificate_is_refused_by_circuit_test(monkeypatch):
     # no sum of dual rays separates (0, 1) from (0, 2): both lie above the
-    # shared ray (1, 0), so the exact intersection decides
+    # shared ray (1, 0), so the circuit sign test decides, without computing
+    # an intersection
     import toristack.cones as cones_mod
-    calls, intersect = [], cones_mod.intersect
 
-    def counting_intersect(c1, c2):
-        calls.append((c1.rays, c2.rays))
-        return intersect(c1, c2)
+    def no_intersect(c1, c2):
+        raise AssertionError("validate_fan computed an intersection")
 
-    monkeypatch.setattr(cones_mod, "intersect", counting_intersect)
+    monkeypatch.setattr(cones_mod, "intersect", no_intersect)
     with pytest.raises(IntersectionNotFace) as info:
         validate_fan([(1, 0), (0, 1), (1, 2)], [[0, 1], [1, 2], [0, 2]])
     assert info.value.cone_pair == ((0, 1), (0, 2))
-    assert calls == [(((0, 1), (1, 0)), ((1, 0), (1, 2)))]
+
+
+def cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def angle_key(v):
+    """Orders nonzero plane vectors by their angle in [0, 2 pi) from (1, 0)."""
+    x, y = v
+    p = Fraction(x, abs(x) + abs(y))
+    return (0, -p) if y > 0 or (y == 0 and x > 0) else (1, p)
+
+
+def overlapping_polygon(rng, n):
+    """A complete rank-2 fan on n rays with one cone {i, i+1} replaced by
+    {i, i+2}, which contains the cone {i+1, i+2}; returns that pair too."""
+    while True:
+        pool = set()
+        while len(pool) < n:
+            v = (rng.randint(-6, 6), rng.randint(-6, 6))
+            if any(v):
+                pool.add(primitive_vector(v))
+        rays = sorted(pool, key=angle_key)
+        if all(cross(rays[k], rays[(k + 1) % n]) > 0 for k in range(n)):
+            break
+    i = next(k for k in range(n) if cross(rays[k], rays[(k + 2) % n]) > 0)
+    cones = [sorted([k, (k + 1) % n]) for k in range(n) if k != i] + [sorted([i, (i + 2) % n])]
+    return rays, cones, {tuple(sorted([i, (i + 2) % n])), tuple(sorted([(i + 1) % n, (i + 2) % n]))}
+
+
+def test_validation_never_runs_the_double_description(monkeypatch):
+    import toristack.cones as cones_mod
+
+    def forbidden(*args):
+        raise AssertionError("validate_fan ran the double description")
+
+    for name in ("intersect", "_hcone_generators", "_tight_subset_rays"):
+        monkeypatch.setattr(cones_mod, name, forbidden)
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        validate_fan(doc["rays"], doc["max_cones"], doc["rank"])
+    refused = sorted((FIXTURES.parent / "golden" / "refused").glob("*.json"))
+    assert len(refused) == 6
+    for path in refused:
+        # validate_fan runs on each document whose rays and indices are sound
+        doc = json.loads(path.read_text())
+        found, sf = stacky_fan_violations(
+            doc["rank"], doc["rays"], doc["max_cones"],
+            {int(k): v for k, v in doc.get("levels", {}).items()}, doc.get("characteristics", [0]))
+        assert found and sf is None
+    rng = random.Random(7)
+    for n in range(8, 17):
+        rays, cones, pair = overlapping_polygon(rng, n)
+        with pytest.raises(IntersectionNotFace) as info:
+            validate_fan(rays, cones, 2)
+        assert set(info.value.cone_pair) == pair
 
 
 def test_non_primitive_ray_rejected():
@@ -169,6 +228,17 @@ def test_dependent_cone_tripwire_survives_optimize_flag():
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("tripwire: maximal cone (0, 1, 2)")
+
+
+def test_residue_characteristics():
+    primes = [p for p in range(200) if p > 1 and all(p % k for k in range(2, p))]
+    assert [p for p in range(200) if is_residue_characteristic(p)] == [0] + primes
+    # strong pseudoprimes to the bases 2-7 and 2-23, and the largest prime below 2^64
+    assert not is_residue_characteristic(3215031751)
+    assert not is_residue_characteristic(3825123056546413051)
+    assert is_residue_characteristic(2 ** 64 - 59)
+    assert not is_residue_characteristic(2 ** 64 + 13)  # prime, but beyond the limit
+    assert not is_residue_characteristic(-3)
 
 
 # -- free nets -------------------------------------------------------------------
