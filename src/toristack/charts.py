@@ -6,9 +6,12 @@ cone (after splitting off the torus directions) and F the free monoid of its
 level-scaled resolution. That group is the cokernel of the free-net matrix,
 N' / <n_rho v_rho>, whose rows n_rho v_rho in a basis of the saturated span
 N' are the matrix of P^gp -> F^gp (the local group of a stacky fan,
-Borisov-Chen-Smith, J. AMS 18, 2005). A chart is one inverse of the ray
-matrix in N' and one Smith normal form of the free-net matrix; P and its
-resolution are built only by ``chart_resolution``.
+Borisov-Chen-Smith, J. AMS 18, 2005). A chart is the lattice splitting
+N = N' + N'', one inverse of the ray matrix in N' and one Smith normal form
+of the free-net matrix; P and its resolution are built only by
+``chart_resolution``. The splitting of a full-dimensional cone is free
+(N' = Z^d, N'' = 0); a lower-dimensional cone saturates the span of its rays
+and completes it to a basis, with one Smith normal form each.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .linalg import (
     IntVec,
     complete_to_basis,
     dot,
+    independent_rows,
     integer_inverse,
     primitive_vector,
     saturate,
@@ -79,9 +83,13 @@ class LocalChart:
 def split_cone(rays: Sequence[IntVec], ambient_rank: int) -> tuple[list[IntVec], list[IntVec]]:
     """Lattice splitting N = N' + N'' with the cone on ``rays`` full-dimensional in N'.
 
-    N' is the saturation of the span of the rays; N'' is the canonical
-    Hermite completion to a basis of the ambient lattice.
+    N' is the saturation of the span of the rays, in its canonical Hermite
+    basis; N'' is the canonical Hermite completion to a basis of the ambient
+    lattice. A full-dimensional cone needs no normal form: N' = Z^d, whose
+    Hermite basis is the standard one, and N'' is empty.
     """
+    if len(rays) >= ambient_rank and len(independent_rows(rays)) == ambient_rank:
+        return [tuple(int(i == j) for j in range(ambient_rank)) for i in range(ambient_rank)], []
     n_prime = saturate(rays)
     return n_prime, complete_to_basis(n_prime, ambient_rank)
 
@@ -93,14 +101,15 @@ def _coordinates(fan: Fan, key: tuple[int, ...]):
     key order) and ``A^-1 = M / q``, column j of M pairs to q with ray j and
     to 0 with the other rays: made primitive, it is the ray of C(P) on the
     ray star of ray j, and q = |det A| is the multiplicity. Coordinates
-    follow the lex order of those rays of C(P).
+    follow the lex order of those rays of C(P). When N'' is empty, N' is Z^d
+    in the standard basis, so the rays are their own N' coordinates.
 
     Returns (n_prime, n_doubleprime, q, coordinates) with one triple (ray of
     C(P), cone ray in N' coordinates, fan ray index) per coordinate.
     """
     rays = [fan.rays[i] for i in key]
     n_prime, n_doubleprime = split_cone(rays, fan.ambient_rank)
-    local = split_coordinates(rays, n_prime, n_doubleprime)
+    local = split_coordinates(rays, n_prime, n_doubleprime) if n_doubleprime else rays
     m, q = integer_inverse(local)
     coordinates = sorted((primitive_vector(col), local[j], key[j])
                          for j, col in enumerate(zip(*m)))

@@ -8,7 +8,8 @@ canonical orderings everywhere, sorted keys, exact integers and rationals
 
 Exit codes: 0 success, 1 validation failure (every ``FanError``, including
 a cone selector naming no cone of the fan, or the zero cone for ``mfr``),
-2 parse failure, 3 internal error (a consistency tripwire or any other
+2 parse failure (including a file that is not UTF-8 and JSON nested past
+the recursion limit), 3 internal error (a consistency tripwire or any other
 exception; indicates a bug, never expected).
 """
 
@@ -69,6 +70,8 @@ def document_from_json(text: str) -> FanDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
+    except RecursionError as e:
+        raise DocumentParseError("invalid JSON: nested too deeply") from e
     _expect(isinstance(raw, dict), "document must be a JSON object")
     unknown = set(raw) - {"rank", "rays", "max_cones", "levels", "characteristics"}
     _expect(not unknown, f"unknown fields: {sorted(unknown)}")
@@ -90,8 +93,11 @@ def document_from_json(text: str) -> FanDocument:
         _expect(isinstance(c, list) and all(_int_like(i) for i in c),
                 f"cone {c!r} must be a list of ray indices")
         max_cones.append(tuple(c))
+    levels_raw = raw.get("levels")
+    _expect(levels_raw is None or isinstance(levels_raw, dict),
+            "'levels' must be an object keyed by ray index")
     levels = {}
-    for key, value in (raw.get("levels") or {}).items():
+    for key, value in (levels_raw or {}).items():
         _expect(re.fullmatch("-?[0-9]+", key) is not None,
                 f"level key {key!r} must be a decimal ray index")
         _expect(_int_like(value), f"level for ray {key} must be an integer")
@@ -182,6 +188,10 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     charts = {c: chartlib.local_chart(sf, c) for c in fan.cones}
     smooth_canonical = (all(n == 1 for n in sf.levels)
                         and all(charts[c].multiplicity == 1 for c in fan.maximal_cones))
+    # |G| of each chart is its cone's stacky multiplicity (asserted by
+    # local_chart): the fan is tame, and the stack Deligne-Mumford, exactly
+    # when every chart is Kummer log etale
+    tame = all(chartlib.is_kummer_etale_chart(charts[c], chars) for c in fan.cones)
     cones_out = [{
         "id": cone_id(c),
         "ray_indices": list(c),
@@ -233,8 +243,8 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
             "num_cones": len(fan.cones),
             "maximal_cones": [cone_id(c) for c in fan.maximal_cones],
             "complete": fanlib.is_complete(fan),
-            "tame": fanlib.is_tame(sf, chars),
-            "deligne_mumford": chartlib.is_deligne_mumford(sf, chars),
+            "tame": tame,
+            "deligne_mumford": tame,
             "smooth_canonical": smooth_canonical,
             "characteristics": list(chars),
         },
@@ -361,6 +371,8 @@ def _load_document(path: str) -> FanDocument:
             text = fh.read()
     except OSError as e:
         raise DocumentParseError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise DocumentParseError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from e
     return document_from_json(text)
 
 

@@ -371,11 +371,17 @@ def smith_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
 
 
 def unimodular_inverse(u: IntegerMatrix) -> IntegerMatrix:
-    """Exact inverse of a unimodular matrix (via HNF reduction to identity)."""
-    h, w = hermite_normal_form(u)
-    if h != IntegerMatrix.identity(u.rows):
-        raise ValueError("matrix is not unimodular")
-    return w
+    """Exact inverse of a unimodular matrix: one fraction-free
+    ``integer_inverse`` ``(M, q)``, unimodular exactly when q = |det| = 1.
+    Non-square, singular and |det| > 1 matrices raise."""
+    if u.rows == u.cols:
+        try:
+            m, q = integer_inverse(u.row_list())
+        except ValueError:  # singular
+            q = 0
+        if q == 1:
+            return IntegerMatrix.from_rows(m, cols=u.cols)
+    raise ValueError("matrix is not unimodular")
 
 
 # ---------------------------------------------------------------------------

@@ -387,10 +387,12 @@ def face_of_chart(fan: Fan, tau: Iterable[int],
 
 def cycle_generators(fan: Fan, generators: Sequence[IntVec], tau: tuple[int, ...]) -> list[IntVec]:
     """The generators of sigma^vee intersect M (chart over sigma) that cut
-    out the cycle of the face tau: see ``cycle_ideal_classical``."""
+    out the cycle of the face tau: see ``cycle_ideal_classical``. The sum of
+    tau's rays (primitive and distinct in a fan) is the relative interior
+    point ``cones.relative_interior_point`` takes, without building the cone."""
     if not tau:
         return []
-    relint = conelib.relative_interior_point(fan.cone_geometry(tau))
+    relint = [sum(x) for x in zip(*(fan.rays[i] for i in tau))]
     return sorted(h for h in generators if dot(h, relint) > 0)
 
 

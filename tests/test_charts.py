@@ -390,6 +390,35 @@ def test_local_chart_builds_no_cone_monoid_or_resolution(monkeypatch):
     assert calls == []
 
 
+def test_full_dimensional_chart_runs_one_smith_normal_form(monkeypatch):
+    # N' = Z^d for a full-dimensional cone: the splitting runs no normal
+    # form, and the chart's only one is the SNF of its free-net matrix
+    import toristack.charts as charts_mod
+    import toristack.linalg as linalg_mod
+    import toristack.monoids as monoids_mod
+
+    calls = []
+
+    def counting(name, fn):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return record
+
+    for module in (linalg_mod, charts_mod, monoids_mod):
+        for name in ("smith_normal_form", "hermite_normal_form"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    full = [(sf, c) for sf in stacky_fans_with_shuffled_rays()
+            for c in sf.fan.maximal_cones if len(c) == sf.fan.ambient_rank]
+    assert len(full) > 50
+    for sf, c in full:
+        calls.clear()
+        chart = local_chart(sf, c)
+        assert calls == ["smith_normal_form"]
+        assert chart.n_doubleprime_basis == ()
+
+
 def chart_through_resolution(sf, c):
     """(group, weights, fan rays, levels) the long way: the local cone, the
     Hilbert basis of its dual, the ray-star bijection one ray of C(P) at a

@@ -1,7 +1,9 @@
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import FIXTURES, random_stacky, shuffled, zoo_fans
 from oracles import coordinate_rays
@@ -127,6 +129,47 @@ def test_cli_parse_failure_exit_2(tmp_path):
 def test_cli_missing_file_exit_2():
     code, _, err = run_cli("report", "/nonexistent/x.json")
     assert code == 2
+
+
+P1_DOC = {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
+
+
+@pytest.mark.parametrize("levels", [[1], 5, "ab"])
+def test_cli_levels_not_an_object_exit_2(tmp_path, capsys, levels):
+    path = write_doc(tmp_path, "levels.json", {**P1_DOC, "levels": levels})
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err == "parse error: 'levels' must be an object keyed by ray index\n"
+
+
+def test_cli_null_levels_mean_no_levels(tmp_path, capsys):
+    path = write_doc(tmp_path, "levels.json", {**P1_DOC, "levels": None})
+    assert main(["validate", path, "--format", "text"]) == 0
+    assert capsys.readouterr().out == "OK\n"
+
+
+def test_cli_document_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(json.dumps(P1_DOC).encode() + b"\xff")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: {path} is not UTF-8 text: ")
+
+
+def test_cli_document_nested_past_recursion_limit_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "parse error: invalid JSON: nested too deeply\n"
+
+
+def test_python_dash_m_toristack_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-m", "toristack", "report", "tests/fixtures/p1.json"],
+                          capture_output=True, cwd=root, env=env)
+    golden = (root / "tests" / "golden" / "p1.report.golden").read_bytes()
+    size, rest = golden.split(b"--- stdout (", 1)[1].split(b" bytes)\n", 1)
+    assert proc.returncode == 0
+    assert proc.stdout == rest[:int(size)]
 
 
 def test_cli_level_zero_is_invalid(tmp_path):
@@ -436,3 +479,64 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
     assert len(pairs) == len(set(pairs)) == 28
     assert intersections == []
     assert len(hilbert_bases) == 8
+
+
+def test_report_builds_cones_only_for_maximal_cones(tmp_path, monkeypatch, capsys):
+    # (P^1)^3 with a nonzero characteristic: 27 cones, of which only the 8
+    # maximal ones become a Cone (validation's certificate and the printed
+    # coarse Hilbert bases); tameness is read from the charts, and every
+    # unimodular inverse is one fraction-free inverse, never a Hermite form
+    import toristack.cones as cones_mod
+    import toristack.linalg as linalg_mod
+    import toristack.monoids as monoids_mod
+    import toristack.stackyfan as fan_mod
+    from itertools import product
+
+    built, inverses, hnf_in_inverse, depth = [], [], [], [0]
+    from_generators = cones_mod.Cone.from_generators.__func__
+    unimodular_inverse = linalg_mod.unimodular_inverse
+    hermite_normal_form = linalg_mod.hermite_normal_form
+
+    def counting_from_generators(cls, generators, ambient_rank):
+        generators = [tuple(g) for g in generators]
+        built.append(frozenset(generators))
+        return from_generators(cls, generators, ambient_rank)
+
+    def tracked_inverse(u):
+        inverses.append(u)
+        depth[0] += 1
+        try:
+            return unimodular_inverse(u)
+        finally:
+            depth[0] -= 1
+
+    def tracked_hnf(a):
+        if depth[0]:
+            hnf_in_inverse.append(a)
+        return hermite_normal_form(a)
+
+    def forbidden(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"report called {name}")
+        return fail
+
+    fan_mod.Fan.cone_geometry.cache_clear()
+    monkeypatch.setattr(cones_mod.Cone, "from_generators", classmethod(counting_from_generators))
+    for name in ("is_tame", "stacky_multiplicity"):
+        monkeypatch.setattr(fan_mod, name, forbidden(f"stackyfan.{name}"))
+    monkeypatch.setattr(cones_mod, "multiplicity", forbidden("cones.multiplicity"))
+    for module in (linalg_mod, monoids_mod):
+        monkeypatch.setattr(module, "unimodular_inverse", tracked_inverse)
+    monkeypatch.setattr(linalg_mod, "hermite_normal_form", tracked_hnf)
+    rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
+                                          [-int(j == i) for j in range(3)])]
+    cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=3)]
+    path = write_doc(tmp_path, "p1_cubed.json", {"rank": 3, "rays": rays, "max_cones": cones,
+                                                 "characteristics": [0, 5]})
+    assert main(["report", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["fan"]["num_cones"] == 27
+    assert data["fan"]["tame"] is True and data["fan"]["deligne_mumford"] is True
+    assert len(built) == 8
+    assert set(built) == {frozenset(tuple(rays[i]) for i in c) for c in cones}
+    assert inverses and hnf_in_inverse == []

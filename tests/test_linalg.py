@@ -216,6 +216,19 @@ def test_unimodular_inverse():
         unimodular_inverse(mat([[2, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [0, 1, 0]],          # non-square
+    [[1], [0]],
+    [[1, 2], [2, 4]],                # singular
+    [[0, 0], [0, 0]],
+    [[2, 1], [0, 1]],                # det 2
+    [[1, 1, 0], [1, -1, 0], [0, 0, 1]],  # det -2
+])
+def test_unimodular_inverse_refuses_with_one_message(rows):
+    with pytest.raises(ValueError, match="^matrix is not unimodular$"):
+        unimodular_inverse(mat(rows))
+
+
 def test_integer_kernel_basis():
     k = integer_kernel_basis(mat([[1, 2, 3]]))
     for v in k:

@@ -1,19 +1,30 @@
 """Property tests: the Smith normal form with its transforms against sympy's
-Smith normal form, and the Hermite normal form with its transform and its
-uniqueness on the row lattice."""
+Smith normal form, the Hermite normal form with its transform and its
+uniqueness on the row lattice, the fraction-free unimodular inverse against
+sympy's inverse, and the normal-form-free splitting of a full-dimensional
+cone against the generic one."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from oracles import det
 
-from toristack.linalg import IntegerMatrix, hermite_normal_form, smith_normal_form
+from toristack.charts import split_cone
+from toristack.linalg import (
+    IntegerMatrix,
+    complete_to_basis,
+    hermite_normal_form,
+    primitive_vector,
+    saturate,
+    smith_normal_form,
+    unimodular_inverse,
+)
 
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -83,3 +94,47 @@ def test_hermite_normal_form_is_unique_on_the_row_lattice(data):
         assert all(0 <= h.entry(k, p) < h.entry(i, p) for k in range(i))
     w = data.draw(unimodular(a.rows))
     assert hermite_normal_form(IntegerMatrix.from_rows(product(w, rows)))[0] == h
+
+
+@PROPERTY
+@given(st.data())
+def test_unimodular_inverse_against_sympy(data):
+    n = data.draw(st.integers(1, 6))
+    w = data.draw(unimodular(n))
+    inverse = unimodular_inverse(IntegerMatrix.from_rows(w)).row_list()
+    assert product(inverse, w) == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert inverse == sympy.Matrix(w).inv().tolist()
+
+
+@PROPERTY
+@given(st.data())
+def test_unimodular_inverse_refuses_every_other_matrix(data):
+    kind = data.draw(st.sampled_from(["non-square", "singular", "det 2"]))
+    if kind == "non-square":
+        rows = data.draw(matrices())
+        assume(len(rows) != len(rows[0]))
+    else:
+        n = data.draw(st.integers(1, 6))
+        rows = data.draw(unimodular(n))
+        if kind == "singular":
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            k = data.draw(st.integers(-3, 3))
+            rows[i] = [k * x for x in rows[j]] if i != j else [0] * n
+        else:
+            rows = product(rows, [[(2 if i == j == 0 else int(i == j)) for j in range(n)]
+                                  for i in range(n)])
+    with pytest.raises(ValueError, match="^matrix is not unimodular$"):
+        unimodular_inverse(IntegerMatrix.from_rows(rows))
+
+
+@PROPERTY
+@given(st.data())
+def test_full_dimensional_split_matches_the_generic_splitting(data):
+    d = data.draw(st.integers(1, 5))
+    entry = st.integers(-4, 4)
+    rays = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d).filter(any),
+                              min_size=d, max_size=d))
+    assume(det(rays) != 0)
+    rays = [primitive_vector(r) for r in rays]
+    n_prime = saturate(rays)
+    assert split_cone(rays, d) == (n_prime, complete_to_basis(n_prime, d))
