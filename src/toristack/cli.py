@@ -10,7 +10,10 @@ Exit codes: 0 success, 1 validation failure (every ``FanError``, including
 a cone selector naming no cone of the fan, or the zero cone for ``mfr``),
 2 parse failure (including a file that is not UTF-8 and JSON nested past
 the recursion limit), 3 internal error (a consistency tripwire or any other
-exception; indicates a bug, never expected).
+exception; indicates a bug, never expected), 4 limit exceeded (a lattice
+walk over ``monoids.MAX_LATTICE_POINTS`` points, for a Hilbert basis or the
+``mfr`` saturation check, refused before it starts; the message names the
+cone, the point count and the limit).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Sequence
 
 from . import charts as chartlib
@@ -147,24 +151,61 @@ def validation_errors(doc: FanDocument) -> list[dict]:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _encode(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) > _JSON_SAFE_INT else value
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, str) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append the JSON text of value to out; newline ends a line and indents the next."""
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(encode_basestring(str(value)) if abs(value) > _JSON_SAFE_INT
+                   else int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int and -_JSON_SAFE_INT <= x <= _JSON_SAFE_INT for x in value):
+            out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for x in value:
+            out.append(sep)
+            _write_json(x, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        items = {str(k): v for k, v in value.items()}
+        sep = "{" + inner
+        for key in sorted(items):
+            out.append(sep + encode_basestring(key) + ": ")
+            _write_json(items[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, Fraction):
+        out.append(f'"{value.numerator}/{value.denominator}"')
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def emit_json(obj) -> str:
-    return json.dumps(_encode(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON text of obj, in one pass.
+
+    The bytes are those of ``json.dumps(..., sort_keys=True, indent=2,
+    ensure_ascii=False)`` plus a final newline, after keys become strings,
+    tuples lists, integers beyond 2^53-1 in absolute value decimal strings
+    and ``Fraction``s ``"p/q"`` strings; other types raise ``TypeError``.
+    """
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def cone_id(indices: Sequence[int]) -> str:
@@ -181,6 +222,15 @@ def _group_dict(g: FiniteAbelianGroup) -> dict:
 
 # ---------------------------------------------------------------------------
 # reports
+
+def _on_cone(key: tuple[int, ...], compute):
+    """compute(), naming the cone ``key`` on a lattice walk over the limit."""
+    try:
+        return compute()
+    except monoidlib.LatticeWalkTooLarge as e:
+        e.cone = key
+        raise
+
 
 def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     fan = sf.fan
@@ -203,7 +253,8 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     charts_out = []
     for c in fan.maximal_cones:
         chart = charts[c]
-        generators = monoidlib.monoid_generators(conelib.dual_cone(fan.cone_geometry(c)))
+        generators = _on_cone(c, lambda: monoidlib.monoid_generators(
+            conelib.dual_cone(fan.cone_geometry(c))))
         # restricted to N' (M modulo the units sigma^perp is M'), they are the
         # Hilbert basis of the chart monoid P, and the units restrict to 0
         coarse = sorted({tuple(dot(h, v) for v in chart.n_prime_basis)
@@ -260,7 +311,8 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
 
 def mfr_data(sf: StackyFan, cone_selector: Sequence[int], degree_bound: int) -> dict:
     key = sf.fan.normalize(cone_selector)
-    local, res, fan_rays, n_prime, n_doubleprime = chartlib.chart_resolution(sf, key)
+    local, res, fan_rays, n_prime, n_doubleprime = _on_cone(
+        key, lambda: chartlib.chart_resolution(sf, key))
     correspondence = [{
         "index": line.index,
         "free_generator": list(line.generator),
@@ -280,7 +332,8 @@ def mfr_data(sf: StackyFan, cone_selector: Sequence[int], degree_bound: int) -> 
         "realized_generators": [[x for x in g] for g in res.realized_generators],
         "cokernel": _group_dict(monoidlib.resolution_cokernel(res)),
         "saturation_check_degree_bound": degree_bound,
-        "saturation_check": monoidlib.saturation_intersection_check(res, degree_bound),
+        "saturation_check": _on_cone(
+            key, lambda: monoidlib.saturation_intersection_check(res, degree_bound)),
         "correspondence": correspondence,
     }
 
@@ -476,6 +529,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FanError as e:
         sys.stderr.write(f"validation error: {e}\n")
         return 1
+    except monoidlib.LatticeWalkTooLarge as e:
+        sys.stderr.write(f"limit exceeded: {e}\n")
+        return 4
     except Exception as e:  # a consistency tripwire or any other bug
         sys.stderr.write(f"internal error ({type(e).__name__}): {e}\n")
         return 3

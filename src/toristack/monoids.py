@@ -6,7 +6,9 @@ of lattice points of C(P). On top of that sit the resolution operations: the
 minimal free resolution (the smallest free monoid F with P <= F <= P^gp (x) Q
 and P close to F), its scalings by positive integer levels, the cokernel
 F^gp / P^gp, and the correspondence between free generators, rays of C(P)
-and height-one primes.
+and height-one primes. Every lattice walk here (a Hilbert basis, the
+saturation check) counts its points first and raises
+``LatticeWalkTooLarge`` above ``MAX_LATTICE_POINTS``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from operator import add, le, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from . import cones
@@ -50,44 +52,136 @@ class NotSaturatedError(ValueError):
 # ---------------------------------------------------------------------------
 # Hilbert bases
 
+MAX_LATTICE_POINTS = 10 ** 6
+"""Most points a lattice walk may visit: the parallelepiped of a Hilbert
+basis in rank >= 3, the basis itself in rank 2, or the free-monoid elements
+of a saturation check."""
+
+
+class LatticeWalkTooLarge(Exception):
+    """A lattice walk would visit more than ``MAX_LATTICE_POINTS`` points.
+
+    Raised before the walk allocates anything. ``cone`` is None until a
+    caller that knows the fan cone involved names it by its ray indices.
+    """
+
+    def __init__(self, walk: str, points: int):
+        super().__init__(walk, points)
+        self.walk = walk
+        self.points = points
+        self.cone: tuple[int, ...] | None = None
+
+    def __str__(self):
+        where = "" if self.cone is None else f" over cone [{','.join(map(str, self.cone))}]"
+        return (f"{self.walk}{where} would visit {self.points} lattice points, "
+                f"above the limit of {MAX_LATTICE_POINTS}")
+
+
+def _hilbert_basis_plane(u: IntVec, w: IntVec) -> list[IntVec]:
+    """Hilbert basis of the 2-cone on primitive u, w by Hirzebruch-Jung.
+
+    With n = |det(u, w)| and a basis (f, u) of Z^2 in which w = n f - k u,
+    0 <= k < n, the basis is u_0 = u, u_1 = f, u_(i+1) = a_i u_i - u_(i-1),
+    ending on w, where n / k = a_1 - 1 / (a_2 - 1 / (...)) is the
+    Hirzebruch-Jung continued fraction (Cox-Little-Schenck, Toric
+    Varieties, 10.2). O(|HB| + log n) steps, with no normal form; |HB|
+    is counted first, and more than ``MAX_LATTICE_POINTS`` elements raise
+    ``LatticeWalkTooLarge`` before any is built.
+    """
+    if math.gcd(*u) != 1 or math.gcd(*w) != 1:
+        raise AssertionError("ray of a 2-cone is not primitive")
+    n = u[0] * w[1] - u[1] * w[0]
+    if n < 0:
+        u, w, n = w, u, -n
+    if n == 0:
+        raise AssertionError("rays of a 2-cone are dependent")
+    # f with det(u, f) = u0 f1 - u1 f0 = 1
+    if u[1] == 0:
+        f = (0, u[0])
+    else:
+        f1 = pow(u[0], -1, abs(u[1]))
+        f = ((u[0] * f1 - 1) // u[1], f1)
+    # w = alpha u + n f; shift f by t u so that w = n f - k u, 0 <= k < n
+    alpha = w[0] * f[1] - w[1] * f[0]
+    t = -(-alpha // n)
+    k = n * t - alpha
+    # |HB| is 2 plus the length of the continued fraction, counted in
+    # O(log n) steps: from q < p <= 2q come q // (p - q) coefficients 2
+    size, p, q = 2, n, k
+    while q:
+        if p <= 2 * q:
+            r = p - q
+            size += q // r
+            p, q = r + q % r, q % r
+        else:
+            size += 1
+            p, q = q, -(-p // q) * q - p
+    if size > MAX_LATTICE_POINTS:
+        raise LatticeWalkTooLarge("Hilbert basis", size)
+    prev, cur = u, (f[0] + t * u[0], f[1] + t * u[1])
+    out = [prev, cur]
+    p, q = n, k
+    while q:
+        a = -(-p // q)
+        p, q = q, a * q - p
+        prev, cur = cur, (a * cur[0] - prev[0], a * cur[1] - prev[1])
+        out.append(cur)
+    if cur != tuple(w) or len(out) != size:
+        raise AssertionError("continued fraction did not end on the second ray "
+                             "after the counted steps")
+    return sorted(out)
+
+
 def _hilbert_basis_full(ray_list: Sequence[IntVec], d: int) -> list[IntVec]:
     """Hilbert basis of a full-dimensional simplicial cone in Z^d.
 
-    Enumerates the lattice points of the half-open fundamental parallelepiped
-    of the primitive rays (one per residue class of Z^d modulo the ray
-    lattice) and adds the rays. With ``A^-1 = M / vol`` for the ray matrix A,
-    every candidate carries its coordinates in the basis ``ray / vol``: the
-    residue vector it was built from for a parallelepiped point, ``vol * e_i``
-    for the i-th ray. The irreducible elements are then found by the
-    reduction rule of Normaliz (Bruns-Ichim, J. Algebra 324, 2010): in order
-    of degree (coordinate sum), h is reducible iff some already accepted
-    element is componentwise <= h, because every decomposition of a
-    reducible h starts with a Hilbert-basis element of lower degree.
+    In rank 2 the basis comes from the Hirzebruch-Jung continued fraction of
+    the rays (``_hilbert_basis_plane``), with no normal form and no
+    parallelepiped. From rank 3 on, it enumerates the lattice points of the
+    half-open fundamental parallelepiped of the primitive rays (one per
+    residue class of Z^d modulo the ray lattice, vol = |det| of them, so
+    more than ``MAX_LATTICE_POINTS`` raises ``LatticeWalkTooLarge`` before
+    any is built) and adds the rays. With ``A^-1 = M / vol`` for the ray
+    matrix A, every candidate carries its coordinates in the basis
+    ``ray / vol``: its residue vector for a parallelepiped point, built one
+    invariant factor of Z^d / A Z^d at a time, and ``vol * e_i`` for the
+    i-th ray. The irreducible elements are then found by the reduction rule
+    of Normaliz (Bruns-Ichim, J. Algebra 324, 2010): in order of degree
+    (coordinate sum), h is reducible iff some already accepted element is
+    componentwise <= h, because every decomposition of a reducible h starts
+    with a Hilbert-basis element of lower degree.
     """
+    if d == 2:
+        return _hilbert_basis_plane(*ray_list)
     a = IntegerMatrix.from_columns([list(r) for r in ray_list], rows=d)
-    scaled, vol = integer_inverse(a.row_list())  # vol = |det A|
+    rows = a.row_list()
+    scaled, vol = integer_inverse(rows)  # vol = |det A|
+    if vol > MAX_LATTICE_POINTS:
+        raise LatticeWalkTooLarge("Hilbert basis", vol)
     s, u, _ = smith_normal_form(a)
-    diag = [s.entry(i, i) for i in range(d)]
     # residue generators in scaled coordinates: M times the columns of U^-1
     uinv = unimodular_inverse(u)
-    steps = [(diag[j], [dot(row, uinv.column(j)) for row in scaled])
-             for j in range(d) if diag[j] > 1]
+    fracs = [(0,) * d]
+    for j in range(d):
+        n = s.entry(j, j)
+        if n > 1:
+            w = [dot(row, uinv.column(j)) for row in scaled]
+            fracs = [tuple([(f + c * x) % vol for f, x in zip(frac, w)])
+                     for frac in fracs for c in range(n)]
     coords: dict[IntVec, tuple[int, ...]] = {
         r: tuple(vol * int(i == k) for k in range(d)) for i, r in enumerate(ray_list)}
-    for residue in product(*(range(n) for n, _ in steps)):
-        frac = tuple(sum(c * w[i] for c, (_, w) in zip(residue, steps)) % vol for i in range(d))
+    for frac in fracs[1:]:  # fracs[0] is the origin
         p = []
-        for j in range(d):
-            q, rem = divmod(sum(frac[i] * ray_list[i][j] for i in range(d)), vol)
+        for row in rows:
+            q, rem = divmod(sum(map(mul, row, frac)), vol)
             if rem:
                 raise AssertionError("parallelepiped point is not integral")
             p.append(q)
-        if any(frac):
-            coords[tuple(p)] = frac
+        coords[tuple(p)] = frac
     accepted: list[tuple[tuple[int, ...], IntVec]] = []
     for h in sorted(coords, key=lambda h: (sum(coords[h]), h)):
         ch = coords[h]
-        if not any(all(x <= y for x, y in zip(cg, ch)) for cg, _ in accepted):
+        if not any(all(map(le, cg, ch)) for cg, _ in accepted):
             accepted.append((ch, h))
     return sorted(h for _, h in accepted)
 
@@ -114,7 +208,10 @@ def hilbert_basis(c: Cone) -> list[IntVec]:
     """Minimal generating set of c intersected with the ambient lattice.
 
     The cone must be simplicial and strictly convex; lower-dimensional cones
-    are handled inside the saturation of their span.
+    are handled inside the saturation of their span, so every 2-cone, in any
+    ambient rank, takes the Hirzebruch-Jung path of ``_hilbert_basis_full``.
+    A walk over more than ``MAX_LATTICE_POINTS`` points raises
+    ``LatticeWalkTooLarge`` before it starts.
     """
     if not cones.is_simplicial(c):
         raise ValueError("Hilbert basis computation requires a simplicial cone")
@@ -513,16 +610,30 @@ def restrict_resolution(p: AffineMonoid, res: FreeResolution,
 def saturation_intersection_check(res: FreeResolution, degree_bound: int) -> bool:
     """Brute-force check that P^gp intersect F equals P up to the given degree.
 
-    Walks every element of the free monoid with coordinate sum at most the
-    bound; each one lying in the lattice M must already lie in P.
+    Walks the C(b + d, d) - 1 nonzero elements of the free monoid F of rank
+    d with coordinate sum at most the bound b, and only those, carrying each
+    element's running sum of generators; every one lying in the lattice M
+    must already lie in P. More than ``MAX_LATTICE_POINTS`` elements raise
+    ``LatticeWalkTooLarge`` before the walk starts.
     """
+    points = math.comb(degree_bound + res.rank, res.rank) - 1
+    if points > MAX_LATTICE_POINTS:
+        raise LatticeWalkTooLarge("saturation check", points)
     p = res.source
     scale, gens = res._scaled_generators
-    for a in product(range(degree_bound + 1), repeat=res.rank):
-        if sum(a) > degree_bound or sum(a) == 0:
-            continue
-        x = [sum(coeff * g[j] for coeff, g in zip(a, gens)) for j in range(res.rank)]
-        if not any(v % scale for v in x):
-            if not p.contains(tuple(v // scale for v in x)):
-                return False
-    return True
+    last = len(gens) - 1
+
+    def walk(i: int, x: list[int], room: int) -> bool:
+        # x sums fixed multiples of gens[:i]; add c * gens[i] for c = 0, ..., room
+        g = gens[i]
+        for left in range(room, -1, -1):
+            if i < last:
+                if not walk(i + 1, x, left):
+                    return False
+            elif any(x) and not any(v % scale for v in x):
+                if not p.contains(tuple(v // scale for v in x)):
+                    return False
+            x = list(map(add, x, g))
+        return True
+
+    return walk(0, [0] * res.rank, degree_bound)

@@ -3,13 +3,17 @@
 Deliberately share no code with the library: membership tests run through a
 local Gaussian solver, Hilbert bases come from exhaustive box enumeration,
 cone membership from Fourier-Motzkin elimination, quotient groups from
-residue-class exploration keyed by fractional parts, and the rays of a dual
-cone one ray at a time.
+residue-class exploration keyed by fractional parts, the rays of a dual
+cone one ray at a time, canonical JSON from the standard library's encoder,
+and the saturation check from a walk over the whole box of coefficients.
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, product
+
+_JSON_SAFE_INT = 2 ** 53 - 1
 
 
 def solve_square(rows, rhs):
@@ -226,3 +230,46 @@ def quotient_torsion_counts(square_cols, ks):
         counts[k] = sum(1 for rep in seen.values()
                         if key(tuple(k * x for x in rep)) == zero)
     return len(seen), counts
+
+
+def _json_value(value):
+    """value with keys as strings, tuples as lists, integers beyond 2^53-1
+    as decimal strings and fractions as "p/q" strings."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return str(value) if abs(value) > _JSON_SAFE_INT else value
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, str) or value is None:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json_value(v) for k, v in value.items()}
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_emit_json(obj):
+    """Canonical report JSON through ``json.dumps``: sorted keys, indent 2."""
+    return json.dumps(_json_value(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def box_saturation_check(res, degree_bound):
+    """Saturation check of a free resolution over the whole coefficient box.
+
+    Walks every coefficient tuple in {0, ..., b}^d, keeps those with
+    0 < sum <= b, and asks that each resulting element of F lying in the
+    lattice M lies in the source monoid P.
+    """
+    gens = res.realized_generators
+    scale = math.lcm(*(Fraction(x).denominator for g in gens for x in g))
+    scaled = [[int(x * scale) for x in g] for g in gens]
+    for a in product(range(degree_bound + 1), repeat=res.rank):
+        if sum(a) > degree_bound or sum(a) == 0:
+            continue
+        x = [sum(c * g[j] for c, g in zip(a, scaled)) for j in range(res.rank)]
+        if not any(v % scale for v in x):
+            if not res.source.contains(tuple(v // scale for v in x)):
+                return False
+    return True

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 
 from conftest import random_full_cone_rays
-from oracles import box_hilbert_basis
+from oracles import box_hilbert_basis, box_saturation_check, solve_square
 
 from toristack.cones import Cone, dual_cone, multiplicity
 from toristack.monoids import (
@@ -84,6 +85,43 @@ def test_hilbert_basis_matches_oracle_random():
         d = len(ray_list[0])
         c = Cone.from_generators(ray_list, d)
         assert hilbert_basis(c) == box_hilbert_basis(c.rays, d)
+
+
+def det2(u, w):
+    return u[0] * w[1] - u[1] * w[0]
+
+
+def test_plane_hilbert_basis_long_continued_fraction():
+    # a 2-dimensional Hilbert basis, in order along the cone, is u_0, ...,
+    # u_(s+1) from ray to ray with det(u_i, u_(i+1)) = 1 (up to orientation)
+    # and u_(i-1) + u_(i+1) = a_i u_i, a_i >= 2
+    m = 10 ** 4
+    c = dual_cone(sigma((1, 0), (m, m + 1)))
+    u, w = c.rays
+    sign = 1 if det2(u, w) > 0 else -1
+    basis = sorted(hilbert_basis(c), key=cmp_to_key(lambda a, b: -sign * det2(a, b)))
+    assert len(basis) == m + 2
+    assert (basis[0], basis[-1]) == (u, w)
+    assert all(det2(a, b) == sign for a, b in zip(basis, basis[1:]))
+    for before, h, after in zip(basis, basis[1:], basis[2:]):
+        total = (before[0] + after[0], before[1] + after[1])
+        j = 0 if h[0] else 1
+        a, rem = divmod(total[j], h[j])
+        assert rem == 0 and a >= 2 and total == (a * h[0], a * h[1])
+
+
+def test_plane_hilbert_basis_runs_no_normal_form_or_inverse(monkeypatch):
+    import toristack.monoids as monoids_mod
+
+    c = dual_cone(sigma((1, 0), (1, 10 ** 6)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the rank-2 Hilbert basis ran a normal form or an inverse")
+
+    for name in ("smith_normal_form", "hermite_normal_form", "integer_inverse",
+                 "unimodular_inverse"):
+        monkeypatch.setattr(monoids_mod, name, forbidden)
+    assert hilbert_basis(c) == [(0, 1), (1, 0), (10 ** 6, -1)]
 
 
 def test_is_simplicially_toric():
@@ -313,6 +351,44 @@ def test_saturation_check_finds_lattice_point_outside_monoid():
     res = orthant_resolution((1, 0), (-1, 1))
     assert res.coordinate_matrix().row_list() == [[1, 1], [0, 1]]
     assert not saturation_intersection_check(res, 2)
+
+
+def inverse_resolution(c_rows):
+    """A resolution of the orthant monoid whose generators are the columns of C^-1.
+
+    C is nonnegative, so every unit vector has nonnegative integral
+    coordinates C e_i and P <= F; P^gp intersect F = P exactly when C^-1
+    has no negative entry.
+    """
+    d = len(c_rows)
+    p = monoid_from_cone(Cone.from_generators(
+        [tuple(int(i == j) for j in range(d)) for i in range(d)], d))
+    columns = [solve_square(c_rows, [int(i == j) for i in range(d)]) for j in range(d)]
+    gens = tuple(tuple(col) for col in columns)
+    return FreeResolution(source=p, rank=d, denominators=(1,) * d, levels=(1,) * d,
+                          generators=gens, realized_generators=gens)
+
+
+def test_saturation_check_agrees_with_box_walk():
+    rng = random.Random(909)
+    resolutions = [orthant_resolution((1, 0), (-1, 1))]
+    for _ in range(16):
+        d = rng.randint(1, 4)
+        p = monoid_from_cone(Cone.from_generators(random_full_cone_rays(rng, d, bound=3), d))
+        resolutions.append(admissible_resolution(
+            p, {r: rng.randint(1, 3) for r in p.defining_cone.rays}))
+    while len(resolutions) < 40:
+        d = rng.randint(1, 4)
+        c_rows = [[rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(d)] for _ in range(d)]
+        if solve_square(c_rows, [0] * d) is not None:
+            resolutions.append(inverse_resolution(c_rows))
+    outcomes = set()
+    for res in resolutions:
+        for bound in range(1, 7 - res.rank):
+            got = saturation_intersection_check(res, bound)
+            assert got == box_saturation_check(res, bound), (res.realized_generators, bound)
+            outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 # -- headline properties ---------------------------------------------------------
