@@ -6,19 +6,25 @@ cone (after splitting off the torus directions) and F the free monoid of its
 level-scaled resolution. That group is the cokernel of the free-net matrix,
 N' / <n_rho v_rho>, whose rows n_rho v_rho in a basis of the saturated span
 N' are the matrix of P^gp -> F^gp (the local group of a stacky fan,
-Borisov-Chen-Smith, J. AMS 18, 2005). A chart is the lattice splitting
-N = N' + N'', one inverse of the ray matrix in N' and one Smith normal form
-of the free-net matrix; P and its resolution are built only by
-``chart_resolution``. The splitting of a full-dimensional cone is free
-(N' = Z^d, N'' = 0); a lower-dimensional cone saturates the span of its rays
-and completes it to a basis, with one Smith normal form each.
+Borisov-Chen-Smith, J. AMS 18, 2005). Since N' is saturated, N'' splits
+off Z^d / <n_rho v_rho> as its free part, so G is that quotient's torsion:
+a chart's group takes one Smith normal form in the ambient lattice, and its
+multiplicity the gcd of the maximal minors of its rays, with no splitting.
+The splitting N = N' + N'', one inverse of the ray matrix in N' and one
+Smith normal form of the free-net matrix in N' coordinates give the chart
+coordinates and action weights, on first use. The splitting of a full-dimensional cone is
+free (N' = Z^d, N'' = 0); a lower-dimensional cone saturates the span of its
+rays and completes it to a basis, with one Smith normal form each. P and its
+resolution are built only by ``chart_resolution``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import stackyfan as fans
 from .cones import Cone
@@ -26,7 +32,9 @@ from .linalg import (
     FiniteAbelianGroup,
     IntegerMatrix,
     IntVec,
+    cokernel_invariants,
     complete_to_basis,
+    determinant,
     dot,
     independent_rows,
     integer_inverse,
@@ -38,35 +46,83 @@ from .monoids import admissible_resolution, monoid_from_cone, split_coordinates
 from .stackyfan import Fan, StackyFan
 
 
+class _ChartCoordinates(NamedTuple):
+    """What a chart reads in the coordinates of its splitting N = N' + N''."""
+
+    n_prime_basis: tuple[IntVec, ...]
+    n_doubleprime_basis: tuple[IntVec, ...]
+    fan_rays: tuple[int, ...]
+    levels: tuple[int, ...]
+    action_weights: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class LocalChart:
     """Quotient-chart data [A^r/G] x T^(d-r) over one cone of the fan.
 
     G is the cokernel of the free-net matrix, N'/<n_rho v_rho>, of order
-    ``multiplicity`` (the index of the ray lattice in N') times the product
-    of the levels. Chart coordinates are indexed by the lex-sorted rays of
-    C(P); for coordinate i, ``fan_rays[i]`` is the index of the fan ray it
-    corresponds to under the ray-star bijection (the one ray of the cone that
-    the i-th ray of C(P) pairs positively with) and ``action_weights[i]`` is
-    the image of the i-th free generator in G, written as residues in
-    invariant-factor coordinates.
+    ``stacky_multiplicity``: ``multiplicity`` (the index of the ray lattice
+    in N') times the product of the levels. Chart coordinates are indexed by
+    the lex-sorted rays of C(P); for coordinate i, ``fan_rays[i]`` is the
+    index of the fan ray it corresponds to under the ray-star bijection (the
+    one ray of the cone that the i-th ray of C(P) pairs positively with) and
+    ``action_weights[i]`` is the image of the i-th free generator in G,
+    written as residues in invariant-factor coordinates.
+
+    ``group`` and ``multiplicity`` come with the chart; the splitting and
+    what is read in its coordinates (``n_prime_basis``,
+    ``n_doubleprime_basis``, ``fan_rays``, ``levels``, ``action_weights``)
+    are computed on first use, and checked there against them. A report
+    reads those only over its maximal cones.
     """
 
     cone: tuple[int, ...]
     r: int
     torus_rank: int
     group: FiniteAbelianGroup
-    action_weights: tuple[tuple[int, ...], ...]
-    levels: tuple[int, ...]
-    fan_rays: tuple[int, ...]
-    n_prime_basis: tuple[IntVec, ...]
-    n_doubleprime_basis: tuple[IntVec, ...]
     multiplicity: int
+    stacky_multiplicity: int
+    sf: StackyFan = field(repr=False, compare=False)
+
+    @cached_property
+    def _chart_coordinates(self) -> _ChartCoordinates:
+        n_prime, n_doubleprime, q, coordinates = _coordinates(self.sf.fan, self.cone)
+        fan_rays = tuple(rho for _, _, rho in coordinates)
+        levels = tuple(self.sf.levels[rho] for rho in fan_rays)
+        free_net = [[n * x for x in u] for (_, u, _), n in zip(coordinates, levels)]
+        s, u, _ = smith_normal_form(IntegerMatrix.from_rows(free_net, cols=self.r))
+        diag = [s.entry(i, i) for i in range(self.r)]
+        if any(x == 0 for x in diag):
+            raise AssertionError("degenerate free-net matrix in chart computation")
+        torsion_rows = [i for i, x in enumerate(diag) if x > 1]
+        if (q != self.multiplicity
+                or tuple(diag[i] for i in torsion_rows) != self.group.invariant_factors):
+            raise AssertionError("chart coordinates disagree with the cone's "
+                                 "multiplicity or stabilizer")
+        weights = tuple(
+            tuple(u.entry(row, i) % diag[row] for row in torsion_rows)
+            for i in range(self.r))
+        return _ChartCoordinates(tuple(n_prime), tuple(n_doubleprime), fan_rays, levels, weights)
 
     @property
-    def stacky_multiplicity(self) -> int:
-        """mult(sigma) times the product of the levels on the rays of sigma."""
-        return self.multiplicity * math.prod(self.levels)
+    def n_prime_basis(self) -> tuple[IntVec, ...]:
+        return self._chart_coordinates.n_prime_basis
+
+    @property
+    def n_doubleprime_basis(self) -> tuple[IntVec, ...]:
+        return self._chart_coordinates.n_doubleprime_basis
+
+    @property
+    def fan_rays(self) -> tuple[int, ...]:
+        return self._chart_coordinates.fan_rays
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        return self._chart_coordinates.levels
+
+    @property
+    def action_weights(self) -> tuple[tuple[int, ...], ...]:
+        return self._chart_coordinates.action_weights
 
     @property
     def group_label(self) -> str:
@@ -140,34 +196,28 @@ def chart_resolution(sf: StackyFan, sigma: Iterable[int]):
 
 
 def local_chart(sf: StackyFan, sigma: Iterable[int]) -> LocalChart:
-    """Compute the quotient chart over a cone of the stacky fan."""
+    """Compute the quotient chart over a cone of the stacky fan.
+
+    The group is the torsion of Z^d / <n_rho v_rho>, one Smith normal form.
+    The multiplicity, the index of the ray lattice in its saturation, is the
+    gcd of the r x r minors of the r rays (|det| for a full-dimensional
+    cone).
+    """
     fan = sf.fan
     key = fan.normalize(sigma)
-    r = len(key)
-    n_prime, n_doubleprime, q, coordinates = _coordinates(fan, key)
-    fan_rays = tuple(rho for _, _, rho in coordinates)
-    levels = tuple(sf.levels[rho] for rho in fan_rays)
-
-    free_net = [[n * x for x in u] for (_, u, _), n in zip(coordinates, levels)]
-    s, u, _ = smith_normal_form(IntegerMatrix.from_rows(free_net, cols=r))
-    diag = [s.entry(i, i) for i in range(r)]
-    if any(x == 0 for x in diag):
-        raise AssertionError("degenerate free-net matrix in chart computation")
-    torsion_rows = [i for i, x in enumerate(diag) if x > 1]
-    group = FiniteAbelianGroup(tuple(diag[i] for i in torsion_rows))
-    weights = tuple(
-        tuple(u.entry(row, i) % diag[row] for row in torsion_rows)
-        for i in range(r))
-
+    d, r = fan.ambient_rank, len(key)
+    rays = [fan.rays[i] for i in key]
+    free_net = [[sf.levels[i] * x for x in v] for i, v in zip(key, rays)]
+    group = FiniteAbelianGroup(
+        cokernel_invariants(IntegerMatrix.from_columns(free_net, rows=d)).invariant_factors)
+    q = math.gcd(*(determinant([[v[j] for j in cols] for v in rays])
+                   for cols in combinations(range(d), r)))
     chart = LocalChart(
-        cone=key, r=r, torus_rank=fan.ambient_rank - r,
+        cone=key, r=r, torus_rank=d - r,
         group=group,
-        action_weights=weights,
-        levels=levels,
-        fan_rays=fan_rays,
-        n_prime_basis=tuple(n_prime),
-        n_doubleprime_basis=tuple(n_doubleprime),
         multiplicity=q,
+        stacky_multiplicity=q * math.prod(sf.levels[i] for i in key),
+        sf=sf,
     )
     if group.order != chart.stacky_multiplicity:
         raise AssertionError(f"stabilizer order {group.order} differs from "

@@ -1,6 +1,10 @@
+import dataclasses
+import json
 import math
 import random
 from itertools import product
+
+import pytest
 
 from conftest import (
     FIXTURES,
@@ -448,3 +452,65 @@ def test_chart_matches_the_resolution_path():
             assert (chart.group, chart.action_weights, chart.fan_rays, chart.levels) \
                 == chart_through_resolution(sf, c), (sf.fan.rays, sf.levels, c)
             assert chart.multiplicity == multiplicity(sf.fan.cone_geometry(c))
+
+
+def test_chart_group_and_multiplicity_need_no_splitting(monkeypatch):
+    # the group is the torsion of Z^d / <n_rho v_rho> and the multiplicity the
+    # gcd of the maximal minors of the rays: building a chart splits nothing,
+    # and the splitting, read later, agrees with both
+    import toristack.charts as charts_mod
+    import toristack.linalg as linalg_mod
+
+    def forbidden(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"local_chart called {name}")
+        return fail
+
+    for name in ("_coordinates", "split_cone", "saturate", "complete_to_basis",
+                 "integer_inverse"):
+        monkeypatch.setattr(charts_mod, name, forbidden(name))
+    monkeypatch.setattr(linalg_mod, "hermite_normal_form", forbidden("hermite_normal_form"))
+    built = [(sf, local_chart(sf, c)) for sf in stacky_fans_with_shuffled_rays()
+             for c in sf.fan.cones]
+    assert any(0 < chart.r < sf.fan.ambient_rank for sf, chart in built)
+    monkeypatch.undo()
+    for sf, chart in built:
+        assert chart.multiplicity == multiplicity(sf.fan.cone_geometry(chart.cone))
+        assert chart.stacky_multiplicity == stacky_multiplicity(sf, chart.cone)
+        # reading the coordinates runs the splitting and its tripwire
+        assert sorted(chart.fan_rays) == list(chart.cone)
+        assert math.prod(chart.levels) * chart.multiplicity == chart.group.order
+
+
+def test_report_splits_only_maximal_cones(tmp_path, monkeypatch, capsys):
+    # (P^1)^3 has 27 cones; its report reads coordinates, weights and
+    # splittings only over the 8 maximal ones
+    import toristack.charts as charts_mod
+    from toristack.cli import main
+
+    split, coordinates = [], charts_mod._coordinates
+
+    def counting(fan, key):
+        split.append(key)
+        return coordinates(fan, key)
+
+    monkeypatch.setattr(charts_mod, "_coordinates", counting)
+    rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
+                                          [-int(j == i) for j in range(3)])]
+    cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=3)]
+    path = tmp_path / "p1_cubed.json"
+    path.write_text(json.dumps({"rank": 3, "rays": rays, "max_cones": cones,
+                                "levels": {"0": 2, "3": 3}}))
+    assert main(["report", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["fan"]["num_cones"] == 27
+    assert sorted(split) == sorted(tuple(sorted(c)) for c in cones)
+
+
+def test_chart_coordinates_check_the_group_and_multiplicity():
+    chart = local_chart(StackyFan.build(a1_singularity_fan(), {0: 3}), [0, 1])
+    for wrong in (dataclasses.replace(chart, multiplicity=chart.multiplicity + 1),
+                  dataclasses.replace(chart, group=FiniteAbelianGroup((7,)))):
+        with pytest.raises(AssertionError, match="disagree"):
+            wrong.action_weights
+    assert chart.action_weights == local_chart(chart.sf, [0, 1]).action_weights
