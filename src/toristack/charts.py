@@ -30,17 +30,16 @@ from . import stackyfan as fans
 from .cones import Cone
 from .linalg import (
     FiniteAbelianGroup,
-    IntegerMatrix,
     IntVec,
-    cokernel_invariants,
     complete_to_basis,
     determinant,
     dot,
+    identity_rows,
     independent_rows,
     integer_inverse,
     primitive_vector,
     saturate,
-    smith_normal_form,
+    smith_elimination,
 )
 from .monoids import admissible_resolution, monoid_from_cone, split_coordinates
 from .stackyfan import Fan, StackyFan
@@ -89,9 +88,9 @@ class LocalChart:
         n_prime, n_doubleprime, q, coordinates = _coordinates(self.sf.fan, self.cone)
         fan_rays = tuple(rho for _, _, rho in coordinates)
         levels = tuple(self.sf.levels[rho] for rho in fan_rays)
-        free_net = [[n * x for x in u] for (_, u, _), n in zip(coordinates, levels)]
-        s, u, _ = smith_normal_form(IntegerMatrix.from_rows(free_net, cols=self.r))
-        diag = [s.entry(i, i) for i in range(self.r)]
+        free_net = [[n * x for x in v] for (_, v, _), n in zip(coordinates, levels)]
+        u = identity_rows(self.r)
+        diag = smith_elimination(free_net, u=u)
         if any(x == 0 for x in diag):
             raise AssertionError("degenerate free-net matrix in chart computation")
         torsion_rows = [i for i, x in enumerate(diag) if x > 1]
@@ -100,7 +99,7 @@ class LocalChart:
             raise AssertionError("chart coordinates disagree with the cone's "
                                  "multiplicity or stabilizer")
         weights = tuple(
-            tuple(u.entry(row, i) % diag[row] for row in torsion_rows)
+            tuple(u[row][i] % diag[row] for row in torsion_rows)
             for i in range(self.r))
         return _ChartCoordinates(tuple(n_prime), tuple(n_doubleprime), fan_rays, levels, weights)
 
@@ -198,7 +197,8 @@ def chart_resolution(sf: StackyFan, sigma: Iterable[int]):
 def local_chart(sf: StackyFan, sigma: Iterable[int]) -> LocalChart:
     """Compute the quotient chart over a cone of the stacky fan.
 
-    The group is the torsion of Z^d / <n_rho v_rho>, one Smith normal form.
+    The group is the torsion of Z^d / <n_rho v_rho>, the diagonal of one
+    Smith elimination of the rows n_rho v_rho (no transforms).
     The multiplicity, the index of the ray lattice in its saturation, is the
     gcd of the r x r minors of the r rays (|det| for a full-dimensional
     cone).
@@ -208,8 +208,7 @@ def local_chart(sf: StackyFan, sigma: Iterable[int]) -> LocalChart:
     d, r = fan.ambient_rank, len(key)
     rays = [fan.rays[i] for i in key]
     free_net = [[sf.levels[i] * x for x in v] for i, v in zip(key, rays)]
-    group = FiniteAbelianGroup(
-        cokernel_invariants(IntegerMatrix.from_columns(free_net, rows=d)).invariant_factors)
+    group = FiniteAbelianGroup(tuple(x for x in smith_elimination(free_net) if x > 1))
     q = math.gcd(*(determinant([[v[j] for j in cols] for v in rays])
                    for cols in combinations(range(d), r)))
     chart = LocalChart(

@@ -27,21 +27,16 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .linalg import (
-    IntegerMatrix,
     IntVec,
     complete_to_basis,
     dot,
     integer_inverse,
-    integer_kernel_basis,
+    integer_kernel,
     is_zero_vector,
     lattice_index,
     primitive_of_rational,
     primitive_vector,
 )
-
-
-def _kernel(rows: Sequence[IntVec], d: int) -> list[IntVec]:
-    return integer_kernel_basis(IntegerMatrix.from_rows([list(r) for r in rows], cols=d))
 
 
 def _lift(coords: Iterable[IntVec], complement: Sequence[IntVec]) -> list[IntVec]:
@@ -59,7 +54,7 @@ def _hcone_generators(ineq_rows: Sequence[IntVec], d: int) -> tuple[list[IntVec]
     generate the cone.
     """
     rows = sorted(set(tuple(int(x) for x in r) for r in ineq_rows) - {(0,) * d})
-    lineality = _kernel(rows, d)
+    lineality = integer_kernel(rows, d)
     return _tight_subset_rays(rows, lineality, d), lineality
 
 
@@ -78,7 +73,7 @@ def _tight_subset_rays(rows: Sequence[IntVec], lineality: Sequence[IntVec], d: i
     reduced = sorted(set(tuple(dot(r, c) for c in complement) for r in rows) - {(0,) * dp})
     rays: set[IntVec] = set()
     for subset in combinations(reduced, dp - 1):
-        ker = _kernel(subset, dp)
+        ker = integer_kernel(subset, dp)
         if len(ker) != 1:
             continue
         w = ker[0]
@@ -127,7 +122,7 @@ class Cone:
             if not is_zero_vector(g):
                 gens.append(primitive_of_rational(g))
         gens = sorted(set(gens))
-        lineality = _kernel(gens, ambient_rank)
+        lineality = integer_kernel(gens, ambient_rank)
         if len(gens) + len(lineality) == ambient_rank:
             # linearly independent: the generators are the rays
             return cls(ambient_rank, tuple(gens), (), len(gens),

@@ -10,6 +10,13 @@ one divisibility test per entry. The module also provides the normal forms
 (Hermite, Smith), integer kernels, lattice saturation, fraction-free
 determinants and the circuits of a vector configuration, and finite-abelian-
 group bookkeeping that the rest of the package is built on.
+
+The normal forms are eliminations in place on plain lists of rows, which
+compute a unimodular transform only when the caller asks for it: a group
+needs only the Smith diagonal, a kernel only V, a saturation only U. The
+``IntegerMatrix`` functions (``smith_normal_form``, ``hermite_normal_form``,
+``unimodular_inverse``) wrap the same routines with every transform; the
+package itself builds no ``IntegerMatrix``.
 """
 
 from __future__ import annotations
@@ -108,15 +115,6 @@ class IntegerMatrix:
 
     def row_list(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix.from_rows([list(self.column(j)) for j in range(self.cols)], cols=self.rows)
-
-    def apply(self, v: Sequence[int]) -> IntVec:
-        """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(dot(self.row(i), v) for i in range(self.rows))
 
     def determinant(self) -> int:
         """Fraction-free Bareiss determinant (square matrices only)."""
@@ -242,21 +240,27 @@ def circuit_vectors(columns: Sequence[Sequence[int]]) -> Iterator[list[int]]:
 # ---------------------------------------------------------------------------
 # normal forms
 
-def _row_sub(m: list[list[int]], i: int, k: int, q: int) -> None:
+def identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _row_sub(mats: tuple[list[list[int]], ...], i: int, k: int, q: int) -> None:
+    # row i -= q * row k, in every matrix of mats
     if q:
-        mk = m[k]
-        m[i] = [a - q * b for a, b in zip(m[i], mk)]
+        for mat in mats:
+            mat[i] = [a - q * b for a, b in zip(mat[i], mat[k])]
 
 
-def hermite_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """Row-style Hermite normal form.
+def hermite_elimination(h: list[list[int]], u: list[list[int]] | None = None) -> None:
+    """Row-style Hermite normal form of h, in place.
 
-    Returns (H, U) with U unimodular, U A = H, pivots positive and
-    entries above each pivot reduced into [0, pivot).
+    Pivots end positive and the entries above each pivot reduced into
+    [0, pivot). Every row operation is applied to u as well when given, so
+    U A = H for u starting at the identity.
     """
-    m, n = a.rows, a.cols
-    h = a.row_list()
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    m = len(h)
+    n = len(h[0]) if h else 0
+    mats = (h,) if u is None else (h, u)
     pr = 0
     for c in range(n):
         if pr == m:
@@ -266,122 +270,124 @@ def hermite_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
             if not nz:
                 break
             i0 = min(nz, key=lambda i: (abs(h[i][c]), i))
-            if i0 != pr:
-                h[pr], h[i0] = h[i0], h[pr]
-                u[pr], u[i0] = u[i0], u[pr]
+            for mat in mats:
+                mat[pr], mat[i0] = mat[i0], mat[pr]
             if h[pr][c] < 0:
-                h[pr] = [-x for x in h[pr]]
-                u[pr] = [-x for x in u[pr]]
-            clean = True
+                for mat in mats:
+                    mat[pr] = [-x for x in mat[pr]]
             for i in range(pr + 1, m):
-                if h[i][c] != 0:
-                    q = h[i][c] // h[pr][c]
-                    _row_sub(h, i, pr, q)
-                    _row_sub(u, i, pr, q)
-                    if h[i][c] != 0:
-                        clean = False
-            if clean:
+                _row_sub(mats, i, pr, h[i][c] // h[pr][c])
+            if all(h[i][c] == 0 for i in range(pr + 1, m)):
                 break
         if h[pr][c] != 0:
             for i in range(pr):
-                q = h[i][c] // h[pr][c]
-                _row_sub(h, i, pr, q)
-                _row_sub(u, i, pr, q)
+                _row_sub(mats, i, pr, h[i][c] // h[pr][c])
             pr += 1
-    return IntegerMatrix.from_rows(h, cols=n), IntegerMatrix.from_rows(u, cols=m)
 
 
-def smith_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Smith normal form with transforms: U A V = S.
+def smith_elimination(s: list[list[int]], u: list[list[int]] | None = None,
+                      v: list[list[int]] | None = None) -> list[int]:
+    """Smith normal form of s, in place; returns its diagonal.
 
-    S is diagonal with d_1 | d_2 | ... and d_i >= 0; U, V unimodular.
-    Pivot selection follows the smallest-nonzero-entry heuristic, which keeps
+    s ends diagonal with d_1 | d_2 | ... and d_i >= 0 (min(rows, cols) of
+    them). Row operations are applied to u and column operations to v when
+    given, so U A V = S for u and v starting at the identity. Pivot
+    selection follows the smallest-nonzero-entry heuristic, which keeps
     intermediate entries small at this scale.
     """
-    m, n = a.rows, a.cols
-    s = a.row_list()
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def col_op(j: int, k: int, q: int) -> None:
-        # column j -= q * column k  (applied to s and v)
-        if q:
-            for mat in (s, v):
-                for r in mat:
-                    r[j] -= q * r[k]
-
-    def col_swap(j: int, k: int) -> None:
-        for mat in (s, v):
-            for r in mat:
-                r[j], r[k] = r[k], r[j]
-
+    m = len(s)
+    n = len(s[0]) if s else 0
+    row_mats = (s,) if u is None else (s, u)
+    col_mats = (s,) if v is None else (s, v)
     t = 0
     while t < min(m, n):
-        best = None
+        # first entry of least nonzero absolute value in the remaining block
+        best, size = None, 0
         for i in range(t, m):
+            row = s[i]
             for j in range(t, n):
-                e = s[i][j]
-                if e != 0 and (best is None or abs(e) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
+                e = abs(row[j])
+                if e and (best is None or e < size):
+                    best, size = (i, j), e
+                    if e == 1:
+                        break
+            if size == 1:
+                break
         if best is None:
             break
         bi, bj = best
-        if bi != t:
-            s[t], s[bi] = s[bi], s[t]
-            u[t], u[bi] = u[bi], u[t]
+        for mat in row_mats:
+            mat[t], mat[bi] = mat[bi], mat[t]
         if bj != t:
-            col_swap(t, bj)
+            for mat in col_mats:
+                for r in mat:
+                    r[t], r[bj] = r[bj], r[t]
         if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        dirty = False
+            for mat in row_mats:
+                mat[t] = [-x for x in mat[t]]
+        p = s[t][t]
         for i in range(t + 1, m):
-            if s[i][t] != 0:
-                q = s[i][t] // s[t][t]
-                _row_sub(s, i, t, q)
-                _row_sub(u, i, t, q)
-                if s[i][t] != 0:
-                    dirty = True
+            _row_sub(row_mats, i, t, s[i][t] // p)
+        # column j -= q * column t changes only the rows of s nonzero in
+        # column t (rows above t are already diagonal), and every row of v
+        live = [r for r in s[t:] if r[t]]
+        targets = (live,) if v is None else (live, v)
         for j in range(t + 1, n):
-            if s[t][j] != 0:
-                q = s[t][j] // s[t][t]
-                col_op(j, t, q)
-                if s[t][j] != 0:
-                    dirty = True
-        if dirty:
+            q = s[t][j] // p
+            if q:
+                for mat in targets:
+                    for r in mat:
+                        r[j] -= q * r[t]
+        if len(live) > 1 or any(s[t][t + 1:]):
             continue
         # pivot now divides its cleared row/column; enforce divisibility of the
         # remaining block before moving on
-        stuck = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if s[i][j] % s[t][t] != 0:
-                    stuck = i
-                    break
-            if stuck is not None:
-                break
-        if stuck is not None:
-            s[t] = [x + y for x, y in zip(s[t], s[stuck])]
-            u[t] = [x + y for x, y in zip(u[t], u[stuck])]
-            continue
-        t += 1
-    return (IntegerMatrix.from_rows(s, cols=n),
-            IntegerMatrix.from_rows(u, cols=m),
-            IntegerMatrix.from_rows(v, cols=n))
+        stuck = None if p == 1 else next(
+            (i for i in range(t + 1, m) if any(x % p for x in s[i][t + 1:])), None)
+        if stuck is None:
+            t += 1
+        else:
+            for mat in row_mats:
+                mat[t] = [x + y for x, y in zip(mat[t], mat[stuck])]
+    return [s[i][i] for i in range(min(m, n))]
 
 
-def unimodular_inverse(u: IntegerMatrix) -> IntegerMatrix:
-    """Exact inverse of a unimodular matrix: one fraction-free
-    ``integer_inverse`` ``(M, q)``, unimodular exactly when q = |det| = 1.
-    Non-square, singular and |det| > 1 matrices raise."""
-    if u.rows == u.cols:
+def invert_unimodular(rows: list[list[int]]) -> list[list[int]]:
+    """Exact inverse of a unimodular matrix given as a list of rows: one
+    fraction-free ``integer_inverse`` ``(M, q)``, unimodular exactly when
+    q = |det| = 1. Non-square, singular and |det| > 1 matrices raise."""
+    if all(len(r) == len(rows) for r in rows):
         try:
-            m, q = integer_inverse(u.row_list())
+            m, q = integer_inverse(rows)
         except ValueError:  # singular
             q = 0
         if q == 1:
-            return IntegerMatrix.from_rows(m, cols=u.cols)
+            return m
     raise ValueError("matrix is not unimodular")
+
+
+def hermite_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
+    """(H, U) with U unimodular and U A = H (``hermite_elimination``)."""
+    h, u = a.row_list(), identity_rows(a.rows)
+    hermite_elimination(h, u)
+    return IntegerMatrix.from_rows(h, cols=a.cols), IntegerMatrix.from_rows(u, cols=a.rows)
+
+
+def smith_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
+    """(S, U, V) with U, V unimodular and U A V = S (``smith_elimination``)."""
+    s, u, v = a.row_list(), identity_rows(a.rows), identity_rows(a.cols)
+    smith_elimination(s, u, v)
+    return (IntegerMatrix.from_rows(s, cols=a.cols),
+            IntegerMatrix.from_rows(u, cols=a.rows),
+            IntegerMatrix.from_rows(v, cols=a.cols))
+
+
+def unimodular_inverse(u: IntegerMatrix) -> IntegerMatrix:
+    """Exact inverse of a unimodular matrix (``invert_unimodular``).
+    Non-square, singular and |det| > 1 matrices raise."""
+    if u.rows != u.cols:
+        raise ValueError("matrix is not unimodular")
+    return IntegerMatrix.from_rows(invert_unimodular(u.row_list()), cols=u.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +438,22 @@ class FiniteAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel_invariants(a: IntegerMatrix) -> FiniteAbelianGroup:
-    """Structure of Z^rows / (column span of A)."""
-    s, _, _ = smith_normal_form(a)
-    diag = [s.entry(i, i) for i in range(min(a.rows, a.cols))]
-    rank = sum(1 for d in diag if d != 0)
+def quotient_invariants(generators: Sequence[Sequence[int]], ambient_rank: int) -> FiniteAbelianGroup:
+    """Structure of Z^ambient_rank / span(generators).
+
+    One Smith elimination of the generators as rows, without transforms: a
+    matrix and its transpose share their Smith form.
+    """
+    diag = smith_elimination([list(g) for g in generators])
     return FiniteAbelianGroup(
         invariant_factors=tuple(d for d in diag if d > 1),
-        free_rank=a.rows - rank,
+        free_rank=ambient_rank - sum(1 for d in diag if d != 0),
     )
+
+
+def cokernel_invariants(a: IntegerMatrix) -> FiniteAbelianGroup:
+    """Structure of Z^rows / (column span of A)."""
+    return quotient_invariants([a.column(j) for j in range(a.cols)], a.rows)
 
 
 def lattice_index(generators: Sequence[Sequence[int]], ambient_rank: int,
@@ -450,46 +463,47 @@ def lattice_index(generators: Sequence[Sequence[int]], ambient_rank: int,
     With in_ambient=True the index is taken in the full lattice Z^ambient_rank
     instead, and math.inf is returned when the span is not full rank.
     """
-    a = IntegerMatrix.from_columns([list(g) for g in generators], rows=ambient_rank)
-    s, _, _ = smith_normal_form(a)
-    diag = [s.entry(i, i) for i in range(min(a.rows, a.cols))]
-    rank = sum(1 for d in diag if d != 0)
-    if in_ambient and rank < ambient_rank:
+    diag = [d for d in smith_elimination([list(g) for g in generators]) if d != 0]
+    if in_ambient and len(diag) < ambient_rank:
         return math.inf
-    return math.prod(d for d in diag if d != 0)
+    return math.prod(diag)
 
 
-def _canonical_lattice_basis(rows: list[list[int]]) -> list[IntVec]:
+def canonical_basis(rows: Sequence[Sequence[int]]) -> list[IntVec]:
     """Deterministic basis of the row span: nonzero rows of the row HNF."""
-    if not rows:
-        return []
-    h, _ = hermite_normal_form(IntegerMatrix.from_rows(rows))
-    return [h.row(i) for i in range(h.rows) if not is_zero_vector(h.row(i))]
+    h = [list(r) for r in rows]
+    hermite_elimination(h)
+    return [tuple(r) for r in h if any(r)]
 
 
 def saturate(generators: Sequence[Sequence[int]]) -> list[IntVec]:
     """Basis of {v in Z^d : n*v in span(generators) for some n >= 1}.
 
-    The result is the canonical (Hermite) basis of the saturation.
+    The result is the canonical (Hermite) basis of the saturation: with
+    U A = S V^-1 for the generators as the columns of A, it is spanned by
+    the first rank(A) columns of U^-1.
     """
-    gens = [list(g) for g in generators]
-    if not gens:
+    if not generators:
         return []
-    d = len(gens[0])
-    a = IntegerMatrix.from_columns(gens, rows=d)
-    s, u, _ = smith_normal_form(a)
-    rank = sum(1 for i in range(min(a.rows, a.cols)) if s.entry(i, i) != 0)
-    uinv = unimodular_inverse(u)
-    cols = [list(uinv.column(j)) for j in range(rank)]
-    return _canonical_lattice_basis(cols)
+    d = len(generators[0])
+    u = identity_rows(d)
+    rank = sum(1 for x in smith_elimination([list(r) for r in zip(*generators)], u=u) if x)
+    uinv = invert_unimodular(u)
+    return canonical_basis([[row[j] for row in uinv] for j in range(rank)])
+
+
+def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[IntVec]:
+    """Canonical basis of {x in Z^cols : A x = 0} for A given by its rows:
+    the columns of V at the zero (and missing) diagonal entries of A V = U^-1 S."""
+    v = identity_rows(cols)
+    diag = smith_elimination([list(r) for r in rows], v=v)
+    free = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
+    return canonical_basis([[row[j] for row in v] for j in free])
 
 
 def integer_kernel_basis(a: IntegerMatrix) -> list[IntVec]:
     """Canonical basis of {x in Z^cols : A x = 0} (a saturated lattice)."""
-    s, _, v = smith_normal_form(a)
-    mindim = min(a.rows, a.cols)
-    free = [j for j in range(a.cols) if j >= mindim or s.entry(j, j) == 0]
-    return _canonical_lattice_basis([list(v.column(j)) for j in free])
+    return integer_kernel(a.row_list(), a.cols)
 
 
 def complete_to_basis(rows: Sequence[Sequence[int]], ambient_rank: int) -> list[IntVec]:
@@ -498,14 +512,11 @@ def complete_to_basis(rows: Sequence[Sequence[int]], ambient_rank: int) -> list[
     Input rows must be a basis of a saturated sublattice; raises otherwise.
     Returns the complement rows (empty when the input is already full rank).
     """
-    rows = [list(r) for r in rows]
     if not rows:
         return [tuple(int(i == j) for j in range(ambient_rank)) for i in range(ambient_rank)]
     r = len(rows)
-    a = IntegerMatrix.from_rows(rows, cols=ambient_rank)
-    s, _, v = smith_normal_form(a)
-    diag = [s.entry(i, i) for i in range(min(r, ambient_rank))]
+    v = identity_rows(len(rows[0]))
+    diag = smith_elimination([list(x) for x in rows], v=v)
     if sum(1 for d in diag if d != 0) != r or any(d not in (0, 1) for d in diag):
         raise ValueError("rows are not a basis of a saturated sublattice")
-    vinv = unimodular_inverse(v)
-    return [vinv.row(i) for i in range(r, ambient_rank)]
+    return [tuple(row) for row in invert_unimodular(v)[r:ambient_rank]]

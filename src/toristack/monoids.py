@@ -28,16 +28,17 @@ from .linalg import (
     IntegerInverse,
     IntegerMatrix,
     IntVec,
-    cokernel_invariants,
+    canonical_basis,
     complete_to_basis,
     dot,
-    hermite_normal_form,
+    identity_rows,
     integer_inverse,
     integer_solve,
+    invert_unimodular,
     is_zero_vector,
+    quotient_invariants,
     saturate,
-    smith_normal_form,
-    unimodular_inverse,
+    smith_elimination,
 )
 
 
@@ -153,19 +154,19 @@ def _hilbert_basis_full(ray_list: Sequence[IntVec], d: int) -> list[IntVec]:
     """
     if d == 2:
         return _hilbert_basis_plane(*ray_list)
-    a = IntegerMatrix.from_columns([list(r) for r in ray_list], rows=d)
-    rows = a.row_list()
+    rows = [list(r) for r in zip(*ray_list)]  # A: the rays as columns
     scaled, vol = integer_inverse(rows)  # vol = |det A|
     if vol > MAX_LATTICE_POINTS:
         raise LatticeWalkTooLarge("Hilbert basis", vol)
-    s, u, _ = smith_normal_form(a)
+    u = identity_rows(d)
+    diag = smith_elimination([row[:] for row in rows], u=u)
     # residue generators in scaled coordinates: M times the columns of U^-1
-    uinv = unimodular_inverse(u)
+    uinv = invert_unimodular(u)
     fracs = [(0,) * d]
-    for j in range(d):
-        n = s.entry(j, j)
+    for j, n in enumerate(diag):
         if n > 1:
-            w = [dot(row, uinv.column(j)) for row in scaled]
+            column = [row[j] for row in uinv]
+            w = [dot(row, column) for row in scaled]
             fracs = [tuple([(f + c * x) % vol for f, x in zip(frac, w)])
                      for frac in fracs for c in range(n)]
     coords: dict[IntVec, tuple[int, ...]] = {
@@ -368,10 +369,14 @@ class FreeResolution:
         This is the matrix of P^gp -> F^gp; a non-integral entry means the
         resolution data is broken and raises.
         """
+        return IntegerMatrix.from_rows(self._coordinate_rows(), cols=self.rank)
+
+    def _coordinate_rows(self) -> list[list[int]]:
+        """``coordinate_matrix`` as a list of rows."""
         m, q = self._basis_inverse
         if any(x % q for row in m for x in row):
             raise ValueError("non-integral coordinate matrix: broken resolution")
-        return IntegerMatrix.from_rows([[x // q for x in row] for row in m], cols=self.rank)
+        return [[x // q for x in row] for row in m]
 
 
 def minimal_free_resolution(p: AffineMonoid) -> FreeResolution:
@@ -438,7 +443,7 @@ def admissible_resolution(p: AffineMonoid, levels: Mapping[IntVec, int]) -> Free
 
 def resolution_cokernel(res: FreeResolution) -> FiniteAbelianGroup:
     """Invariant factors of F^gp modulo the image of P^gp."""
-    return cokernel_invariants(res.coordinate_matrix())
+    return quotient_invariants(list(zip(*res._coordinate_rows())), res.rank)
 
 
 def irreducible_ray_correspondence(res: FreeResolution) -> list[RayCorrespondence]:
@@ -506,8 +511,7 @@ def quotient_group(p: AffineMonoid, q_generators: Sequence[Sequence[int]],
     q_gens = sorted(set(q_gens))
     if not q_gens:
         raise NotCloseError("the trivial submonoid is not close to P")
-    span = IntegerMatrix.from_columns([list(g) for g in q_gens], rows=p.lattice_rank)
-    group = cokernel_invariants(span)
+    group = quotient_invariants(q_gens, p.lattice_rank)
     if group.free_rank:
         raise NotCloseError("Q^gp has infinite index in P^gp, so Q cannot be close to P")
     exponent = group.invariant_factors[-1] if group.invariant_factors else 1
@@ -522,9 +526,7 @@ def quotient_group(p: AffineMonoid, q_generators: Sequence[Sequence[int]],
 
     # brute-force saturation check: lattice points of C(Q) = C(P) with degree
     # up to the largest generator degree that lie in Q^gp must lie in Q
-    h_span, _ = hermite_normal_form(IntegerMatrix.from_rows([list(g) for g in q_gens]))
-    basis_rows = [list(h_span.row(i)) for i in range(h_span.rows)
-                  if not is_zero_vector(h_span.row(i))]
+    basis_rows = canonical_basis(q_gens)
 
     def in_qgp(x: IntVec) -> bool:
         rest = list(x)
@@ -577,8 +579,7 @@ def restrict_resolution(p: AffineMonoid, res: FreeResolution,
     m, den = res._basis_inverse  # integral on P, as __post_init__ checked
     projected = sorted(set(
         tuple(dot(m[i], h) // den for i in subset) for h in p.hilbert_basis))
-    h_basis, _ = hermite_normal_form(IntegerMatrix.from_rows([list(g) for g in projected]))
-    basis = [h_basis.row(i) for i in range(h_basis.rows) if not is_zero_vector(h_basis.row(i))]
+    basis = canonical_basis(projected)
     if len(basis) != r:
         raise AssertionError("projected monoid group is not of full rank")
     basis_m, basis_den = inverse = integer_inverse([list(col) for col in zip(*basis)])

@@ -396,7 +396,8 @@ def test_local_chart_builds_no_cone_monoid_or_resolution(monkeypatch):
 
 def test_full_dimensional_chart_runs_one_smith_normal_form(monkeypatch):
     # N' = Z^d for a full-dimensional cone: the splitting runs no normal
-    # form, and the chart's only one is the SNF of its free-net matrix
+    # form, and the chart's only one is the Smith elimination of its
+    # free-net matrix
     import toristack.charts as charts_mod
     import toristack.linalg as linalg_mod
     import toristack.monoids as monoids_mod
@@ -410,7 +411,7 @@ def test_full_dimensional_chart_runs_one_smith_normal_form(monkeypatch):
         return record
 
     for module in (linalg_mod, charts_mod, monoids_mod):
-        for name in ("smith_normal_form", "hermite_normal_form"):
+        for name in ("smith_elimination", "hermite_elimination"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     full = [(sf, c) for sf in stacky_fans_with_shuffled_rays()
@@ -419,7 +420,7 @@ def test_full_dimensional_chart_runs_one_smith_normal_form(monkeypatch):
     for sf, c in full:
         calls.clear()
         chart = local_chart(sf, c)
-        assert calls == ["smith_normal_form"]
+        assert calls == ["smith_elimination"]
         assert chart.n_doubleprime_basis == ()
 
 
@@ -469,7 +470,7 @@ def test_chart_group_and_multiplicity_need_no_splitting(monkeypatch):
     for name in ("_coordinates", "split_cone", "saturate", "complete_to_basis",
                  "integer_inverse"):
         monkeypatch.setattr(charts_mod, name, forbidden(name))
-    monkeypatch.setattr(linalg_mod, "hermite_normal_form", forbidden("hermite_normal_form"))
+    monkeypatch.setattr(linalg_mod, "hermite_elimination", forbidden("hermite_elimination"))
     built = [(sf, local_chart(sf, c)) for sf in stacky_fans_with_shuffled_rays()
              for c in sf.fan.cones]
     assert any(0 < chart.r < sf.fan.ambient_rank for sf, chart in built)

@@ -356,6 +356,31 @@ def test_stabilizer_computes_no_hilbert_basis_or_resolution(monkeypatch):
     assert calls == ["hilbert basis", "free resolution", "free resolution"]
 
 
+def test_commands_build_no_integer_matrix(monkeypatch, capsys):
+    # the pipeline runs its normal forms on plain lists; IntegerMatrix is
+    # only the public API's type
+    import toristack.linalg as linalg_mod
+
+    built = []
+    post_init = linalg_mod.IntegerMatrix.__post_init__
+
+    def counting(matrix):
+        built.append((matrix.rows, matrix.cols))
+        post_init(matrix)
+
+    monkeypatch.setattr(linalg_mod.IntegerMatrix, "__post_init__", counting)
+    for path in sorted(FIXTURES.glob("*.json")):
+        cone = ",".join(map(str, json.loads(path.read_text())["max_cones"][0]))
+        for argv in (["report", str(path)], ["report", str(path), "--format", "text"],
+                     ["mfr", str(path), "--cone", cone],
+                     ["stabilizer", str(path), "--cone", cone]):
+            assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert built == []
+    linalg_mod.IntegerMatrix.identity(2)
+    assert built == [(2, 2)]
+
+
 def test_cli_complete_command(tmp_path):
     code, out, _ = run_cli("complete", str(FIXTURES / "p1.json"))
     assert code == 0 and json.loads(out)["complete"] is True
@@ -494,8 +519,8 @@ def test_report_builds_cones_only_for_maximal_cones(tmp_path, monkeypatch, capsy
 
     built, inverses, hnf_in_inverse, depth = [], [], [], [0]
     from_generators = cones_mod.Cone.from_generators.__func__
-    unimodular_inverse = linalg_mod.unimodular_inverse
-    hermite_normal_form = linalg_mod.hermite_normal_form
+    invert_unimodular = linalg_mod.invert_unimodular
+    hermite_elimination = linalg_mod.hermite_elimination
 
     def counting_from_generators(cls, generators, ambient_rank):
         generators = [tuple(g) for g in generators]
@@ -506,14 +531,14 @@ def test_report_builds_cones_only_for_maximal_cones(tmp_path, monkeypatch, capsy
         inverses.append(u)
         depth[0] += 1
         try:
-            return unimodular_inverse(u)
+            return invert_unimodular(u)
         finally:
             depth[0] -= 1
 
-    def tracked_hnf(a):
+    def tracked_hnf(h, u=None):
         if depth[0]:
-            hnf_in_inverse.append(a)
-        return hermite_normal_form(a)
+            hnf_in_inverse.append(h)
+        return hermite_elimination(h, u)
 
     def forbidden(name):
         def fail(*args, **kwargs):
@@ -526,8 +551,8 @@ def test_report_builds_cones_only_for_maximal_cones(tmp_path, monkeypatch, capsy
         monkeypatch.setattr(fan_mod, name, forbidden(f"stackyfan.{name}"))
     monkeypatch.setattr(cones_mod, "multiplicity", forbidden("cones.multiplicity"))
     for module in (linalg_mod, monoids_mod):
-        monkeypatch.setattr(module, "unimodular_inverse", tracked_inverse)
-    monkeypatch.setattr(linalg_mod, "hermite_normal_form", tracked_hnf)
+        monkeypatch.setattr(module, "invert_unimodular", tracked_inverse)
+    monkeypatch.setattr(linalg_mod, "hermite_elimination", tracked_hnf)
     rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
                                           [-int(j == i) for j in range(3)])]
     cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=3)]

@@ -118,8 +118,8 @@ def test_plane_hilbert_basis_runs_no_normal_form_or_inverse(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the rank-2 Hilbert basis ran a normal form or an inverse")
 
-    for name in ("smith_normal_form", "hermite_normal_form", "integer_inverse",
-                 "unimodular_inverse"):
+    for name in ("smith_elimination", "canonical_basis", "integer_inverse",
+                 "invert_unimodular"):
         monkeypatch.setattr(monoids_mod, name, forbidden)
     assert hilbert_basis(c) == [(0, 1), (1, 0), (10 ** 6, -1)]
 

@@ -1,8 +1,9 @@
 """Property tests: the Smith normal form with its transforms against sympy's
-Smith normal form, the Hermite normal form with its transform and its
-uniqueness on the row lattice, the fraction-free unimodular inverse against
-sympy's inverse, and the normal-form-free splitting of a full-dimensional
-cone against the generic one."""
+Smith normal form (and the diagonal-only elimination and cokernel with it),
+the Hermite normal form with its transform and its uniqueness on the row
+lattice (and the elimination without U with it), the fraction-free
+unimodular inverse against sympy's inverse, and the normal-form-free
+splitting of a full-dimensional cone against the generic one."""
 
 import pytest
 
@@ -18,10 +19,13 @@ from oracles import det
 from toristack.charts import split_cone
 from toristack.linalg import (
     IntegerMatrix,
+    cokernel_invariants,
     complete_to_basis,
+    hermite_elimination,
     hermite_normal_form,
     primitive_vector,
     saturate,
+    smith_elimination,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -75,6 +79,12 @@ def test_smith_normal_form_against_sympy(rows):
     assert abs(det(u.row_list())) == 1 and abs(det(v.row_list())) == 1
     expected = sympy_smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
     assert diag == [abs(int(expected[i, i])) for i in range(min(m, n))]
+    # without transforms: the same diagonal, on the matrix and its transpose
+    assert smith_elimination([list(r) for r in rows]) == diag
+    assert smith_elimination([list(c) for c in zip(*rows)]) == diag
+    group = cokernel_invariants(a)
+    assert group.invariant_factors == tuple(x for x in diag if x > 1)
+    assert group.free_rank == m - sum(1 for x in diag if x)
 
 
 @PROPERTY
@@ -94,6 +104,10 @@ def test_hermite_normal_form_is_unique_on_the_row_lattice(data):
         assert all(0 <= h.entry(k, p) < h.entry(i, p) for k in range(i))
     w = data.draw(unimodular(a.rows))
     assert hermite_normal_form(IntegerMatrix.from_rows(product(w, rows)))[0] == h
+    # without U: the same H
+    without_u = [list(r) for r in rows]
+    hermite_elimination(without_u)
+    assert without_u == h.row_list()
 
 
 @PROPERTY
