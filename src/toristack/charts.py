@@ -9,7 +9,9 @@ N' are the matrix of P^gp -> F^gp (the local group of a stacky fan,
 Borisov-Chen-Smith, J. AMS 18, 2005). Since N' is saturated, N'' splits
 off Z^d / <n_rho v_rho> as its free part, so G is that quotient's torsion:
 a chart's group takes one Smith normal form in the ambient lattice, and its
-multiplicity the gcd of the maximal minors of its rays, with no splitting.
+multiplicity (the gcd of the maximal minors of its rays) one determinant at
+full dimension or one Smith normal form of the rays below it, with no
+splitting.
 The splitting N = N' + N'', one inverse of the ray matrix in N' and one
 Smith normal form of the free-net matrix in N' coordinates give the chart
 coordinates and action weights, on first use. The splitting of a full-dimensional cone is
@@ -23,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import stackyfan as fans
@@ -200,8 +201,9 @@ def local_chart(sf: StackyFan, sigma: Iterable[int]) -> LocalChart:
     The group is the torsion of Z^d / <n_rho v_rho>, the diagonal of one
     Smith elimination of the rows n_rho v_rho (no transforms).
     The multiplicity, the index of the ray lattice in its saturation, is the
-    gcd of the r x r minors of the r rays (|det| for a full-dimensional
-    cone).
+    gcd of the r x r minors of the r rays: |det| for a full-dimensional
+    cone, and below full dimension the product of the rays' Smith diagonal
+    (the invariant factors multiply to that gcd), so no minor is formed.
     """
     fan = sf.fan
     key = fan.normalize(sigma)
@@ -209,8 +211,10 @@ def local_chart(sf: StackyFan, sigma: Iterable[int]) -> LocalChart:
     rays = [fan.rays[i] for i in key]
     free_net = [[sf.levels[i] * x for x in v] for i, v in zip(key, rays)]
     group = FiniteAbelianGroup(tuple(x for x in smith_elimination(free_net) if x > 1))
-    q = math.gcd(*(determinant([[v[j] for j in cols] for v in rays])
-                   for cols in combinations(range(d), r)))
+    if r == d:
+        q = abs(determinant(rays))
+    else:
+        q = math.prod(smith_elimination([list(v) for v in rays]))
     chart = LocalChart(
         cone=key, r=r, torus_rank=d - r,
         group=group,

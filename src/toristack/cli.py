@@ -25,6 +25,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from json.encoder import encode_basestring
 from typing import Sequence
 
@@ -259,11 +260,24 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
         # Hilbert basis of the chart monoid P, and the units restrict to 0
         coarse = sorted({tuple(dot(h, v) for v in chart.n_prime_basis)
                          for h in generators} - {(0,) * chart.r})
-        cycle_ideals = [{
-            "cone": cone_id(f),
-            "chart_coordinates": chart.cycle_coordinates(f),
-            "coarse_generators": [list(v) for v in fanlib.cycle_generators(fan, generators, f)],
-        } for f in fan.cones if set(f) <= set(c)]
+        # a face of c is a bit mask over c's positions; each generator (>= 0
+        # on c) cuts a face's cycle when it is positive on one of its rays
+        # (``stackyfan.cycle_generators``), and each chart coordinate lies in
+        # a face when its fan ray does (``LocalChart.cycle_coordinates``)
+        position = {rho: 1 << k for k, rho in enumerate(c)}
+        positive = [(list(h), sum(bit for rho, bit in position.items()
+                                  if dot(h, fan.rays[rho]) > 0))
+                    for h in sorted(generators)]
+        coordinate_bits = [position[rho] for rho in chart.fan_rays]
+        cycle_ideals = []
+        for k in range(len(c) + 1):
+            for f in combinations(c, k):
+                mask = sum(position[rho] for rho in f)
+                cycle_ideals.append({
+                    "cone": cone_id(f),
+                    "chart_coordinates": [i for i, bit in enumerate(coordinate_bits) if bit & mask],
+                    "coarse_generators": [h for h, hit in positive if hit & mask],
+                })
         charts_out.append({
             "cone": cone_id(c),
             "r": chart.r,

@@ -5,15 +5,15 @@ vectors, lexicographically sorted) and the inequalities cutting it out (the
 generators of the dual cone). Every cone of a stacky fan is simplicial, and
 so is the dual of a full-dimensional one: when the generators are linearly
 independent, they are the rays and the dual rays are read off one inverse of
-the generator matrix, so one normal form (the kernel of the generators)
-settles the whole cone, and its dual swaps the two descriptions. Dependent
-generator sets go through the double-description method in its simplest
-exact form at this scale (ambient rank <= ~6): enumerating tight subsets of
-the defining rows. Its callers are ``intersect`` and ``is_face`` (public, but
-called by no other module) and ``monoids.restrict_resolution``, whose
-projected Hilbert basis generates the projected cone. Fan validation uses
-none of it: it settles each pair of cones with a separating functional or a
-circuit sign test (``stackyfan._meet_in_shared_face``).
+the generator matrix (in the complement of their kernel, one normal form,
+when there are fewer than d of them), and the dual swaps the two
+descriptions. Dependent generator sets go through the double-description
+method in its simplest exact form at this scale (ambient rank <= ~6):
+enumerating tight subsets of the defining rows. Its callers are
+``intersect`` and ``is_face`` (public, but called by no other module) and
+``monoids.restrict_resolution``, whose projected Hilbert basis generates the
+projected cone. Fan validation uses none of it and builds no cone (see
+``stackyfan.validate_fan``).
 
 Cones that are not strictly convex (duals of lower-dimensional cones,
 intersections) are carried with an explicit lineality basis instead of being
@@ -115,6 +115,13 @@ class Cone:
 
     @classmethod
     def from_generators(cls, generators: Iterable[Sequence], ambient_rank: int) -> "Cone":
+        """The cone generated by the given vectors, with both descriptions.
+
+        d linearly independent generators in rank d take one
+        ``integer_inverse`` and no kernel normal form; other independent
+        sets take the kernel and one inverse in its complement, dependent
+        sets the double description.
+        """
         gens = []
         for g in generators:
             if len(g) != ambient_rank:
@@ -122,6 +129,16 @@ class Cone:
             if not is_zero_vector(g):
                 gens.append(primitive_of_rational(g))
         gens = sorted(set(gens))
+        if len(gens) == ambient_rank:
+            try:
+                m, _ = integer_inverse(gens)
+            except ValueError:  # dependent: the general path below
+                pass
+            else:
+                # column j of the inverse pairs to q > 0 with generator j and
+                # to 0 with the others: the dual rays, with no kernel to compute
+                return cls(ambient_rank, tuple(gens), (), ambient_rank,
+                           tuple(sorted(primitive_vector(col) for col in zip(*m))), ())
         lineality = integer_kernel(gens, ambient_rank)
         if len(gens) + len(lineality) == ambient_rank:
             # linearly independent: the generators are the rays

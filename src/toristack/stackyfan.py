@@ -4,22 +4,32 @@ A fan is stored by its primitive rays (in user order, so ray indices are
 stable identifiers) and its cones as sorted tuples of ray indices. Cones are
 simplicial throughout, so the face closure is exactly the set of index
 subsets; the geometric fan axioms (pairwise intersections are common faces)
-are checked on construction. A stacky fan adds one positive integer level
-per ray, whose free-net points n_rho * v_rho scale the lattice data of every
-cone containing the ray.
+are checked on construction. Validation keeps one fraction-free inverse per
+maximal cone on the fan, and a complete fan is settled from its walls alone
+(see ``validate_fan``), so no check builds a ``Cone``. A stacky fan adds one
+positive integer level per ray, whose free-net points n_rho * v_rho scale
+the lattice data of every cone containing the ray.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from . import cones as conelib
 from .cones import Cone
-from .linalg import IntVec, circuit_vectors, dot, independent_rows, primitive_vector
+from .linalg import (
+    IntVec,
+    circuit_vectors,
+    dot,
+    independent_rows,
+    integer_inverse,
+    primitive_vector,
+)
 from .monoids import monoid_generators
 
 
@@ -99,20 +109,53 @@ class ZeroConeSelected(FanError):
 
 @dataclass(frozen=True)
 class Fan:
-    """Finite simplicial fan, closed under faces."""
+    """Finite simplicial fan, closed under faces.
+
+    Its hash, its set of cones, its maximal cones' inverse rows and its
+    walls are computed once per instance, so a lookup costs the same in a
+    fan of any size.
+    """
 
     ambient_rank: int
     rays: tuple[IntVec, ...]
     cones: tuple[tuple[int, ...], ...]
     maximal_cones: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ambient_rank, self.rays, self.cones, self.maximal_cones))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @lru_cache(maxsize=None)
     def cone_geometry(self, indices: tuple[int, ...]) -> Cone:
         return Cone.from_generators([self.rays[i] for i in indices], self.ambient_rank)
 
+    @cached_property
+    def _cone_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.cones)
+
+    @cached_property
+    def _inverse_rows(self) -> dict[tuple[int, ...], list[IntVec]]:
+        """Per maximal cone, ``_inverse_rows_of`` its rays."""
+        return {c: _inverse_rows_of([self.rays[i] for i in c], self.ambient_rank)
+                for c in self.maximal_cones}
+
+    @cached_property
+    def _walls(self) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]:
+        """Each facet of a full-dimensional maximal cone, mapped to the
+        (cone, position of the ray opposite it) pairs of the cones that have it."""
+        walls = defaultdict(list)
+        for c in self.maximal_cones:
+            if len(c) == self.ambient_rank:
+                for j in range(len(c)):
+                    walls[c[:j] + c[j + 1:]].append((c, j))
+        return walls
+
     def normalize(self, indices: Iterable[int]) -> tuple[int, ...]:
         key = tuple(sorted(set(int(i) for i in indices)))
-        if key not in set(self.cones):
+        if key not in self._cone_set:
             raise ConeNotInFan(key)
         return key
 
@@ -205,13 +248,12 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     non-proportional once simpliciality holds), cones simplicial, and the
     intersection of any two cones must be the cone on their shared rays tau.
 
-    The last check is certificate first. Let m be the sum of the dual rays of
-    sigma1 that vanish on tau. If m > 0 on the rays of sigma1 outside tau and
-    m < 0 on those of sigma2, then m >= 0 on sigma1 and m <= 0 on sigma2, and
-    each cone meets the hyperplane m^perp exactly in tau; since the
-    intersection lies in m^perp, it equals tau. The same is tried with the
-    cones swapped. When neither m certifies, an exact circuit sign test
-    decides (see ``_meet_in_shared_face``); no intersection is computed.
+    The fan keeps one fraction-free inverse per maximal cone
+    (``Fan._inverse_rows``). A complete fan whose walls each separate exactly
+    two cones, and whose cones cover one generic point once, is a valid fan
+    with no pair compared (``_covers_once``). Otherwise every pair of
+    maximal cones is compared in order, and the first pair that fails
+    ``_meet_in_shared_face`` is named.
     """
     rays = [tuple(int(x) for x in r) for r in rays]
     maximal_cones = [tuple(int(i) for i in c) for c in maximal_cones]
@@ -234,8 +276,9 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
 
     if not normalized:
         normalized = {()}  # the torus fan: only the zero cone
-    maximal = tuple(sorted(c for c in normalized
-                           if not any(c != o and set(c) <= set(o) for o in normalized)))
+    longest = max(map(len, normalized))  # no cone contains one of this length
+    maximal = tuple(sorted(c for c in normalized if len(c) == longest
+                           or not any(c != o and set(c) <= set(o) for o in normalized)))
     closure = {()}
     for c in normalized:
         for k in range(len(c) + 1):
@@ -243,42 +286,90 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     fan = Fan(ambient_rank, tuple(rays), tuple(sorted(closure, key=lambda c: (len(c), c))),
               maximal)
 
-    for c1, c2 in combinations(maximal, 2):
-        if not _meet_in_shared_face(fan, c1, c2):
-            raise IntersectionNotFace(c1, c2)
+    if not _covers_once(fan):
+        for c1, c2 in combinations(maximal, 2):
+            if not _meet_in_shared_face(fan, c1, c2):
+                raise IntersectionNotFace(c1, c2)
     return fan
 
 
-def _separates(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...], shared: tuple[int, ...]) -> bool:
-    """Whether the sum m of c1's dual rays that vanish on the shared rays is
-    positive on c1's other rays and negative on c2's other rays."""
-    tau = [fan.rays[i] for i in shared]
-    m = [0] * fan.ambient_rank
-    for u in fan.cone_geometry(c1).dual_rays:
-        if all(dot(u, v) == 0 for v in tau):
-            m = [a + b for a, b in zip(m, u)]
-    return (all(dot(m, fan.rays[i]) > 0 for i in c1 if i not in shared)
-            and all(dot(m, fan.rays[i]) < 0 for i in c2 if i not in shared))
+def _inverse_rows_of(rays: Sequence[IntVec], d: int) -> list[IntVec]:
+    """Primitive rows, one per linearly independent ray, in the span of the
+    rays: row j pairs positively with ray j and to zero with the others.
+
+    For d rays in rank d these are the columns of ``integer_inverse`` of the
+    ray matrix V; for fewer, the rows of adj(V V^T) V, since V V^T adj(V V^T)
+    = det(V V^T) I with det(V V^T) > 0 for independent rays.
+    """
+    if len(rays) == d:
+        m, _ = integer_inverse(rays)
+        return [primitive_vector(col) for col in zip(*m)]
+    m, _ = integer_inverse([[dot(u, v) for v in rays] for u in rays])
+    return [primitive_vector([dot(row, col) for col in zip(*rays)]) for row in m]
+
+
+def _covers_once(fan: Fan) -> bool:
+    """Whether the fan is complete with every pair of cones meeting in a face,
+    read from its walls: the wall criterion of ``is_complete`` holds, the
+    two maximal cones on each wall lie on opposite sides of it, and a point
+    on no wall hyperplane is interior to exactly one maximal cone.
+
+    Crossing a wall then leaves one cone and enters another, so every point
+    off the walls lies in the same number of cones, here one; such a
+    pseudomanifold is a triangulation of the sphere of directions (De
+    Loera-Rambau-Santos, *Triangulations*, ch. 4). False says nothing about
+    validity. The point (1, t, ..., t^(d-1)) lies on no hyperplane n^perp
+    once t exceeds Cauchy's root bound 1 + max |n_k| of every wall normal n.
+    Work is linear in the number of maximal cones.
+    """
+    if not is_complete(fan):
+        return False
+    rows = fan._inverse_rows
+    normals = []
+    for (c1, j1), (c2, j2) in fan._walls.values():
+        normal = rows[c1][j1]  # vanishes on the wall, positive on c1's other ray
+        if dot(normal, fan.rays[c2[j2]]) >= 0:
+            return False
+        normals.append(normal)
+    t = 2 + max((abs(x) for n in normals for x in n), default=0)
+    point = [t ** k for k in range(fan.ambient_rank)]
+    return sum(all(dot(m, point) > 0 for m in rows[c]) for c in fan.maximal_cones) == 1
+
+
+def _separates(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...], shared: set[int]) -> bool:
+    """Whether the functional m, the sum of c1's inverse rows at its rays
+    outside the shared rays, is negative on c2's rays outside them.
+
+    m vanishes on the shared rays and is positive on c1's others, so then
+    m >= 0 on c1 and m <= 0 on c2, each cone meets m^perp exactly in the
+    cone on the shared rays, and so does their intersection, which lies in
+    m^perp. For a full-dimensional c1, m is the sum of its dual rays that
+    vanish on the shared rays.
+    """
+    outside = [row for i, row in zip(c1, fan._inverse_rows[c1]) if i not in shared]
+    m = [sum(col) for col in zip(*outside)]
+    return all(dot(m, fan.rays[i]) < 0 for i in c2 if i not in shared)
 
 
 def _meet_in_shared_face(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
-    """Whether two cones of the fan intersect in the cone on their shared rays.
+    """Whether two maximal cones of the fan intersect in the cone on their
+    shared rays.
 
-    A separating functional from either side certifies it. Otherwise, with
-    A and B the rays of c1 and c2 outside the shared rays tau, a point of
-    both cones outside tau is a relation among the rays of A, B and tau that
-    is >= 0 on A and <= 0 on B, and nonzero there since each cone's rays are
-    independent. Such a relation is a conformal sum of circuits, so one
-    exists iff some circuit c, or -c, has those signs (De Loera-Rambau-
-    Santos, *Triangulations*, ch. 4). Each cone's rays being independent,
-    every circuit meets both A and B.
+    A separating functional from either side (``_separates``) certifies it.
+    Otherwise, with A and B the rays of c1 and c2 outside the shared rays
+    tau, a point of both cones outside tau is a relation among the rays of
+    A, B and tau that is >= 0 on A and <= 0 on B, and nonzero there since
+    each cone's rays are independent. Such a relation is a conformal sum of
+    circuits, so one exists iff some circuit c, or -c, has those signs (De
+    Loera-Rambau-Santos, *Triangulations*, ch. 4). Each cone's rays being
+    independent, every circuit meets both A and B.
     """
-    shared = tuple(sorted(set(c1) & set(c2)))
+    shared = set(c1) & set(c2)
     if _separates(fan, c1, c2, shared) or _separates(fan, c2, c1, shared):
         return True
     a = [fan.rays[i] for i in c1 if i not in shared]
     b = [fan.rays[i] for i in c2 if i not in shared]
-    for c in circuit_vectors(a + b + [fan.rays[i] for i in shared]):
+    for c in circuit_vectors(a + b + [fan.rays[i] for i in sorted(shared)]):
         on_a, on_b = c[:len(a)], c[len(a):len(a) + len(b)]
         if ((min(on_a) >= 0 and max(on_b) <= 0)
                 or (max(on_a) <= 0 and min(on_b) >= 0)):
@@ -318,37 +409,18 @@ def free_net_points(sf: StackyFan) -> dict[int, IntVec]:
 
 
 def is_complete(fan: Fan) -> bool:
-    """Wall criterion for completeness of a finite simplicial fan.
+    """Wall criterion for completeness of a fan.
 
-    The support is all of the ambient space iff the fan is pure of top
-    dimension, every wall (codimension-one cone) bounds exactly two top
-    cones, and the top cones are connected through shared walls.
+    The support is all of the ambient space iff every maximal cone is
+    full-dimensional and every wall (codimension-one cone) bounds exactly
+    two of them. Since two cones of a fan that share a wall lie on either
+    side of it, a generic path leaving a cone through a wall enters
+    another, so the support has no boundary. The walls are read from the
+    fan's table of walls to the cones that have them.
     """
-    d = fan.ambient_rank
-    top = [c for c in fan.cones if len(c) == d]
-    if not top:
-        return False
-    if any(len(c) != d for c in fan.maximal_cones):
-        return False
-    walls = [c for c in fan.cones if len(c) == d - 1]
-    coface = {w: [t for t in top if set(w) <= set(t)] for w in walls}
-    if any(len(cf) != 2 for cf in coface.values()):
-        return False
-    neighbours = {t: set() for t in top}
-    for w, (a, b) in coface.items():
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    seen = {top[0]}
-    frontier = [top[0]]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for o in neighbours[t]:
-                if o not in seen:
-                    seen.add(o)
-                    nxt.append(o)
-        frontier = nxt
-    return len(seen) == len(top)
+    top = fan.maximal_cones
+    return (bool(top) and all(len(c) == fan.ambient_rank for c in top)
+            and all(len(cofaces) == 2 for cofaces in fan._walls.values()))
 
 
 def stacky_multiplicity(sf: StackyFan, sigma: Iterable[int]) -> int:

@@ -2,13 +2,23 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import det  # noqa: E402
 
 from toristack import StackyFan, validate_fan  # noqa: E402
+from toristack.stackyfan import Fan  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def fresh_cone_geometry_cache():
+    """Every test starts with an empty ``Fan.cone_geometry`` cache, so none
+    passes on cones that another test happened to build."""
+    Fan.cone_geometry.cache_clear()
 
 
 def random_full_cone_rays(rng: random.Random, d: int, bound: int = 5):

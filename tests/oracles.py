@@ -5,7 +5,8 @@ local Gaussian solver, Hilbert bases come from exhaustive box enumeration,
 cone membership from Fourier-Motzkin elimination, quotient groups from
 residue-class exploration keyed by fractional parts, the rays of a dual
 cone one ray at a time, canonical JSON from the standard library's encoder,
-and the saturation check from a walk over the whole box of coefficients.
+the saturation check from a walk over the whole box of coefficients, and fan
+validation from every pair of maximal cones with every circuit of their rays.
 """
 
 import json
@@ -273,3 +274,123 @@ def box_saturation_check(res, degree_bound):
             if not res.source.contains(tuple(v // scale for v in x)):
                 return False
     return True
+
+
+def rank(rows):
+    """Rank over Q by Gaussian elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][col] / a[r][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+def kernel_line(columns):
+    """The relation among the columns when they span a one-dimensional
+    relation space, else None: reduced row echelon form over Q, free
+    variable set to 1."""
+    n = len(columns)
+    a = [[Fraction(c[j]) for c in columns] for j in range(len(columns[0]))]
+    pivots, r = [], 0
+    for col in range(n):
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    free = [col for col in range(n) if col not in pivots]
+    if len(free) != 1:
+        return None
+    x = [Fraction(0)] * n
+    x[free[0]] = Fraction(1)
+    for i, col in enumerate(pivots):
+        x[col] = -a[i][free[0]]
+    return x
+
+
+def _overlap(rays, c1, c2):
+    """Whether cones c1 and c2 meet outside the cone on their shared rays.
+
+    Tries the functional summing c1's dual rays at its rays outside the
+    shared ones (full-dimensional c1 only), from either side; otherwise
+    looks for a circuit of the rays of both cones that is >= 0 on c1's own
+    rays and <= 0 on c2's, or the reverse, over every subset of the rays.
+    """
+    shared = set(c1) & set(c2)
+    d = len(rays[0])
+    for x, y in ((c1, c2), (c2, c1)):
+        if len(x) == d:
+            m = [Fraction(0)] * d
+            for j, i in enumerate(x):
+                if i not in shared:
+                    u = solve_square([rays[k] for k in x], [int(k == j) for k in range(d)])
+                    m = [p + q for p, q in zip(m, u)]
+            if all(sum(p * q for p, q in zip(m, rays[i])) < 0 for i in y if i not in shared):
+                return False
+    a = [i for i in c1 if i not in shared]
+    b = [i for i in c2 if i not in shared]
+    indices = a + b + sorted(shared)
+    for size in range(2, len(indices) + 1):
+        for subset in combinations(range(len(indices)), size):
+            c = kernel_line([rays[indices[k]] for k in subset])
+            if c is None or 0 in c:
+                continue
+            full = [Fraction(0)] * len(indices)
+            for k, x in zip(subset, c):
+                full[k] = x
+            on_a, on_b = full[:len(a)], full[len(a):len(a) + len(b)]
+            if ((min(on_a) >= 0 and max(on_b) <= 0)
+                    or (max(on_a) <= 0 and min(on_b) >= 0)):
+                return True
+    return False
+
+
+def pairwise_validate_fan(rays, maximal_cones, d):
+    """Fan validation that compares every pair of maximal cones, as the
+    library did before it read complete fans from their walls.
+
+    Returns (None, (cones, maximal)) for a fan, with its face closure sorted
+    by (size, indices), or (name of the library's exception class, detail)
+    for the first rule broken, in the library's order; the detail of
+    ``IntersectionNotFace`` is its pair of cones.
+    """
+    rays = [tuple(r) for r in rays]
+    for i, r in enumerate(rays):
+        if len(r) != d:
+            return "FanError", i
+        if not any(r) or math.gcd(*r) != 1:
+            return "NonPrimitiveRay", i
+    for i, r in enumerate(rays):
+        if r in rays[:i]:
+            return "DuplicateRay", i
+    for c in maximal_cones:
+        if any(not 0 <= i < len(rays) for i in c):
+            return "RayIndexOutOfRange", tuple(c)
+    listed = []
+    for c in maximal_cones:
+        idx = tuple(sorted(set(c)))
+        if len(idx) != len(c):
+            return "FanError", tuple(c)
+        if rank([rays[i] for i in idx]) != len(idx):
+            return "NonSimplicial", idx
+        listed.append(idx)
+    listed = set(listed) or {()}
+    maximal = sorted(c for c in listed if not any(c != o and set(c) <= set(o) for o in listed))
+    for c1, c2 in combinations(maximal, 2):
+        if _overlap(rays, c1, c2):
+            return "IntersectionNotFace", (c1, c2)
+    cones = {f for c in maximal for k in range(len(c) + 1) for f in combinations(c, k)}
+    return None, (sorted(cones, key=lambda c: (len(c), c)), maximal)

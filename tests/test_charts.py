@@ -456,9 +456,11 @@ def test_chart_matches_the_resolution_path():
 
 
 def test_chart_group_and_multiplicity_need_no_splitting(monkeypatch):
-    # the group is the torsion of Z^d / <n_rho v_rho> and the multiplicity the
-    # gcd of the maximal minors of the rays: building a chart splits nothing,
-    # and the splitting, read later, agrees with both
+    # the group is the torsion of Z^d / <n_rho v_rho> and the multiplicity
+    # |det| of the rays, or the product of their Smith diagonal below full
+    # dimension: building a chart splits nothing, and the splitting, read
+    # later, agrees with both. The fans are validated before anything is
+    # forbidden, so the test does not depend on what other tests cached.
     import toristack.charts as charts_mod
     import toristack.linalg as linalg_mod
 
@@ -467,12 +469,12 @@ def test_chart_group_and_multiplicity_need_no_splitting(monkeypatch):
             raise AssertionError(f"local_chart called {name}")
         return fail
 
+    stacky_fans = stacky_fans_with_shuffled_rays()
     for name in ("_coordinates", "split_cone", "saturate", "complete_to_basis",
                  "integer_inverse"):
         monkeypatch.setattr(charts_mod, name, forbidden(name))
     monkeypatch.setattr(linalg_mod, "hermite_elimination", forbidden("hermite_elimination"))
-    built = [(sf, local_chart(sf, c)) for sf in stacky_fans_with_shuffled_rays()
-             for c in sf.fan.cones]
+    built = [(sf, local_chart(sf, c)) for sf in stacky_fans for c in sf.fan.cones]
     assert any(0 < chart.r < sf.fan.ambient_rank for sf, chart in built)
     monkeypatch.undo()
     for sf, chart in built:

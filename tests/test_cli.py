@@ -458,15 +458,16 @@ def test_library_bug_exits_3(monkeypatch, capsys, error):
 
 
 def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatch, capsys):
-    # (P^1)^3: 27 cones, 8 maximal cones, 28 pairs of maximal cones, each
-    # settled by a separating functional without an exact intersection; one
-    # Hilbert basis per maximal cone (its printed coarse generators) and none
-    # in the charts
+    # (P^1)^3: 27 cones and 8 maximal cones. The fan is complete and its
+    # walls settle it, so no pair of maximal cones is compared; one chart per
+    # cone, no exact intersection, and one Hilbert basis per maximal cone
+    # (its printed coarse generators) and none in the charts. The
+    # non-complete mixed_dim fixture compares each pair of maximal cones once.
     import toristack.charts as charts_mod
     import toristack.cones as cones_mod
     import toristack.monoids as monoids_mod
     import toristack.stackyfan as fan_mod
-    from itertools import product
+    from itertools import combinations, product
 
     charts, pairs, intersections, hilbert_bases = [], [], [], []
     local_chart, meet = charts_mod.local_chart, fan_mod._meet_in_shared_face
@@ -477,20 +478,20 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
         charts.append(tuple(sigma))
         return local_chart(sf, sigma)
 
-    def counting_meet(fan, c1, c2):
+    def counting_meet(fan, c1, c2, *args, **kwargs):
         pairs.append(frozenset((c1, c2)))
-        return meet(fan, c1, c2)
+        return meet(fan, c1, c2, *args, **kwargs)
 
     def counting_intersect(c1, c2):
         intersections.append((c1, c2))
         return intersect(c1, c2)
 
-    monkeypatch.setattr(charts_mod, "local_chart", counting_chart)
-    monkeypatch.setattr(fan_mod, "_meet_in_shared_face", counting_meet)
     def counting_hilbert_basis(ray_list, d):
         hilbert_bases.append(tuple(ray_list))
         return hilbert_basis_full(ray_list, d)
 
+    monkeypatch.setattr(charts_mod, "local_chart", counting_chart)
+    monkeypatch.setattr(fan_mod, "_meet_in_shared_face", counting_meet)
     monkeypatch.setattr(cones_mod, "intersect", counting_intersect)
     monkeypatch.setattr(monoids_mod, "_hilbert_basis_full", counting_hilbert_basis)
     rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
@@ -500,10 +501,19 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
     assert main(["report", path]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["fan"]["num_cones"] == 27
+    assert data["fan"]["complete"] is True
     assert sorted(charts) == sorted(tuple(c["ray_indices"]) for c in data["cones"])
-    assert len(pairs) == len(set(pairs)) == 28
+    assert pairs == []
     assert intersections == []
     assert len(hilbert_bases) == 8
+
+    assert main(["report", str(FIXTURES / "mixed_dim.json")]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["fan"]["complete"] is False
+    maximal = [tuple(int(i) for i in c.split(",")) for c in data["fan"]["maximal_cones"]]
+    assert len(maximal) == 2
+    assert pairs == [frozenset(pair) for pair in combinations(maximal, 2)]
+    assert intersections == []
 
 
 def test_report_builds_cones_only_for_maximal_cones(tmp_path, monkeypatch, capsys):
