@@ -1,29 +1,27 @@
-"""Strictly convex rational polyhedral cones over exact rationals.
+"""Simplicial rational polyhedral cones over exact rationals.
 
-A cone is stored with both descriptions: its extreme rays (primitive integer
-vectors, lexicographically sorted) and the inequalities cutting it out (the
-generators of the dual cone). Every cone of a stacky fan is simplicial, and
-so is the dual of a full-dimensional one: when the generators are linearly
-independent, they are the rays and the dual rays are read off one inverse of
-the generator matrix (in the complement of their kernel, one normal form,
-when there are fewer than d of them), and the dual swaps the two
-descriptions. Dependent generator sets go through the double-description
-method in its simplest exact form at this scale (ambient rank <= ~6):
-enumerating tight subsets of the defining rows. Its callers are
-``intersect`` and ``is_face`` (public, but called by no other module) and
-``monoids.restrict_resolution``, whose projected Hilbert basis generates the
-projected cone. Fan validation uses none of it and builds no cone (see
-``stackyfan.validate_fan``).
+A cone is the cone on linearly independent generators, the only kind a
+stacky fan has. It is stored with both descriptions: its extreme rays (the
+generators made primitive, lexicographically sorted) and the inequalities
+cutting it out (the generators of the dual cone). The dual rays are read off
+one inverse of the generator matrix (in the complement of their kernel, one
+normal form, when there are fewer than d of them), and the dual swaps the
+two descriptions. Dependent generators raise ``ValueError``.
 
-Cones that are not strictly convex (duals of lower-dimensional cones,
-intersections) are carried with an explicit lineality basis instead of being
-rejected; ``strictly_convex`` flags them.
+The faces of such a cone are the cones on subsets of its rays
+(``is_face``), and two of them meet in a common face exactly when they meet
+in the cone on their shared rays (``intersect``, which asks
+``stackyfan.validate_fan``). No function here solves a system of
+inequalities.
+
+The dual of a lower-dimensional cone is not strictly convex; it is carried
+with an explicit lineality basis instead of being rejected, and
+``strictly_convex`` flags it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -46,45 +44,6 @@ def _lift(coords: Iterable[IntVec], complement: Sequence[IntVec]) -> list[IntVec
                                      for j in range(d)]) for w in coords})
 
 
-def _hcone_generators(ineq_rows: Sequence[IntVec], d: int) -> tuple[list[IntVec], list[IntVec]]:
-    """V-description of {x in Q^d : r.x >= 0 for every row r}.
-
-    Returns (pointed_rays, lineality_basis). The pointed rays are primitive,
-    deduplicated and lex-sorted; together with +/- the lineality basis they
-    generate the cone.
-    """
-    rows = sorted(set(tuple(int(x) for x in r) for r in ineq_rows) - {(0,) * d})
-    lineality = integer_kernel(rows, d)
-    return _tight_subset_rays(rows, lineality, d), lineality
-
-
-def _tight_subset_rays(rows: Sequence[IntVec], lineality: Sequence[IntVec], d: int) -> list[IntVec]:
-    """Pointed rays of {x : r.x >= 0 for every row r}, whose lineality is given.
-
-    In the ``complete_to_basis(lineality)`` coordinates, of dimension dp, the
-    candidates are the kernels of the rank-(dp-1) subsets of the rows: exactly
-    the extreme rays of the pointed part.
-    """
-    dp = d - len(lineality)
-    if dp == 0:
-        return []
-    complement = complete_to_basis(lineality, d)
-    # constraints in the complement coordinates (the lineality coordinates pair to zero)
-    reduced = sorted(set(tuple(dot(r, c) for c in complement) for r in rows) - {(0,) * dp})
-    rays: set[IntVec] = set()
-    for subset in combinations(reduced, dp - 1):
-        ker = integer_kernel(subset, dp)
-        if len(ker) != 1:
-            continue
-        w = ker[0]
-        signs = [dot(r, w) for r in reduced]
-        if all(s >= 0 for s in signs):
-            rays.add(w)
-        elif all(s <= 0 for s in signs):
-            rays.add(tuple(-x for x in w))
-    return _lift(rays, complement)
-
-
 def _simplicial_dual_rays(gens: Sequence[IntVec], lineality: Sequence[IntVec],
                           d: int) -> list[IntVec]:
     """Pointed rays of the dual of the cone on linearly independent generators.
@@ -92,8 +51,7 @@ def _simplicial_dual_rays(gens: Sequence[IntVec], lineality: Sequence[IntVec],
     In the ``complete_to_basis(lineality)`` coordinates the generators form an
     invertible matrix; column j of its inverse ``M / q`` pairs to 1 with
     generator j and to 0 with the others, so column j of M (q > 0) spans the
-    dual ray that ``_tight_subset_rays`` finds as the kernel of the other
-    generators.
+    dual ray that vanishes on every generator but j.
     """
     if not gens:
         return []
@@ -104,7 +62,7 @@ def _simplicial_dual_rays(gens: Sequence[IntVec], lineality: Sequence[IntVec],
 
 @dataclass(frozen=True)
 class Cone:
-    """Rational polyhedral cone with cached ray and inequality data."""
+    """Simplicial rational polyhedral cone with cached ray and inequality data."""
 
     ambient_rank: int
     rays: tuple[IntVec, ...] = ()
@@ -115,12 +73,13 @@ class Cone:
 
     @classmethod
     def from_generators(cls, generators: Iterable[Sequence], ambient_rank: int) -> "Cone":
-        """The cone generated by the given vectors, with both descriptions.
+        """The cone on linearly independent generators, with both descriptions.
 
-        d linearly independent generators in rank d take one
-        ``integer_inverse`` and no kernel normal form; other independent
-        sets take the kernel and one inverse in its complement, dependent
-        sets the double description.
+        Zero generators are dropped and positive multiples of one vector
+        count once; what is left must be linearly independent, or
+        ``ValueError`` is raised. d generators in rank d take one
+        ``integer_inverse`` and no kernel normal form; fewer take the kernel
+        and one inverse in its complement.
         """
         gens = []
         for g in generators:
@@ -132,24 +91,20 @@ class Cone:
         if len(gens) == ambient_rank:
             try:
                 m, _ = integer_inverse(gens)
-            except ValueError:  # dependent: the general path below
+            except ValueError:  # singular: dependent generators
                 pass
             else:
                 # column j of the inverse pairs to q > 0 with generator j and
                 # to 0 with the others: the dual rays, with no kernel to compute
                 return cls(ambient_rank, tuple(gens), (), ambient_rank,
                            tuple(sorted(primitive_vector(col) for col in zip(*m))), ())
-        lineality = integer_kernel(gens, ambient_rank)
-        if len(gens) + len(lineality) == ambient_rank:
-            # linearly independent: the generators are the rays
-            return cls(ambient_rank, tuple(gens), (), len(gens),
-                       tuple(_simplicial_dual_rays(gens, lineality, ambient_rank)),
-                       tuple(lineality))
-        dual_p = _tight_subset_rays(gens, lineality, ambient_rank)
-        ineqs = list(dual_p) + list(lineality) + [tuple(-x for x in v) for v in lineality]
-        rays, lin = _hcone_generators(ineqs, ambient_rank)
-        return cls(ambient_rank, tuple(rays), tuple(lin),
-                   ambient_rank - len(lineality), tuple(dual_p), tuple(lineality))
+        else:
+            lineality = integer_kernel(gens, ambient_rank)
+            if len(gens) + len(lineality) == ambient_rank:
+                return cls(ambient_rank, tuple(gens), (), len(gens),
+                           tuple(_simplicial_dual_rays(gens, lineality, ambient_rank)),
+                           tuple(lineality))
+        raise ValueError(f"cone generators {gens} are linearly dependent")
 
     @property
     def strictly_convex(self) -> bool:
@@ -162,11 +117,6 @@ class Cone:
     def generating_vectors(self) -> tuple[IntVec, ...]:
         """Canonical generator list: rays plus +/- the lineality basis."""
         return self.rays + self.lineality + tuple(tuple(-x for x in v) for v in self.lineality)
-
-    def inequality_rows(self) -> tuple[IntVec, ...]:
-        """Rows m with the cone equal to {x : m.x >= 0 for all rows}."""
-        return self.dual_rays + self.dual_lineality + tuple(
-            tuple(-x for x in v) for v in self.dual_lineality)
 
 
 def rays(c: Cone) -> tuple[IntVec, ...]:
@@ -203,40 +153,34 @@ def contains(c: Cone, v: Sequence) -> bool:
             and all(dot(m, v) == 0 for m in c.dual_lineality))
 
 
-def contains_cone(c: Cone, f: Cone) -> bool:
-    if f.ambient_rank != c.ambient_rank:
-        raise ValueError("rank mismatch")
-    return all(contains(c, g) for g in f.generating_vectors())
-
-
 def is_face(c: Cone, f: Cone) -> bool:
-    """Whether f = c intersect m^perp for some m in the dual of c, and f <= c.
-
-    The search runs over sums of subsets of the dual rays; each face of c is
-    cut out by exactly one such subset (its tight set in the dual).
-    """
+    """Whether f is a face of c: the cone on a subset of c's rays (with the
+    same lineality, for the dual of a lower-dimensional cone)."""
     if f.ambient_rank != c.ambient_rank:
         raise ValueError("rank mismatch")
-    if not contains_cone(c, f):
-        return False
-    gens = c.generating_vectors()
-    for k in range(len(c.dual_rays) + 1):
-        for subset in combinations(c.dual_rays, k):
-            m = tuple(sum(col) for col in zip(*subset)) if subset else (0,) * c.ambient_rank
-            tight = [g for g in gens if dot(m, g) == 0]
-            if Cone.from_generators(tight, c.ambient_rank) == f:
-                return True
-    return False
+    return f.lineality == c.lineality and set(f.rays) <= set(c.rays)
 
 
 def intersect(c1: Cone, c2: Cone) -> Cone:
-    """Intersection, computed on the inequality descriptions."""
+    """The intersection of two strictly convex cones that meet in a common
+    face: the cone on their shared rays.
+
+    The pair is checked as a fan of two cones by ``stackyfan.validate_fan``;
+    cones that overlap beyond their shared rays raise ``ValueError``.
+    """
+    from .stackyfan import IntersectionNotFace, validate_fan
+
     if c1.ambient_rank != c2.ambient_rank:
         raise ValueError("rank mismatch")
-    d = c1.ambient_rank
-    pointed, lin = _hcone_generators(c1.inequality_rows() + c2.inequality_rows(), d)
-    return Cone.from_generators(
-        list(pointed) + list(lin) + [tuple(-x for x in v) for v in lin], d)
+    if not (c1.strictly_convex and c2.strictly_convex):
+        raise ValueError("intersect requires strictly convex cones")
+    pool = sorted(set(c1.rays) | set(c2.rays))
+    index = {r: i for i, r in enumerate(pool)}
+    try:
+        validate_fan(pool, [[index[r] for r in c.rays] for c in (c1, c2)], c1.ambient_rank)
+    except IntersectionNotFace:
+        raise ValueError("the cones overlap beyond the cone on their shared rays") from None
+    return Cone.from_generators(set(c1.rays) & set(c2.rays), c1.ambient_rank)
 
 
 def multiplicity(c: Cone) -> int:

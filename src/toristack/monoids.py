@@ -259,23 +259,15 @@ class AffineMonoid:
     defining_cone: Cone
     hilbert_basis: tuple[IntVec, ...]
     sharp: bool
-    simplicial: bool
 
     @classmethod
     def from_dual_cone(cls, c: Cone) -> "AffineMonoid":
         """Monoid of lattice points of a cone in M (x) Q.
 
-        The sharp flag records strict convexity of the cone. The generator
-        set is computed for simplicial cones; a non-simplicial monoid is
-        carried for flag queries only (resolution theory does not apply).
+        The sharp flag records strict convexity of the cone. Every ``Cone``
+        is simplicial (modulo its lineality), so the generators always exist.
         """
-        sharp = c.strictly_convex
-        pointed_dim = c.dim - len(c.lineality)
-        simplicial = len(c.rays) == pointed_dim
-        gens: tuple[IntVec, ...] = ()
-        if simplicial:
-            gens = tuple(monoid_generators(c))
-        return cls(c.ambient_rank, c, gens, sharp, simplicial)
+        return cls(c.ambient_rank, c, tuple(monoid_generators(c)), c.strictly_convex)
 
     def contains(self, x: Sequence[int]) -> bool:
         return all(isinstance(v, int) or Fraction(v).denominator == 1 for v in x) \
@@ -295,10 +287,13 @@ def monoid_from_cone(sigma: Cone, m_rank: int | None = None) -> AffineMonoid:
 
 
 def is_simplicially_toric(p: AffineMonoid) -> bool:
-    """Whether C(P) is simplicial, i.e. its ray count equals the rank of P^gp."""
+    """Whether C(P) is simplicial, i.e. its ray count equals the rank of P^gp.
+
+    Every ``Cone`` is simplicial, so this holds for every sharp monoid.
+    """
     if not p.sharp:
         raise ValueError("sharpness is required; split off units first")
-    return p.simplicial
+    return cones.is_simplicial(p.defining_cone)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +384,6 @@ def minimal_free_resolution(p: AffineMonoid) -> FreeResolution:
     """
     if not p.sharp:
         raise ValueError("minimal free resolution requires a sharp monoid")
-    if not p.simplicial:
-        raise ValueError("minimal free resolution requires a simplicially toric monoid")
     c = p.defining_cone
     if c.dim != p.lattice_rank:
         raise ValueError("defining cone must be full-dimensional (P^gp of full rank)")
@@ -577,19 +570,27 @@ def restrict_resolution(p: AffineMonoid, res: FreeResolution,
         return p, res
     r = len(subset)
     m, den = res._basis_inverse  # integral on P, as __post_init__ checked
-    projected = sorted(set(
-        tuple(dot(m[i], h) // den for i in subset) for h in p.hilbert_basis))
+
+    def project(x: IntVec) -> IntVec:
+        return tuple(dot(m[i], x) // den for i in subset)
+
+    projected = sorted(set(map(project, p.hilbert_basis)))
     basis = canonical_basis(projected)
     if len(basis) != r:
         raise AssertionError("projected monoid group is not of full rank")
     basis_m, basis_den = inverse = integer_inverse([list(col) for col in zip(*basis)])
-    recoord = []
-    for g in projected:
+
+    def recoordinate(g: IntVec) -> IntVec:
         y = integer_solve(inverse, g)
         if y is None:
             raise AssertionError("projected generator outside its own group lattice")
-        recoord.append(y)
-    q = AffineMonoid.from_dual_cone(Cone.from_generators(recoord, r))
+        return y
+
+    recoord = [recoordinate(g) for g in projected]
+    # C(Q) is the image of C(P); ray i of C(P) maps to b_i e_i or to 0, so
+    # the images of the rays are linearly independent
+    q = AffineMonoid.from_dual_cone(Cone.from_generators(
+        [recoordinate(project(v)) for v in p.defining_cone.rays], r))
     # the projection is guaranteed saturated: its lattice points must all be
     # reachable from the projected generators
     phi = _positive_functional(q)

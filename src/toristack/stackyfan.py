@@ -397,7 +397,7 @@ class StackyFan:
         # monoid of rank dim(sigma) close to sigma; automatic here since the
         # points are positive multiples of linearly independent rays
         for c in fan.maximal_cones:
-            if len(c) != fan.cone_geometry(c).dim:
+            if len(independent_rows([fan.rays[i] for i in c])) != len(c):
                 raise AssertionError(f"maximal cone {c} has linearly dependent rays")
         return cls(fan, tuple(table))
 

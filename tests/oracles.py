@@ -4,7 +4,8 @@ Deliberately share no code with the library: membership tests run through a
 local Gaussian solver, Hilbert bases come from exhaustive box enumeration,
 cone membership from Fourier-Motzkin elimination, quotient groups from
 residue-class exploration keyed by fractional parts, the rays of a dual
-cone one ray at a time, canonical JSON from the standard library's encoder,
+cone one ray at a time or from tight subsets of its inequalities, canonical
+JSON from the standard library's encoder,
 the saturation check from a walk over the whole box of coefficients, and fan
 validation from every pair of maximal cones with every circuit of their rays.
 """
@@ -319,6 +320,31 @@ def kernel_line(columns):
     for i, col in enumerate(pivots):
         x[col] = -a[i][free[0]]
     return x
+
+
+def tight_subset_rays(rows, d):
+    """Extreme rays of the pointed cone {x in Q^d : r.x >= 0 for every row r},
+    whose rows span Q^d, as primitive integer vectors in lex order.
+
+    Every extreme ray is the line cut out by d - 1 of the rows, taken with
+    the sign that is >= 0 on every row, so each subset of d - 1 rows with a
+    one-dimensional kernel is tried.
+    """
+    out = set()
+    for subset in combinations(rows, d - 1):
+        x = kernel_line([[r[j] for r in subset] for j in range(d)])
+        if x is None:
+            continue
+        signs = [sum(a * b for a, b in zip(r, x)) for r in rows]
+        if all(s <= 0 for s in signs):
+            x = [-v for v in x]
+        elif not all(s >= 0 for s in signs):
+            continue
+        scale = math.lcm(*(v.denominator for v in x))
+        ints = [int(v * scale) for v in x]
+        g = math.gcd(*ints)
+        out.add(tuple(v // g for v in ints))
+    return sorted(out)
 
 
 def _overlap(rays, c1, c2):

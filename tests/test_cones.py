@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from oracles import fm_cone_contains
+from oracles import fm_cone_contains, rank
 
 from toristack.cones import (
     Cone,
@@ -9,7 +9,6 @@ from toristack.cones import (
     dual_cone,
     intersect,
     is_face,
-    is_full_dimensional,
     is_simplicial,
     multiplicity,
     ray_star,
@@ -30,11 +29,6 @@ def test_rays_first_orthant():
     assert rays(cone((1, 0), (0, 1))) == ((0, 1), (1, 0))
 
 
-def test_rays_drops_interior_generators():
-    # (1,2) = (1,0) + 2*(0,1) is interior, (2,0) and (0,4) rescale to axes
-    assert rays(cone((2, 0), (1, 2), (0, 4))) == ((0, 1), (1, 0))
-
-
 def test_rays_single_generator():
     assert rays(cone((1, 2))) == ((1, 2),)
 
@@ -43,9 +37,6 @@ def test_rays_single_generator():
     # independent generators: they are the rays
     ([(Fraction(1, 2), Fraction(1, 3)), (Fraction(-2, 5), 1)], [(3, 2), (-2, 5)]),
     ([(0, Fraction(7, 3), Fraction(-7, 2))], [(0, 2, -3)]),
-    # dependent generators: the double description
-    ([(Fraction(1, 2), 0), (Fraction(1, 4), Fraction(1, 4)), (0, Fraction(-5, 3))],
-     [(1, 0), (1, 1), (0, -1)]),
 ])
 def test_fraction_generators_match_integer_multiples(rational, integral):
     rank = len(integral[0])
@@ -75,9 +66,27 @@ def test_dual_of_ray_is_flagged_halfplane():
 
 
 def test_is_simplicial():
-    assert is_simplicial(cone((1, 0), (0, 1), (1, 1)))  # two extreme rays
     assert is_simplicial(cone((1, 0), (1, 2)))
-    assert not is_simplicial(cone((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)))
+    assert is_simplicial(cone((1, 1, 0), (1, -1, 0)))
+    # the dual of a ray is a half-plane: not strictly convex
+    assert not is_simplicial(dual_cone(cone((1, 0), rank=2)))
+
+
+def test_dependent_generators_raise():
+    # zero generators are dropped and positive multiples count once ...
+    assert rays(cone((2, 0), (0, 0), (0, 4), (0, 1))) == ((0, 1), (1, 0))
+    # ... but what is left must be linearly independent
+    dependent = [
+        [(1, 0), (0, 1), (1, 1)],
+        [(2, 0), (1, 2), (0, 4)],  # (1,2) = (1,0) + 2*(0,1) is interior
+        [(Fraction(1, 2), 0), (Fraction(1, 4), Fraction(1, 4)), (0, Fraction(-5, 3))],
+        [(1, 0), (-1, 0)],  # a line
+        [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],  # the cone over a square
+        [(1, 0, 0), (0, 1, 0), (1, 1, 0)],  # dependent, below full dimension
+    ]
+    for gens in dependent:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            Cone.from_generators(gens, len(gens[0]))
 
 
 def test_contains_solves_exactly():
@@ -91,6 +100,13 @@ def test_contains_solves_exactly():
 def test_intersect_shared_face():
     i = intersect(cone((1, 0), (0, 1)), cone((0, 1), (-1, 0)))
     assert i.rays == ((0, 1),)
+    orthant = cone((1, 0), (0, 1))
+    assert intersect(orthant, cone((1, 0), rank=2)) == cone((1, 0), rank=2)
+    assert intersect(cone((1, 0), rank=2), cone((-1, 0), rank=2)).is_zero
+    with pytest.raises(ValueError, match="overlap"):
+        intersect(orthant, cone((1, 0), (1, 2)))
+    with pytest.raises(ValueError, match="overlap"):
+        intersect(orthant, cone((1, 1), rank=2))
 
 
 def test_multiplicity_examples():
@@ -98,7 +114,7 @@ def test_multiplicity_examples():
     assert multiplicity(cone((1, 0), (1, 2))) == 2
     assert multiplicity(cone((1, 1, 0), (1, -1, 0))) == 2
     with pytest.raises(ValueError):
-        multiplicity(cone((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)))
+        multiplicity(dual_cone(cone((1, 0), rank=2)))
 
 
 def test_ray_star_standard_basis():
@@ -136,17 +152,22 @@ def test_is_face_examples():
     for r in c3.rays:
         assert is_face(c3, Cone.from_generators([r], 3))
     assert is_face(c3, cone((1, 0, 0), (0, 1, 0)))
+    assert not is_face(c3, cone((1, 0, 0), (0, 1, 1)))
+
+
+def independent_generators(rng, d, n, bound):
+    """n linearly independent integer vectors in Z^d, by rejection."""
+    while True:
+        gens = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)]
+        if rank(gens) == n:
+            return gens
 
 
 def test_double_dual_random():
     rng = random.Random(101)
     for _ in range(120):
         d = rng.randint(1, 3)
-        n = rng.randint(1, d + 2)
-        gens = [[rng.randint(-5, 5) for _ in range(d)] for _ in range(n)]
-        c = Cone.from_generators(gens, d)
-        if not (c.strictly_convex and is_full_dimensional(c)):
-            continue
+        c = Cone.from_generators(independent_generators(rng, d, rng.randint(1, d), 5), d)
         assert rays(dual_cone(dual_cone(c))) == rays(c)
 
 
@@ -155,10 +176,7 @@ def test_contains_matches_fm_oracle():
     checked = 0
     for _ in range(80):
         d = rng.randint(1, 3)
-        n = rng.randint(1, d + 1)
-        gens = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(n)]
-        if all(all(x == 0 for x in g) for g in gens):
-            continue
+        gens = independent_generators(rng, d, rng.randint(1, d), 4)
         c = Cone.from_generators(gens, d)
         for _ in range(6):
             v = [rng.randint(-6, 6) for _ in range(d)]

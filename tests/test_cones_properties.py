@@ -1,6 +1,8 @@
-"""Property tests: the one-pass simplicial path and the pairwise check
-(separating certificate, then circuit sign test) against the generic
-two-pass construction and the exact intersection."""
+"""Property tests: the simplicial cone against a tight-subset oracle, and the
+pairwise check (separating certificate, then circuit sign test) and
+``intersect`` against the pairwise fan-validation oracle."""
+
+import math
 
 import pytest
 
@@ -8,13 +10,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import pairwise_validate_fan, rank, tight_subset_rays
 
-from toristack.cones import (
-    Cone,
-    _hcone_generators,
-    dual_cone,
-    intersect,
-)
+from toristack.cones import Cone, dual_cone, intersect
 from toristack.linalg import IntegerMatrix, primitive_vector, smith_normal_form
 from toristack.stackyfan import IntersectionNotFace, validate_fan
 
@@ -36,16 +34,8 @@ def independent_generators(draw, max_rank=5, bound=6):
     return gens, d
 
 
-def generic_record(gens, d):
-    """(rays, lineality, dim, dual_rays, dual_lineality) by two tight-subset passes."""
-    dual_p, dual_l = _hcone_generators(gens, d)
-    ineqs = list(dual_p) + list(dual_l) + [tuple(-x for x in v) for v in dual_l]
-    rays_, lin = _hcone_generators(ineqs, d)
-    return tuple(rays_), tuple(lin), d - len(dual_l), tuple(dual_p), tuple(dual_l)
-
-
-def record(c):
-    return c.rays, c.lineality, c.dim, c.dual_rays, c.dual_lineality
+def pairing(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 @PROPERTY
@@ -55,11 +45,27 @@ def record(c):
 def test_simplicial_path_matches_double_description(drawn):
     gens, d = drawn
     c = Cone.from_generators(gens, d)
-    assert record(c) == generic_record(gens, d)
     assert c.rays == tuple(sorted(set(gens))) and c.dim == len(gens)
-    dual_generators = list(c.dual_rays) + list(c.dual_lineality) + [
-        tuple(-x for x in v) for v in c.dual_lineality]
-    assert record(dual_cone(c)) == generic_record(dual_generators, d)
+    assert c.lineality == ()
+    assert dual_cone(dual_cone(c)) == c
+    if len(gens) == d:
+        # both descriptions are canonical: the double description of the oracle
+        dual_rays = tight_subset_rays(gens, d)
+        assert list(c.dual_rays) == dual_rays and c.dual_lineality == ()
+        assert list(c.rays) == tight_subset_rays(dual_rays, d)
+        return
+    # below full dimension the dual rays are fixed up to the dual lineality:
+    # check what defines them
+    positive_on = []
+    for m in c.dual_rays:
+        assert math.gcd(*m) == 1
+        signs = [pairing(m, g) for g in gens]
+        assert all(s >= 0 for s in signs)
+        [j] = [j for j, s in enumerate(signs) if s]
+        positive_on.append(j)
+    assert sorted(positive_on) == list(range(len(gens)))
+    assert rank(c.dual_lineality) == len(c.dual_lineality) == d - len(gens)
+    assert all(pairing(v, g) == 0 for v in c.dual_lineality for g in gens)
 
 
 @st.composite
@@ -99,14 +105,19 @@ def simplicial_pairs(draw, bound=3):
 def test_pairwise_verdict_matches_exact_intersection(drawn):
     pool, c1, c2 = drawn
     d = len(pool[0])
-    shared = [pool[i] for i in sorted(set(c1) & set(c2))]
-    exact = intersect(Cone.from_generators([pool[i] for i in c1], d),
-                      Cone.from_generators([pool[i] for i in c2], d)) == \
-        Cone.from_generators(shared, d)
+    error, detail = pairwise_validate_fan(pool, [c1, c2], d)
+    assert error in (None, "IntersectionNotFace")
     try:
         validate_fan(pool, [c1, c2], d)
         verdict = True
     except IntersectionNotFace as e:
-        assert set(e.cone_pair) == {tuple(c1), tuple(c2)}
+        assert set(e.cone_pair) == {tuple(c1), tuple(c2)} == set(detail)
         verdict = False
-    assert verdict == exact
+    assert verdict == (error is None)
+    cone1, cone2 = (Cone.from_generators([pool[i] for i in c], d) for c in (c1, c2))
+    if verdict:
+        shared = [pool[i] for i in sorted(set(c1) & set(c2))]
+        assert intersect(cone1, cone2) == Cone.from_generators(shared, d)
+    else:
+        with pytest.raises(ValueError):
+            intersect(cone1, cone2)

@@ -1,0 +1,37 @@
+"""The benchmark's tracer (``bench/tracing.py``) finds every function it
+wraps by name; each name it reads must still exist on the package.
+
+``Tracer.install`` is not called: it rebinds the package's functions for
+the rest of the process.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import toristack
+import toristack.cli  # noqa: F401  (the tracer wraps functions of the CLI too)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # tracing imports the bench's lattice module
+    fresh = [name for name in ("tracing", "lattice") if name not in sys.modules]
+    yield importlib.import_module("tracing")
+    for name in fresh:
+        sys.modules.pop(name, None)
+
+
+def test_every_traced_name_exists(tracing):
+    for name in tracing.MODULES:
+        assert hasattr(toristack, name), name
+    for layer, targets in tracing.LAYERS.items():
+        for module, attr in targets:
+            assert callable(getattr(getattr(toristack, module), attr, None)), (layer, module, attr)
+    assert isinstance(toristack.cones.Cone.__dict__["from_generators"], classmethod)
+    info = toristack.stackyfan.Fan.cone_geometry.cache_info()
+    assert {"hits", "misses"} <= set(info._fields)
