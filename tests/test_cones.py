@@ -29,6 +29,15 @@ def test_rays_first_orthant():
     assert rays(cone((1, 0), (0, 1))) == ((0, 1), (1, 0))
 
 
+def test_rays_drops_interior_generators():
+    # (2,0) and (0,4) rescale to the axes and a repeated multiple counts once ...
+    assert rays(cone((2, 0), (0, 4), (0, 1))) == ((0, 1), (1, 0))
+    # ... but an interior generator, (1,2) = (1,0) + 2*(0,1), is refused
+    # rather than dropped: the generators of a Cone are its rays
+    with pytest.raises(ValueError, match="linearly dependent"):
+        cone((2, 0), (1, 2), (0, 4))
+
+
 def test_rays_single_generator():
     assert rays(cone((1, 2))) == ((1, 2),)
 
@@ -37,6 +46,8 @@ def test_rays_single_generator():
     # independent generators: they are the rays
     ([(Fraction(1, 2), Fraction(1, 3)), (Fraction(-2, 5), 1)], [(3, 2), (-2, 5)]),
     ([(0, Fraction(7, 3), Fraction(-7, 2))], [(0, 2, -3)]),
+    ([(Fraction(1, 2), 0, 0), (Fraction(1, 4), Fraction(1, 4), 0), (0, 0, Fraction(-5, 3))],
+     [(1, 0, 0), (1, 1, 0), (0, 0, -1)]),
 ])
 def test_fraction_generators_match_integer_multiples(rational, integral):
     rank = len(integral[0])

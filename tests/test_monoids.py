@@ -57,6 +57,16 @@ def test_monoid_1_3_cone_matches_oracle():
     assert list(p.hilbert_basis) == oracle == [(0, 1), (1, 0), (3, -1)]
 
 
+def test_monoid_rejects_non_simplicial():
+    # the half-plane dual to a ray is a Cone that is not strictly convex
+    half_plane = dual_cone(Cone.from_generators([(1, 0)], 2))
+    with pytest.raises(ValueError, match="simplicial"):
+        monoid_from_cone(half_plane)
+    # the cone over a square cannot be built at all
+    with pytest.raises(ValueError, match="linearly dependent"):
+        Cone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+
+
 def test_hilbert_basis_examples():
     assert hilbert_basis(sigma((1, 0), (0, 1))) == [(0, 1), (1, 0)]
     assert hilbert_basis(sigma((0, 1), (2, -1))) == [(0, 1), (1, 0), (2, -1)]
