@@ -8,17 +8,22 @@ canonical orderings everywhere, sorted keys, exact integers and rationals
 
 Exit codes: 0 success, 1 validation failure (every ``FanError``, including
 a cone selector naming no cone of the fan, or the zero cone for ``mfr``),
-2 parse failure (including a file that is not UTF-8 and JSON nested past
-the recursion limit), 3 internal error (a consistency tripwire or any other
+2 parse failure (including a file that is not UTF-8, JSON nested past
+the recursion limit, an integer literal longer than Python converts, and a
+rank above ``MAX_RANK``), 3 internal error (a consistency tripwire or any other
 exception; indicates a bug, never expected), 4 limit exceeded (a lattice
 walk over ``monoids.MAX_LATTICE_POINTS`` points, for a Hilbert basis or the
 ``mfr`` saturation check, refused before it starts; the message names the
 cone, the point count and the limit).
+
+``main`` may be called any number of times in one process; the argument
+parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -39,6 +44,9 @@ from .stackyfan import FanError, StackyFan
 _JSON_SAFE_INT = 2 ** 53 - 1
 DEGREE_BOUND_ENV = "TORISTACK_DEGREE_BOUND"
 DEFAULT_DEGREE_BOUND = 6
+# a larger rank is a parse error: the charts of a fan cost a power of the rank
+# (a torus fan of rank 200 takes seconds to report); no test goes above 18
+MAX_RANK = 64
 
 
 class DocumentParseError(ValueError):
@@ -77,6 +85,9 @@ def document_from_json(text: str) -> FanDocument:
         raise DocumentParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
     except RecursionError as e:
         raise DocumentParseError("invalid JSON: nested too deeply") from e
+    except ValueError as e:  # an integer literal past int()'s digit limit
+        raise DocumentParseError("invalid JSON: an integer literal has more than "
+                                 f"{sys.get_int_max_str_digits()} digits") from e
     _expect(isinstance(raw, dict), "document must be a JSON object")
     unknown = set(raw) - {"rank", "rays", "max_cones", "levels", "characteristics"}
     _expect(not unknown, f"unknown fields: {sorted(unknown)}")
@@ -84,6 +95,7 @@ def document_from_json(text: str) -> FanDocument:
             "document requires 'rank', 'rays' and 'max_cones'")
     rank = raw["rank"]
     _expect(_int_like(rank) and rank >= 1, "'rank' must be a positive integer")
+    _expect(rank <= MAX_RANK, f"'rank' {rank} is above the limit of {MAX_RANK}")
     rays_raw = raw["rays"]
     _expect(isinstance(rays_raw, list), "'rays' must be a list")
     rays = []
@@ -444,10 +456,13 @@ def _load_document(path: str) -> FanDocument:
 
 
 def _parse_cone_flag(value: str) -> list[int]:
+    items = [x for x in map(str.strip, value.split(",")) if x]
     try:
-        return [int(x) for x in value.split(",") if x.strip() != ""]
-    except ValueError:
-        raise DocumentParseError(f"bad cone selector {value!r}; expected i,j,...")
+        if all(re.fullmatch("-?[0-9]+", x) for x in items):
+            return [int(x) for x in items]
+    except ValueError:  # an index past int()'s digit limit
+        pass
+    raise DocumentParseError(f"bad cone selector {value!r}; expected i,j,...")
 
 
 def cmd_validate(args) -> int:
@@ -502,6 +517,9 @@ def cmd_complete(args) -> int:
     return _guarded(doc, lambda sf: {"complete": fanlib.is_complete(sf.fan)}, args)
 
 
+# one parser per process: parse_args leaves it as it was, and each command
+# writes only to the Namespace of its own call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toristack",

@@ -45,13 +45,19 @@ def cases() -> list[tuple[str, list[str]]]:
 
 
 def render(argv: list[str]) -> str:
-    """Run one command in-process; its exit code, stdout and stderr as text."""
+    """Run one command in-process; its exit code, stdout and stderr as text.
+
+    An argparse usage error reads as its exit code 2, as in a CLI process.
+    """
     from toristack.cli import main
 
     absolute = [str(ROOT / a) if a.endswith(".json") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(absolute)
+        try:
+            code = main(absolute)
+        except SystemExit as e:
+            code = e.code
     stdout, stderr = out.getvalue(), err.getvalue()
     return (f"$ toristack {' '.join(argv)}\n"
             f"exit code: {code}\n"

@@ -172,6 +172,36 @@ def test_python_dash_m_toristack_runs_the_cli():
     assert proc.stdout == rest[:int(size)]
 
 
+@pytest.mark.parametrize("doc", ['{"rank": 1, "rays": [[%s]], "max_cones": [[0]]}' % ("1" * 5000),
+                                 '{"rank": %s, "rays": [], "max_cones": []}' % ("9" * 5000)],
+                         ids=["ray-entry", "rank"])
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "long.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == ("parse error: invalid JSON: an integer literal has more "
+                                       f"than {sys.get_int_max_str_digits()} digits\n")
+
+
+@pytest.mark.parametrize("selector", ["1_0", "\u0660,\u0661", "+1", "0,x", "0.0", "1" * 5000],
+                         ids=["underscore", "arabic-indic", "plus", "letter", "point", "long"])
+def test_cone_selector_not_ascii_decimal_exits_2(capsys, selector):
+    # p2 has rays 0, 1 and 2: int() would read "1_0" as ray 10 and the
+    # Arabic-Indic digits as rays 0 and 1
+    assert main(["stabilizer", str(FIXTURES / "p2.json"), "--cone", selector]) == 2
+    assert capsys.readouterr().err == (f"parse error: bad cone selector {selector!r}; "
+                                       "expected i,j,...\n")
+
+
+def test_cone_selector_strips_spaces_and_skips_empty_items(capsys):
+    assert main(["stabilizer", str(FIXTURES / "p2.json"), "--cone", " 0 , 1 ,,"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["stabilizer", str(FIXTURES / "p2.json"), "--cone", "0,1"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert main(["stabilizer", str(FIXTURES / "p2.json"), "--cone", "-1"]) == 1
+    assert capsys.readouterr().err == "validation error: cone (-1,) is not in the fan\n"
+
+
 def test_cli_level_zero_is_invalid(tmp_path):
     path = write_doc(tmp_path, "lvl.json",
                      {"rank": 1, "rays": [[1]], "max_cones": [[0]],
@@ -426,6 +456,40 @@ def test_main_entry_point_in_process(capsys):
     rc = main(["validate", str(FIXTURES / "p2.json"), "--format", "text"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "OK"
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    # repeated in-process calls share one parser and nothing else: each
+    # prints what a fresh run prints (its golden file, or a run on a newly
+    # built parser), whatever call came before it
+    import toristack.cli as cli_mod
+    from golden.regenerate import HERE as GOLDEN, cases, render
+
+    monkeypatch.delenv("TORISTACK_DEGREE_BOUND", raising=False)
+    p1, p2, a1 = (f"tests/fixtures/{name}.json" for name in ("p1", "p2", "a1_cone"))
+    sequence = [
+        ["validate", p2, "--format", "text"], ["validate", p2],
+        ["report", p1, "--format", "text"], ["report", p1],
+        ["mfr", a1, "--cone", "0,1"], ["validate", a1],
+        ["stabilizer", a1, "--cone", "0,1"], ["complete", p1],
+        ["mfr", a1],  # no --cone: an argparse usage error, exit 2
+        ["report", p2], ["validate", "tests/golden/refused/interior_ray.json"],
+    ]
+    golden = {tuple(argv): name for name, argv in cases()}
+    expected = []
+    for argv in sequence:
+        if tuple(argv) in golden:
+            expected.append((GOLDEN / golden[tuple(argv)]).read_text(encoding="utf-8"))
+        else:
+            cli_mod.build_parser.cache_clear()
+            expected.append(render(argv))
+    assert sum(tuple(argv) in golden for argv in sequence) == 6
+    assert "exit code: 2\n" in expected[8] and "required: --cone" in expected[8]
+
+    cli_mod.build_parser.cache_clear()
+    for argv, text in zip(sequence, expected):
+        assert render(argv) == text, argv
+    assert cli_mod.build_parser.cache_info().misses == 1
 
 
 def test_internal_assertion_exits_3(monkeypatch, capsys):

@@ -1,4 +1,5 @@
-"""Lattice walks over ``monoids.MAX_LATTICE_POINTS`` fail fast with exit 4.
+"""Lattice walks over ``monoids.MAX_LATTICE_POINTS`` fail fast with exit 4,
+and a rank over ``cli.MAX_RANK`` with exit 2.
 
 Each CLI case runs in its own process with a timeout, so a walk that ignored
 the limit fails the test instead of hanging the suite.
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from toristack import monoids
-from toristack.cli import DocumentParseError, main
+from toristack.cli import MAX_RANK, DocumentParseError, main
 from toristack.cones import Cone, dual_cone
 from toristack.monoids import (
     LatticeWalkTooLarge,
@@ -84,6 +85,26 @@ def test_rank_three_m500_cone_still_succeeds(tmp_path):
     data = json.loads(proc.stdout)
     assert data["saturation_check"] is True
     assert len(data["hilbert_basis"]) == 504
+
+
+def test_rank_above_the_limit_exits_2(tmp_path):
+    # a torus fan takes seconds to report at rank 200, and longer than the
+    # timeout at rank 3000; the limit refuses it before any work
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"rank": 3000, "rays": [], "max_cones": []}), encoding="utf-8")
+    proc = run_toristack("report", path, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"parse error: 'rank' 3000 is above the limit of {MAX_RANK}\n"
+
+
+def test_rank_at_the_limit_reports(tmp_path):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"rank": MAX_RANK, "rays": [], "max_cones": []}),
+                    encoding="utf-8")
+    proc = run_toristack("report", path, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["fan"]["rank"] == MAX_RANK
 
 
 def test_refusal_allocates_no_points(tmp_path, capsys):

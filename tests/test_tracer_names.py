@@ -5,7 +5,9 @@ wraps by name; each name it reads must still exist on the package.
 the rest of the process.
 """
 
+import argparse
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -35,3 +37,9 @@ def test_every_traced_name_exists(tracing):
     assert isinstance(toristack.cones.Cone.__dict__["from_generators"], classmethod)
     info = toristack.stackyfan.Fan.cone_geometry.cache_info()
     assert {"hits", "misses"} <= set(info._fields)
+
+
+def test_build_parser_takes_no_arguments():
+    # the benchmark's set-up time imports the CLI and calls build_parser()
+    assert inspect.signature(toristack.cli.build_parser).parameters == {}
+    assert isinstance(toristack.cli.build_parser(), argparse.ArgumentParser)
