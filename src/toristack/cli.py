@@ -9,12 +9,13 @@ canonical orderings everywhere, sorted keys, exact integers and rationals
 Exit codes: 0 success, 1 validation failure (every ``FanError``, including
 a cone selector naming no cone of the fan, or the zero cone for ``mfr``),
 2 parse failure (including a file that is not UTF-8, JSON nested past
-the recursion limit, an integer literal longer than Python converts, and a
-rank above ``MAX_RANK``), 3 internal error (a consistency tripwire or any other
-exception; indicates a bug, never expected), 4 limit exceeded (a lattice
-walk over ``monoids.MAX_LATTICE_POINTS`` points, for a Hilbert basis or the
-``mfr`` saturation check, refused before it starts; the message names the
-cone, the point count and the limit).
+the recursion limit, an integer literal longer than Python converts, a
+rank above ``MAX_RANK``, and a ray entry or level whose absolute value is
+``ENTRY_LIMIT`` = 2^64 or more), 3 internal error (a consistency tripwire
+or any other exception; indicates a bug, never expected), 4 limit exceeded
+(a lattice walk over ``monoids.MAX_LATTICE_POINTS`` points, for a Hilbert
+basis or the ``mfr`` saturation check, refused before it starts; the
+message names the cone, the point count and the limit).
 
 ``main`` may be called any number of times in one process; the argument
 parser is built on the first call and reused.
@@ -47,6 +48,12 @@ DEFAULT_DEGREE_BOUND = 6
 # a larger rank is a parse error: the charts of a fan cost a power of the rank
 # (a torus fan of rank 200 takes seconds to report); no test goes above 18
 MAX_RANK = 64
+# a ray entry or level x with |x| >= 2^64 is a parse error, so that every
+# integer a report writes stays inside Python's int-to-decimal limit (4,300
+# digits): with rank <= 64, Hadamard's bound gives |det| <= (8 * 2^64)^64 =
+# 2^4288 for the rays of a cone, and their levels multiply to less than
+# 2^4096, so a stacky multiplicity has fewer than about 2,524 digits
+ENTRY_LIMIT = 2 ** 64
 
 
 class DocumentParseError(ValueError):
@@ -99,9 +106,11 @@ def document_from_json(text: str) -> FanDocument:
     rays_raw = raw["rays"]
     _expect(isinstance(rays_raw, list), "'rays' must be a list")
     rays = []
-    for r in rays_raw:
+    for i, r in enumerate(rays_raw):
         _expect(isinstance(r, list) and len(r) == rank and all(_int_like(x) for x in r),
                 f"ray {r!r} must be a list of {rank} integers")
+        _expect(all(abs(x) < ENTRY_LIMIT for x in r),
+                f"ray {i} has an entry of absolute value 2^64 or more")
         rays.append(tuple(r))
     cones_raw = raw["max_cones"]
     _expect(isinstance(cones_raw, list), "'max_cones' must be a list")
@@ -118,6 +127,7 @@ def document_from_json(text: str) -> FanDocument:
         _expect(re.fullmatch("-?[0-9]+", key) is not None,
                 f"level key {key!r} must be a decimal ray index")
         _expect(_int_like(value), f"level for ray {key} must be an integer")
+        _expect(abs(value) < ENTRY_LIMIT, f"level for ray {key} has absolute value 2^64 or more")
         levels[int(key)] = value
     chars = raw.get("characteristics", [0])
     _expect(isinstance(chars, list) and all(_int_like(p) for p in chars),

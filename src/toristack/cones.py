@@ -189,7 +189,7 @@ def multiplicity(c: Cone) -> int:
         raise ValueError("multiplicity requires a simplicial cone")
     if c.is_zero:
         return 1
-    return int(lattice_index(c.rays, c.ambient_rank))
+    return lattice_index(c.rays)
 
 
 def ray_star(c: Cone, rho: Sequence[int]) -> IntVec:

@@ -11,12 +11,12 @@ one divisibility test per entry. The module also provides the normal forms
 determinants and the circuits of a vector configuration, and finite-abelian-
 group bookkeeping that the rest of the package is built on.
 
-The normal forms are eliminations in place on plain lists of rows, which
-compute a unimodular transform only when the caller asks for it: a group
-needs only the Smith diagonal, a kernel only V, a saturation only U. The
-``IntegerMatrix`` functions (``smith_normal_form``, ``hermite_normal_form``,
-``unimodular_inverse``) wrap the same routines with every transform; the
-package itself builds no ``IntegerMatrix``.
+A matrix is a list of rows everywhere, with one entry point per operation.
+The normal forms are eliminations in place, which compute a unimodular
+transform only when the caller asks for it: a group needs only the Smith
+diagonal, a kernel only V, a saturation only U. ``smith_normal_form`` and
+``hermite_normal_form`` return a copy with every transform; the package
+itself calls neither.
 """
 
 from __future__ import annotations
@@ -62,66 +62,6 @@ def primitive_of_rational(v: Sequence) -> IntVec:
 
 # ---------------------------------------------------------------------------
 # matrices
-
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Immutable integer matrix, row-major storage."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match rows*cols")
-        if not all(isinstance(e, int) for e in self.entries):
-            raise TypeError("entries must be Python ints")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        rows = [list(r) for r in rows]
-        if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            cols = 0
-        return cls(len(rows), cols, tuple(int(e) for r in rows for e in r))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntegerMatrix":
-        if columns:
-            return cls.from_rows(list(map(list, zip(*columns))))
-        return cls(rows or 0, 0, ())
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> IntVec:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> IntVec:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def row_list(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def determinant(self) -> int:
-        """Fraction-free Bareiss determinant (square matrices only)."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        return determinant(self.row_list())
-
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix given as a list of rows, by
@@ -366,28 +306,23 @@ def invert_unimodular(rows: list[list[int]]) -> list[list[int]]:
     raise ValueError("matrix is not unimodular")
 
 
-def hermite_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """(H, U) with U unimodular and U A = H (``hermite_elimination``)."""
-    h, u = a.row_list(), identity_rows(a.rows)
+def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """(H, U) with U unimodular and U A = H, for A given by its rows
+    (``hermite_elimination``)."""
+    h = [list(r) for r in rows]
+    u = identity_rows(len(h))
     hermite_elimination(h, u)
-    return IntegerMatrix.from_rows(h, cols=a.cols), IntegerMatrix.from_rows(u, cols=a.rows)
+    return h, u
 
 
-def smith_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """(S, U, V) with U, V unimodular and U A V = S (``smith_elimination``)."""
-    s, u, v = a.row_list(), identity_rows(a.rows), identity_rows(a.cols)
+def smith_normal_form(rows: Sequence[Sequence[int]]
+                      ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """(S, U, V) with U, V unimodular and U A V = S, for A given by its rows
+    (``smith_elimination``)."""
+    s = [list(r) for r in rows]
+    u, v = identity_rows(len(s)), identity_rows(len(s[0]) if s else 0)
     smith_elimination(s, u, v)
-    return (IntegerMatrix.from_rows(s, cols=a.cols),
-            IntegerMatrix.from_rows(u, cols=a.rows),
-            IntegerMatrix.from_rows(v, cols=a.cols))
-
-
-def unimodular_inverse(u: IntegerMatrix) -> IntegerMatrix:
-    """Exact inverse of a unimodular matrix (``invert_unimodular``).
-    Non-square, singular and |det| > 1 matrices raise."""
-    if u.rows != u.cols:
-        raise ValueError("matrix is not unimodular")
-    return IntegerMatrix.from_rows(invert_unimodular(u.row_list()), cols=u.cols)
+    return s, u, v
 
 
 # ---------------------------------------------------------------------------
@@ -451,22 +386,9 @@ def quotient_invariants(generators: Sequence[Sequence[int]], ambient_rank: int) 
     )
 
 
-def cokernel_invariants(a: IntegerMatrix) -> FiniteAbelianGroup:
-    """Structure of Z^rows / (column span of A)."""
-    return quotient_invariants([a.column(j) for j in range(a.cols)], a.rows)
-
-
-def lattice_index(generators: Sequence[Sequence[int]], ambient_rank: int,
-                  in_ambient: bool = False):
-    """Index of the span of the generators inside its saturation.
-
-    With in_ambient=True the index is taken in the full lattice Z^ambient_rank
-    instead, and math.inf is returned when the span is not full rank.
-    """
-    diag = [d for d in smith_elimination([list(g) for g in generators]) if d != 0]
-    if in_ambient and len(diag) < ambient_rank:
-        return math.inf
-    return math.prod(diag)
+def lattice_index(generators: Sequence[Sequence[int]]) -> int:
+    """Index of the span of the generators inside its saturation."""
+    return math.prod(d for d in smith_elimination([list(g) for g in generators]) if d != 0)
 
 
 def canonical_basis(rows: Sequence[Sequence[int]]) -> list[IntVec]:
@@ -499,11 +421,6 @@ def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[IntVec]:
     diag = smith_elimination([list(r) for r in rows], v=v)
     free = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
     return canonical_basis([[row[j] for row in v] for j in free])
-
-
-def integer_kernel_basis(a: IntegerMatrix) -> list[IntVec]:
-    """Canonical basis of {x in Z^cols : A x = 0} (a saturated lattice)."""
-    return integer_kernel(a.row_list(), a.cols)
 
 
 def complete_to_basis(rows: Sequence[Sequence[int]], ambient_rank: int) -> list[IntVec]:

@@ -26,7 +26,6 @@ from .linalg import (
     FiniteAbelianGroup,
     FracVec,
     IntegerInverse,
-    IntegerMatrix,
     IntVec,
     canonical_basis,
     complete_to_basis,
@@ -358,16 +357,13 @@ class FreeResolution:
         m, q = self._basis_inverse
         return tuple(Fraction(dot(row, x), q) for row in m)
 
-    def coordinate_matrix(self) -> IntegerMatrix:
-        """Columns: the standard basis of M written in the realized basis.
+    def coordinate_matrix(self) -> list[list[int]]:
+        """Rows of the matrix whose columns are the standard basis of M
+        written in the realized basis.
 
         This is the matrix of P^gp -> F^gp; a non-integral entry means the
         resolution data is broken and raises.
         """
-        return IntegerMatrix.from_rows(self._coordinate_rows(), cols=self.rank)
-
-    def _coordinate_rows(self) -> list[list[int]]:
-        """``coordinate_matrix`` as a list of rows."""
         m, q = self._basis_inverse
         if any(x % q for row in m for x in row):
             raise ValueError("non-integral coordinate matrix: broken resolution")
@@ -436,7 +432,7 @@ def admissible_resolution(p: AffineMonoid, levels: Mapping[IntVec, int]) -> Free
 
 def resolution_cokernel(res: FreeResolution) -> FiniteAbelianGroup:
     """Invariant factors of F^gp modulo the image of P^gp."""
-    return quotient_invariants(list(zip(*res._coordinate_rows())), res.rank)
+    return quotient_invariants(list(zip(*res.coordinate_matrix())), res.rank)
 
 
 def irreducible_ray_correspondence(res: FreeResolution) -> list[RayCorrespondence]:

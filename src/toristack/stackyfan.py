@@ -28,6 +28,7 @@ from .linalg import (
     dot,
     independent_rows,
     integer_inverse,
+    lattice_index,
     primitive_vector,
 )
 from .monoids import monoid_generators
@@ -426,9 +427,7 @@ def is_complete(fan: Fan) -> bool:
 def stacky_multiplicity(sf: StackyFan, sigma: Iterable[int]) -> int:
     """mult(sigma) times the product of the levels on the rays of sigma."""
     key = sf.fan.normalize(sigma)
-    if not key:
-        return 1
-    mult = conelib.multiplicity(sf.fan.cone_geometry(key))
+    mult = lattice_index([sf.fan.rays[i] for i in key])
     return mult * math.prod(sf.levels[i] for i in key)
 
 

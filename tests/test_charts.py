@@ -32,7 +32,7 @@ from toristack.charts import (
 from toristack.cli import check_document, document_from_json
 from toristack.linalg import (
     FiniteAbelianGroup,
-    IntegerMatrix,
+    determinant,
     dot,
     primitive_vector,
     smith_normal_form,
@@ -57,15 +57,14 @@ def test_split_plane_cone_in_3d():
     n1, n2 = split_cone([(1, 1, 0), (1, -1, 0)], 3)
     assert n1 == [(1, 0, 0), (0, 1, 0)]
     assert n2 == [(0, 0, 1)]
-    stacked = IntegerMatrix.from_rows([list(v) for v in n1 + n2])
-    assert abs(stacked.determinant()) == 1
+    assert abs(determinant(n1 + n2)) == 1
 
 
 def test_split_zero_cone():
     n1, n2 = split_cone([], 3)
     assert n1 == []
     assert len(n2) == 3
-    assert abs(IntegerMatrix.from_rows([list(v) for v in n2]).determinant()) == 1
+    assert abs(determinant(n2)) == 1
 
 
 def test_split_random_direct_sum():
@@ -78,8 +77,7 @@ def test_split_random_direct_sum():
         if not c.strictly_convex or not c.rays:
             continue
         n1, n2 = split_cone(c.rays, d)
-        stacked = IntegerMatrix.from_rows([list(v) for v in list(n1) + list(n2)])
-        assert abs(stacked.determinant()) == 1
+        assert abs(determinant(list(n1) + list(n2))) == 1
 
 
 # -- local charts ------------------------------------------------------------------
@@ -178,9 +176,8 @@ def test_weights_generate_group():
             cols = [[d if i == j else 0 for i, _ in enumerate(factors)]
                     for j, d in enumerate(factors)]
             cols += [list(w) for w in chart.action_weights]
-            m = IntegerMatrix.from_columns(cols, rows=len(factors))
-            s, _, _ = smith_normal_form(m)
-            diag = [s.entry(i, i) for i in range(len(factors))]
+            s, _, _ = smith_normal_form(list(map(list, zip(*cols))))
+            diag = [s[i][i] for i in range(len(factors))]
             assert all(x == 1 for x in diag), (c, chart.action_weights)
 
 
@@ -440,9 +437,9 @@ def chart_through_resolution(sf, c):
     levels = tuple(sf.levels[rho] for rho in fan_rays)
     res = admissible_resolution(p, dict(zip(p.defining_cone.rays, levels)))
     s, u, _ = smith_normal_form(res.coordinate_matrix())
-    diag = [s.entry(i, i) for i in range(len(c))]
+    diag = [s[i][i] for i in range(len(c))]
     torsion = [i for i, x in enumerate(diag) if x > 1]
-    weights = tuple(tuple(u.entry(row, i) % diag[row] for row in torsion) for i in range(len(c)))
+    weights = tuple(tuple(u[row][i] % diag[row] for row in torsion) for i in range(len(c)))
     return FiniteAbelianGroup(tuple(diag[i] for i in torsion)), weights, tuple(fan_rays), levels
 
 

@@ -386,29 +386,37 @@ def test_stabilizer_computes_no_hilbert_basis_or_resolution(monkeypatch):
     assert calls == ["hilbert basis", "free resolution", "free resolution"]
 
 
-def test_commands_build_no_integer_matrix(monkeypatch, capsys):
-    # the pipeline runs its normal forms on plain lists; IntegerMatrix is
-    # only the public API's type
+def test_commands_call_no_public_normal_form(monkeypatch, capsys):
+    # the pipeline runs its normal forms through the in-place eliminations;
+    # the benchmark's traced run reads `.entries` from every input of
+    # smith_normal_form and hermite_normal_form, so no command may call them
     import toristack.linalg as linalg_mod
 
-    built = []
-    post_init = linalg_mod.IntegerMatrix.__post_init__
+    called = []
+    modules = [m for name, m in sys.modules.items()
+               if name == "toristack" or name.startswith("toristack.")]
+    for attr in ("smith_normal_form", "hermite_normal_form"):
+        original = getattr(linalg_mod, attr)
 
-    def counting(matrix):
-        built.append((matrix.rows, matrix.cols))
-        post_init(matrix)
+        def record(*args, _attr=attr, _original=original, **kwargs):
+            called.append(_attr)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(linalg_mod.IntegerMatrix, "__post_init__", counting)
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, record)
     for path in sorted(FIXTURES.glob("*.json")):
         cone = ",".join(map(str, json.loads(path.read_text())["max_cones"][0]))
-        for argv in (["report", str(path)], ["report", str(path), "--format", "text"],
+        for argv in (["validate", str(path)],
+                     ["report", str(path)], ["report", str(path), "--format", "text"],
                      ["mfr", str(path), "--cone", cone],
                      ["stabilizer", str(path), "--cone", cone]):
             assert main(argv) == 0, argv
     capsys.readouterr()
-    assert built == []
-    linalg_mod.IntegerMatrix.identity(2)
-    assert built == [(2, 2)]
+    assert called == []
+    linalg_mod.smith_normal_form([[2]])
+    assert called == ["smith_normal_form"]
 
 
 def test_cli_complete_command(tmp_path):

@@ -15,7 +15,7 @@ from toristack.cones import (
     rays,
     relative_interior_point,
 )
-from toristack.linalg import smith_normal_form, IntegerMatrix
+from toristack.linalg import smith_normal_form
 
 import pytest
 
@@ -216,6 +216,6 @@ def test_multiplicity_one_iff_unimodular_extension():
         d = rng.randint(1, 3)
         ray_list = random_full_cone_rays(rng, d)
         c = Cone.from_generators(ray_list, d)
-        s, _, _ = smith_normal_form(IntegerMatrix.from_rows([list(r) for r in c.rays]))
-        ones = all(s.entry(i, i) == 1 for i in range(len(c.rays)))
+        s, _, _ = smith_normal_form(c.rays)
+        ones = all(s[i][i] == 1 for i in range(len(c.rays)))
         assert (multiplicity(c) == 1) == ones

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import pairwise_validate_fan, rank, tight_subset_rays
 
 from toristack.cones import Cone, dual_cone, intersect
-from toristack.linalg import IntegerMatrix, primitive_vector, smith_normal_form
+from toristack.linalg import primitive_vector, smith_normal_form
 from toristack.stackyfan import IntersectionNotFace, validate_fan
 
 
@@ -29,8 +29,8 @@ def independent_generators(draw, max_rank=5, bound=6):
     gens = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=r, max_size=r))
     assume(all(any(g) for g in gens))
     gens = [primitive_vector(g) for g in gens]
-    s, _, _ = smith_normal_form(IntegerMatrix.from_rows(gens))
-    assume(all(s.entry(i, i) != 0 for i in range(r)))
+    s, _, _ = smith_normal_form(gens)
+    assume(all(s[i][i] != 0 for i in range(r)))
     return gens, d
 
 
@@ -79,8 +79,8 @@ def simplicial_pairs(draw, bound=3):
     c1, c2 = sorted(draw(index)), sorted(draw(index))
     assume(not set(c1) <= set(c2) and not set(c2) <= set(c1))
     for c in (c1, c2):
-        s, _, _ = smith_normal_form(IntegerMatrix.from_rows([pool[i] for i in c]))
-        assume(all(s.entry(i, i) != 0 for i in range(len(c))))
+        s, _, _ = smith_normal_form([pool[i] for i in c])
+        assume(all(s[i][i] != 0 for i in range(len(c))))
     return pool, c1, c2
 
 

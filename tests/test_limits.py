@@ -1,8 +1,9 @@
 """Lattice walks over ``monoids.MAX_LATTICE_POINTS`` fail fast with exit 4,
-and a rank over ``cli.MAX_RANK`` with exit 2.
+and a rank over ``cli.MAX_RANK`` or a ray entry or level at ``cli.ENTRY_LIMIT``
+with exit 2.
 
-Each CLI case runs in its own process with a timeout, so a walk that ignored
-the limit fails the test instead of hanging the suite.
+Each lattice-walk case runs in its own process with a timeout, so a walk
+that ignored the limit fails the test instead of hanging the suite.
 """
 
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from toristack import monoids
-from toristack.cli import MAX_RANK, DocumentParseError, main
+from toristack.cli import ENTRY_LIMIT, MAX_RANK, DocumentParseError, main
 from toristack.cones import Cone, dual_cone
 from toristack.monoids import (
     LatticeWalkTooLarge,
@@ -105,6 +106,60 @@ def test_rank_at_the_limit_reports(tmp_path):
     proc = run_toristack("report", path, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["fan"]["rank"] == MAX_RANK
+
+
+@pytest.mark.parametrize("command", [["validate"], ["stabilizer", "--cone", "0,1"], ["report"]],
+                         ids=["validate", "stabilizer", "report"])
+def test_ray_entries_of_3000_digits_exit_2(tmp_path, capsys, command):
+    # their multiplicity, the stabilizer's order, would have 6,000 digits:
+    # more than Python writes as a decimal string
+    path = tmp_path / "long.json"
+    rays = [[int("7" * 3000), 1], [1, int("3" * 3000)]]
+    path.write_text(json.dumps({"rank": 2, "rays": rays, "max_cones": [[0, 1]]}),
+                    encoding="utf-8")
+    assert main([command[0], str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err == ("parse error: ray 0 has an entry of absolute value "
+                                       "2^64 or more\n")
+
+
+@pytest.mark.parametrize("ray, level", [((ENTRY_LIMIT, 1), 1), ((1, -ENTRY_LIMIT), 1),
+                                        ((1, 1), ENTRY_LIMIT), ((1, 1), -ENTRY_LIMIT)],
+                         ids=["entry", "negative-entry", "level", "negative-level"])
+def test_entry_or_level_at_the_limit_exits_2(tmp_path, capsys, ray, level):
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps({"rank": 2, "rays": [[1, 0], list(ray)], "max_cones": [[0, 1]],
+                                "levels": {"1": level}}), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.endswith("absolute value 2^64 or more\n")
+
+
+BOUND = ENTRY_LIMIT - 1
+
+
+def unitriangular(d):
+    """d rays with every entry above the diagonal at the bound: a smooth cone."""
+    return [[0] * i + [1] + [BOUND] * (d - i - 1) for i in range(d)]
+
+
+def two_rays(d):
+    """Two rays that differ by BOUND e_1: a cone of multiplicity BOUND."""
+    return [[1, 0] + [BOUND] * (d - 2), [1] + [BOUND] * (d - 1)]
+
+
+@pytest.mark.parametrize("rank, rays", [(d, unitriangular(d)) for d in (2, 3, 4, 6)]
+                         + [(d, two_rays(d)) for d in (3, 5, 8)],
+                         ids=["full-2", "full-3", "full-4", "full-6",
+                              "two-rays-3", "two-rays-5", "two-rays-8"])
+def test_entries_and_levels_below_the_limit_succeed(tmp_path, capsys, rank, rays):
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps({"rank": rank, "rays": rays, "max_cones": [list(range(len(rays)))],
+                                "levels": {str(i): BOUND for i in range(len(rays))}}),
+                    encoding="utf-8")
+    cone = ",".join(map(str, range(len(rays))))
+    for command in (["validate"], ["stabilizer", "--cone", cone], ["mfr", "--cone", cone],
+                    ["report"]):
+        assert main([command[0], str(path), *command[1:]]) == 0, capsys.readouterr().err
+    capsys.readouterr()
 
 
 def test_refusal_allocates_no_points(tmp_path, capsys):

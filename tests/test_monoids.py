@@ -350,7 +350,7 @@ def test_saturation_check_finds_lattice_point_outside_monoid():
     # P <= F holds, since (0, 1) = (1, 0) + (-1, 1); but the generator (-1, 1)
     # is a lattice point of F outside P
     res = orthant_resolution((1, 0), (-1, 1))
-    assert res.coordinate_matrix().row_list() == [[1, 1], [0, 1]]
+    assert res.coordinate_matrix() == [[1, 1], [0, 1]]
     assert not saturation_intersection_check(res, 2)
 
 

@@ -18,16 +18,15 @@ from oracles import det
 
 from toristack.charts import split_cone
 from toristack.linalg import (
-    IntegerMatrix,
-    cokernel_invariants,
     complete_to_basis,
     hermite_elimination,
     hermite_normal_form,
+    invert_unimodular,
     primitive_vector,
+    quotient_invariants,
     saturate,
     smith_elimination,
     smith_normal_form,
-    unimodular_inverse,
 )
 
 
@@ -68,21 +67,20 @@ def product(a, b):
 @example([[2, 4], [6, 8]])
 @example([[0, 0, 0], [0, 0, 3]])
 def test_smith_normal_form_against_sympy(rows):
-    a = IntegerMatrix.from_rows(rows)
-    s, u, v = smith_normal_form(a)
-    m, n = a.rows, a.cols
-    assert product(product(u.row_list(), rows), v.row_list()) == s.row_list()
-    assert all(s.entry(i, j) == 0 for i in range(m) for j in range(n) if i != j)
-    diag = [s.entry(i, i) for i in range(min(m, n))]
+    s, u, v = smith_normal_form(rows)
+    m, n = len(rows), len(rows[0])
+    assert product(product(u, rows), v) == s
+    assert all(s[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    diag = [s[i][i] for i in range(min(m, n))]
     assert all(x >= 0 for x in diag)
     assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
-    assert abs(det(u.row_list())) == 1 and abs(det(v.row_list())) == 1
+    assert abs(det(u)) == 1 and abs(det(v)) == 1
     expected = sympy_smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
     assert diag == [abs(int(expected[i, i])) for i in range(min(m, n))]
     # without transforms: the same diagonal, on the matrix and its transpose
     assert smith_elimination([list(r) for r in rows]) == diag
     assert smith_elimination([list(c) for c in zip(*rows)]) == diag
-    group = cokernel_invariants(a)
+    group = quotient_invariants(list(zip(*rows)), m)
     assert group.invariant_factors == tuple(x for x in diag if x > 1)
     assert group.free_rank == m - sum(1 for x in diag if x)
 
@@ -91,23 +89,22 @@ def test_smith_normal_form_against_sympy(rows):
 @given(st.data())
 def test_hermite_normal_form_is_unique_on_the_row_lattice(data):
     rows = data.draw(matrices())
-    a = IntegerMatrix.from_rows(rows)
-    h, u = hermite_normal_form(a)
-    assert product(u.row_list(), rows) == h.row_list()
-    assert abs(det(u.row_list())) == 1
+    h, u = hermite_normal_form(rows)
+    assert product(u, rows) == h
+    assert abs(det(u)) == 1
     # echelon form: positive pivots, entries above each pivot in [0, pivot)
-    pivots = [next((j for j, x in enumerate(h.row(i)) if x), None) for i in range(h.rows)]
+    pivots = [next((j for j, x in enumerate(row) if x), None) for row in h]
     nonzero = [p for p in pivots if p is not None]
     assert pivots[:len(nonzero)] == nonzero and nonzero == sorted(set(nonzero))
     for i, p in enumerate(nonzero):
-        assert h.entry(i, p) > 0
-        assert all(0 <= h.entry(k, p) < h.entry(i, p) for k in range(i))
-    w = data.draw(unimodular(a.rows))
-    assert hermite_normal_form(IntegerMatrix.from_rows(product(w, rows)))[0] == h
+        assert h[i][p] > 0
+        assert all(0 <= h[k][p] < h[i][p] for k in range(i))
+    w = data.draw(unimodular(len(rows)))
+    assert hermite_normal_form(product(w, rows))[0] == h
     # without U: the same H
     without_u = [list(r) for r in rows]
     hermite_elimination(without_u)
-    assert without_u == h.row_list()
+    assert without_u == h
 
 
 @PROPERTY
@@ -115,7 +112,7 @@ def test_hermite_normal_form_is_unique_on_the_row_lattice(data):
 def test_unimodular_inverse_against_sympy(data):
     n = data.draw(st.integers(1, 6))
     w = data.draw(unimodular(n))
-    inverse = unimodular_inverse(IntegerMatrix.from_rows(w)).row_list()
+    inverse = invert_unimodular(w)
     assert product(inverse, w) == [[int(i == j) for j in range(n)] for i in range(n)]
     assert inverse == sympy.Matrix(w).inv().tolist()
 
@@ -138,7 +135,7 @@ def test_unimodular_inverse_refuses_every_other_matrix(data):
             rows = product(rows, [[(2 if i == j == 0 else int(i == j)) for j in range(n)]
                                   for i in range(n)])
     with pytest.raises(ValueError, match="^matrix is not unimodular$"):
-        unimodular_inverse(IntegerMatrix.from_rows(rows))
+        invert_unimodular(rows)
 
 
 @PROPERTY

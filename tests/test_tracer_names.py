@@ -1,13 +1,16 @@
 """The benchmark's tracer (``bench/tracing.py``) finds every function it
-wraps by name; each name it reads must still exist on the package.
+wraps by name; each name it reads must still exist on the package, and the
+traced run of every workload must still finish with correct results.
 
-``Tracer.install`` is not called: it rebinds the package's functions for
-the rest of the process.
+``Tracer.install`` is not called in this process: it rebinds the package's
+functions for the rest of the process. The traced runs each take their own.
 """
 
 import argparse
 import importlib
 import inspect
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +46,13 @@ def test_build_parser_takes_no_arguments():
     # the benchmark's set-up time imports the CLI and calls build_parser()
     assert inspect.signature(toristack.cli.build_parser).parameters == {}
     assert isinstance(toristack.cli.build_parser(), argparse.ArgumentParser)
+
+
+@pytest.mark.parametrize("workload", ["fans", "cones", "rejects"])
+def test_traced_benchmark_run_is_correct(workload):
+    proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--workload", workload,
+                           "--seed", "1", "--seconds", "1", "--trace", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
