@@ -85,6 +85,18 @@ def _int_like(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _decimal(text: str, message: str) -> int:
+    """The integer an ASCII decimal string (``-?[0-9]+``) spells, else
+    ``DocumentParseError`` with the message, also for more digits than
+    ``int()`` converts."""
+    if re.fullmatch("-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise DocumentParseError(message)
+
+
 def document_from_json(text: str) -> FanDocument:
     try:
         raw = json.loads(text)
@@ -124,11 +136,10 @@ def document_from_json(text: str) -> FanDocument:
             "'levels' must be an object keyed by ray index")
     levels = {}
     for key, value in (levels_raw or {}).items():
-        _expect(re.fullmatch("-?[0-9]+", key) is not None,
-                f"level key {key!r} must be a decimal ray index")
+        index = _decimal(key, f"level key {key!r} must be a decimal ray index")
         _expect(_int_like(value), f"level for ray {key} must be an integer")
         _expect(abs(value) < ENTRY_LIMIT, f"level for ray {key} has absolute value 2^64 or more")
-        levels[int(key)] = value
+        levels[index] = value
     chars = raw.get("characteristics", [0])
     _expect(isinstance(chars, list) and all(_int_like(p) for p in chars),
             "'characteristics' must be a list of integers")
@@ -466,13 +477,8 @@ def _load_document(path: str) -> FanDocument:
 
 
 def _parse_cone_flag(value: str) -> list[int]:
-    items = [x for x in map(str.strip, value.split(",")) if x]
-    try:
-        if all(re.fullmatch("-?[0-9]+", x) for x in items):
-            return [int(x) for x in items]
-    except ValueError:  # an index past int()'s digit limit
-        pass
-    raise DocumentParseError(f"bad cone selector {value!r}; expected i,j,...")
+    message = f"bad cone selector {value!r}; expected i,j,..."
+    return [_decimal(x, message) for x in map(str.strip, value.split(",")) if x]
 
 
 def cmd_validate(args) -> int:
@@ -505,10 +511,11 @@ def cmd_mfr(args) -> int:
     doc = _load_document(args.file)
     args.render = render_mfr_text
     selector = _parse_cone_flag(args.cone)
-    bound = os.environ.get(DEGREE_BOUND_ENV, str(DEFAULT_DEGREE_BOUND))
-    _expect(re.fullmatch("[0-9]+", bound) and int(bound) > 0,
-            f"{DEGREE_BOUND_ENV} must be a positive decimal integer, got {bound!r}")
-    return _guarded(doc, lambda sf: mfr_data(sf, selector, int(bound)), args)
+    text = os.environ.get(DEGREE_BOUND_ENV, str(DEFAULT_DEGREE_BOUND))
+    message = f"{DEGREE_BOUND_ENV} must be a positive decimal integer, got {text!r}"
+    bound = _decimal(text, message)
+    _expect(bound > 0, message)
+    return _guarded(doc, lambda sf: mfr_data(sf, selector, bound), args)
 
 
 def cmd_stabilizer(args) -> int:

@@ -35,6 +35,7 @@ from .linalg import (
     integer_solve,
     invert_unimodular,
     is_zero_vector,
+    primitive_vector,
     quotient_invariants,
     saturate,
     smith_elimination,
@@ -42,11 +43,11 @@ from .linalg import (
 
 
 class NotCloseError(ValueError):
-    """A submonoid fails the closeness check within the search bound."""
+    """Q is not close to P: some ray of C(P) has no positive multiple in Q."""
 
 
 class NotSaturatedError(ValueError):
-    """A submonoid fails the brute-force saturation check."""
+    """A close submonoid misses a point of C(P) intersect Q^gp."""
 
 
 # ---------------------------------------------------------------------------
@@ -452,41 +453,17 @@ def irreducible_ray_correspondence(res: FreeResolution) -> list[RayCorrespondenc
 # ---------------------------------------------------------------------------
 # submonoids and quotients
 
-def _positive_functional(p: AffineMonoid) -> IntVec:
-    """Integer functional strictly positive on P minus the origin."""
-    dual = cones.dual_cone(p.defining_cone)
-    return cones.relative_interior_point(dual)
-
-
-def _in_submonoid(target: IntVec, gens: Sequence[IntVec], phi: IntVec) -> bool:
-    """Bounded search: is target a nonnegative integer combination of gens?"""
-    weights = [dot(phi, g) for g in gens]
-
-    def rec(idx: int, rest: IntVec, budget: int) -> bool:
-        if is_zero_vector(rest):
-            return True
-        if idx == len(gens):
-            return False
-        w = weights[idx]
-        top = budget // w if w > 0 else 0
-        g = gens[idx]
-        for k in range(top, -1, -1):
-            nxt = tuple(a - k * b for a, b in zip(rest, g))
-            if rec(idx + 1, nxt, budget - k * w):
-                return True
-        return False
-
-    return rec(0, tuple(target), dot(phi, target))
-
-
-def quotient_group(p: AffineMonoid, q_generators: Sequence[Sequence[int]],
-                   multiple_bound: int | None = None) -> FiniteAbelianGroup:
+def quotient_group(p: AffineMonoid, q_generators: Sequence[Sequence[int]]) -> FiniteAbelianGroup:
     """P/Q for a saturated submonoid Q close to P, as P^gp / Q^gp.
 
-    Both preconditions are checked: closeness by searching a positive
-    multiple of every Hilbert-basis element of P inside Q (failing loudly at
-    the bound), saturation by brute force over small-degree elements of
-    C(Q) intersect Q^gp.
+    Both preconditions are decided exactly. C(P) is simplicial and Q <= P,
+    so Q is close to P iff every ray of C(P) has a positive multiple among
+    the generators: no other sum of points of C(P) reaches an extreme ray.
+    Q is then saturated iff every element of the Hilbert basis of
+    C(P) intersect Q^gp is a generator, because such an element is
+    irreducible and so lies in Q only as a generator. That basis is computed
+    in a canonical basis of Q^gp and raises ``LatticeWalkTooLarge`` above
+    ``MAX_LATTICE_POINTS``.
     """
     if not p.sharp:
         raise ValueError("quotient_group requires a sharp monoid")
@@ -498,51 +475,22 @@ def quotient_group(p: AffineMonoid, q_generators: Sequence[Sequence[int]],
         if not is_zero_vector(g):
             q_gens.append(g)
     q_gens = sorted(set(q_gens))
-    if not q_gens:
-        raise NotCloseError("the trivial submonoid is not close to P")
     group = quotient_invariants(q_gens, p.lattice_rank)
     if group.free_rank:
         raise NotCloseError("Q^gp has infinite index in P^gp, so Q cannot be close to P")
-    exponent = group.invariant_factors[-1] if group.invariant_factors else 1
-    bound = multiple_bound if multiple_bound is not None else exponent
-    phi = _positive_functional(p)
-
-    for h in p.hilbert_basis:
-        if not any(_in_submonoid(tuple(k * x for x in h), q_gens, phi)
-                   for k in range(1, bound + 1)):
-            raise NotCloseError(
-                f"no multiple of {h} found in Q within bound {bound}")
-
-    # brute-force saturation check: lattice points of C(Q) = C(P) with degree
-    # up to the largest generator degree that lie in Q^gp must lie in Q
-    basis_rows = canonical_basis(q_gens)
-
-    def in_qgp(x: IntVec) -> bool:
-        rest = list(x)
-        for row in basis_rows:
-            j = next(k for k, v in enumerate(row) if v != 0)
-            if rest[j] % row[j] != 0:
-                return False
-            q = rest[j] // row[j]
-            rest = [a - q * b for a, b in zip(rest, row)]
-        return is_zero_vector(rest)
-
-    deg_cap = max(dot(phi, g) for g in q_gens)
-    seen = {(0,) * p.lattice_rank}
-    frontier = [(0,) * p.lattice_rank]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for h in p.hilbert_basis:
-                y = tuple(a + b for a, b in zip(x, h))
-                if y not in seen and dot(phi, y) <= deg_cap:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    for x in sorted(seen):
-        if not is_zero_vector(x) and in_qgp(x):
-            if not _in_submonoid(x, q_gens, phi):
-                raise NotSaturatedError(f"{x} lies in C(Q) and Q^gp but not in Q")
+    on_rays = []
+    for v in p.defining_cone.rays:
+        g = next((g for g in q_gens if primitive_vector(g) == v), None)
+        if g is None:
+            raise NotCloseError(f"no multiple of the ray {v} of C(P) lies in Q")
+        on_rays.append(g)
+    basis = canonical_basis(q_gens)
+    inverse = integer_inverse([list(col) for col in zip(*basis)])
+    local = Cone.from_generators([integer_solve(inverse, g) for g in on_rays], p.lattice_rank)
+    for h in hilbert_basis(local):
+        x = tuple(dot(h, col) for col in zip(*basis))
+        if x not in q_gens:
+            raise NotSaturatedError(f"{x} lies in C(Q) and Q^gp but not in Q")
     return group
 
 
@@ -587,12 +535,10 @@ def restrict_resolution(p: AffineMonoid, res: FreeResolution,
     # the images of the rays are linearly independent
     q = AffineMonoid.from_dual_cone(Cone.from_generators(
         [recoordinate(project(v)) for v in p.defining_cone.rays], r))
-    # the projection is guaranteed saturated: its lattice points must all be
-    # reachable from the projected generators
-    phi = _positive_functional(q)
-    for h in q.hilbert_basis:
-        if not _in_submonoid(h, recoord, phi):
-            raise AssertionError("projection produced a non-saturated monoid")
+    # the projection is guaranteed saturated: every Hilbert-basis element of
+    # C(Q) is irreducible, so it lies in Q only as a projected generator
+    if not set(q.hilbert_basis) <= set(recoord):
+        raise AssertionError("projection produced a non-saturated monoid")
     res_q = minimal_free_resolution(q)
     # Projection stability: the images of the projected free generators must
     # be exactly the recomputed minimal free generators.

@@ -6,13 +6,16 @@ cone membership from Fourier-Motzkin elimination, quotient groups from
 residue-class exploration keyed by fractional parts, the rays of a dual
 cone one ray at a time or from tight subsets of its inequalities, canonical
 JSON from the standard library's encoder,
-the saturation check from a walk over the whole box of coefficients, and fan
-validation from every pair of maximal cones with every circuit of their rays.
+the saturation check from a walk over the whole box of coefficients, fan
+validation from every pair of maximal cones with every circuit of their rays,
+and the closeness and saturation of a submonoid from Fourier-Motzkin and
+every lattice point of a box.
 """
 
 import json
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 _JSON_SAFE_INT = 2 ** 53 - 1
@@ -420,3 +423,60 @@ def pairwise_validate_fan(rays, maximal_cones, d):
             return "IntersectionNotFace", (c1, c2)
     cones = {f for c in maximal for k in range(len(c) + 1) for f in combinations(c, k)}
     return None, (sorted(cones, key=lambda c: (len(c), c)), maximal)
+
+
+def _scaled_inverse_rows(vectors):
+    """(rows, q): integer rows with rows . x / q the coordinates of x in the
+    basis ``vectors`` (d independent vectors in Z^d), q > 0."""
+    d = len(vectors)
+    cols = [[v[j] for v in vectors] for j in range(d)]  # vectors as columns
+    q = abs(det(cols))
+    inverse_cols = [solve_square(cols, [int(i == j) for i in range(d)]) for j in range(d)]
+    return [[int(inverse_cols[j][i] * q) for j in range(d)] for i in range(d)], int(q)
+
+
+def box_quotient_verdict(p_rays, q_generators):
+    """Closeness and saturation of Q = <q_generators> inside P = C(P) cap Z^d.
+
+    ``p_rays`` are d independent rays of C(P). Returns "not close" when some
+    ray is outside the cone on the generators (Fourier-Motzkin), "not
+    saturated" when some lattice point of C(P) in Q^gp is missing from Q,
+    else the order of Z^d / Q^gp. Every point of C(P) cap Q^gp is a point of
+    the closed parallelepiped of the generators plus an element of Q, so the
+    points of C(P) in that parallelepiped's bounding box decide saturation:
+    Q^gp membership by residues modulo d independent generators, Q
+    membership by subtracting generators inside C(P) down to the origin.
+    """
+    d = len(p_rays)
+    gens = sorted({tuple(g) for g in q_generators if any(g)})
+    if not gens or not all(fm_cone_contains(gens, v) for v in p_rays):
+        return "not close"
+    dual, _ = _scaled_inverse_rows(p_rays)  # row i . x >= 0: coordinate i of x
+
+    def in_cone(x):
+        return all(sum(a * b for a, b in zip(row, x)) >= 0 for row in dual)
+
+    square = next(c for c in combinations(gens, d) if det(c) != 0)
+    adj, q = _scaled_inverse_rows(square)
+
+    def residue(x):  # class of x in Z^d / span(square)
+        return tuple(sum(a * b for a, b in zip(row, x)) % q for row in adj)
+
+    steps = [residue(g) for g in gens]
+    classes, frontier = {residue((0,) * d)}, [residue((0,) * d)]
+    while frontier:  # the subgroup Q^gp / span(square)
+        frontier = [tuple((a + b) % q for a, b in zip(c, s)) for c in frontier for s in steps]
+        frontier = [c for c in set(frontier) if c not in classes]
+        classes.update(frontier)
+
+    @cache
+    def in_q(x):
+        return not any(x) or any(
+            in_cone(y) and in_q(y) for y in (tuple(a - b for a, b in zip(x, g)) for g in gens))
+
+    lo = [sum(min(0, g[j]) for g in gens) for j in range(d)]
+    hi = [sum(max(0, g[j]) for g in gens) for j in range(d)]
+    for x in product(*(range(lo[j], hi[j] + 1) for j in range(d))):
+        if in_cone(x) and residue(x) in classes and not in_q(x):
+            return "not saturated"
+    return q // len(classes)

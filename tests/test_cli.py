@@ -69,7 +69,7 @@ def test_parse_rejects_bad_schema():
                                '"levels": {"%s": 2}}' % key)
 
 
-@pytest.mark.parametrize("key", ["--1", "\u00b2"])
+@pytest.mark.parametrize("key", ["--1", "\u00b2", pytest.param("1" * 5000, id="5000-digits")])
 def test_cli_level_key_not_decimal_exits_2(tmp_path, key):
     path = write_doc(tmp_path, "key.json",
                      {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]],
@@ -170,6 +170,16 @@ def test_python_dash_m_toristack_runs_the_cli():
     size, rest = golden.split(b"--- stdout (", 1)[1].split(b" bytes)\n", 1)
     assert proc.returncode == 0
     assert proc.stdout == rest[:int(size)]
+
+
+def test_package_imports_without_site_packages():
+    # -S leaves site-packages off the path: an import of a test-only
+    # dependency (sympy, hypothesis) anywhere in the package fails here
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", "import toristack, toristack.cli"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("doc", ['{"rank": 1, "rays": [[%s]], "max_cones": [[0]]}' % ("1" * 5000),
@@ -435,7 +445,7 @@ def test_degree_bound_env_var(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["saturation_check_degree_bound"] == 3
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+@pytest.mark.parametrize("value", ["abc", "-3", "0", pytest.param("1" * 5000, id="5000-digits")])
 def test_degree_bound_must_be_positive_decimal(value, monkeypatch, capsys):
     monkeypatch.setenv("TORISTACK_DEGREE_BOUND", value)
     rc = main(["mfr", str(FIXTURES / "a1_cone.json"), "--cone", "0,1", "--format", "text"])

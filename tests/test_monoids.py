@@ -4,7 +4,7 @@ from functools import cmp_to_key
 from itertools import combinations
 
 from conftest import random_full_cone_rays
-from oracles import box_hilbert_basis, box_saturation_check, solve_square
+from oracles import box_hilbert_basis, box_quotient_verdict, box_saturation_check, solve_square
 
 from toristack.cones import Cone, dual_cone, multiplicity
 from toristack.monoids import (
@@ -250,13 +250,72 @@ def test_quotient_rejects_sparse_submonoid():
     p = monoid_from_cone(sigma((1, 0), (0, 1)))
     with pytest.raises(NotCloseError):
         quotient_group(p, [(2, 0)])  # rank deficient: not close
+    with pytest.raises(NotCloseError):
+        quotient_group(p, [(0, 0)])  # the trivial submonoid
 
 
 def test_quotient_rejects_non_saturated():
     p = monoid_from_cone(Cone.from_generators([(1,)], 1))
     # <2,3> generates a finite-index submonoid that misses 1
     with pytest.raises(NotSaturatedError):
-        quotient_group(p, [(2,), (3,)], multiple_bound=6)
+        quotient_group(p, [(2,), (3,)])
+
+
+def test_quotient_rejects_close_submonoid_missing_a_lattice_point():
+    # Q^gp = Z^2 and every ray has a multiple in Q, but (0, 1) is not in Q
+    p = monoid_from_cone(sigma((1, 0), (0, 1)))
+    with pytest.raises(NotSaturatedError, match=r"\(0, 1\)"):
+        quotient_group(p, [(2, 0), (0, 2), (1, 1), (3, 0)])
+
+
+def test_quotient_rank_3_is_decided_without_a_search():
+    # a close, saturated Q of index 36 * 180 = 6480; in a basis of Q^gp its
+    # cone is unimodular, so the Hilbert basis is the three generators
+    p = AffineMonoid.from_dual_cone(Cone.from_generators(
+        [(-9, -3, 8), (0, -3, 2), (9, 3, 7)], 3))
+    g = quotient_group(p, [(-36, -12, 32), (0, -3, 2), (36, 12, 28)])
+    assert g.invariant_factors == (36, 180)
+
+
+def test_quotient_names_the_ray_without_a_multiple():
+    p = monoid_from_cone(sigma((1, 0), (0, 1)))
+    # finite index, but cone((1, 0), (1, 2)) misses the ray (0, 1)
+    with pytest.raises(NotCloseError, match=r"ray \(0, 1\)"):
+        quotient_group(p, [(1, 0), (1, 1), (1, 2)])
+
+
+def random_submonoid(rng):
+    """A random P of rank 1-3 with small rays, and generators of a submonoid:
+    a multiple of each ray (dropped with probability 1/10) and up to three
+    sums of one or two Hilbert-basis elements."""
+    d = rng.randint(1, 3)
+    p = AffineMonoid.from_dual_cone(Cone.from_generators(random_full_cone_rays(rng, d, 2), d))
+    gens = []
+    for v in p.defining_cone.rays:
+        k = rng.randint(1, 3)
+        if rng.random() > 0.1:
+            gens.append(tuple(k * x for x in v))
+    for _ in range(rng.randint(0, 3)):
+        terms = [rng.choice(p.hilbert_basis) for _ in range(rng.randint(1, 2))]
+        gens.append(tuple(map(sum, zip(*terms))))
+    return p, gens
+
+
+def test_quotient_matches_box_oracle():
+    rng = random.Random(1515)
+    seen = set()
+    for _ in range(150):
+        p, gens = random_submonoid(rng)
+        expected = box_quotient_verdict(p.defining_cone.rays, gens)
+        try:
+            got = quotient_group(p, gens).order
+        except NotCloseError:
+            got = "not close"
+        except NotSaturatedError:
+            got = "not saturated"
+        assert got == expected, (p.defining_cone.rays, gens)
+        seen.add(got if isinstance(got, str) else "accepted")
+    assert seen == {"not close", "not saturated", "accepted"}
 
 
 def test_quotient_of_embedded_image_matches_resolution_cokernel():
@@ -264,7 +323,7 @@ def test_quotient_of_embedded_image_matches_resolution_cokernel():
     # instances exercise the group-quotient reduction on both sides
     rng = random.Random(909)
     for _ in range(12):
-        d = rng.randint(1, 2)
+        d = rng.randint(1, 3)
         p = monoid_from_cone(Cone.from_generators(random_full_cone_rays(rng, d, 4), d))
         levels = {r: rng.randint(1, 3) for r in p.defining_cone.rays}
         res = admissible_resolution(p, levels)
