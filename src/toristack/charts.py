@@ -275,12 +275,11 @@ def boundary_divisors_from_charts(sf: StackyFan,
     out = []
     for rho in range(len(sf.fan.rays)):
         coordinates = {}
-        for c in sf.fan.maximal_cones:
-            if rho in c:
-                coords = charts[c].cycle_coordinates((rho,))
-                if len(coords) != 1:
-                    raise AssertionError("a ray must be cut by exactly one chart coordinate")
-                coordinates[c] = coords[0]
+        for c in sf.fan.cones_by_ray.get(rho, ()):
+            coords = charts[c].cycle_coordinates((rho,))
+            if len(coords) != 1:
+                raise AssertionError("a ray must be cut by exactly one chart coordinate")
+            coordinates[c] = coords[0]
         out.append({
             "ray": rho,
             "level": sf.levels[rho],

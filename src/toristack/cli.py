@@ -13,9 +13,9 @@ the recursion limit, an integer literal longer than Python converts, a
 rank above ``MAX_RANK``, and a ray entry or level whose absolute value is
 ``ENTRY_LIMIT`` = 2^64 or more), 3 internal error (a consistency tripwire
 or any other exception; indicates a bug, never expected), 4 limit exceeded
-(a lattice walk over ``monoids.MAX_LATTICE_POINTS`` points, for a Hilbert
-basis or the ``mfr`` saturation check, refused before it starts; the
-message names the cone, the point count and the limit).
+(a Hilbert basis walk over ``monoids.MAX_LATTICE_POINTS`` points, or a
+report listing over ``monoids.MAX_REPORT_FACES`` cycle ideals, refused
+before it starts; the message names the count, the limit and a walk's cone).
 
 ``main`` may be called any number of times in one process; the argument
 parser is built on the first call and reused.
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -43,10 +42,8 @@ from .linalg import FiniteAbelianGroup, dot
 from .stackyfan import FanError, StackyFan
 
 _JSON_SAFE_INT = 2 ** 53 - 1
-DEGREE_BOUND_ENV = "TORISTACK_DEGREE_BOUND"
-DEFAULT_DEGREE_BOUND = 6
-# a larger rank is a parse error: the charts of a fan cost a power of the rank
-# (a torus fan of rank 200 takes seconds to report); no test goes above 18
+# a larger rank is a parse error: with ``ENTRY_LIMIT`` it keeps every integer
+# a command writes below Python's int-to-decimal limit (see below)
 MAX_RANK = 64
 # a ray entry or level x with |x| >= 2^64 is a parse error, so that every
 # integer a report writes stays inside Python's int-to-decimal limit (4,300
@@ -54,6 +51,10 @@ MAX_RANK = 64
 # 2^4288 for the rays of a cone, and their levels multiply to less than
 # 2^4096, so a stacky multiplicity has fewer than about 2,524 digits
 ENTRY_LIMIT = 2 ** 64
+
+
+class ReportTooLarge(Exception):
+    """A report would list more than ``monoids.MAX_REPORT_FACES`` cycle ideals."""
 
 
 class DocumentParseError(ValueError):
@@ -268,6 +269,10 @@ def _on_cone(key: tuple[int, ...], compute):
 
 def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     fan = sf.fan
+    faces = sum(2 ** len(c) for c in fan.maximal_cones)  # a cycle ideal per chart face
+    if faces > monoidlib.MAX_REPORT_FACES:
+        raise ReportTooLarge(f"report would list {faces} cycle ideals, "
+                             f"above the limit of {monoidlib.MAX_REPORT_FACES}")
     chars = doc.characteristics
     charts = {c: chartlib.local_chart(sf, c) for c in fan.cones}
     smooth_canonical = (all(n == 1 for n in sf.levels)
@@ -356,7 +361,7 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     return out
 
 
-def mfr_data(sf: StackyFan, cone_selector: Sequence[int], degree_bound: int) -> dict:
+def mfr_data(sf: StackyFan, cone_selector: Sequence[int]) -> dict:
     key = sf.fan.normalize(cone_selector)
     local, res, fan_rays, n_prime, n_doubleprime = _on_cone(
         key, lambda: chartlib.chart_resolution(sf, key))
@@ -378,9 +383,7 @@ def mfr_data(sf: StackyFan, cone_selector: Sequence[int], degree_bound: int) -> 
         "free_generators": [[x for x in f] for f in res.generators],
         "realized_generators": [[x for x in g] for g in res.realized_generators],
         "cokernel": _group_dict(monoidlib.resolution_cokernel(res)),
-        "saturation_check_degree_bound": degree_bound,
-        "saturation_check": _on_cone(
-            key, lambda: monoidlib.saturation_intersection_check(res, degree_bound)),
+        "saturation_check": monoidlib.saturation_intersection_check(res),
         "correspondence": correspondence,
     }
 
@@ -452,8 +455,7 @@ def render_mfr_text(data: dict) -> str:
         f"realized generators: {[[str(x) for x in g] for g in data['realized_generators']]}",
         f"cokernel: {data['cokernel']['cartier_dual']} "
         f"(invariant factors {data['cokernel']['invariant_factors']})",
-        f"saturation check (degree <= {data['saturation_check_degree_bound']}): "
-        f"{data['saturation_check']}",
+        f"saturation check: {data['saturation_check']}",
     ]
     rows = [[c["index"], [str(x) for x in c["free_generator"]], c["ray"],
              c["fan_ray"], c["prime_facet_rays"]] for c in data["correspondence"]]
@@ -511,11 +513,7 @@ def cmd_mfr(args) -> int:
     doc = _load_document(args.file)
     args.render = render_mfr_text
     selector = _parse_cone_flag(args.cone)
-    text = os.environ.get(DEGREE_BOUND_ENV, str(DEFAULT_DEGREE_BOUND))
-    message = f"{DEGREE_BOUND_ENV} must be a positive decimal integer, got {text!r}"
-    bound = _decimal(text, message)
-    _expect(bound > 0, message)
-    return _guarded(doc, lambda sf: mfr_data(sf, selector, bound), args)
+    return _guarded(doc, lambda sf: mfr_data(sf, selector), args)
 
 
 def cmd_stabilizer(args) -> int:
@@ -578,7 +576,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FanError as e:
         sys.stderr.write(f"validation error: {e}\n")
         return 1
-    except monoidlib.LatticeWalkTooLarge as e:
+    except (monoidlib.LatticeWalkTooLarge, ReportTooLarge) as e:
         sys.stderr.write(f"limit exceeded: {e}\n")
         return 4
     except Exception as e:  # a consistency tripwire or any other bug

@@ -5,9 +5,9 @@ its Hilbert basis, so saturation holds by construction: P is exactly the set
 of lattice points of C(P). On top of that sit the resolution operations: the
 minimal free resolution (the smallest free monoid F with P <= F <= P^gp (x) Q
 and P close to F), its scalings by positive integer levels, the cokernel
-F^gp / P^gp, and the correspondence between free generators, rays of C(P)
-and height-one primes. Every lattice walk here (a Hilbert basis, the
-saturation check) counts its points first and raises
+F^gp / P^gp, the correspondence between free generators, rays of C(P)
+and height-one primes, and the exact check that P^gp intersect F = P. Every
+lattice walk here (a Hilbert basis) counts its points first and raises
 ``LatticeWalkTooLarge`` above ``MAX_LATTICE_POINTS``.
 """
 
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, le, mul
+from operator import le, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from . import cones
@@ -55,26 +55,28 @@ class NotSaturatedError(ValueError):
 
 MAX_LATTICE_POINTS = 10 ** 6
 """Most points a lattice walk may visit: the parallelepiped of a Hilbert
-basis in rank >= 3, the basis itself in rank 2, or the free-monoid elements
-of a saturation check."""
+basis in rank >= 3, or the basis itself in rank 2."""
+
+MAX_REPORT_FACES = 2 ** 17
+"""Most cycle ideals a report may list, one per face of each maximal cone:
+(P^1)^8 lists 65,536, P^11 24,576, and one cone of rank 18 262,144."""
 
 
 class LatticeWalkTooLarge(Exception):
-    """A lattice walk would visit more than ``MAX_LATTICE_POINTS`` points.
+    """A Hilbert basis walk would visit more than ``MAX_LATTICE_POINTS`` points.
 
     Raised before the walk allocates anything. ``cone`` is None until a
     caller that knows the fan cone involved names it by its ray indices.
     """
 
-    def __init__(self, walk: str, points: int):
-        super().__init__(walk, points)
-        self.walk = walk
+    def __init__(self, points: int):
+        super().__init__(points)
         self.points = points
         self.cone: tuple[int, ...] | None = None
 
     def __str__(self):
         where = "" if self.cone is None else f" over cone [{','.join(map(str, self.cone))}]"
-        return (f"{self.walk}{where} would visit {self.points} lattice points, "
+        return (f"Hilbert basis{where} would visit {self.points} lattice points, "
                 f"above the limit of {MAX_LATTICE_POINTS}")
 
 
@@ -118,7 +120,7 @@ def _hilbert_basis_plane(u: IntVec, w: IntVec) -> list[IntVec]:
             size += 1
             p, q = q, -(-p // q) * q - p
     if size > MAX_LATTICE_POINTS:
-        raise LatticeWalkTooLarge("Hilbert basis", size)
+        raise LatticeWalkTooLarge(size)
     prev, cur = u, (f[0] + t * u[0], f[1] + t * u[1])
     out = [prev, cur]
     p, q = n, k
@@ -157,7 +159,7 @@ def _hilbert_basis_full(ray_list: Sequence[IntVec], d: int) -> list[IntVec]:
     rows = [list(r) for r in zip(*ray_list)]  # A: the rays as columns
     scaled, vol = integer_inverse(rows)  # vol = |det A|
     if vol > MAX_LATTICE_POINTS:
-        raise LatticeWalkTooLarge("Hilbert basis", vol)
+        raise LatticeWalkTooLarge(vol)
     u = identity_rows(d)
     diag = smith_elimination([row[:] for row in rows], u=u)
     # residue generators in scaled coordinates: M times the columns of U^-1
@@ -551,33 +553,19 @@ def restrict_resolution(p: AffineMonoid, res: FreeResolution,
     return q, res_q
 
 
-def saturation_intersection_check(res: FreeResolution, degree_bound: int) -> bool:
-    """Brute-force check that P^gp intersect F equals P up to the given degree.
+def saturation_intersection_check(res: FreeResolution) -> bool:
+    """Whether P^gp intersect F = P, decided exactly.
 
-    Walks the C(b + d, d) - 1 nonzero elements of the free monoid F of rank
-    d with coordinate sum at most the bound b, and only those, carrying each
-    element's running sum of generators; every one lying in the lattice M
-    must already lie in P. More than ``MAX_LATTICE_POINTS`` elements raise
-    ``LatticeWalkTooLarge`` before the walk starts.
+    ``FreeResolution`` has checked P <= F. If every realized generator lies
+    in C(P), so does F, and the lattice points of F lie in C(P) intersect
+    M = P. A generator g outside C(P) has a smallest multiple in M, an
+    element of F that P misses: with (L, v) = (L, L * g) over the common
+    denominator, that multiple is v / gcd(L, v). One integer membership
+    test per generator decides it.
     """
-    points = math.comb(degree_bound + res.rank, res.rank) - 1
-    if points > MAX_LATTICE_POINTS:
-        raise LatticeWalkTooLarge("saturation check", points)
-    p = res.source
     scale, gens = res._scaled_generators
-    last = len(gens) - 1
-
-    def walk(i: int, x: list[int], room: int) -> bool:
-        # x sums fixed multiples of gens[:i]; add c * gens[i] for c = 0, ..., room
-        g = gens[i]
-        for left in range(room, -1, -1):
-            if i < last:
-                if not walk(i + 1, x, left):
-                    return False
-            elif any(x) and not any(v % scale for v in x):
-                if not p.contains(tuple(v // scale for v in x)):
-                    return False
-            x = list(map(add, x, g))
-        return True
-
-    return walk(0, [0] * res.rank, degree_bound)
+    for v in gens:
+        k = math.gcd(scale, *v)
+        if not res.source.contains(tuple(x // k for x in v)):
+            return False
+    return True

@@ -1,14 +1,14 @@
 """Simplicial fans with level structures (stacky fans).
 
 A fan is stored by its primitive rays (in user order, so ray indices are
-stable identifiers) and its cones as sorted tuples of ray indices. Cones are
-simplicial throughout, so the face closure is exactly the set of index
-subsets; the geometric fan axioms (pairwise intersections are common faces)
+stable identifiers) and its maximal cones as sorted tuples of ray indices;
+cones are simplicial, so its faces are their index subsets (``Fan.cones``,
+built when read). The fan axioms (pairwise intersections are common faces)
 are checked on construction. Validation keeps one fraction-free inverse per
 maximal cone on the fan, and a complete fan is settled from its walls alone
-(see ``validate_fan``), so no check builds a ``Cone``. A stacky fan adds one
-positive integer level per ray, whose free-net points n_rho * v_rho scale
-the lattice data of every cone containing the ray.
+(see ``validate_fan``), so no check builds a ``Cone`` or a face. A stacky
+fan adds one positive integer level per ray, whose free-net points
+n_rho * v_rho scale the lattice data of every cone containing the ray.
 """
 
 from __future__ import annotations
@@ -110,21 +110,20 @@ class ZeroConeSelected(FanError):
 
 @dataclass(frozen=True)
 class Fan:
-    """Finite simplicial fan, closed under faces.
+    """Finite simplicial fan, given by its maximal cones.
 
-    Its hash, its set of cones, its maximal cones' inverse rows and its
-    walls are computed once per instance, so a lookup costs the same in a
-    fan of any size.
+    Its hash, its index from rays to maximal cones, its maximal cones'
+    inverse rows and its walls are computed once per instance, so a lookup
+    costs the same in a fan of any size.
     """
 
     ambient_rank: int
     rays: tuple[IntVec, ...]
-    cones: tuple[tuple[int, ...], ...]
     maximal_cones: tuple[tuple[int, ...], ...]
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.ambient_rank, self.rays, self.cones, self.maximal_cones))
+        return hash((self.ambient_rank, self.rays, self.maximal_cones))
 
     def __hash__(self) -> int:
         return self._hash
@@ -134,8 +133,15 @@ class Fan:
         return Cone.from_generators([self.rays[i] for i in indices], self.ambient_rank)
 
     @cached_property
-    def _cone_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.cones)
+    def cones(self) -> tuple[tuple[int, ...], ...]:
+        """Every face of a maximal cone (2^r per r-cone), by dimension, then indices."""
+        return tuple(sorted({f for c in self.maximal_cones for k in range(len(c) + 1)
+                             for f in combinations(c, k)}, key=lambda f: (len(f), f)))
+
+    @cached_property
+    def cones_by_ray(self) -> dict[int, list[tuple[int, ...]]]:
+        """Each ray index, mapped to the maximal cones that contain it, in order."""
+        return _cones_by_ray(self.maximal_cones)
 
     @cached_property
     def _inverse_rows(self) -> dict[tuple[int, ...], list[IntVec]]:
@@ -155,10 +161,21 @@ class Fan:
         return walls
 
     def normalize(self, indices: Iterable[int]) -> tuple[int, ...]:
-        key = tuple(sorted(set(int(i) for i in indices)))
-        if key not in self._cone_set:
+        """The sorted key of a cone: (), or indices in a maximal cone on the first."""
+        members = set(int(i) for i in indices)
+        key = tuple(sorted(members))
+        if key and not any(members.issubset(c) for c in self.cones_by_ray.get(key[0], ())):
             raise ConeNotInFan(key)
         return key
+
+
+def _cones_by_ray(cones: Iterable[tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]]:
+    """Each ray index, mapped to the given cones that contain it, in order."""
+    index = defaultdict(list)
+    for c in cones:
+        for i in c:
+            index[i].append(c)
+    return dict(index)
 
 
 def is_residue_characteristic(p: int) -> bool:
@@ -278,14 +295,10 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     if not normalized:
         normalized = {()}  # the torus fan: only the zero cone
     longest = max(map(len, normalized))  # no cone contains one of this length
-    maximal = tuple(sorted(c for c in normalized if len(c) == longest
-                           or not any(c != o and set(c) <= set(o) for o in normalized)))
-    closure = {()}
-    for c in normalized:
-        for k in range(len(c) + 1):
-            closure.update(combinations(c, k))
-    fan = Fan(ambient_rank, tuple(rays), tuple(sorted(closure, key=lambda c: (len(c), c))),
-              maximal)
+    by_ray = _cones_by_ray(normalized)  # a longer cone containing c lies on c's rarest ray
+    maximal = tuple(sorted(c for c in normalized if len(c) == longest or c and not any(
+        len(o) > len(c) and set(c).issubset(o) for o in min((by_ray[i] for i in c), key=len))))
+    fan = Fan(ambient_rank, tuple(rays), maximal)
 
     if not _covers_once(fan):
         for c1, c2 in combinations(maximal, 2):
@@ -434,12 +447,13 @@ def stacky_multiplicity(sf: StackyFan, sigma: Iterable[int]) -> int:
 def is_tame(sf: StackyFan, residue_characteristics: Sequence[int]) -> bool:
     """Every stacky multiplicity invertible in every listed characteristic.
 
-    Characteristic 0 imposes no condition.
+    Characteristic 0 imposes no condition. Only maximal cones are read: the
+    group of a face embeds in the cone's, so its order divides the cone's.
     """
     chars = [int(p) for p in residue_characteristics if int(p) != 0]
     if not chars:
         return True
-    for c in sf.fan.cones:
+    for c in sf.fan.maximal_cones:
         m = stacky_multiplicity(sf, c)
         if any(math.gcd(m, p) != 1 for p in chars):
             return False

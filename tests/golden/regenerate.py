@@ -1,8 +1,8 @@
 """Golden CLI outputs: ``PYTHONPATH=src python tests/golden/regenerate.py``.
 
 Each ``*.golden`` file next to this script holds the exit code, stdout and
-stderr of one ``toristack`` command, run with ``TORISTACK_DEGREE_BOUND``
-unset. The commands are: for every fixture in ``tests/fixtures``, the JSON
+stderr of one ``toristack`` command; no environment variable changes
+them. The commands are: for every fixture in ``tests/fixtures``, the JSON
 and text reports and ``mfr`` and ``stabilizer`` on its first maximal cone;
 for every refused document in ``refused/``, ``validate`` (JSON and text)
 and ``report``. ``tests/test_golden.py`` compares the files byte for byte.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -66,7 +65,6 @@ def render(argv: list[str]) -> str:
 
 
 def main() -> int:
-    os.environ.pop("TORISTACK_DEGREE_BOUND", None)
     for name, argv in cases():
         (HERE / name).write_bytes(render(argv).encode())
     return 0

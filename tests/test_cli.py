@@ -338,7 +338,7 @@ def test_report_cycle_coordinates_carry_their_coarse_generators():
 
 def test_mfr_data_a1():
     doc = document_from_json((FIXTURES / "a1_cone.json").read_text())
-    data = mfr_data(stacky_fan(doc), [0, 1], 6)
+    data = mfr_data(stacky_fan(doc), [0, 1])
     assert data["denominators"] == [2, 2]
     assert data["cp_rays"] == [[0, 1], [2, -1]]
     assert data["cokernel"]["invariant_factors"] == [2]
@@ -348,14 +348,14 @@ def test_mfr_data_a1():
 
 def test_mfr_smooth_cone_identity():
     doc = document_from_json((FIXTURES / "a2.json").read_text())
-    data = mfr_data(stacky_fan(doc), [0, 1], 6)
+    data = mfr_data(stacky_fan(doc), [0, 1])
     assert data["denominators"] == [1, 1]
     assert data["cokernel"]["invariant_factors"] == []
 
 
 def test_mfr_one_three_cone():
     doc = FanDocument(rank=2, rays=[(1, 0), (1, 3)], max_cones=[(0, 1)])
-    data = mfr_data(stacky_fan(doc), [0, 1], 6)
+    data = mfr_data(stacky_fan(doc), [0, 1])
     assert data["cokernel"]["invariant_factors"] == [3]
 
 
@@ -439,20 +439,14 @@ def test_cli_complete_command(tmp_path):
 
 
 def test_degree_bound_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("TORISTACK_DEGREE_BOUND", "3")
-    rc = main(["mfr", str(FIXTURES / "a1_cone.json"), "--cone", "0,1"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["saturation_check_degree_bound"] == 3
-
-
-@pytest.mark.parametrize("value", ["abc", "-3", "0", pytest.param("1" * 5000, id="5000-digits")])
-def test_degree_bound_must_be_positive_decimal(value, monkeypatch, capsys):
-    monkeypatch.setenv("TORISTACK_DEGREE_BOUND", value)
-    rc = main(["mfr", str(FIXTURES / "a1_cone.json"), "--cone", "0,1", "--format", "text"])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert captured.err.startswith("parse error: TORISTACK_DEGREE_BOUND ")
+    # the saturation check is exact: the variable that bounded its walk is ignored
+    argv = ["mfr", str(FIXTURES / "a1_cone.json"), "--cone", "0,1"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("TORISTACK_DEGREE_BOUND", "abc")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
+    assert json.loads(plain)["saturation_check"] is True
 
 
 # -- serialization -------------------------------------------------------------------
@@ -476,14 +470,13 @@ def test_main_entry_point_in_process(capsys):
     assert capsys.readouterr().out.strip() == "OK"
 
 
-def test_main_builds_its_parser_once(monkeypatch):
+def test_main_builds_its_parser_once():
     # repeated in-process calls share one parser and nothing else: each
     # prints what a fresh run prints (its golden file, or a run on a newly
     # built parser), whatever call came before it
     import toristack.cli as cli_mod
     from golden.regenerate import HERE as GOLDEN, cases, render
 
-    monkeypatch.delenv("TORISTACK_DEGREE_BOUND", raising=False)
     p1, p2, a1 = (f"tests/fixtures/{name}.json" for name in ("p1", "p2", "a1_cone"))
     sequence = [
         ["validate", p2, "--format", "text"], ["validate", p2],

@@ -10,6 +10,5 @@ def test_golden_files_cover_every_case():
 
 
 @pytest.mark.parametrize("name,argv", cases(), ids=[n for n, _ in cases()])
-def test_golden_output(name, argv, monkeypatch):
-    monkeypatch.delenv("TORISTACK_DEGREE_BOUND", raising=False)
+def test_golden_output(name, argv):
     assert render(argv).encode() == (HERE / name).read_bytes()

@@ -1,9 +1,9 @@
-"""Lattice walks over ``monoids.MAX_LATTICE_POINTS`` fail fast with exit 4,
-and a rank over ``cli.MAX_RANK`` or a ray entry or level at ``cli.ENTRY_LIMIT``
-with exit 2.
+"""Lattice walks over ``monoids.MAX_LATTICE_POINTS`` and reports over
+``monoids.MAX_REPORT_FACES`` fail fast with exit 4, and a rank over
+``cli.MAX_RANK`` or a ray entry or level at ``cli.ENTRY_LIMIT`` with exit 2.
 
-Each lattice-walk case runs in its own process with a timeout, so a walk
-that ignored the limit fails the test instead of hanging the suite.
+Each case that could run away runs in its own process with a timeout, so a
+walk that ignored the limit fails the test instead of hanging the suite.
 """
 
 import json
@@ -18,13 +18,7 @@ import pytest
 from toristack import monoids
 from toristack.cli import ENTRY_LIMIT, MAX_RANK, DocumentParseError, main
 from toristack.cones import Cone, dual_cone
-from toristack.monoids import (
-    LatticeWalkTooLarge,
-    hilbert_basis,
-    minimal_free_resolution,
-    monoid_from_cone,
-    saturation_intersection_check,
-)
+from toristack.monoids import MAX_REPORT_FACES, LatticeWalkTooLarge, hilbert_basis
 from toristack.stackyfan import FanError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,9 +33,8 @@ def one_cone_doc(tmp_path, last_ray):
     return path
 
 
-def run_toristack(*args, env_extra=None, timeout=60):
-    env = {k: v for k, v in os.environ.items() if k != "TORISTACK_DEGREE_BOUND"}
-    env.update(PYTHONPATH=str(ROOT / "src"), **(env_extra or {}))
+def run_toristack(*args, timeout=60):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, "-m", "toristack", *map(str, args)],
                           capture_output=True, text=True, cwd=ROOT, env=env,
                           timeout=timeout)
@@ -68,16 +61,6 @@ def test_rank_two_basis_over_the_limit_exits_4(tmp_path):
                            "10000002 lattice points, above the limit of 1000000\n")
 
 
-def test_degree_bound_100000_exits_4():
-    proc = run_toristack("mfr", "tests/fixtures/p2.json", "--cone", "0,1",
-                         env_extra={"TORISTACK_DEGREE_BOUND": "100000"}, timeout=30)
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stdout == ""
-    # C(100002, 2) - 1 nonzero elements of coordinate sum <= 100000
-    assert proc.stderr == ("limit exceeded: saturation check over cone [0,1] would visit "
-                           "5000150000 lattice points, above the limit of 1000000\n")
-
-
 def test_rank_three_m500_cone_still_succeeds(tmp_path):
     # 500^2 = 250,000 points: under the limit
     path = one_cone_doc(tmp_path, (1, 1, 500))
@@ -86,6 +69,47 @@ def test_rank_three_m500_cone_still_succeeds(tmp_path):
     data = json.loads(proc.stdout)
     assert data["saturation_check"] is True
     assert len(data["hilbert_basis"]) == 504
+
+
+@pytest.mark.parametrize("rank", [27, 64])
+@pytest.mark.parametrize("command", ["validate", "stabilizer", "mfr"])
+def test_unimodular_cone_of_high_rank_succeeds(tmp_path, command, rank):
+    # no face of the cone is built, and the saturation check reads each of
+    # the r generators once
+    path = one_cone_doc(tmp_path, [int(j == rank - 1) for j in range(rank)])
+    cone = [] if command == "validate" else ["--cone", ",".join(map(str, range(rank)))]
+    proc = run_toristack(command, path, *cone, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    if command == "mfr":
+        assert data["saturation_check"] is True and data["denominators"] == [1] * rank
+    elif command == "stabilizer":
+        assert data["stabilizer"]["order"] == 1
+
+
+@pytest.mark.parametrize("rank", [27, 64])
+def test_report_on_a_cone_of_high_rank_exits_4(tmp_path, rank):
+    path = one_cone_doc(tmp_path, [int(j == rank - 1) for j in range(rank)])
+    proc = run_toristack("report", path, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (f"limit exceeded: report would list {2 ** rank} cycle ideals, "
+                           f"above the limit of {MAX_REPORT_FACES}\n")
+
+
+def test_report_budget_is_checked_against_the_face_count(monkeypatch, capsys):
+    # P^2: three maximal 2-cones, four faces each
+    path = str(ROOT / "tests" / "fixtures" / "p2.json")
+    monkeypatch.setattr(monoids, "MAX_REPORT_FACES", 12)
+    assert main(["report", path]) == 0
+    charts = json.loads(capsys.readouterr().out)["charts"]
+    assert sum(len(chart["cycle_ideals"]) for chart in charts) == 12
+    monkeypatch.setattr(monoids, "MAX_REPORT_FACES", 11)
+    assert main(["report", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("limit exceeded: report would list 12 cycle ideals, "
+                            "above the limit of 11\n")
 
 
 def test_rank_above_the_limit_exits_2(tmp_path):
@@ -185,13 +209,6 @@ def test_limit_is_checked_against_the_point_count(monkeypatch):
                                "above the limit of 99")
     monkeypatch.setattr(monoids, "MAX_LATTICE_POINTS", 100)
     assert len(hilbert_basis(c)) == 14
-    res = minimal_free_resolution(monoid_from_cone(Cone.from_generators([(1, 0), (0, 1)], 2)))
-    # C(6 + 2, 2) - 1 = 27 nonzero elements of degree <= 6
-    monkeypatch.setattr(monoids, "MAX_LATTICE_POINTS", 26)
-    with pytest.raises(LatticeWalkTooLarge, match="would visit 27 lattice points"):
-        saturation_intersection_check(res, 6)
-    monkeypatch.setattr(monoids, "MAX_LATTICE_POINTS", 27)
-    assert saturation_intersection_check(res, 6)
 
 
 def test_limit_error_is_no_fan_or_parse_error():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -6,7 +7,7 @@ from itertools import combinations
 from conftest import random_full_cone_rays
 from oracles import box_hilbert_basis, box_quotient_verdict, box_saturation_check, solve_square
 
-from toristack.cones import Cone, dual_cone, multiplicity
+from toristack.cones import Cone, contains, dual_cone, multiplicity
 from toristack.monoids import (
     AffineMonoid,
     FreeResolution,
@@ -376,11 +377,11 @@ def test_restrict_roundtrip_all_subsets_random():
 
 def test_saturation_check_examples():
     p = monoid_from_cone(sigma((1, 0), (0, 1)))
-    assert saturation_intersection_check(minimal_free_resolution(p), 5)
+    assert saturation_intersection_check(minimal_free_resolution(p))
     a1 = monoid_from_cone(sigma((1, 0), (1, 2)))
-    assert saturation_intersection_check(minimal_free_resolution(a1), 6)
+    assert saturation_intersection_check(minimal_free_resolution(a1))
     n1 = monoid_from_cone(Cone.from_generators([(1,)], 1))
-    assert saturation_intersection_check(admissible_resolution(n1, {(1,): 2}), 10)
+    assert saturation_intersection_check(admissible_resolution(n1, {(1,): 2}))
 
 
 # -- tripwires on broken resolution data ------------------------------------------
@@ -410,7 +411,7 @@ def test_saturation_check_finds_lattice_point_outside_monoid():
     # is a lattice point of F outside P
     res = orthant_resolution((1, 0), (-1, 1))
     assert res.coordinate_matrix() == [[1, 1], [0, 1]]
-    assert not saturation_intersection_check(res, 2)
+    assert not saturation_intersection_check(res)
 
 
 def inverse_resolution(c_rows):
@@ -444,10 +445,14 @@ def test_saturation_check_agrees_with_box_walk():
             resolutions.append(inverse_resolution(c_rows))
     outcomes = set()
     for res in resolutions:
-        for bound in range(1, 7 - res.rank):
-            got = saturation_intersection_check(res, bound)
-            assert got == box_saturation_check(res, bound), (res.realized_generators, bound)
-            outcomes.add(got)
+        # past the degree of the smallest lattice multiple of each generator
+        # outside C(P), where the exact check finds its witness
+        bound = max([6 - res.rank] + [math.lcm(*(x.denominator for x in g))
+                                      for g in res.realized_generators
+                                      if not contains(res.source.defining_cone, g)])
+        got = saturation_intersection_check(res)
+        assert got == box_saturation_check(res, bound), (res.realized_generators, bound)
+        outcomes.add(got)
     assert outcomes == {True, False}
 
 

@@ -1,17 +1,24 @@
 """Work that must not grow faster than the fan, counted in calls rather than
 timed: a lower-dimensional chart's multiplicity takes no sweep over maximal
-minors, and validating a complete fan compares no pair of cones and builds
-at most one ``Cone`` per maximal cone."""
+minors, validating a complete fan compares no pair of cones and builds at
+most one ``Cone`` per maximal cone, only a report lists the faces of a
+cone, and each boundary divisor reads only the cones on its own ray."""
 
 import json
 from itertools import product
 
+import pytest
+
 from toristack import charts as charts_mod
 from toristack import cones as cones_mod
 from toristack import stackyfan as fan_mod
-from toristack.charts import local_chart
+from toristack.charts import boundary_divisors_from_charts, local_chart
 from toristack.cli import main
-from toristack.stackyfan import StackyFan, validate_fan
+from toristack.stackyfan import ConeNotInFan, Fan, StackyFan, validate_fan
+
+# the fan of the octagon: eight rays, eight 2-cones on consecutive rays
+OCTAGON_RAYS = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+OCTAGON_CONES = [[i, (i + 1) % 8] for i in range(8)]
 
 
 def counting(monkeypatch, module, name, calls):
@@ -70,3 +77,81 @@ def test_validating_p1_to_the_sixth_compares_no_pair(tmp_path, monkeypatch, caps
     assert json.loads(capsys.readouterr().out) == {"ok": True, "errors": []}
     assert pairs == []
     assert len(built) <= len(cones) and len(set(built)) == len(built)
+
+
+@pytest.mark.parametrize("command", [["validate"], ["stabilizer", "--cone", "0,2,4"],
+                                     ["mfr", "--cone", "0,2,4"]],
+                         ids=["validate", "stabilizer", "mfr"])
+def test_commands_other_than_report_list_no_face(tmp_path, monkeypatch, capsys, command):
+    d = 3
+    rays = [e for i in range(d) for e in ([int(j == i) for j in range(d)],
+                                          [-int(j == i) for j in range(d)])]
+    cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=d)]
+    path = tmp_path / "p1_cubed.json"
+    path.write_text(json.dumps({"rank": d, "rays": rays, "max_cones": cones}), encoding="utf-8")
+    fans = []
+    validate = fan_mod.validate_fan
+
+    def keeping_validate_fan(*args):
+        fans.append(validate(*args))
+        return fans[-1]
+
+    monkeypatch.setattr(fan_mod, "validate_fan", keeping_validate_fan)
+    assert main([command[0], str(path), *command[1:]]) == 0
+    capsys.readouterr()
+    assert len(fans) == 1 and "cones" not in fans[0].__dict__
+    assert len(fans[0].cones) == 27  # listed on first read: (P^1)^3 has 3^3 cones
+
+
+class Watched(tuple):
+    """A cone key that counts the membership tests and walks made on it."""
+
+    reads = 0
+
+    def __contains__(self, item):
+        Watched.reads += 1
+        return super().__contains__(item)
+
+    def __iter__(self):
+        Watched.reads += 1
+        return super().__iter__()
+
+
+class CountingCharts(dict):
+    def __getitem__(self, key):
+        Watched.reads += 1
+        return super().__getitem__(key)
+
+
+def test_boundary_divisors_read_only_the_cones_on_each_ray():
+    sf = StackyFan.build(validate_fan(OCTAGON_RAYS, OCTAGON_CONES))
+    charts = CountingCharts({c: local_chart(sf, c) for c in sf.fan.maximal_cones})
+    fan = sf.fan
+    watched = StackyFan(Fan(fan.ambient_rank, fan.rays, tuple(map(Watched, fan.maximal_cones))),
+                        sf.levels)
+    watched.fan.cones_by_ray  # the fan's index, built once per fan
+    Watched.reads = 0
+    divisors = boundary_divisors_from_charts(watched, charts)
+    # one read per ray of each maximal cone: 16, where a sweep of every
+    # maximal cone for every ray makes 64 membership tests
+    assert Watched.reads == sum(map(len, fan.maximal_cones)) == 16
+    assert divisors == boundary_divisors_from_charts(sf, dict(charts))
+
+
+def test_normalize_accepts_exactly_the_faces_of_maximal_cones():
+    fan = validate_fan(OCTAGON_RAYS, OCTAGON_CONES)
+    assert fan.normalize([]) == ()
+    assert fan.normalize([1, 0, 1]) == (0, 1)
+    assert fan.normalize([7]) == (7,)
+    assert fan.normalize([0, 7]) == (0, 7)
+    for key in ([0, 2], [0, 1, 2], [3, 7], [-1], [8], [0, 8]):
+        with pytest.raises(ConeNotInFan):
+            fan.normalize(key)
+    assert "cones" not in fan.__dict__
+    # a listed zero cone or face is no maximal cone
+    listed = validate_fan(OCTAGON_RAYS, [[]] + OCTAGON_CONES + [[3]])
+    assert listed.maximal_cones == fan.maximal_cones
+    unused = validate_fan([(1, 0), (0, 1), (-1, -1)], [[0, 1]])
+    assert unused.normalize([1]) == (1,)
+    with pytest.raises(ConeNotInFan):
+        unused.normalize([2])  # a ray that lies in no cone

@@ -218,7 +218,7 @@ def test_dependent_cone_tripwire_survives_optimize_flag():
     # a Fan built without validation, holding a cone on dependent rays
     code = (
         "from toristack.stackyfan import Fan, StackyFan\n"
-        "fan = Fan(2, ((1, 0), (0, 1), (1, 1)), ((), (0, 1, 2)), ((0, 1, 2),))\n"
+        "fan = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1, 2),))\n"
         "try:\n"
         "    StackyFan.build(fan, {})\n"
         "except AssertionError as e:\n"
