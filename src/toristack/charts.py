@@ -42,7 +42,7 @@ from .linalg import (
     saturate,
     smith_elimination,
 )
-from .monoids import admissible_resolution, monoid_from_cone, split_coordinates
+from .monoids import AffineMonoid, admissible_resolution, split_coordinates
 from .stackyfan import Fan, StackyFan
 
 
@@ -156,9 +156,12 @@ def _coordinates(fan: Fan, key: tuple[int, ...]):
     With A the matrix of the cone's rays in N' coordinates (one per row, in
     key order) and ``A^-1 = M / q``, column j of M pairs to q with ray j and
     to 0 with the other rays: made primitive, it is the ray of C(P) on the
-    ray star of ray j, and q = |det A| is the multiplicity. Coordinates
-    follow the lex order of those rays of C(P). When N'' is empty, N' is Z^d
-    in the standard basis, so the rays are their own N' coordinates.
+    ray star of ray j, and q = |det A| is the multiplicity. Each such ray w
+    is certified against the rays: it pairs to 0 with every other ray and
+    positively with its own, so the w are exactly the primitive rays of
+    C(P) and the rays of the cone the rays of its dual. Coordinates follow
+    the lex order of the w. When N'' is empty, N' is Z^d in the standard
+    basis, so the rays are their own N' coordinates.
 
     Returns (n_prime, n_doubleprime, q, coordinates) with one triple (ray of
     C(P), cone ray in N' coordinates, fan ray index) per coordinate.
@@ -170,7 +173,7 @@ def _coordinates(fan: Fan, key: tuple[int, ...]):
     coordinates = sorted((primitive_vector(col), local[j], key[j])
                          for j, col in enumerate(zip(*m)))
     for w, u, _ in coordinates:
-        if [v for v in local if dot(w, v) > 0] != [u]:
+        if any(dot(w, v) != 0 for v in local if v != u) or dot(w, u) <= 0:
             raise AssertionError("ray-star bijection failed in chart computation")
     return n_prime, n_doubleprime, q, coordinates
 
@@ -178,20 +181,23 @@ def _coordinates(fan: Fan, key: tuple[int, ...]):
 def chart_resolution(sf: StackyFan, sigma: Iterable[int]):
     """Sharp chart monoid and its level-scaled resolution over a nonzero cone.
 
-    Returns (monoid, resolution, fan_rays, n_prime, n_doubleprime) where
-    fan_rays[i] is the fan ray index attached to the i-th free generator
-    through the ray-star bijection.
+    C(P) is read off the certified pairing of ``_coordinates``: its rays
+    are the w, and the cone's rays in N' coordinates its dual rays, so no
+    cone is built a second time. Returns (monoid, resolution, fan_rays,
+    n_prime, n_doubleprime) where fan_rays[i] is the fan ray index attached
+    to the i-th free generator through the ray-star bijection.
     """
     key = sf.fan.normalize(sigma)
     if not key:
         raise fans.ZeroConeSelected()
     n_prime, n_doubleprime, _, coordinates = _coordinates(sf.fan, key)
-    p = monoid_from_cone(Cone.from_generators([u for _, u, _ in coordinates], len(key)))
-    if p.defining_cone.rays != tuple(w for w, _, _ in coordinates):
-        raise AssertionError("chart monoid rays differ from the chart coordinates")
+    r = len(key)
+    cp = Cone(r, tuple(w for w, _, _ in coordinates), (), r,
+              tuple(sorted(u for _, u, _ in coordinates)), ())
+    p = AffineMonoid.from_dual_cone(cp)
     fan_rays = tuple(rho for _, _, rho in coordinates)
     levels = [sf.levels[rho] for rho in fan_rays]
-    res = admissible_resolution(p, dict(zip(p.defining_cone.rays, levels)))
+    res = admissible_resolution(p, dict(zip(cp.rays, levels)))
     return p, res, fan_rays, tuple(n_prime), tuple(n_doubleprime)
 
 

@@ -6,9 +6,12 @@ of lattice points of C(P). On top of that sit the resolution operations: the
 minimal free resolution (the smallest free monoid F with P <= F <= P^gp (x) Q
 and P close to F), its scalings by positive integer levels, the cokernel
 F^gp / P^gp, the correspondence between free generators, rays of C(P)
-and height-one primes, and the exact check that P^gp intersect F = P. Every
-lattice walk here (a Hilbert basis) counts its points first and raises
-``LatticeWalkTooLarge`` above ``MAX_LATTICE_POINTS``.
+and height-one primes, and the exact check that P^gp intersect F = P. A
+cone's data comes from as few inversions as its description allows: the
+Hilbert basis from one Smith form of the ray matrix, the free generators
+from the dual rays that C(P) already stores. Every lattice walk here (a
+Hilbert basis) counts its points first and raises ``LatticeWalkTooLarge``
+above ``MAX_LATTICE_POINTS``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .linalg import (
     identity_rows,
     integer_inverse,
     integer_solve,
-    invert_unimodular,
     is_zero_vector,
     primitive_vector,
     quotient_invariants,
@@ -144,12 +146,15 @@ def _hilbert_basis_full(ray_list: Sequence[IntVec], d: int) -> list[IntVec]:
     half-open fundamental parallelepiped of the primitive rays (one per
     residue class of Z^d modulo the ray lattice, vol = |det| of them, so
     more than ``MAX_LATTICE_POINTS`` raises ``LatticeWalkTooLarge`` before
-    any is built) and adds the rays. With ``A^-1 = M / vol`` for the ray
-    matrix A, every candidate carries its coordinates in the basis
-    ``ray / vol``: its residue vector for a parallelepiped point, built one
-    invariant factor of Z^d / A Z^d at a time, and ``vol * e_i`` for the
-    i-th ray. The irreducible elements are then found by the reduction rule
-    of Normaliz (Bruns-Ichim, J. Algebra 324, 2010): in order of degree
+    any is built) and adds the rays. Every candidate carries its
+    coordinates in the basis ``ray / vol``: ``vol * e_i`` for the i-th ray,
+    and for a parallelepiped point its residue vector, built one invariant
+    factor of Z^d / A Z^d at a time. All of it comes from one Smith
+    elimination U A V = S of the ray matrix A, with no inverse: vol is the
+    product of the diagonal s_j, and since A^-1 U^-1 = V S^-1, the j-th
+    residue generator U^-1 e_j has the scaled coordinates (vol / s_j) V e_j.
+    The irreducible elements are then found by the reduction rule of
+    Normaliz (Bruns-Ichim, J. Algebra 324, 2010): in order of degree
     (coordinate sum), h is reducible iff some already accepted element is
     componentwise <= h, because every decomposition of a reducible h starts
     with a Hilbert-basis element of lower degree.
@@ -157,18 +162,17 @@ def _hilbert_basis_full(ray_list: Sequence[IntVec], d: int) -> list[IntVec]:
     if d == 2:
         return _hilbert_basis_plane(*ray_list)
     rows = [list(r) for r in zip(*ray_list)]  # A: the rays as columns
-    scaled, vol = integer_inverse(rows)  # vol = |det A|
+    v = identity_rows(d)
+    diag = smith_elimination([row[:] for row in rows], v=v)
+    vol = math.prod(diag)  # |det A|
+    if vol == 0:
+        raise AssertionError("rays of a simplicial cone are dependent")
     if vol > MAX_LATTICE_POINTS:
         raise LatticeWalkTooLarge(vol)
-    u = identity_rows(d)
-    diag = smith_elimination([row[:] for row in rows], u=u)
-    # residue generators in scaled coordinates: M times the columns of U^-1
-    uinv = invert_unimodular(u)
     fracs = [(0,) * d]
     for j, n in enumerate(diag):
         if n > 1:
-            column = [row[j] for row in uinv]
-            w = [dot(row, column) for row in scaled]
+            w = [row[j] * (vol // n) for row in v]
             fracs = [tuple([(f + c * x) % vol for f, x in zip(frac, w)])
                      for frac in fracs for c in range(n)]
     coords: dict[IntVec, tuple[int, ...]] = {
@@ -316,7 +320,10 @@ class FreeResolution:
 
     generators are the minimal free generators f_i = v_i / b_i sitting on the
     rays v_i of C(P); realized_generators g_i = f_i / n_i carry the level
-    scalings (all n_i = 1 for the minimal resolution).
+    scalings (all n_i = 1 for the minimal resolution). Construction checks
+    that P lies in the free monoid on the f_i, hence in the one on the g_i:
+    the i-th coordinate of a Hilbert-basis element in the g basis is a
+    nonnegative multiple of n_i.
     """
 
     source: AffineMonoid
@@ -333,7 +340,8 @@ class FreeResolution:
             raise ValueError("denominators must be positive integers")
         m, q = self._basis_inverse
         for h in self.source.hilbert_basis:
-            if any(v % q or v < 0 for v in (dot(row, h) for row in m)):
+            coordinates = (dot(row, h) for row in m)
+            if any(v % (q * n) or v < 0 for v, n in zip(coordinates, self.levels)):
                 raise AssertionError(
                     f"monoid element {h} is not a lattice point of the free monoid")
 
@@ -374,45 +382,29 @@ class FreeResolution:
 
 
 def minimal_free_resolution(p: AffineMonoid) -> FreeResolution:
-    """Canonical construction of the minimal free resolution of P.
+    """Canonical construction of the minimal free resolution of P: the
+    admissible resolution with every level 1."""
+    return admissible_resolution(p, {})
 
-    The free generators are v_i / b_i where v_i are the primitive rays of
-    C(P) (lex order) and (1/b_i) Z is the image of P^gp under the i-th
-    ray coordinate: with ``A^-1 = M / q`` for the ray matrix A, that image is
-    generated by gcd(row i of M) / q.
+
+def admissible_resolution(p: AffineMonoid, levels: Mapping[IntVec, int]) -> FreeResolution:
+    """The minimal free resolution of P, scaled by per-ray levels.
+
+    The free generators are f_i = v_i / b_i, where v_i are the primitive rays
+    of C(P) (lex order) and (1/b_i) Z is the image of P^gp under the i-th
+    ray coordinate <u_i, .> / <u_i, v_i>, for the dual ray
+    u_i = ``cones.ray_star(C(P), v_i)`` that C(P) already stores: u_i is
+    primitive, so that image is generated by 1 / <u_i, v_i>, and
+    b_i = <u_i, v_i>. levels maps primitive rays of C(P) to positive
+    integers; missing rays default to 1. The realized generators are
+    f_i / n_i.
     """
     if not p.sharp:
         raise ValueError("minimal free resolution requires a sharp monoid")
     c = p.defining_cone
     if c.dim != p.lattice_rank:
         raise ValueError("defining cone must be full-dimensional (P^gp of full rank)")
-    d = p.lattice_rank
     ray_list = c.rays
-    m, q = integer_inverse([list(col) for col in zip(*ray_list)])
-    denominators = []
-    for row in m:
-        content = math.gcd(*row)
-        if q % content:
-            raise AssertionError("ray coordinate image is not of the form (1/b)Z")
-        denominators.append(q // content)
-    gens = tuple(tuple(Fraction(x, b) for x in v) for v, b in zip(ray_list, denominators))
-    return FreeResolution(
-        source=p, rank=d,
-        denominators=tuple(denominators),
-        levels=(1,) * d,
-        generators=gens,
-        realized_generators=gens,
-    )
-
-
-def admissible_resolution(p: AffineMonoid, levels: Mapping[IntVec, int]) -> FreeResolution:
-    """Scale the minimal free resolution by per-ray levels.
-
-    levels maps primitive rays of C(P) to positive integers; missing rays
-    default to 1. The realized generators become f_i / n_i.
-    """
-    res = minimal_free_resolution(p)
-    ray_list = p.defining_cone.rays
     known = set(ray_list)
     by_ray = {}
     for key, n in levels.items():
@@ -423,13 +415,14 @@ def admissible_resolution(p: AffineMonoid, levels: Mapping[IntVec, int]) -> Free
             raise ValueError(f"level on ray {key} must be >= 1")
         by_ray[key] = int(n)
     ns = tuple(by_ray.get(r, 1) for r in ray_list)
-    realized = tuple(tuple(x / n for x in f) for f, n in zip(res.generators, ns))
+    denominators = tuple(dot(cones.ray_star(c, v), v) for v in ray_list)
+    gens = tuple(tuple(Fraction(x, b) for x in v) for v, b in zip(ray_list, denominators))
     return FreeResolution(
-        source=p, rank=res.rank,
-        denominators=res.denominators,
+        source=p, rank=p.lattice_rank,
+        denominators=denominators,
         levels=ns,
-        generators=res.generators,
-        realized_generators=realized,
+        generators=gens,
+        realized_generators=tuple(tuple(x / n for x in f) for f, n in zip(gens, ns)),
     )
 
 

@@ -3,10 +3,12 @@
 Each ``*.golden`` file next to this script holds the exit code, stdout and
 stderr of one ``toristack`` command; no environment variable changes
 them. The commands are: for every fixture in ``tests/fixtures``, the JSON
-and text reports and ``mfr`` and ``stabilizer`` on its first maximal cone;
-for every refused document in ``refused/``, ``validate`` (JSON and text)
-and ``report``. ``tests/test_golden.py`` compares the files byte for byte.
-Only a change meant to alter output regenerates them.
+and text reports, ``stabilizer`` on its first listed maximal cone and
+``mfr`` on every listed maximal cone (the first as ``<fixture>.mfr.golden``,
+the cone ``i,j`` as ``<fixture>.mfr-i-j.golden``); for every refused
+document in ``refused/``, ``validate`` (JSON and text) and ``report``.
+``tests/test_golden.py`` compares the files byte for byte. Only a change
+meant to alter output regenerates them.
 """
 
 from __future__ import annotations
@@ -26,13 +28,16 @@ def cases() -> list[tuple[str, list[str]]]:
     out = []
     for path in sorted((ROOT / "tests" / "fixtures").glob("*.json")):
         rel = str(path.relative_to(ROOT))
-        cone = ",".join(str(i) for i in json.loads(path.read_text())["max_cones"][0])
+        first, *others = [[str(i) for i in c] for c in json.loads(path.read_text())["max_cones"]]
+        cone = ",".join(first)
         out += [
             (f"{path.stem}.report.golden", ["report", rel]),
             (f"{path.stem}.report-text.golden", ["report", rel, "--format", "text"]),
             (f"{path.stem}.mfr.golden", ["mfr", rel, "--cone", cone]),
             (f"{path.stem}.stabilizer.golden", ["stabilizer", rel, "--cone", cone]),
         ]
+        out += [(f"{path.stem}.mfr-{'-'.join(c)}.golden", ["mfr", rel, "--cone", ",".join(c)])
+                for c in others]
     for path in sorted((HERE / "refused").glob("*.json")):
         rel = str(path.relative_to(ROOT))
         out += [

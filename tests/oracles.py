@@ -115,18 +115,15 @@ def box_hilbert_basis(ray_vectors, d):
         unit = [Fraction(int(j == i)) for j in range(d)]
         col = solve_square(cols, unit)  # column i of the inverse
         scaled.append([x * dv for x in col])
-    adj_rows = [[scaled[j][i] for j in range(d)] for i in range(d)]  # transpose back
+    assert all(x.denominator == 1 for row in scaled for x in row)
     sign = 1 if dv > 0 else -1
     bound = abs(dv)
+    # transpose back, the sign folded in
+    adj_rows = [[sign * int(scaled[j][i]) for j in range(d)] for i in range(d)]
 
     def scaled_coords(x):
         # sign * det * (cone coordinates of x), all integers
-        out = []
-        for row in adj_rows:
-            v = sum(a * b for a, b in zip(row, x))
-            assert v.denominator == 1
-            out.append(sign * v.numerator)
-        return out
+        return [sum(a * b for a, b in zip(row, x)) for row in adj_rows]
 
     lo = [sum(min(0, v[j]) for v in ray_vectors) for j in range(d)]
     hi = [sum(max(0, v[j]) for v in ray_vectors) for j in range(d)]

@@ -393,7 +393,38 @@ def test_stabilizer_computes_no_hilbert_basis_or_resolution(monkeypatch):
         assert main(["stabilizer", str(FIXTURES / f"{name}.json"), "--cone", cone]) == 0
     assert calls == []
     assert main(["mfr", str(FIXTURES / "a1_cone.json"), "--cone", "0,1"]) == 0
-    assert calls == ["hilbert basis", "free resolution", "free resolution"]
+    assert calls == ["hilbert basis", "free resolution"]
+
+
+def test_mfr_inverts_a_full_dimensional_cone_at_most_twice(monkeypatch, tmp_path, capsys):
+    # one inverse gives the chart coordinates and C(P) with its dual rays, the
+    # Hilbert basis is one Smith form and the denominators are pairings with
+    # the stored dual rays; the resolution's own P <= F check is the other
+    import toristack.linalg as linalg_mod
+
+    calls = []
+    original = linalg_mod.integer_inverse
+
+    def counting_inverse(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name == "toristack" or name.startswith("toristack."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_inverse)
+    rank = 5
+    rays = [[int(i == j) for j in range(rank)] for i in range(rank - 1)] + [[1, 2, 3, 4, 6]]
+    path = write_doc(tmp_path, "rank5.json", {"rank": rank, "rays": rays,
+                                               "max_cones": [list(range(rank))]})
+    for argv in (["mfr", str(FIXTURES / "a1_cone.json"), "--cone", "0,1"],
+                 ["mfr", str(FIXTURES / "quotient_3d.json"), "--cone", "0,1,2"],
+                 ["mfr", path, "--cone", "0,1,2,3,4"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["saturation_check"] is True
+        assert 0 < len(calls) <= 2, (argv, calls)
 
 
 def test_commands_call_no_public_normal_form(monkeypatch, capsys):
@@ -594,11 +625,11 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
 def test_report_builds_cones_only_for_maximal_cones(tmp_path, monkeypatch, capsys):
     # (P^1)^3 with a nonzero characteristic: 27 cones, of which only the 8
     # maximal ones become a Cone (validation's certificate and the printed
-    # coarse Hilbert bases); tameness is read from the charts, and every
-    # unimodular inverse is one fraction-free inverse, never a Hermite form
+    # coarse Hilbert bases); tameness is read from the charts. Its cones are
+    # full-dimensional, so it inverts no unimodular matrix; the splittings
+    # of mixed_dim do, each by one fraction-free inverse, never a Hermite form
     import toristack.cones as cones_mod
     import toristack.linalg as linalg_mod
-    import toristack.monoids as monoids_mod
     import toristack.stackyfan as fan_mod
     from itertools import product
 
@@ -635,8 +666,9 @@ def test_report_builds_cones_only_for_maximal_cones(tmp_path, monkeypatch, capsy
     for name in ("is_tame", "stacky_multiplicity"):
         monkeypatch.setattr(fan_mod, name, forbidden(f"stackyfan.{name}"))
     monkeypatch.setattr(cones_mod, "multiplicity", forbidden("cones.multiplicity"))
-    for module in (linalg_mod, monoids_mod):
-        monkeypatch.setattr(module, "invert_unimodular", tracked_inverse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toristack") and vars(module).get("invert_unimodular") is invert_unimodular:
+            monkeypatch.setattr(module, "invert_unimodular", tracked_inverse)
     monkeypatch.setattr(linalg_mod, "hermite_elimination", tracked_hnf)
     rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
                                           [-int(j == i) for j in range(3)])]
@@ -649,4 +681,8 @@ def test_report_builds_cones_only_for_maximal_cones(tmp_path, monkeypatch, capsy
     assert data["fan"]["tame"] is True and data["fan"]["deligne_mumford"] is True
     assert len(built) == 8
     assert set(built) == {frozenset(tuple(rays[i]) for i in c) for c in cones}
+    assert inverses == [] and hnf_in_inverse == []
+    # the lower-dimensional cones of mixed_dim do split their lattice
+    assert main(["report", str(FIXTURES / "mixed_dim.json")]) == 0
+    capsys.readouterr()
     assert inverses and hnf_in_inverse == []

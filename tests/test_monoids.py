@@ -116,6 +116,7 @@ def test_plane_hilbert_basis_long_continued_fraction():
 
 
 def test_plane_hilbert_basis_runs_no_normal_form_or_inverse(monkeypatch):
+    import toristack.linalg as linalg_mod
     import toristack.monoids as monoids_mod
 
     c = dual_cone(sigma((1, 0), (1, 10 ** 6)))
@@ -123,10 +124,44 @@ def test_plane_hilbert_basis_runs_no_normal_form_or_inverse(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the rank-2 Hilbert basis ran a normal form or an inverse")
 
-    for name in ("smith_elimination", "canonical_basis", "integer_inverse",
-                 "invert_unimodular"):
-        monkeypatch.setattr(monoids_mod, name, forbidden)
+    for module in (monoids_mod, linalg_mod):
+        for name in ("smith_elimination", "canonical_basis", "integer_inverse",
+                     "invert_unimodular"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
     assert hilbert_basis(c) == [(0, 1), (1, 0), (10 ** 6, -1)]
+
+
+def test_hilbert_basis_of_rank_3_and_up_takes_one_smith_form_and_no_inverse(monkeypatch):
+    # the volume, the residue generators and their coordinates in the rays
+    # all come from one Smith elimination U A V = S of the ray matrix
+    import toristack.linalg as linalg_mod
+    import toristack.monoids as monoids_mod
+
+    smith_elimination = linalg_mod.smith_elimination
+    calls = []
+
+    def counting_smith(s, u=None, v=None):
+        calls.append((len(s), u is None, v is None))
+        return smith_elimination(s, u, v)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Hilbert basis inverted a matrix")
+
+    monkeypatch.setattr(monoids_mod, "smith_elimination", counting_smith)
+    for module in (monoids_mod, linalg_mod):
+        for name in ("integer_inverse", "invert_unimodular"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    cases = [[(1, 0, 0), (0, 1, 0), (1, 1, 2)],
+             [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 6)],
+             [(2, 1, 0), (0, 3, 1), (1, 0, 5)]]
+    for ray_list in cases:
+        d = len(ray_list)
+        calls.clear()
+        basis = monoids_mod._hilbert_basis_full(ray_list, d)
+        assert calls == [(d, True, False)]
+        assert basis == box_hilbert_basis(ray_list, d)
 
 
 def test_is_simplicially_toric():
@@ -404,6 +439,17 @@ def test_resolution_rejects_non_integral_coordinate():
     # (1, 0) = (2, 0) / 2 is not in the free monoid
     with pytest.raises(AssertionError, match="not a lattice point of the free monoid"):
         orthant_resolution((2, 0), (0, 1))
+
+
+def test_resolution_checks_the_minimal_free_monoid_under_levels():
+    # the level 2 makes (1, 0) a realized generator, but P must lie in the
+    # free monoid on the minimal generators, which misses (1, 0) = (2, 0) / 2
+    p = monoid_from_cone(sigma((1, 0), (0, 1)))
+    minimal = ((frac(2), frac(0)), (frac(0), frac(1)))
+    realized = ((frac(1), frac(0)), (frac(0), frac(1)))
+    with pytest.raises(AssertionError, match="not a lattice point of the free monoid"):
+        FreeResolution(source=p, rank=2, denominators=(1, 1), levels=(2, 1),
+                       generators=minimal, realized_generators=realized)
 
 
 def test_saturation_check_finds_lattice_point_outside_monoid():
