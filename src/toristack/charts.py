@@ -12,12 +12,14 @@ a chart's group takes one Smith normal form in the ambient lattice, and its
 multiplicity (the gcd of the maximal minors of its rays) one determinant at
 full dimension or one Smith normal form of the rays below it, with no
 splitting.
-The splitting N = N' + N'', one inverse of the ray matrix in N' and one
-Smith normal form of the free-net matrix in N' coordinates give the chart
-coordinates and action weights, on first use. The splitting of a full-dimensional cone is
-free (N' = Z^d, N'' = 0); a lower-dimensional cone saturates the span of its
-rays and completes it to a basis, with one Smith normal form each. P and its
-resolution are built only by ``chart_resolution``.
+The splitting N = N' + N'', the cone's dual rows (``Fan.dual_rows``, the
+fan's one inverse per cone) restricted to N', and one Smith normal form of
+the free-net matrix in N' coordinates give the chart coordinates and action
+weights, on first use; no chart inverts a matrix of its own. The splitting
+of a full-dimensional cone is free (N' = Z^d, N'' = 0); a lower-dimensional
+cone saturates the span of its rays and completes it to a basis, with one
+Smith normal form each. P and its resolution are built only by
+``chart_resolution``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .linalg import (
     dot,
     identity_rows,
     independent_rows,
-    integer_inverse,
     primitive_vector,
     saturate,
     smith_elimination,
@@ -86,7 +87,7 @@ class LocalChart:
 
     @cached_property
     def _chart_coordinates(self) -> _ChartCoordinates:
-        n_prime, n_doubleprime, q, coordinates = _coordinates(self.sf.fan, self.cone)
+        n_prime, n_doubleprime, coordinates = _coordinates(self.sf.fan, self.cone)
         fan_rays = tuple(rho for _, _, rho in coordinates)
         levels = tuple(self.sf.levels[rho] for rho in fan_rays)
         free_net = [[n * x for x in v] for (_, v, _), n in zip(coordinates, levels)]
@@ -95,7 +96,8 @@ class LocalChart:
         if any(x == 0 for x in diag):
             raise AssertionError("degenerate free-net matrix in chart computation")
         torsion_rows = [i for i, x in enumerate(diag) if x > 1]
-        if (q != self.multiplicity
+        # |det| of the free-net matrix in N' is the multiplicity times the levels
+        if (math.prod(diag) != self.multiplicity * math.prod(levels)
                 or tuple(diag[i] for i in torsion_rows) != self.group.invariant_factors):
             raise AssertionError("chart coordinates disagree with the cone's "
                                  "multiplicity or stabilizer")
@@ -153,47 +155,47 @@ def split_cone(rays: Sequence[IntVec], ambient_rank: int) -> tuple[list[IntVec],
 def _coordinates(fan: Fan, key: tuple[int, ...]):
     """Splitting and chart coordinates of a cone.
 
-    With A the matrix of the cone's rays in N' coordinates (one per row, in
-    key order) and ``A^-1 = M / q``, column j of M pairs to q with ray j and
-    to 0 with the other rays: made primitive, it is the ray of C(P) on the
-    ray star of ray j, and q = |det A| is the multiplicity. Each such ray w
-    is certified against the rays: it pairs to 0 with every other ray and
-    positively with its own, so the w are exactly the primitive rays of
-    C(P) and the rays of the cone the rays of its dual. Coordinates follow
-    the lex order of the w. When N'' is empty, N' is Z^d in the standard
-    basis, so the rays are their own N' coordinates.
+    Row j of the cone's ``Fan.dual_rows`` lies in the span of its rays and
+    pairs positively with ray j and to 0 with the other rays. Restricted to
+    N' (w_k = <row, n'_k>) and made primitive, it is the ray w of C(P) on
+    the ray star of ray j. When N'' is empty, N' is Z^d in the standard
+    basis, so the rows and the rays are their own N' coordinates. Each w is
+    certified against the rays in N' coordinates: it pairs to 0 with every
+    other ray and positively with its own, so the w are exactly the
+    primitive rays of C(P) and the rays of the cone the rays of its dual.
+    Coordinates follow the lex order of the w.
 
-    Returns (n_prime, n_doubleprime, q, coordinates) with one triple (ray of
+    Returns (n_prime, n_doubleprime, coordinates) with one triple (ray of
     C(P), cone ray in N' coordinates, fan ray index) per coordinate.
     """
     rays = [fan.rays[i] for i in key]
     n_prime, n_doubleprime = split_cone(rays, fan.ambient_rank)
-    local = split_coordinates(rays, n_prime, n_doubleprime) if n_doubleprime else rays
-    m, q = integer_inverse(local)
-    coordinates = sorted((primitive_vector(col), local[j], key[j])
-                         for j, col in enumerate(zip(*m)))
+    rows, local = fan.dual_rows[key], rays
+    if n_doubleprime:
+        rows = [primitive_vector([dot(row, n) for n in n_prime]) for row in rows]
+        local = split_coordinates(rays, n_prime, n_doubleprime)
+    coordinates = sorted(zip(rows, local, key))
     for w, u, _ in coordinates:
         if any(dot(w, v) != 0 for v in local if v != u) or dot(w, u) <= 0:
             raise AssertionError("ray-star bijection failed in chart computation")
-    return n_prime, n_doubleprime, q, coordinates
+    return n_prime, n_doubleprime, coordinates
 
 
 def chart_resolution(sf: StackyFan, sigma: Iterable[int]):
     """Sharp chart monoid and its level-scaled resolution over a nonzero cone.
 
     C(P) is read off the certified pairing of ``_coordinates``: its rays
-    are the w, and the cone's rays in N' coordinates its dual rays, so no
-    cone is built a second time. Returns (monoid, resolution, fan_rays,
-    n_prime, n_doubleprime) where fan_rays[i] is the fan ray index attached
-    to the i-th free generator through the ray-star bijection.
+    are the w, and the cone's rays in N' coordinates its dual rows, so
+    ``Cone.on_rays`` stores them with no inverse. Returns (monoid,
+    resolution, fan_rays, n_prime, n_doubleprime) where fan_rays[i] is the
+    fan ray index attached to the i-th free generator through the ray-star
+    bijection.
     """
     key = sf.fan.normalize(sigma)
     if not key:
         raise fans.ZeroConeSelected()
-    n_prime, n_doubleprime, _, coordinates = _coordinates(sf.fan, key)
-    r = len(key)
-    cp = Cone(r, tuple(w for w, _, _ in coordinates), (), r,
-              tuple(sorted(u for _, u, _ in coordinates)), ())
+    n_prime, n_doubleprime, coordinates = _coordinates(sf.fan, key)
+    cp = Cone.on_rays([w for w, _, _ in coordinates], [u for _, u, _ in coordinates], len(key))
     p = AffineMonoid.from_dual_cone(cp)
     fan_rays = tuple(rho for _, _, rho in coordinates)
     levels = [sf.levels[rho] for rho in fan_rays]

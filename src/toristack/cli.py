@@ -279,8 +279,10 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
                         and all(charts[c].multiplicity == 1 for c in fan.maximal_cones))
     # |G| of each chart is its cone's stacky multiplicity (asserted by
     # local_chart): the fan is tame, and the stack Deligne-Mumford, exactly
-    # when every chart is Kummer log etale
-    tame = all(chartlib.is_kummer_etale_chart(charts[c], chars) for c in fan.cones)
+    # when every chart is Kummer log etale. The group of a face embeds in
+    # that of its cone, so the maximal cones' charts decide it
+    etale = {c: chartlib.is_kummer_etale_chart(charts[c], chars) for c in fan.maximal_cones}
+    tame = all(etale.values())
     cones_out = [{
         "id": cone_id(c),
         "ray_indices": list(c),
@@ -324,7 +326,7 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
             "action_weights": [list(w) for w in chart.action_weights],
             "coordinate_levels": list(chart.levels),
             "coordinate_fan_rays": list(chart.fan_rays),
-            "kummer_log_etale": chartlib.is_kummer_etale_chart(chart, chars),
+            "kummer_log_etale": etale[c],
             "coarse_hilbert_basis": [list(v) for v in coarse],
             "splitting": {
                 "n_prime_basis": [list(v) for v in chart.n_prime_basis],

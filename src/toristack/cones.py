@@ -3,10 +3,12 @@
 A cone is the cone on linearly independent generators, the only kind a
 stacky fan has. It is stored with both descriptions: its extreme rays (the
 generators made primitive, lexicographically sorted) and the inequalities
-cutting it out (the generators of the dual cone). The dual rays are read off
-one inverse of the generator matrix (in the complement of their kernel, one
-normal form, when there are fewer than d of them), and the dual swaps the
-two descriptions. Dependent generators raise ``ValueError``.
+cutting it out (the generators of the dual cone). ``dual_rows`` is the one
+place a simplicial cone is dualized: one inverse of the ray matrix, or of
+its Gram matrix when there are fewer than d rays. Then the kernel of the
+rays (one normal form) is the dual lineality, and the dual rays are their
+representatives in the span of the rays. The dual swaps the two
+descriptions. Dependent generators raise ``ValueError``.
 
 The faces of such a cone are the cones on subsets of its rays
 (``is_face``), and two of them meet in a common face exactly when they meet
@@ -26,7 +28,6 @@ from typing import Iterable, Sequence
 
 from .linalg import (
     IntVec,
-    complete_to_basis,
     dot,
     integer_inverse,
     integer_kernel,
@@ -37,27 +38,20 @@ from .linalg import (
 )
 
 
-def _lift(coords: Iterable[IntVec], complement: Sequence[IntVec]) -> list[IntVec]:
-    """Primitive ambient vectors with the given complement coordinates, lex-sorted."""
-    d = len(complement[0])
-    return sorted({primitive_vector([sum(w[k] * c[j] for k, c in enumerate(complement))
-                                     for j in range(d)]) for w in coords})
+def dual_rows(rays: Sequence[IntVec], d: int) -> list[IntVec]:
+    """One primitive row per ray, in ray order, in the span of the rays: row
+    j pairs positively with ray j and to zero with the other rays.
 
-
-def _simplicial_dual_rays(gens: Sequence[IntVec], lineality: Sequence[IntVec],
-                          d: int) -> list[IntVec]:
-    """Pointed rays of the dual of the cone on linearly independent generators.
-
-    In the ``complete_to_basis(lineality)`` coordinates the generators form an
-    invertible matrix; column j of its inverse ``M / q`` pairs to 1 with
-    generator j and to 0 with the others, so column j of M (q > 0) spans the
-    dual ray that vanishes on every generator but j.
+    For d rays in rank d these are the columns of ``integer_inverse`` of the
+    ray matrix V; for fewer, the rows of adj(V V^T) V, since V V^T adj(V V^T)
+    = det(V V^T) I with det(V V^T) > 0 for independent rays. Dependent rays
+    make the inverted matrix singular and raise ``ValueError``.
     """
-    if not gens:
-        return []
-    complement = complete_to_basis(lineality, d)
-    m, _ = integer_inverse([[dot(g, c) for c in complement] for g in gens])
-    return _lift((primitive_vector(col) for col in zip(*m)), complement)
+    if len(rays) == d:
+        m, _ = integer_inverse(rays)
+        return [primitive_vector(col) for col in zip(*m)]
+    m, _ = integer_inverse([[dot(u, v) for v in rays] for u in rays])
+    return [primitive_vector([dot(row, col) for col in zip(*rays)]) for row in m]
 
 
 @dataclass(frozen=True)
@@ -77,9 +71,9 @@ class Cone:
 
         Zero generators are dropped and positive multiples of one vector
         count once; what is left must be linearly independent, or
-        ``ValueError`` is raised. d generators in rank d take one
-        ``integer_inverse`` and no kernel normal form; fewer take the kernel
-        and one inverse in its complement.
+        ``ValueError`` is raised. The dual rays are the ``dual_rows`` of the
+        generators (one ``integer_inverse``); fewer than d generators also
+        take the kernel normal form of ``on_rays``.
         """
         gens = []
         for g in generators:
@@ -88,23 +82,20 @@ class Cone:
             if not is_zero_vector(g):
                 gens.append(primitive_of_rational(g))
         gens = sorted(set(gens))
-        if len(gens) == ambient_rank:
-            try:
-                m, _ = integer_inverse(gens)
-            except ValueError:  # singular: dependent generators
-                pass
-            else:
-                # column j of the inverse pairs to q > 0 with generator j and
-                # to 0 with the others: the dual rays, with no kernel to compute
-                return cls(ambient_rank, tuple(gens), (), ambient_rank,
-                           tuple(sorted(primitive_vector(col) for col in zip(*m))), ())
-        else:
-            lineality = integer_kernel(gens, ambient_rank)
-            if len(gens) + len(lineality) == ambient_rank:
-                return cls(ambient_rank, tuple(gens), (), len(gens),
-                           tuple(_simplicial_dual_rays(gens, lineality, ambient_rank)),
-                           tuple(lineality))
-        raise ValueError(f"cone generators {gens} are linearly dependent")
+        try:
+            rows = dual_rows(gens, ambient_rank)
+        except ValueError:  # singular: dependent generators
+            raise ValueError(f"cone generators {gens} are linearly dependent") from None
+        return cls.on_rays(gens, rows, ambient_rank)
+
+    @classmethod
+    def on_rays(cls, rays: Sequence[IntVec], rows: Sequence[IntVec], ambient_rank: int) -> "Cone":
+        """The cone on linearly independent primitive rays whose ``dual_rows``
+        are ``rows``: both lists are stored lex-sorted, and below full
+        dimension the kernel of the rays is the dual lineality."""
+        rays = sorted(rays)
+        lineality = integer_kernel(rays, ambient_rank) if len(rays) < ambient_rank else ()
+        return cls(ambient_rank, tuple(rays), (), len(rays), tuple(sorted(rows)), tuple(lineality))
 
     @property
     def strictly_convex(self) -> bool:

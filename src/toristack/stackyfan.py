@@ -4,11 +4,13 @@ A fan is stored by its primitive rays (in user order, so ray indices are
 stable identifiers) and its maximal cones as sorted tuples of ray indices;
 cones are simplicial, so its faces are their index subsets (``Fan.cones``,
 built when read). The fan axioms (pairwise intersections are common faces)
-are checked on construction. Validation keeps one fraction-free inverse per
-maximal cone on the fan, and a complete fan is settled from its walls alone
-(see ``validate_fan``), so no check builds a ``Cone`` or a face. A stacky
-fan adds one positive integer level per ray, whose free-net points
-n_rho * v_rho scale the lattice data of every cone containing the ray.
+are checked on construction. A fan dualizes each cone it is asked about
+once (``Fan.dual_rows``, by ``cones.dual_rows``); validation, the charts
+and the fan's ``Cone``s all read that table, and a complete fan is settled
+from its walls alone (see ``validate_fan``), so no check builds a ``Cone``
+or a face. A stacky fan adds one positive integer level per ray, whose
+free-net points n_rho * v_rho scale the lattice data of every cone
+containing the ray.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .linalg import (
     circuit_vectors,
     dot,
     independent_rows,
-    integer_inverse,
     lattice_index,
     primitive_vector,
 )
@@ -108,13 +109,25 @@ class ZeroConeSelected(FanError):
         super().__init__("the zero cone has a trivial monoid; pick a nonzero cone")
 
 
+class _DualRows(dict):
+    """Cone key -> ``cones.dual_rows`` of its rays, computed on first lookup."""
+
+    def __init__(self, rays: Sequence[IntVec], ambient_rank: int):
+        super().__init__()
+        self.rays, self.ambient_rank = rays, ambient_rank
+
+    def __missing__(self, key: tuple[int, ...]) -> list[IntVec]:
+        rows = self[key] = conelib.dual_rows([self.rays[i] for i in key], self.ambient_rank)
+        return rows
+
+
 @dataclass(frozen=True)
 class Fan:
     """Finite simplicial fan, given by its maximal cones.
 
-    Its hash, its index from rays to maximal cones, its maximal cones'
-    inverse rows and its walls are computed once per instance, so a lookup
-    costs the same in a fan of any size.
+    Its hash, its index from rays to maximal cones and its walls are
+    computed once per instance, so a lookup costs the same in a fan of any
+    size; each cone's dual rows are computed once, on first lookup.
     """
 
     ambient_rank: int
@@ -128,9 +141,15 @@ class Fan:
     def __hash__(self) -> int:
         return self._hash
 
+    @cached_property
+    def dual_rows(self) -> _DualRows:
+        """Per cone key, the ``cones.dual_rows`` of its rays (in key order)."""
+        return _DualRows(self.rays, self.ambient_rank)
+
     @lru_cache(maxsize=None)
     def cone_geometry(self, indices: tuple[int, ...]) -> Cone:
-        return Cone.from_generators([self.rays[i] for i in indices], self.ambient_rank)
+        return Cone.on_rays([self.rays[i] for i in indices], self.dual_rows[indices],
+                            self.ambient_rank)
 
     @cached_property
     def cones(self) -> tuple[tuple[int, ...], ...]:
@@ -142,12 +161,6 @@ class Fan:
     def cones_by_ray(self) -> dict[int, list[tuple[int, ...]]]:
         """Each ray index, mapped to the maximal cones that contain it, in order."""
         return _cones_by_ray(self.maximal_cones)
-
-    @cached_property
-    def _inverse_rows(self) -> dict[tuple[int, ...], list[IntVec]]:
-        """Per maximal cone, ``_inverse_rows_of`` its rays."""
-        return {c: _inverse_rows_of([self.rays[i] for i in c], self.ambient_rank)
-                for c in self.maximal_cones}
 
     @cached_property
     def _walls(self) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]:
@@ -266,12 +279,12 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     non-proportional once simpliciality holds), cones simplicial, and the
     intersection of any two cones must be the cone on their shared rays tau.
 
-    The fan keeps one fraction-free inverse per maximal cone
-    (``Fan._inverse_rows``). A complete fan whose walls each separate exactly
-    two cones, and whose cones cover one generic point once, is a valid fan
-    with no pair compared (``_covers_once``). Otherwise every pair of
-    maximal cones is compared in order, and the first pair that fails
-    ``_meet_in_shared_face`` is named.
+    A complete fan whose walls each separate exactly two cones, and whose
+    cones cover one generic point once, is a valid fan with no pair
+    compared (``_covers_once``). Otherwise every pair of maximal cones is
+    compared in order, and the first pair that fails
+    ``_meet_in_shared_face`` is named. Both read the maximal cones'
+    ``Fan.dual_rows``, which the charts and ``Fan.cone_geometry`` reuse.
     """
     rays = [tuple(int(x) for x in r) for r in rays]
     maximal_cones = [tuple(int(i) for i in c) for c in maximal_cones]
@@ -307,21 +320,6 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     return fan
 
 
-def _inverse_rows_of(rays: Sequence[IntVec], d: int) -> list[IntVec]:
-    """Primitive rows, one per linearly independent ray, in the span of the
-    rays: row j pairs positively with ray j and to zero with the others.
-
-    For d rays in rank d these are the columns of ``integer_inverse`` of the
-    ray matrix V; for fewer, the rows of adj(V V^T) V, since V V^T adj(V V^T)
-    = det(V V^T) I with det(V V^T) > 0 for independent rays.
-    """
-    if len(rays) == d:
-        m, _ = integer_inverse(rays)
-        return [primitive_vector(col) for col in zip(*m)]
-    m, _ = integer_inverse([[dot(u, v) for v in rays] for u in rays])
-    return [primitive_vector([dot(row, col) for col in zip(*rays)]) for row in m]
-
-
 def _covers_once(fan: Fan) -> bool:
     """Whether the fan is complete with every pair of cones meeting in a face,
     read from its walls: the wall criterion of ``is_complete`` holds, the
@@ -338,7 +336,7 @@ def _covers_once(fan: Fan) -> bool:
     """
     if not is_complete(fan):
         return False
-    rows = fan._inverse_rows
+    rows = fan.dual_rows
     normals = []
     for (c1, j1), (c2, j2) in fan._walls.values():
         normal = rows[c1][j1]  # vanishes on the wall, positive on c1's other ray
@@ -351,16 +349,17 @@ def _covers_once(fan: Fan) -> bool:
 
 
 def _separates(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...], shared: set[int]) -> bool:
-    """Whether the functional m, the sum of c1's inverse rows at its rays
-    outside the shared rays, is negative on c2's rays outside them.
+    """Whether the functional m, the sum of c1's dual rows (``Fan.dual_rows``)
+    at its rays outside the shared rays, is negative on c2's rays outside them.
 
     m vanishes on the shared rays and is positive on c1's others, so then
     m >= 0 on c1 and m <= 0 on c2, each cone meets m^perp exactly in the
     cone on the shared rays, and so does their intersection, which lies in
-    m^perp. For a full-dimensional c1, m is the sum of its dual rays that
-    vanish on the shared rays.
+    m^perp. m is the sum of the dual rays of c1's ``Fan.cone_geometry``
+    that vanish on the shared rays, which ``Cone.on_rays`` stores from the
+    same rows.
     """
-    outside = [row for i, row in zip(c1, fan._inverse_rows[c1]) if i not in shared]
+    outside = [row for i, row in zip(c1, fan.dual_rows[c1]) if i not in shared]
     m = [sum(col) for col in zip(*outside)]
     return all(dot(m, fan.rays[i]) < 0 for i in c2 if i not in shared)
 

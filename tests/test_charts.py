@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -455,9 +456,10 @@ def test_chart_matches_the_resolution_path():
 def test_chart_group_and_multiplicity_need_no_splitting(monkeypatch):
     # the group is the torsion of Z^d / <n_rho v_rho> and the multiplicity
     # |det| of the rays, or the product of their Smith diagonal below full
-    # dimension: building a chart splits nothing, and the splitting, read
-    # later, agrees with both. The fans are validated before anything is
-    # forbidden, so the test does not depend on what other tests cached.
+    # dimension: building a chart splits and inverts nothing, and the
+    # splitting, read later, agrees with both. The fans are validated before
+    # anything is forbidden, so the test does not depend on what other tests
+    # cached.
     import toristack.charts as charts_mod
     import toristack.linalg as linalg_mod
 
@@ -467,10 +469,13 @@ def test_chart_group_and_multiplicity_need_no_splitting(monkeypatch):
         return fail
 
     stacky_fans = stacky_fans_with_shuffled_rays()
-    for name in ("_coordinates", "split_cone", "saturate", "complete_to_basis",
-                 "integer_inverse"):
+    for name in ("_coordinates", "split_cone", "saturate", "complete_to_basis"):
         monkeypatch.setattr(charts_mod, name, forbidden(name))
     monkeypatch.setattr(linalg_mod, "hermite_elimination", forbidden("hermite_elimination"))
+    inverse = linalg_mod.integer_inverse
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("toristack") and vars(module).get("integer_inverse") is inverse:
+            monkeypatch.setattr(module, "integer_inverse", forbidden("integer_inverse"))
     built = [(sf, local_chart(sf, c)) for sf in stacky_fans for c in sf.fan.cones]
     assert any(0 < chart.r < sf.fan.ambient_rank for sf, chart in built)
     monkeypatch.undo()
@@ -480,6 +485,16 @@ def test_chart_group_and_multiplicity_need_no_splitting(monkeypatch):
         # reading the coordinates runs the splitting and its tripwire
         assert sorted(chart.fan_rays) == list(chart.cone)
         assert math.prod(chart.levels) * chart.multiplicity == chart.group.order
+
+
+def test_only_cones_dualizes_a_simplicial_cone():
+    # the charts and the fan read a cone's dual rows from Fan.dual_rows,
+    # which cones.dual_rows fills; neither module inverts a matrix itself
+    import toristack.charts as charts_mod
+    import toristack.stackyfan as fan_mod
+
+    for module in (charts_mod, fan_mod):
+        assert "integer_inverse" not in vars(module), module.__name__
 
 
 def test_report_splits_only_maximal_cones(tmp_path, monkeypatch, capsys):

@@ -622,26 +622,53 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
     assert intersections == []
 
 
+def test_report_inverts_each_maximal_cone_once(monkeypatch, tmp_path, capsys):
+    # (P^1)^3: validation, the charts and the printed Hilbert bases of its 8
+    # maximal cones all read the one inverse in Fan.dual_rows
+    import toristack.linalg as linalg_mod
+    from itertools import product
+
+    calls = []
+    original = linalg_mod.integer_inverse
+
+    def counting_inverse(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name == "toristack" or name.startswith("toristack."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_inverse)
+    rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
+                                          [-int(j == i) for j in range(3)])]
+    cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=3)]
+    path = write_doc(tmp_path, "p1_cubed.json", {"rank": 3, "rays": rays, "max_cones": cones})
+    assert main(["report", path]) == 0
+    assert json.loads(capsys.readouterr().out)["fan"]["num_cones"] == 27
+    assert calls == [3] * 8
+
+
 def test_report_builds_cones_only_for_maximal_cones(tmp_path, monkeypatch, capsys):
     # (P^1)^3 with a nonzero characteristic: 27 cones, of which only the 8
-    # maximal ones become a Cone (validation's certificate and the printed
-    # coarse Hilbert bases); tameness is read from the charts. Its cones are
-    # full-dimensional, so it inverts no unimodular matrix; the splittings
-    # of mixed_dim do, each by one fraction-free inverse, never a Hermite form
+    # maximal ones become a Cone (the printed coarse Hilbert bases; every
+    # Cone, the fan's too, is stored by Cone.on_rays); tameness is read from
+    # the maximal charts. Its cones are full-dimensional, so it inverts no
+    # unimodular matrix; the splittings of mixed_dim do, each by one
+    # fraction-free inverse, never a Hermite form
     import toristack.cones as cones_mod
     import toristack.linalg as linalg_mod
     import toristack.stackyfan as fan_mod
     from itertools import product
 
     built, inverses, hnf_in_inverse, depth = [], [], [], [0]
-    from_generators = cones_mod.Cone.from_generators.__func__
+    on_rays = cones_mod.Cone.on_rays.__func__
     invert_unimodular = linalg_mod.invert_unimodular
     hermite_elimination = linalg_mod.hermite_elimination
 
-    def counting_from_generators(cls, generators, ambient_rank):
-        generators = [tuple(g) for g in generators]
-        built.append(frozenset(generators))
-        return from_generators(cls, generators, ambient_rank)
+    def counting_on_rays(cls, ray_list, rows, ambient_rank):
+        built.append(frozenset(tuple(v) for v in ray_list))
+        return on_rays(cls, ray_list, rows, ambient_rank)
 
     def tracked_inverse(u):
         inverses.append(u)
@@ -662,7 +689,7 @@ def test_report_builds_cones_only_for_maximal_cones(tmp_path, monkeypatch, capsy
         return fail
 
     fan_mod.Fan.cone_geometry.cache_clear()
-    monkeypatch.setattr(cones_mod.Cone, "from_generators", classmethod(counting_from_generators))
+    monkeypatch.setattr(cones_mod.Cone, "on_rays", classmethod(counting_on_rays))
     for name in ("is_tame", "stacky_multiplicity"):
         monkeypatch.setattr(fan_mod, name, forbidden(f"stackyfan.{name}"))
     monkeypatch.setattr(cones_mod, "multiplicity", forbidden("cones.multiplicity"))

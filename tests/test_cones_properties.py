@@ -66,6 +66,8 @@ def test_simplicial_path_matches_double_description(drawn):
     assert sorted(positive_on) == list(range(len(gens)))
     assert rank(c.dual_lineality) == len(c.dual_lineality) == d - len(gens)
     assert all(pairing(v, g) == 0 for v in c.dual_lineality for g in gens)
+    # the representatives are the ones in the span of the generators
+    assert all(pairing(m, v) == 0 for m in c.dual_rays for v in c.dual_lineality)
 
 
 @st.composite

@@ -5,7 +5,8 @@ every pair (``oracles.pairwise_validate_fan``).
 Inputs in rank 2-4: complete fans (GL_d(Z) images of products of projective
 spaces and Hirzebruch surfaces, rays shuffled), the same fans with cones
 dropped or with one more cone, and fans that wind around the origin more
-than once, whose walls each still separate exactly two cones.
+than once, whose walls each still separate exactly two cones. The same
+fans, given levels and characteristics, check the report's tameness flag.
 """
 
 import random
@@ -15,12 +16,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import pairwise_validate_fan
 
-from toristack.stackyfan import FanError, is_complete, validate_fan
+from toristack.cli import FanDocument, check_document, report_data
+from toristack.stackyfan import FanError, is_complete, is_tame, validate_fan
 
 
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -157,3 +159,19 @@ def test_pentagram_is_refused_with_the_first_overlapping_pair():
 def test_folded_and_doubled_fans_are_refused_with_the_first_overlapping_pair():
     assert outcome(*FOLDED, 2) == ("IntersectionNotFace", ((0, 1), (1, 2)))
     assert outcome(*DOUBLED, 2) == ("IntersectionNotFace", ((1, 2), (1, 4)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(fans(), st.data())
+def test_report_tameness_is_read_from_the_maximal_charts(drawn, data):
+    # the report reads tameness from the charts of the maximal cones only;
+    # stackyfan.is_tame reads the stacky multiplicities of the same cones
+    rays, cones, d, _ = drawn
+    levels = {i: data.draw(st.integers(1, 6)) for i in range(len(rays))}
+    chars = data.draw(st.lists(st.sampled_from([0, 2, 3, 5, 7]), min_size=1, max_size=3,
+                               unique=True))
+    doc = FanDocument(d, rays, [tuple(c) for c in cones], levels, chars)
+    found, sf = check_document(doc)
+    assume(not found)
+    fan = report_data(doc, sf)["fan"]
+    assert fan["tame"] == fan["deligne_mumford"] == is_tame(sf, chars)
