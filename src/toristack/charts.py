@@ -38,7 +38,6 @@ from .linalg import (
     determinant,
     dot,
     identity_rows,
-    independent_rows,
     primitive_vector,
     saturate,
     smith_elimination,
@@ -143,10 +142,12 @@ def split_cone(rays: Sequence[IntVec], ambient_rank: int) -> tuple[list[IntVec],
 
     N' is the saturation of the span of the rays, in its canonical Hermite
     basis; N'' is the canonical Hermite completion to a basis of the ambient
-    lattice. A full-dimensional cone needs no normal form: N' = Z^d, whose
-    Hermite basis is the standard one, and N'' is empty.
+    lattice. The rays must be linearly independent, as a cone's are once
+    validation has computed its dual rows, so d of them are full-dimensional
+    and need no normal form: N' = Z^d, whose Hermite basis is the standard
+    one, and N'' is empty.
     """
-    if len(rays) >= ambient_rank and len(independent_rows(rays)) == ambient_rank:
+    if len(rays) == ambient_rank:
         return [tuple(int(i == j) for j in range(ambient_rank)) for i in range(ambient_rank)], []
     n_prime = saturate(rays)
     return n_prime, complete_to_basis(n_prime, ambient_rank)

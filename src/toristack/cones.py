@@ -4,11 +4,12 @@ A cone is the cone on linearly independent generators, the only kind a
 stacky fan has. It is stored with both descriptions: its extreme rays (the
 generators made primitive, lexicographically sorted) and the inequalities
 cutting it out (the generators of the dual cone). ``dual_rows`` is the one
-place a simplicial cone is dualized: one inverse of the ray matrix, or of
-its Gram matrix when there are fewer than d rays. Then the kernel of the
-rays (one normal form) is the dual lineality, and the dual rays are their
-representatives in the span of the rays. The dual swaps the two
-descriptions. Dependent generators raise ``ValueError``.
+place a simplicial cone is dualized, and so the one simpliciality test: one
+inverse of the ray matrix, or of its Gram matrix when there are fewer than
+d rays. Then the kernel of the rays (one normal form) is the dual
+lineality, and the dual rays are their representatives in the span of the
+rays. The dual swaps the two descriptions. Dependent generators raise
+``ValueError``.
 
 The faces of such a cone are the cones on subsets of its rays
 (``is_face``), and two of them meet in a common face exactly when they meet
@@ -45,8 +46,11 @@ def dual_rows(rays: Sequence[IntVec], d: int) -> list[IntVec]:
     For d rays in rank d these are the columns of ``integer_inverse`` of the
     ray matrix V; for fewer, the rows of adj(V V^T) V, since V V^T adj(V V^T)
     = det(V V^T) I with det(V V^T) > 0 for independent rays. Dependent rays
-    make the inverted matrix singular and raise ``ValueError``.
+    raise ``ValueError``: more than d of them before any elimination, d or
+    fewer because the inverted matrix is singular.
     """
+    if len(rays) > d:
+        raise ValueError(f"{len(rays)} rays in rank {d} are linearly dependent")
     if len(rays) == d:
         m, _ = integer_inverse(rays)
         return [primitive_vector(col) for col in zip(*m)]

@@ -128,42 +128,22 @@ def integer_solve(inverse: IntegerInverse, b: Sequence[int]) -> IntVec | None:
     return tuple(out)
 
 
-def independent_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """A maximal linearly independent subset of the rows, in their order.
-
-    Each row is reduced against the echelon rows kept so far (integer row
-    operations, so nothing leaves Z); it is kept when a remainder is left.
-    The kept rows span the row space, so they have the same kernel.
-    """
-    kept, echelon = [], []
-    for row in rows:
-        rest = [int(x) for x in row]
-        for p, e in echelon:
-            if rest[p]:
-                g = math.gcd(rest[p], e[p])
-                f, h = rest[p] // g, e[p] // g
-                rest = [h * x - f * y for x, y in zip(rest, e)]
-        if any(rest):
-            g = math.gcd(*rest)
-            echelon.append((next(j for j, x in enumerate(rest) if x), [x // g for x in rest]))
-            kept.append([int(x) for x in row])
-    return kept
-
-
 def circuit_vectors(columns: Sequence[Sequence[int]]) -> Iterator[list[int]]:
-    """Every circuit of the columns, up to scale, as an integer relation vector.
+    """Every circuit of the columns, up to scale and sign, as an integer
+    relation vector.
 
-    With r independent rows of the matrix whose columns are given, each
-    (r+1)-subset S of the columns has the Cramer vector whose entry at the
-    k-th column of S is (-1)^k times the r x r minor without that column
-    (zero off S). It is a relation among the columns, and when nonzero its
-    support is a minimal dependent set: a circuit. Every circuit arises from
-    some S (extend it minus one column to a basis of the column span), so the
-    nonzero Cramer vectors are all the circuits, each perhaps several times.
-    Independent columns have none.
+    With a basis of r rows of the row space of the matrix whose columns are
+    given (its Hermite rows, ``canonical_basis``), each (r+1)-subset S of the
+    columns has the Cramer vector whose entry at the k-th column of S is
+    (-1)^k times the r x r minor without that column (zero off S). It is a
+    relation among the columns, and when nonzero its support is a minimal
+    dependent set: a circuit. Every circuit arises from some S (extend it
+    minus one column to a basis of the column span), so the nonzero Cramer
+    vectors are all the circuits, each perhaps several times and with
+    either sign. Independent columns have none.
     """
     n = len(columns)
-    rows = independent_rows(list(zip(*columns)))
+    rows = canonical_basis(list(zip(*columns)))
     r = len(rows)
     if r == n:
         return

@@ -5,12 +5,13 @@ stable identifiers) and its maximal cones as sorted tuples of ray indices;
 cones are simplicial, so its faces are their index subsets (``Fan.cones``,
 built when read). The fan axioms (pairwise intersections are common faces)
 are checked on construction. A fan dualizes each cone it is asked about
-once (``Fan.dual_rows``, by ``cones.dual_rows``); validation, the charts
-and the fan's ``Cone``s all read that table, and a complete fan is settled
-from its walls alone (see ``validate_fan``), so no check builds a ``Cone``
-or a face. A stacky fan adds one positive integer level per ray, whose
-free-net points n_rho * v_rho scale the lattice data of every cone
-containing the ray.
+once (``Fan.dual_rows``, by ``cones.dual_rows``, which is also the
+simpliciality test): validation fills that table for every listed cone,
+and the fan checks, the charts and the fan's ``Cone``s read it with no
+rank test of their own. A complete fan is settled from its walls alone
+(see ``validate_fan``), so no check builds a ``Cone`` or a face. A stacky
+fan adds one positive integer level per ray, whose free-net points
+n_rho * v_rho scale the lattice data of every cone containing the ray.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .linalg import (
     IntVec,
     circuit_vectors,
     dot,
-    independent_rows,
     lattice_index,
     primitive_vector,
 )
@@ -127,7 +127,8 @@ class Fan:
 
     Its hash, its index from rays to maximal cones and its walls are
     computed once per instance, so a lookup costs the same in a fan of any
-    size; each cone's dual rows are computed once, on first lookup.
+    size. Each cone's dual rows are computed once: ``validate_fan`` fills
+    those of the listed cones, and a face's are computed on first lookup.
     """
 
     ambient_rank: int
@@ -283,8 +284,10 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     cones cover one generic point once, is a valid fan with no pair
     compared (``_covers_once``). Otherwise every pair of maximal cones is
     compared in order, and the first pair that fails
-    ``_meet_in_shared_face`` is named. Both read the maximal cones'
-    ``Fan.dual_rows``, which the charts and ``Fan.cone_geometry`` reuse.
+    ``_meet_in_shared_face`` is named. Before both, each listed cone's
+    ``cones.dual_rows`` is computed in listing order, the simpliciality
+    test (the first cone with dependent rays is named); the rows fill the
+    fan's ``Fan.dual_rows``, so no later step tests rank again.
     """
     rays = [tuple(int(x) for x in r) for r in rays]
     maximal_cones = [tuple(int(i) for i in c) for c in maximal_cones]
@@ -296,22 +299,23 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     if found:
         raise found[0]
 
-    normalized = set()
+    listed = {}
     for c in maximal_cones:
         idx = tuple(sorted(set(c)))
         if len(idx) != len(c):
             raise FanError(f"cone {c} repeats a ray index")
-        if len(independent_rows([rays[i] for i in idx])) != len(idx):
-            raise NonSimplicial(idx)
-        normalized.add(idx)
+        try:
+            listed[idx] = conelib.dual_rows([rays[i] for i in idx], ambient_rank)
+        except ValueError:  # dependent rays
+            raise NonSimplicial(idx) from None
 
-    if not normalized:
-        normalized = {()}  # the torus fan: only the zero cone
+    normalized = set(listed) or {()}  # no cone listed: the torus fan, only the zero cone
     longest = max(map(len, normalized))  # no cone contains one of this length
     by_ray = _cones_by_ray(normalized)  # a longer cone containing c lies on c's rarest ray
     maximal = tuple(sorted(c for c in normalized if len(c) == longest or c and not any(
         len(o) > len(c) and set(c).issubset(o) for o in min((by_ray[i] for i in c), key=len))))
     fan = Fan(ambient_rank, tuple(rays), maximal)
+    fan.dual_rows.update(listed)
 
     if not _covers_once(fan):
         for c1, c2 in combinations(maximal, 2):
@@ -408,10 +412,13 @@ class StackyFan:
             table[int(key)] = value
         # stacky-fan axioms: per cone the free-net points generate a free
         # monoid of rank dim(sigma) close to sigma; automatic here since the
-        # points are positive multiples of linearly independent rays
+        # points are positive multiples of linearly independent rays, which
+        # the cone's dual rows certify (a lookup on a validated fan)
         for c in fan.maximal_cones:
-            if len(independent_rows([fan.rays[i] for i in c])) != len(c):
-                raise AssertionError(f"maximal cone {c} has linearly dependent rays")
+            try:
+                fan.dual_rows[c]
+            except ValueError:
+                raise AssertionError(f"maximal cone {c} has linearly dependent rays") from None
         return cls(fan, tuple(table))
 
 

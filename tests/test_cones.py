@@ -100,6 +100,22 @@ def test_dependent_generators_raise():
             Cone.from_generators(gens, len(gens[0]))
 
 
+def test_more_rays_than_the_rank_are_rejected_before_any_inverse(monkeypatch):
+    # d + 1 rays are dependent whatever they are: no Gram matrix is built,
+    # not even for thousands of listed rays
+    import toristack.cones as cones_mod
+
+    def fail(rows):
+        raise AssertionError("integer_inverse called")
+
+    monkeypatch.setattr(cones_mod, "integer_inverse", fail)
+    for gens, d in [([(1,), (-1,)], 1), ([(1, 0), (0, 1), (1, 1)], 2),
+                    ([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)], 3),
+                    ([(1, k) for k in range(3000)], 2)]:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            cones_mod.dual_rows(gens, d)
+
+
 def test_contains_solves_exactly():
     c = cone((1, 0), (1, 2))
     assert contains(c, (1, 1))  # = 1/2 (1,0) + 1/2 (1,2)

@@ -9,7 +9,6 @@ from toristack.linalg import (
     determinant,
     hermite_normal_form,
     identity_rows,
-    independent_rows,
     integer_kernel,
     invert_unimodular,
     lattice_index,
@@ -248,17 +247,12 @@ def independent(vectors):
                for cols in combinations(range(d), len(vectors)))
 
 
-def test_independent_rows_and_circuits_match_brute_force():
+def test_circuits_match_brute_force():
     rng = random.Random(11)
     for _ in range(150):
         d = rng.randint(1, 4)
         n = rng.randint(1, d + 3)
         columns = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(n)]
-        kept = independent_rows(columns)
-        rank = max(k for k in range(n + 1) if any(
-            independent([columns[j] for j in s]) for s in combinations(range(n), k)))
-        assert len(kept) == rank and independent(kept)
-        assert all(tuple(v) in columns for v in kept)
         supports = set()
         for c in circuit_vectors(columns):
             assert all(sum(c[j] * columns[j][i] for j in range(n)) == 0 for i in range(d))

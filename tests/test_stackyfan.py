@@ -1,6 +1,8 @@
+import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +13,7 @@ from conftest import (
     a2_fan,
     a3_fan,
     hirzebruch_fan,
+    mixed_dim_fan,
     p1_fan,
     p1xp1_fan,
     p2_fan,
@@ -21,9 +24,13 @@ from conftest import (
     zoo_fans,
 )
 
+from oracles import pairwise_validate_fan
+
+from toristack import cones as conelib
 from toristack.linalg import primitive_vector
 from toristack.stackyfan import (
     DuplicateRay,
+    Fan,
     IntersectionNotFace,
     InvalidLevel,
     NonPrimitiveRay,
@@ -158,9 +165,64 @@ def test_duplicate_ray_rejected():
         validate_fan([(1, 0), (1, 0)], [[0], [1]])
 
 
-def test_non_simplicial_cone_rejected():
-    with pytest.raises(NonSimplicial):
-        validate_fan([(1, 0), (0, 1), (1, 1)], [[0, 1, 2]])
+@pytest.mark.parametrize("rays, cones, named", [
+    # the Gram matrix of coplanar rays below full dimension is singular
+    pytest.param([(1, 0, 0), (0, 1, 0), (1, 1, 0)], [[2, 0, 1]], (0, 1, 2), id="coplanar"),
+    # so is the ray matrix of d dependent rays
+    pytest.param([(1, 0), (-1, 0)], [[1, 0]], (0, 1), id="opposite-rank2"),
+    # more rays than the rank
+    pytest.param([(1,), (-1,)], [[1, 0]], (0, 1), id="opposite-rank1"),
+    pytest.param([(1, 0), (0, 1), (1, 1)], [[0, 1, 2]], (0, 1, 2), id="three-in-rank2"),
+    pytest.param([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (-1, -1, -1)],
+                 [[0, 1, 2, 3], [0, 1, 4]], (0, 1, 2, 3), id="four-in-rank3"),
+    # the first listed cone with dependent rays is named
+    pytest.param([(1, 0), (0, 1), (-1, 0)], [[0, 1], [2, 0]], (0, 2), id="second-listed"),
+])
+def test_non_simplicial_cone_rejected(rays, cones, named):
+    with pytest.raises(NonSimplicial) as err:
+        validate_fan(rays, cones)
+    assert err.value.cone_indices == named
+    assert pairwise_validate_fan(rays, cones, len(rays[0])) == ("NonSimplicial", named)
+
+
+@pytest.mark.parametrize("rays, cones", [
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 2)], [[2, 0, 1]]),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, -1)], [[0, 1], [2]]),  # mixed_dim
+    ([(1, 0), (0, 1)], [[0, 1], [1]]),  # a listed face
+])
+def test_validation_fills_the_dual_rows_of_every_listed_cone(rays, cones):
+    fan = validate_fan(rays, cones)
+    listed = {tuple(sorted(c)) for c in cones}
+    assert set(fan.dual_rows) == listed  # read with no lookup
+    for c in listed:
+        assert dict.__getitem__(fan.dual_rows, c) == conelib.dual_rows(
+            [fan.rays[i] for i in c], fan.ambient_rank)
+
+
+def test_build_reads_the_validated_rows_and_keeps_its_tripwire(monkeypatch):
+    # a validated fan's maximal cones need no linear algebra to be built;
+    # a hand-built fan with a dependent maximal cone still trips the check
+    import toristack.linalg as linalg_mod
+
+    fan = mixed_dim_fan()
+    functions = {id(v) for v in vars(linalg_mod).values()
+                 if inspect.isfunction(v) and v.__module__ == linalg_mod.__name__}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("StackyFan.build called toristack.linalg")
+
+    for name, module in list(sys.modules.items()):
+        if name == "toristack" or name.startswith("toristack."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in functions:
+                    monkeypatch.setattr(module, attr, forbidden)
+    assert StackyFan.build(fan, {0: 2, 2: 3}).levels == (2, 1, 3)
+    monkeypatch.undo()
+    # d dependent rays; test_dependent_cone_tripwire_survives_optimize_flag
+    # covers more rays than the rank
+    with pytest.raises(AssertionError, match=re.escape(
+            "maximal cone (0, 1) has linearly dependent rays")):
+        StackyFan.build(Fan(2, ((1, 0), (-1, 0)), ((0, 1),)))
 
 
 def test_closure_is_idempotent_and_intersections_stored():
