@@ -11,23 +11,22 @@ off Z^d / <n_rho v_rho> as its free part, so G is that quotient's torsion:
 a chart's group takes one Smith normal form in the ambient lattice, and its
 multiplicity (the gcd of the maximal minors of its rays) one determinant at
 full dimension or one Smith normal form of the rays below it, with no
-splitting.
-The splitting N = N' + N'', the cone's dual rows (``Fan.dual_rows``, the
-fan's one inverse per cone) restricted to N', and one Smith normal form of
-the free-net matrix in N' coordinates give the chart coordinates and action
-weights, on first use; no chart inverts a matrix of its own. The splitting
-of a full-dimensional cone is free (N' = Z^d, N'' = 0); a lower-dimensional
-cone saturates the span of its rays and completes it to a basis, with one
-Smith normal form each. P and its resolution are built only by
-``chart_resolution``.
+splitting (``chart_group``, all that a stabilizer reads).
+A chart (``local_chart``) is computed in full at once: the splitting
+N = N' + N'', the cone's dual rows (``Fan.dual_rows``, the fan's one inverse
+per cone) restricted to N', and one Smith normal form of the free-net
+matrix in N' coordinates give its coordinates, action weights and C(P); no
+chart inverts a matrix of its own. The splitting of a full-dimensional cone
+is free (N' = Z^d, N'' = 0); a lower-dimensional cone saturates the span of
+its rays and completes it to a basis, with one Smith normal form each. P and
+its resolution are built from a chart only by ``chart_resolution``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import stackyfan as fans
 from .cones import Cone
@@ -46,16 +45,6 @@ from .monoids import AffineMonoid, admissible_resolution, split_coordinates
 from .stackyfan import Fan, StackyFan
 
 
-class _ChartCoordinates(NamedTuple):
-    """What a chart reads in the coordinates of its splitting N = N' + N''."""
-
-    n_prime_basis: tuple[IntVec, ...]
-    n_doubleprime_basis: tuple[IntVec, ...]
-    fan_rays: tuple[int, ...]
-    levels: tuple[int, ...]
-    action_weights: tuple[tuple[int, ...], ...]
-
-
 @dataclass(frozen=True)
 class LocalChart:
     """Quotient-chart data [A^r/G] x T^(d-r) over one cone of the fan.
@@ -63,17 +52,13 @@ class LocalChart:
     G is the cokernel of the free-net matrix, N'/<n_rho v_rho>, of order
     ``stacky_multiplicity``: ``multiplicity`` (the index of the ray lattice
     in N') times the product of the levels. Chart coordinates are indexed by
-    the lex-sorted rays of C(P); for coordinate i, ``fan_rays[i]`` is the
-    index of the fan ray it corresponds to under the ray-star bijection (the
-    one ray of the cone that the i-th ray of C(P) pairs positively with) and
-    ``action_weights[i]`` is the image of the i-th free generator in G,
-    written as residues in invariant-factor coordinates.
-
-    ``group`` and ``multiplicity`` come with the chart; the splitting and
-    what is read in its coordinates (``n_prime_basis``,
-    ``n_doubleprime_basis``, ``fan_rays``, ``levels``, ``action_weights``)
-    are computed on first use, and checked there against them. A report
-    reads those only over its maximal cones.
+    the lex-sorted rays of C(P), ``defining_cone``, in the N' coordinates of
+    the splitting N = N' + N'' (``n_prime_basis``, ``n_doubleprime_basis``);
+    for coordinate i, ``fan_rays[i]`` is the index of the fan ray it
+    corresponds to under the ray-star bijection (the one ray of the cone
+    that the i-th ray of C(P) pairs positively with), ``levels[i]`` its
+    level and ``action_weights[i]`` the image of the i-th free generator in
+    G, written as residues in invariant-factor coordinates.
     """
 
     cone: tuple[int, ...]
@@ -82,48 +67,12 @@ class LocalChart:
     group: FiniteAbelianGroup
     multiplicity: int
     stacky_multiplicity: int
-    sf: StackyFan = field(repr=False, compare=False)
-
-    @cached_property
-    def _chart_coordinates(self) -> _ChartCoordinates:
-        n_prime, n_doubleprime, coordinates = _coordinates(self.sf.fan, self.cone)
-        fan_rays = tuple(rho for _, _, rho in coordinates)
-        levels = tuple(self.sf.levels[rho] for rho in fan_rays)
-        free_net = [[n * x for x in v] for (_, v, _), n in zip(coordinates, levels)]
-        u = identity_rows(self.r)
-        diag = smith_elimination(free_net, u=u)
-        if any(x == 0 for x in diag):
-            raise AssertionError("degenerate free-net matrix in chart computation")
-        torsion_rows = [i for i, x in enumerate(diag) if x > 1]
-        # |det| of the free-net matrix in N' is the multiplicity times the levels
-        if (math.prod(diag) != self.multiplicity * math.prod(levels)
-                or tuple(diag[i] for i in torsion_rows) != self.group.invariant_factors):
-            raise AssertionError("chart coordinates disagree with the cone's "
-                                 "multiplicity or stabilizer")
-        weights = tuple(
-            tuple(u[row][i] % diag[row] for row in torsion_rows)
-            for i in range(self.r))
-        return _ChartCoordinates(tuple(n_prime), tuple(n_doubleprime), fan_rays, levels, weights)
-
-    @property
-    def n_prime_basis(self) -> tuple[IntVec, ...]:
-        return self._chart_coordinates.n_prime_basis
-
-    @property
-    def n_doubleprime_basis(self) -> tuple[IntVec, ...]:
-        return self._chart_coordinates.n_doubleprime_basis
-
-    @property
-    def fan_rays(self) -> tuple[int, ...]:
-        return self._chart_coordinates.fan_rays
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return self._chart_coordinates.levels
-
-    @property
-    def action_weights(self) -> tuple[tuple[int, ...], ...]:
-        return self._chart_coordinates.action_weights
+    n_prime_basis: tuple[IntVec, ...]
+    n_doubleprime_basis: tuple[IntVec, ...]
+    fan_rays: tuple[int, ...]
+    levels: tuple[int, ...]
+    action_weights: tuple[tuple[int, ...], ...]
+    defining_cone: Cone = field(repr=False)
 
     @property
     def group_label(self) -> str:
@@ -182,59 +131,84 @@ def _coordinates(fan: Fan, key: tuple[int, ...]):
     return n_prime, n_doubleprime, coordinates
 
 
-def chart_resolution(sf: StackyFan, sigma: Iterable[int]):
+def chart_resolution(chart: LocalChart):
     """Sharp chart monoid and its level-scaled resolution over a nonzero cone.
 
-    C(P) is read off the certified pairing of ``_coordinates``: its rays
-    are the w, and the cone's rays in N' coordinates its dual rows, so
-    ``Cone.on_rays`` stores them with no inverse. Returns (monoid,
-    resolution, fan_rays, n_prime, n_doubleprime) where fan_rays[i] is the
-    fan ray index attached to the i-th free generator through the ray-star
-    bijection.
+    P is the monoid of the chart's C(P), ``defining_cone``, and each ray of
+    C(P) carries the level of its coordinate. Returns (monoid, resolution);
+    the i-th free generator is the chart's i-th coordinate, attached to the
+    fan ray ``chart.fan_rays[i]``.
     """
-    key = sf.fan.normalize(sigma)
-    if not key:
+    if not chart.cone:
         raise fans.ZeroConeSelected()
-    n_prime, n_doubleprime, coordinates = _coordinates(sf.fan, key)
-    cp = Cone.on_rays([w for w, _, _ in coordinates], [u for _, u, _ in coordinates], len(key))
-    p = AffineMonoid.from_dual_cone(cp)
-    fan_rays = tuple(rho for _, _, rho in coordinates)
-    levels = [sf.levels[rho] for rho in fan_rays]
-    res = admissible_resolution(p, dict(zip(cp.rays, levels)))
-    return p, res, fan_rays, tuple(n_prime), tuple(n_doubleprime)
+    p = AffineMonoid.from_dual_cone(chart.defining_cone)
+    return p, admissible_resolution(p, dict(zip(chart.defining_cone.rays, chart.levels)))
 
 
-def local_chart(sf: StackyFan, sigma: Iterable[int]) -> LocalChart:
-    """Compute the quotient chart over a cone of the stacky fan.
+def chart_group(sf: StackyFan, key: tuple[int, ...]) -> tuple[FiniteAbelianGroup, int]:
+    """The group G and the multiplicity of a cone, as ``Fan.normalize`` keys it.
 
-    The group is the torsion of Z^d / <n_rho v_rho>, the diagonal of one
-    Smith elimination of the rows n_rho v_rho (no transforms).
-    The multiplicity, the index of the ray lattice in its saturation, is the
-    gcd of the r x r minors of the r rays: |det| for a full-dimensional
-    cone, and below full dimension the product of the rays' Smith diagonal
-    (the invariant factors multiply to that gcd), so no minor is formed.
+    G is the torsion of Z^d / <n_rho v_rho>, the diagonal of one Smith
+    elimination of the rows n_rho v_rho (no transforms). The multiplicity,
+    the index of the ray lattice in its saturation, is the gcd of the r x r
+    minors of the r rays: |det| for a full-dimensional cone, and below full
+    dimension the product of the rays' Smith diagonal (the invariant factors
+    multiply to that gcd), so no minor is formed. Neither needs a splitting.
+    The order of G is the stacky multiplicity, the multiplicity times the
+    levels (asserted).
     """
-    fan = sf.fan
-    key = fan.normalize(sigma)
-    d, r = fan.ambient_rank, len(key)
-    rays = [fan.rays[i] for i in key]
+    rays = [sf.fan.rays[i] for i in key]
     free_net = [[sf.levels[i] * x for x in v] for i, v in zip(key, rays)]
     group = FiniteAbelianGroup(tuple(x for x in smith_elimination(free_net) if x > 1))
-    if r == d:
+    if len(key) == sf.fan.ambient_rank:
         q = abs(determinant(rays))
     else:
         q = math.prod(smith_elimination([list(v) for v in rays]))
-    chart = LocalChart(
-        cone=key, r=r, torus_rank=d - r,
-        group=group,
-        multiplicity=q,
-        stacky_multiplicity=q * math.prod(sf.levels[i] for i in key),
-        sf=sf,
-    )
-    if group.order != chart.stacky_multiplicity:
+    stacky = q * math.prod(sf.levels[i] for i in key)
+    if group.order != stacky:
         raise AssertionError(f"stabilizer order {group.order} differs from "
-                             f"stacky multiplicity {chart.stacky_multiplicity}")
-    return chart
+                             f"stacky multiplicity {stacky}")
+    return group, q
+
+
+def local_chart(sf: StackyFan, sigma: Iterable[int]) -> LocalChart:
+    """Compute the quotient chart over a cone of the stacky fan, in full.
+
+    The group and multiplicity are ``chart_group``'s. ``_coordinates`` gives
+    the splitting and the coordinates; one Smith elimination of the free-net
+    matrix in N' coordinates, with its left transform, gives the action
+    weights, and its diagonal is checked against the group and the
+    multiplicity.
+    """
+    key = sf.fan.normalize(sigma)
+    group, q = chart_group(sf, key)
+    n_prime, n_doubleprime, coordinates = _coordinates(sf.fan, key)
+    r = len(key)
+    fan_rays = tuple(rho for _, _, rho in coordinates)
+    levels = tuple(sf.levels[rho] for rho in fan_rays)
+    free_net = [[n * x for x in v] for (_, v, _), n in zip(coordinates, levels)]
+    u = identity_rows(r)
+    diag = smith_elimination(free_net, u=u)
+    if any(x == 0 for x in diag):
+        raise AssertionError("degenerate free-net matrix in chart computation")
+    torsion_rows = [i for i, x in enumerate(diag) if x > 1]
+    # |det| of the free-net matrix in N' is the multiplicity times the levels
+    if (math.prod(diag) != q * math.prod(levels)
+            or tuple(diag[i] for i in torsion_rows) != group.invariant_factors):
+        raise AssertionError("chart coordinates disagree with the cone's "
+                             "multiplicity or stabilizer")
+    return LocalChart(
+        cone=key, r=r, torus_rank=sf.fan.ambient_rank - r,
+        group=group, multiplicity=q, stacky_multiplicity=group.order,
+        n_prime_basis=tuple(n_prime), n_doubleprime_basis=tuple(n_doubleprime),
+        fan_rays=fan_rays, levels=levels,
+        action_weights=tuple(tuple(u[row][i] % diag[row] for row in torsion_rows)
+                             for i in range(r)),
+        # C(P): its rays are the w, and the cone's rays in N' coordinates its
+        # dual rows, so ``Cone.on_rays`` stores them with no inverse
+        defining_cone=Cone.on_rays([w for w, _, _ in coordinates],
+                                   [v for _, v, _ in coordinates], r),
+    )
 
 
 def stabilizer(sf: StackyFan, sigma: Iterable[int]) -> FiniteAbelianGroup:
@@ -243,7 +217,7 @@ def stabilizer(sf: StackyFan, sigma: Iterable[int]) -> FiniteAbelianGroup:
     Returned as the finite abelian group underlying the Cartier dual; its
     order equals the stacky multiplicity of the cone (asserted).
     """
-    return local_chart(sf, sigma).group
+    return chart_group(sf, sf.fan.normalize(sigma))[0]
 
 
 def is_deligne_mumford(sf: StackyFan, residue_characteristics: Sequence[int]) -> bool:

@@ -274,7 +274,7 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
         raise ReportTooLarge(f"report would list {faces} cycle ideals, "
                              f"above the limit of {monoidlib.MAX_REPORT_FACES}")
     chars = doc.characteristics
-    charts = {c: chartlib.local_chart(sf, c) for c in fan.cones}
+    charts = {c: chartlib.local_chart(sf, c) for c in fan.maximal_cones}
     smooth_canonical = (all(n == 1 for n in sf.levels)
                         and all(charts[c].multiplicity == 1 for c in fan.maximal_cones))
     # |G| of each chart is its cone's stacky multiplicity (asserted by
@@ -283,14 +283,18 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     # that of its cone, so the maximal cones' charts decide it
     etale = {c: chartlib.is_kummer_etale_chart(charts[c], chars) for c in fan.maximal_cones}
     tame = all(etale.values())
+    # a face reads its group and multiplicity from its chart if it is a
+    # maximal cone, else computes them alone, with no splitting
+    groups = {c: (charts[c].group, charts[c].multiplicity) if c in charts
+              else chartlib.chart_group(sf, c) for c in fan.cones}
     cones_out = [{
         "id": cone_id(c),
         "ray_indices": list(c),
         "dim": len(c),
-        "multiplicity": charts[c].multiplicity,
-        "stacky_multiplicity": charts[c].stacky_multiplicity,
-        "stabilizer": _group_dict(charts[c].group),
-    } for c in fan.cones]
+        "multiplicity": q,
+        "stacky_multiplicity": group.order,
+        "stabilizer": _group_dict(group),
+    } for c, (group, q) in groups.items()]
     charts_out = []
     for c in fan.maximal_cones:
         chart = charts[c]
@@ -365,19 +369,19 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
 
 def mfr_data(sf: StackyFan, cone_selector: Sequence[int]) -> dict:
     key = sf.fan.normalize(cone_selector)
-    local, res, fan_rays, n_prime, n_doubleprime = _on_cone(
-        key, lambda: chartlib.chart_resolution(sf, key))
+    chart = chartlib.local_chart(sf, key)
+    local, res = _on_cone(key, lambda: chartlib.chart_resolution(chart))
     correspondence = [{
         "index": line.index,
         "free_generator": list(line.generator),
         "ray": list(line.ray),
         "prime_facet_rays": [list(r) for r in line.facet_rays],
-        "fan_ray": fan_rays[line.index],
+        "fan_ray": chart.fan_rays[line.index],
     } for line in monoidlib.irreducible_ray_correspondence(res)]
     return {
         "cone": cone_id(key),
         "r": len(key),
-        "splitting_basis": [list(v) for v in list(n_prime) + list(n_doubleprime)],
+        "splitting_basis": [list(v) for v in chart.n_prime_basis + chart.n_doubleprime_basis],
         "hilbert_basis": [list(v) for v in local.hilbert_basis],
         "cp_rays": [list(v) for v in local.defining_cone.rays],
         "denominators": list(res.denominators),
@@ -391,11 +395,12 @@ def mfr_data(sf: StackyFan, cone_selector: Sequence[int]) -> dict:
 
 
 def stabilizer_data(sf: StackyFan, cone_selector: Sequence[int]) -> dict:
-    chart = chartlib.local_chart(sf, cone_selector)
+    key = sf.fan.normalize(cone_selector)
+    group, _ = chartlib.chart_group(sf, key)
     return {
-        "cone": cone_id(chart.cone),
-        "stacky_multiplicity": chart.stacky_multiplicity,
-        "stabilizer": _group_dict(chart.group),
+        "cone": cone_id(key),
+        "stacky_multiplicity": group.order,
+        "stabilizer": _group_dict(group),
     }
 
 

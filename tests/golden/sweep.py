@@ -1,0 +1,179 @@
+"""Byte-identity sweep of the CLI: ``PYTHONPATH=src python tests/golden/sweep.py``.
+
+Runs ``toristack`` in-process over a corpus it builds itself and prints the
+number of commands run and one SHA-256 digest of their (argv, exit code,
+stdout, stderr). A refactor meant to keep every output prints the same two
+values before and after it. The corpus:
+
+- every fixture in ``tests/fixtures`` and every refused document in
+  ``tests/golden/refused``;
+- seeded (P^1)^d, P^d, Hirzebruch and weighted P^2 documents, each a random
+  GL_d(Z) image with its rays shuffled, random levels and characteristics;
+- random one-cone documents of rank 1-4, full- and lower-dimensional.
+
+Each document runs ``validate``, ``report`` and ``complete`` (JSON and
+text), and ``mfr`` and ``stabilizer`` (JSON and text) on every prefix of
+every listed maximal cone, the empty prefix included. Documents are written
+to a temporary directory and named by their position in the corpus, so no
+path enters the digest. Standard library only; not a pytest test.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import random
+import sys
+import tempfile
+from itertools import combinations, product
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parents[1]
+SEEDS = range(1, 4)
+
+
+def projective(d):
+    rays = [[int(i == j) for j in range(d)] for i in range(d)] + [[-1] * d]
+    return rays, [list(c) for c in combinations(range(d + 1), d)]
+
+
+def p1_power(d):
+    rays = [e for i in range(d) for e in ([int(j == i) for j in range(d)],
+                                          [-int(j == i) for j in range(d)])]
+    return rays, [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=d)]
+
+
+def hirzebruch(a):
+    return [[1, 0], [0, 1], [-1, a], [0, -1]], [[0, 1], [1, 2], [2, 3], [0, 3]]
+
+
+def weighted_p2(a, b):
+    return [[1, 0], [0, 1], [-a, -b]], [[0, 1], [1, 2], [0, 2]]
+
+
+def disguise(rng, rays, cones):
+    """A GL_d(Z) image of the fan, rays listed in random order."""
+    d = len(rays[0])
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(d + 1) if d > 1 else ():
+        i, j = rng.sample(range(d), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+    image = [[sum(u[i][j] * v[j] for j in range(d)) for i in range(d)] for v in rays]
+    order = list(range(len(rays)))
+    rng.shuffle(order)
+    new_index = {old: new for new, old in enumerate(order)}
+    return [image[old] for old in order], [sorted(new_index[i] for i in c) for c in cones]
+
+
+def document(rng, rays, cones):
+    return {
+        "rank": len(rays[0]),
+        "rays": rays,
+        "max_cones": cones,
+        "levels": {str(i): rng.randint(1, 6) for i in range(len(rays)) if rng.random() < 0.6},
+        "characteristics": rng.sample([0, 2, 3, 5, 7], rng.randint(1, 2)),
+    }
+
+
+def seeded_documents(seed):
+    rng = random.Random(f"sweep/{seed}")
+    fans = [p1_power(d) for d in (1, 2, 3)] + [projective(d) for d in (1, 2, 3, 4)]
+    fans += [hirzebruch(rng.randint(0, 4)), weighted_p2(rng.randint(1, 4), rng.randint(1, 4))]
+    return [document(rng, *disguise(rng, rays, cones)) for rays, cones in fans]
+
+
+def one_cone_documents(seed, count=50):
+    """Random cones on r independent rays in rank d, 1 <= r <= d <= 4."""
+    rng = random.Random(f"sweep-cone/{seed}")
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 4)
+        r = rng.randint(1, d)
+        rays = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(r)]
+        if any(not any(v) for v in rays):
+            continue
+        rays = [[x // math.gcd(*v) for x in v] for v in rays]
+        if len({tuple(v) for v in rays}) < r or _rank(rays) < r:
+            continue
+        out.append(document(rng, rays, [list(range(r))]))
+    return out
+
+
+def _rank(rows):
+    """Rank over Q, by fraction-free elimination."""
+    m = [list(v) for v in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            m[i] = [m[rank][col] * x - m[i][col] * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def commands(doc):
+    """Every argv the sweep runs on a document, with ``FILE`` for its path."""
+    out = []
+    for fmt in ("json", "text"):
+        out += [[cmd, "FILE", "--format", fmt] for cmd in ("validate", "report", "complete")]
+    cones = doc.get("max_cones") if isinstance(doc, dict) else None
+    for cone in cones if isinstance(cones, list) else ():
+        if not isinstance(cone, list):
+            continue
+        for k in range(len(cone) + 1):
+            selector = ",".join(str(i) for i in cone[:k])
+            out += [[cmd, "FILE", "--cone", selector, "--format", fmt]
+                    for cmd in ("mfr", "stabilizer") for fmt in ("json", "text")]
+    return out
+
+
+def run(argv):
+    """Exit code, stdout and stderr of one in-process command."""
+    from toristack.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def corpus():
+    """(name, document text) pairs, in a fixed order."""
+    out = [(str(p.relative_to(ROOT)), p.read_text(encoding="utf-8"))
+           for p in sorted((ROOT / "tests" / "fixtures").glob("*.json"))
+           + sorted((HERE / "refused").glob("*.json"))]
+    for seed in SEEDS:
+        docs = seeded_documents(seed) + one_cone_documents(seed)
+        out += [(f"seed-{seed}-{i}", json.dumps(doc)) for i, doc in enumerate(docs)]
+    return out
+
+
+def main() -> int:
+    digest, count = hashlib.sha256(), 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        for name, text in corpus():
+            path.write_text(text, encoding="utf-8")
+            for argv in commands(json.loads(text)):
+                code, stdout, stderr = run([str(path) if a == "FILE" else a for a in argv])
+                record = [name, argv, code, stdout, stderr]
+                digest.update(json.dumps(record).encode() + b"\n")
+                count += 1
+    print(f"{count} commands, sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.exit(main())

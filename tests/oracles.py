@@ -61,6 +61,24 @@ def det(rows):
     return result
 
 
+def determinantal_divisors(rows, minor=det):
+    """D_1, ..., D_r of an r x d integer matrix: D_k is the gcd of its k x k
+    minors, each ``minor`` (by default ``det``) of a tuple of row tuples. A
+    gcd stops at 1, which no minor lowers."""
+    out = []
+    for k in range(1, len(rows) + 1):
+        g = 0
+        for picked in combinations(rows, k):
+            for columns in combinations(range(len(rows[0])), k):
+                g = math.gcd(g, int(minor(tuple(tuple(row[j] for j in columns) for row in picked))))
+                if g == 1:
+                    break
+            if g == 1:
+                break
+        out.append(g)
+    return out
+
+
 def basis_coordinates(basis, v):
     """Integer coordinates of v in a basis of a saturated sublattice holding it.
 

@@ -265,7 +265,7 @@ def test_criterion_10_correspondence_cardinalities():
         for cidx in fan.maximal_cones:
             if not cidx:
                 continue
-            p_local, res, _, _, _ = chart_resolution(sf, cidx)
+            p_local, res = chart_resolution(local_chart(sf, cidx))
             table = irreducible_ray_correspondence(res)
             counts = {
                 "irreducible": len(res.realized_generators),

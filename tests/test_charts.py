@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -22,7 +23,9 @@ from oracles import coordinate_rays, det
 
 from toristack.cones import Cone, multiplicity
 from toristack.charts import (
+    LocalChart,
     boundary_divisors,
+    chart_group,
     cycle_ideal_in_chart,
     is_deligne_mumford,
     is_kummer_etale_chart,
@@ -392,10 +395,10 @@ def test_local_chart_builds_no_cone_monoid_or_resolution(monkeypatch):
     assert calls == []
 
 
-def test_full_dimensional_chart_runs_one_smith_normal_form(monkeypatch):
+def test_full_dimensional_chart_runs_two_smith_normal_forms(monkeypatch):
     # N' = Z^d for a full-dimensional cone: the splitting runs no normal
-    # form, and the chart's only one is the Smith elimination of its
-    # free-net matrix
+    # form, and the chart's only ones are the Smith eliminations of its
+    # free-net matrix, once for the group and once in its coordinates
     import toristack.charts as charts_mod
     import toristack.linalg as linalg_mod
     import toristack.monoids as monoids_mod
@@ -418,7 +421,7 @@ def test_full_dimensional_chart_runs_one_smith_normal_form(monkeypatch):
     for sf, c in full:
         calls.clear()
         chart = local_chart(sf, c)
-        assert calls == ["smith_elimination"]
+        assert calls == ["smith_elimination", "smith_elimination"]
         assert chart.n_doubleprime_basis == ()
 
 
@@ -456,16 +459,16 @@ def test_chart_matches_the_resolution_path():
 def test_chart_group_and_multiplicity_need_no_splitting(monkeypatch):
     # the group is the torsion of Z^d / <n_rho v_rho> and the multiplicity
     # |det| of the rays, or the product of their Smith diagonal below full
-    # dimension: building a chart splits and inverts nothing, and the
-    # splitting, read later, agrees with both. The fans are validated before
-    # anything is forbidden, so the test does not depend on what other tests
-    # cached.
+    # dimension: chart_group, and the stabilizer that reads it, split and
+    # invert nothing, and the chart, computed with its splitting, agrees
+    # with both. The fans are validated before anything is forbidden, so the
+    # test does not depend on what other tests cached.
     import toristack.charts as charts_mod
     import toristack.linalg as linalg_mod
 
     def forbidden(name):
         def fail(*args, **kwargs):
-            raise AssertionError(f"local_chart called {name}")
+            raise AssertionError(f"chart_group called {name}")
         return fail
 
     stacky_fans = stacky_fans_with_shuffled_rays()
@@ -476,14 +479,17 @@ def test_chart_group_and_multiplicity_need_no_splitting(monkeypatch):
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("toristack") and vars(module).get("integer_inverse") is inverse:
             monkeypatch.setattr(module, "integer_inverse", forbidden("integer_inverse"))
-    built = [(sf, local_chart(sf, c)) for sf in stacky_fans for c in sf.fan.cones]
-    assert any(0 < chart.r < sf.fan.ambient_rank for sf, chart in built)
+    built = [(sf, c, chart_group(sf, c)) for sf in stacky_fans for c in sf.fan.cones]
+    assert all(stabilizer(sf, c) == group for sf, c, (group, _) in built)
+    assert any(0 < len(c) < sf.fan.ambient_rank for sf, c, _ in built)
     monkeypatch.undo()
-    for sf, chart in built:
-        assert chart.multiplicity == multiplicity(sf.fan.cone_geometry(chart.cone))
-        assert chart.stacky_multiplicity == stacky_multiplicity(sf, chart.cone)
-        # reading the coordinates runs the splitting and its tripwire
-        assert sorted(chart.fan_rays) == list(chart.cone)
+    for sf, c, (group, q) in built:
+        assert q == multiplicity(sf.fan.cone_geometry(c))
+        assert group.order == stacky_multiplicity(sf, c)
+        # the full chart runs the splitting and its tripwire
+        chart = local_chart(sf, c)
+        assert (chart.group, chart.multiplicity, chart.stacky_multiplicity) == (group, q, group.order)
+        assert sorted(chart.fan_rays) == list(c)
         assert math.prod(chart.levels) * chart.multiplicity == chart.group.order
 
 
@@ -522,10 +528,61 @@ def test_report_splits_only_maximal_cones(tmp_path, monkeypatch, capsys):
     assert sorted(split) == sorted(tuple(sorted(c)) for c in cones)
 
 
-def test_chart_coordinates_check_the_group_and_multiplicity():
-    chart = local_chart(StackyFan.build(a1_singularity_fan(), {0: 3}), [0, 1])
-    for wrong in (dataclasses.replace(chart, multiplicity=chart.multiplicity + 1),
-                  dataclasses.replace(chart, group=FiniteAbelianGroup((7,)))):
-        with pytest.raises(AssertionError, match="disagree"):
-            wrong.action_weights
-    assert chart.action_weights == local_chart(chart.sf, [0, 1]).action_weights
+def test_chart_coordinates_check_the_group_and_multiplicity(monkeypatch):
+    # a group or multiplicity that the chart's own Smith diagonal does not
+    # reproduce trips the chart
+    import toristack.charts as charts_mod
+
+    sf = StackyFan.build(a1_singularity_fan(), {0: 3})
+    chart = local_chart(sf, [0, 1])
+    for wrong in ((chart.group, chart.multiplicity + 1), (FiniteAbelianGroup((7,)), chart.multiplicity)):
+        monkeypatch.setattr(charts_mod, "chart_group", lambda sf, key, wrong=wrong: wrong)
+        with pytest.raises(AssertionError,
+                           match="disagree with the cone's multiplicity or stabilizer"):
+            local_chart(sf, [0, 1])
+    monkeypatch.undo()
+    assert chart == local_chart(sf, [0, 1])
+
+
+def test_group_order_is_checked_against_the_stacky_multiplicity(monkeypatch):
+    # a multiplicity off by one trips chart_group, and through it the chart,
+    # the stabilizer and every command that reads a group (exit 3)
+    import toristack.charts as charts_mod
+    from toristack.cli import main
+
+    determinant = charts_mod.determinant
+    monkeypatch.setattr(charts_mod, "determinant", lambda rows: determinant(rows) + 1)
+    sf = StackyFan.build(a1_singularity_fan(), {0: 3})
+    message = "stabilizer order 6 differs from stacky multiplicity 9"
+    for compute in (chart_group, local_chart, stabilizer):
+        with pytest.raises(AssertionError, match=message):
+            compute(sf, (0, 1))
+    for command in (["stabilizer", "--cone", "0,1"], ["mfr", "--cone", "0,1"], ["report"]):
+        assert main([command[0], str(FIXTURES / "a1_cone.json"), *command[1:]]) == 3
+
+
+def test_one_chart_computes_its_coordinates_once(monkeypatch):
+    # a LocalChart is a plain frozen record, every field computed when it is
+    # built, with no reference back to the stacky fan
+    import toristack.charts as charts_mod
+
+    fields = {f.name for f in dataclasses.fields(LocalChart)}
+    assert "sf" not in fields
+    assert not any(isinstance(v, functools.cached_property) for v in vars(LocalChart).values())
+    calls = []
+    coordinates = charts_mod._coordinates
+
+    def counting(fan, key):
+        calls.append(key)
+        return coordinates(fan, key)
+
+    monkeypatch.setattr(charts_mod, "_coordinates", counting)
+    for sf in stacky_fans_with_shuffled_rays():
+        for c in sf.fan.maximal_cones:
+            calls.clear()
+            chart = local_chart(sf, c)
+            chart.action_weights, chart.fan_rays, chart.levels, chart.defining_cone
+            assert calls == [c]  # once when built, not again when read
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                chart.levels = ()
+

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from conftest import FIXTURES, random_stacky, shuffled, zoo_fans
@@ -566,7 +567,8 @@ def test_library_bug_exits_3(monkeypatch, capsys, error):
 def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatch, capsys):
     # (P^1)^3: 27 cones and 8 maximal cones. The fan is complete and its
     # walls settle it, so no pair of maximal cones is compared; one chart per
-    # cone, no exact intersection, and one Hilbert basis per maximal cone
+    # maximal cone, one group per cone (the charts' own for the maximal
+    # cones), no exact intersection, and one Hilbert basis per maximal cone
     # (its printed coarse generators) and none in the charts. The
     # non-complete mixed_dim fixture compares each pair of maximal cones once.
     import toristack.charts as charts_mod
@@ -575,14 +577,19 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
     import toristack.stackyfan as fan_mod
     from itertools import combinations, product
 
-    charts, pairs, intersections, hilbert_bases = [], [], [], []
+    charts, groups, pairs, intersections, hilbert_bases = [], [], [], [], []
     local_chart, meet = charts_mod.local_chart, fan_mod._meet_in_shared_face
+    chart_group = charts_mod.chart_group
     intersect = cones_mod.intersect
     hilbert_basis_full = monoids_mod._hilbert_basis_full
 
     def counting_chart(sf, sigma):
         charts.append(tuple(sigma))
         return local_chart(sf, sigma)
+
+    def counting_group(sf, key):
+        groups.append(key)
+        return chart_group(sf, key)
 
     def counting_meet(fan, c1, c2, *args, **kwargs):
         pairs.append(frozenset((c1, c2)))
@@ -597,6 +604,7 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
         return hilbert_basis_full(ray_list, d)
 
     monkeypatch.setattr(charts_mod, "local_chart", counting_chart)
+    monkeypatch.setattr(charts_mod, "chart_group", counting_group)
     monkeypatch.setattr(fan_mod, "_meet_in_shared_face", counting_meet)
     monkeypatch.setattr(cones_mod, "intersect", counting_intersect)
     monkeypatch.setattr(monoids_mod, "_hilbert_basis_full", counting_hilbert_basis)
@@ -608,7 +616,8 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
     data = json.loads(capsys.readouterr().out)
     assert data["fan"]["num_cones"] == 27
     assert data["fan"]["complete"] is True
-    assert sorted(charts) == sorted(tuple(c["ray_indices"]) for c in data["cones"])
+    assert sorted(charts) == sorted(tuple(c) for c in cones)
+    assert sorted(groups) == sorted(tuple(c["ray_indices"]) for c in data["cones"])
     assert pairs == []
     assert intersections == []
     assert len(hilbert_bases) == 8
@@ -651,9 +660,10 @@ def test_report_inverts_each_maximal_cone_once(monkeypatch, tmp_path, capsys):
 
 def test_report_builds_cones_only_for_maximal_cones(tmp_path, monkeypatch, capsys):
     # (P^1)^3 with a nonzero characteristic: 27 cones, of which only the 8
-    # maximal ones become a Cone (the printed coarse Hilbert bases; every
-    # Cone, the fan's too, is stored by Cone.on_rays); tameness is read from
-    # the maximal charts. Its cones are full-dimensional, so it inverts no
+    # maximal ones become a Cone, twice each: the fan's (the printed coarse
+    # Hilbert bases) and the chart's C(P), on the same rays since each cone
+    # is unimodular and its dual rows are its rays (every Cone is stored by
+    # Cone.on_rays); tameness is read from the maximal charts. Its cones are full-dimensional, so it inverts no
     # unimodular matrix; the splittings of mixed_dim do, each by one
     # fraction-free inverse, never a Hermite form
     import toristack.cones as cones_mod
@@ -706,10 +716,92 @@ def test_report_builds_cones_only_for_maximal_cones(tmp_path, monkeypatch, capsy
     data = json.loads(capsys.readouterr().out)
     assert data["fan"]["num_cones"] == 27
     assert data["fan"]["tame"] is True and data["fan"]["deligne_mumford"] is True
-    assert len(built) == 8
-    assert set(built) == {frozenset(tuple(rays[i]) for i in c) for c in cones}
+    assert Counter(built) == {frozenset(tuple(rays[i]) for i in c): 2 for c in cones}
     assert inverses == [] and hnf_in_inverse == []
     # the lower-dimensional cones of mixed_dim do split their lattice
     assert main(["report", str(FIXTURES / "mixed_dim.json")]) == 0
     capsys.readouterr()
     assert inverses and hnf_in_inverse == []
+
+
+def test_mfr_computes_one_chart(monkeypatch, capsys):
+    # mfr reads the splitting, the fan rays and C(P) from one full chart
+    import toristack.charts as charts_mod
+
+    calls = []
+    for name in ("_coordinates", "local_chart"):
+        original = getattr(charts_mod, name)
+        monkeypatch.setattr(charts_mod, name,
+                            lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    for path in sorted(FIXTURES.glob("*.json")):
+        for cone in json.loads(path.read_text())["max_cones"]:
+            calls.clear()
+            assert main(["mfr", str(path), "--cone", ",".join(map(str, cone))]) == 0
+            assert sorted(calls) == ["_coordinates", "local_chart"], (path.name, cone)
+    capsys.readouterr()
+
+
+# what computes a splitting or a chart's coordinates, and nothing else
+SPLITTING = ("_coordinates", "split_cone", "saturate", "complete_to_basis",
+             "hermite_elimination", "integer_inverse")
+
+
+def record_splitting(monkeypatch, module, name):
+    """Wrap ``module.name``; return the list of the ``SPLITTING`` functions
+    that its calls run, wherever a toristack module binds them."""
+    from toristack import charts, linalg
+
+    seen, depth = [], [0]
+
+    def recording(fn_name, original):
+        def record(*args, **kwargs):
+            if depth[0]:
+                seen.append(fn_name)
+            return original(*args, **kwargs)
+        return record
+
+    for fn_name in SPLITTING:
+        original = getattr(charts, fn_name, None) or getattr(linalg, fn_name)
+        for module_name, bound in list(sys.modules.items()):
+            if module_name.startswith("toristack") and vars(bound).get(fn_name) is original:
+                monkeypatch.setattr(bound, fn_name, recording(fn_name, original))
+    watched = getattr(module, name)
+
+    def scoped(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return watched(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(module, name, scoped)
+    return seen
+
+
+def test_stabilizer_and_face_rows_split_nothing(monkeypatch, capsys):
+    # stabilizer and the report's rows for faces that are no maximal cone
+    # read chart_group alone: no coordinates, splitting, Hermite form or
+    # inverse, which only the charts of the maximal cones compute.
+    # mixed_dim has lower-dimensional maximal cones and faces.
+    import toristack.charts as charts_mod
+    import toristack.cli as cli_mod
+
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        with monkeypatch.context() as m:
+            seen = record_splitting(m, cli_mod, "stabilizer_data")
+            for cone in doc["max_cones"]:
+                for k in range(len(cone) + 1):
+                    selector = ",".join(map(str, cone[:k]))
+                    assert main(["stabilizer", str(path), "--cone", selector]) == 0
+            assert seen == [], path.name
+        with monkeypatch.context() as m:
+            seen, split = record_splitting(m, charts_mod, "chart_group"), []
+            coordinates = charts_mod._coordinates
+            m.setattr(charts_mod, "_coordinates",
+                      lambda fan, key: split.append(key) or coordinates(fan, key))
+            assert main(["report", str(path)]) == 0
+            assert seen == [], path.name
+            assert sorted(split) == sorted(tuple(sorted(c)) for c in doc["max_cones"])
+    capsys.readouterr()

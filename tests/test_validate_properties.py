@@ -9,6 +9,7 @@ than once, whose walls each still separate exactly two cones. The same
 fans, given levels and characteristics, check the report's tameness flag.
 """
 
+import functools
 import random
 from itertools import combinations
 
@@ -19,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import pairwise_validate_fan
+from oracles import det, determinantal_divisors, pairwise_validate_fan
 
 from toristack.cli import FanDocument, check_document, report_data
 from toristack.stackyfan import FanError, is_complete, is_tame, validate_fan
@@ -111,8 +112,8 @@ def wound_fan(rng, d):
 
 
 @st.composite
-def fans(draw):
-    d = draw(st.integers(2, 4))
+def fans(draw, max_rank=4):
+    d = draw(st.integers(2, max_rank))
     kind = draw(st.sampled_from(["complete", "complete", "dropped", "extra", "wound"]))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     rays, cones = disguise(rng, wound_fan(rng, d) if kind == "wound" else complete_fan(rng, d))
@@ -175,3 +176,29 @@ def test_report_tameness_is_read_from_the_maximal_charts(drawn, data):
     assume(not found)
     fan = report_data(doc, sf)["fan"]
     assert fan["tame"] == fan["deligne_mumford"] == is_tame(sf, chars)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fans(max_rank=5), st.data())
+def test_report_cone_rows_match_determinantal_divisors(drawn, data):
+    # each cone row of the report, read from a maximal cone's chart or
+    # computed alone for a face, against the gcds of minors: the
+    # multiplicity is D_r of the r rays, the stacky multiplicity D_r of the
+    # free-net matrix (rows n_rho v_rho) and its invariant factors the
+    # quotients D_k / D_(k-1) that are not 1. A face's minors are minors of
+    # its maximal cones, so each is computed once per fan.
+    rays, cones, d, _ = drawn
+    levels = {i: data.draw(st.integers(1, 6)) for i in range(len(rays))}
+    doc = FanDocument(d, rays, [tuple(c) for c in cones], levels, [0])
+    found, sf = check_document(doc)
+    assume(not found)
+    minor = functools.cache(det)
+    for row in report_data(doc, sf)["cones"]:
+        c = row["ray_indices"]
+        free_net = [[levels[i] * x for x in rays[i]] for i in c]
+        divisors = [1] + determinantal_divisors(free_net, minor)
+        factors = [b // a for a, b in zip(divisors, divisors[1:]) if b // a > 1]
+        multiplicity = ([1] + determinantal_divisors([rays[i] for i in c], minor))[-1]
+        assert row["multiplicity"] == multiplicity, c
+        assert row["stacky_multiplicity"] == divisors[-1], c
+        assert row["stabilizer"]["invariant_factors"] == factors, c
