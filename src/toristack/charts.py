@@ -6,20 +6,19 @@ cone (after splitting off the torus directions) and F the free monoid of its
 level-scaled resolution. That group is the cokernel of the free-net matrix,
 N' / <n_rho v_rho>, whose rows n_rho v_rho in a basis of the saturated span
 N' are the matrix of P^gp -> F^gp (the local group of a stacky fan,
-Borisov-Chen-Smith, J. AMS 18, 2005). Since N' is saturated, N'' splits
-off Z^d / <n_rho v_rho> as its free part, so G is that quotient's torsion:
-a chart's group takes one Smith normal form in the ambient lattice, and its
-multiplicity (the gcd of the maximal minors of its rays) one determinant at
-full dimension or one Smith normal form of the rays below it, with no
-splitting (``chart_group``, all that a stabilizer reads).
+Borisov-Chen-Smith, J. AMS 18, 2005).
 A chart (``local_chart``) is computed in full at once: the splitting
 N = N' + N'', the cone's dual rows (``Fan.dual_rows``, the fan's one inverse
 per cone) restricted to N', and one Smith normal form of the free-net
-matrix in N' coordinates give its coordinates, action weights and C(P); no
-chart inverts a matrix of its own. The splitting of a full-dimensional cone
-is free (N' = Z^d, N'' = 0); a lower-dimensional cone saturates the span of
-its rays and completes it to a basis, with one Smith normal form each. P and
-its resolution are built from a chart only by ``chart_resolution``.
+matrix in N' coordinates give its group, coordinates, action weights and
+C(P); no chart inverts a matrix of its own. The splitting of a
+full-dimensional cone is free (N' = Z^d, N'' = 0); a lower-dimensional cone
+saturates the span of its rays and completes it to a basis, with one Smith
+normal form each. A point on the orbit of a face tau of sigma is fixed by
+the subgroup of D(G) fixing every coordinate off tau, so tau's group is
+G_tau = G / <w_i : rho_i not in tau>, w_i the action weights (``face_group``):
+no face eliminates ray coordinates. P and its resolution are built from a
+chart only by ``chart_resolution``.
 """
 
 from __future__ import annotations
@@ -73,13 +72,6 @@ class LocalChart:
     levels: tuple[int, ...]
     action_weights: tuple[tuple[int, ...], ...]
     defining_cone: Cone = field(repr=False)
-
-    @property
-    def group_label(self) -> str:
-        """Cartier-dual notation for the stabilizer: mu_{d_1} x ... ."""
-        if not self.group.invariant_factors:
-            return "trivial"
-        return " x ".join(f"mu_{d}" for d in self.group.invariant_factors)
 
     def cycle_coordinates(self, face: Sequence[int]) -> list[int]:
         """Indices of the coordinates whose fan rays lie in ``face``."""
@@ -145,43 +137,19 @@ def chart_resolution(chart: LocalChart):
     return p, admissible_resolution(p, dict(zip(chart.defining_cone.rays, chart.levels)))
 
 
-def chart_group(sf: StackyFan, key: tuple[int, ...]) -> tuple[FiniteAbelianGroup, int]:
-    """The group G and the multiplicity of a cone, as ``Fan.normalize`` keys it.
-
-    G is the torsion of Z^d / <n_rho v_rho>, the diagonal of one Smith
-    elimination of the rows n_rho v_rho (no transforms). The multiplicity,
-    the index of the ray lattice in its saturation, is the gcd of the r x r
-    minors of the r rays: |det| for a full-dimensional cone, and below full
-    dimension the product of the rays' Smith diagonal (the invariant factors
-    multiply to that gcd), so no minor is formed. Neither needs a splitting.
-    The order of G is the stacky multiplicity, the multiplicity times the
-    levels (asserted).
-    """
-    rays = [sf.fan.rays[i] for i in key]
-    free_net = [[sf.levels[i] * x for x in v] for i, v in zip(key, rays)]
-    group = FiniteAbelianGroup(tuple(x for x in smith_elimination(free_net) if x > 1))
-    if len(key) == sf.fan.ambient_rank:
-        q = abs(determinant(rays))
-    else:
-        q = math.prod(smith_elimination([list(v) for v in rays]))
-    stacky = q * math.prod(sf.levels[i] for i in key)
-    if group.order != stacky:
-        raise AssertionError(f"stabilizer order {group.order} differs from "
-                             f"stacky multiplicity {stacky}")
-    return group, q
-
-
 def local_chart(sf: StackyFan, sigma: Iterable[int]) -> LocalChart:
     """Compute the quotient chart over a cone of the stacky fan, in full.
 
-    The group and multiplicity are ``chart_group``'s. ``_coordinates`` gives
-    the splitting and the coordinates; one Smith elimination of the free-net
-    matrix in N' coordinates, with its left transform, gives the action
-    weights, and its diagonal is checked against the group and the
-    multiplicity.
+    ``_coordinates`` gives the splitting and the coordinates; one Smith
+    elimination of the free-net matrix in N' coordinates, with its left
+    transform, gives the group (its diagonal entries above 1) and the action
+    weights. The multiplicity, the gcd of the r x r minors of the raw rays
+    (|det| at full dimension, the product of their Smith diagonal below it,
+    so no minor is formed), witnesses it: |G| is the multiplicity times the
+    levels (asserted).
     """
     key = sf.fan.normalize(sigma)
-    group, q = chart_group(sf, key)
+    rays = [sf.fan.rays[i] for i in key]
     n_prime, n_doubleprime, coordinates = _coordinates(sf.fan, key)
     r = len(key)
     fan_rays = tuple(rho for _, _, rho in coordinates)
@@ -191,12 +159,14 @@ def local_chart(sf: StackyFan, sigma: Iterable[int]) -> LocalChart:
     diag = smith_elimination(free_net, u=u)
     if any(x == 0 for x in diag):
         raise AssertionError("degenerate free-net matrix in chart computation")
+    q = (abs(determinant(rays)) if r == sf.fan.ambient_rank
+         else math.prod(smith_elimination([list(v) for v in rays])))
     torsion_rows = [i for i, x in enumerate(diag) if x > 1]
-    # |det| of the free-net matrix in N' is the multiplicity times the levels
-    if (math.prod(diag) != q * math.prod(levels)
-            or tuple(diag[i] for i in torsion_rows) != group.invariant_factors):
-        raise AssertionError("chart coordinates disagree with the cone's "
-                             "multiplicity or stabilizer")
+    group = FiniteAbelianGroup(tuple(diag[i] for i in torsion_rows))
+    stacky = q * math.prod(levels)
+    if group.order != stacky:
+        raise AssertionError(f"stabilizer order {group.order} differs from "
+                             f"stacky multiplicity {stacky}")
     return LocalChart(
         cone=key, r=r, torus_rank=sf.fan.ambient_rank - r,
         group=group, multiplicity=q, stacky_multiplicity=group.order,
@@ -211,18 +181,35 @@ def local_chart(sf: StackyFan, sigma: Iterable[int]) -> LocalChart:
     )
 
 
-def stabilizer(sf: StackyFan, sigma: Iterable[int]) -> FiniteAbelianGroup:
-    """Stabilizer group of a point in the open stratum of sigma.
+def face_group(chart: LocalChart, face: Sequence[int]) -> tuple[FiniteAbelianGroup, int]:
+    """The group G_tau and the multiplicity of a face tau of the chart's cone.
 
-    Returned as the finite abelian group underlying the Cartier dual; its
-    order equals the stacky multiplicity of the cone (asserted).
+    G_tau = G / <w_i : rho_i not in tau>: one Smith elimination of G's
+    relations diag(d_k) and the weights of the coordinates off the face (none
+    for a trivial G or the whole cone). The multiplicity is |G_tau| over the
+    levels on the face, which must divide it (asserted).
     """
-    return chart_group(sf, sf.fan.normalize(sigma))[0]
+    group, factors = chart.group, chart.group.invariant_factors
+    off = [list(w) for w, rho in zip(chart.action_weights, chart.fan_rays) if rho not in face]
+    if factors and off:
+        relations = [[d * (j == k) for j in range(len(factors))] for k, d in enumerate(factors)]
+        group = FiniteAbelianGroup(tuple(x for x in smith_elimination(relations + off) if x > 1))
+    levels = math.prod(n for n, rho in zip(chart.levels, chart.fan_rays) if rho in face)
+    q, rest = divmod(group.order, levels)
+    if rest:
+        raise AssertionError(f"levels {levels} on face {tuple(face)} do not divide "
+                             f"its stabilizer order {group.order}")
+    return group, q
 
 
-def is_deligne_mumford(sf: StackyFan, residue_characteristics: Sequence[int]) -> bool:
-    """The stack is Deligne-Mumford exactly when the stacky fan is tame."""
-    return fans.is_tame(sf, residue_characteristics)
+def stabilizer(sf: StackyFan, sigma: Iterable[int]) -> FiniteAbelianGroup:
+    """Stabilizer group of a point in the open stratum of sigma, the group
+    underlying the Cartier dual, read off the chart of the first maximal cone
+    that holds sigma (``face_group``)."""
+    key = sf.fan.normalize(sigma)
+    home = (next(c for c in sf.fan.cones_by_ray[key[0]] if set(key).issubset(c)) if key
+            else sf.fan.maximal_cones[0])
+    return face_group(local_chart(sf, home), key)[0]
 
 
 def is_kummer_etale_chart(chart: LocalChart, residue_characteristics: Sequence[int]) -> bool:
@@ -231,30 +218,14 @@ def is_kummer_etale_chart(chart: LocalChart, residue_characteristics: Sequence[i
     return all(math.gcd(chart.group.order, p) == 1 for p in chars)
 
 
-def cycle_ideal_in_chart(sf: StackyFan, sigma_face: Iterable[int],
-                         tau_chart: Iterable[int]) -> list[int]:
-    """Chart coordinates cutting out the torus-invariant cycle of sigma_face.
-
-    In the chart over tau_chart the cycle of a face sigma is cut out by the
-    coordinates whose rays lie in sigma; returns their indices.
-    """
-    face, chart_cone = fans.face_of_chart(sf.fan, sigma_face, tau_chart)
-    return local_chart(sf, chart_cone).cycle_coordinates(face)
-
-
-def boundary_divisors(sf: StackyFan) -> list[dict]:
-    """Per ray: the single chart coordinate cutting its divisor in each chart.
-
-    Charts run over the maximal cones containing the ray; the generic
-    stabilizer along the divisor is cyclic of order equal to the level.
-    """
-    return boundary_divisors_from_charts(
-        sf, {c: local_chart(sf, c) for c in sf.fan.maximal_cones})
-
-
 def boundary_divisors_from_charts(sf: StackyFan,
                                   charts: Mapping[tuple[int, ...], LocalChart]) -> list[dict]:
-    """``boundary_divisors`` read from charts already computed, keyed by cone."""
+    """Per ray: the single chart coordinate cutting its divisor in each chart.
+
+    ``charts`` holds the chart of every maximal cone on the ray, keyed by
+    cone; the generic stabilizer along the divisor is cyclic of order equal
+    to the level.
+    """
     out = []
     for rho in range(len(sf.fan.rays)):
         coordinates = {}

@@ -15,7 +15,8 @@ rank above ``MAX_RANK``, and a ray entry or level whose absolute value is
 or any other exception; indicates a bug, never expected), 4 limit exceeded
 (a Hilbert basis walk over ``monoids.MAX_LATTICE_POINTS`` points, or a
 report listing over ``monoids.MAX_REPORT_FACES`` cycle ideals, refused
-before it starts; the message names the count, the limit and a walk's cone).
+before it starts, and in a report before any chart or face group; the
+message names the count, the limit and a walk's cone).
 
 ``main`` may be called any number of times in one process; the argument
 parser is built on the first call and reused.
@@ -273,6 +274,10 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     if faces > monoidlib.MAX_REPORT_FACES:
         raise ReportTooLarge(f"report would list {faces} cycle ideals, "
                              f"above the limit of {monoidlib.MAX_REPORT_FACES}")
+    # every maximal cone's coarse generators come first, so that a Hilbert
+    # basis walk over the limit is refused before any chart or face group
+    generators = {c: _on_cone(c, lambda: monoidlib.monoid_generators(
+        conelib.dual_cone(fan.cone_geometry(c)))) for c in fan.maximal_cones}
     chars = doc.characteristics
     charts = {c: chartlib.local_chart(sf, c) for c in fan.maximal_cones}
     smooth_canonical = (all(n == 1 for n in sf.levels)
@@ -283,27 +288,16 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     # that of its cone, so the maximal cones' charts decide it
     etale = {c: chartlib.is_kummer_etale_chart(charts[c], chars) for c in fan.maximal_cones}
     tame = all(etale.values())
-    # a face reads its group and multiplicity from its chart if it is a
-    # maximal cone, else computes them alone, with no splitting
-    groups = {c: (charts[c].group, charts[c].multiplicity) if c in charts
-              else chartlib.chart_group(sf, c) for c in fan.cones}
-    cones_out = [{
-        "id": cone_id(c),
-        "ray_indices": list(c),
-        "dim": len(c),
-        "multiplicity": q,
-        "stacky_multiplicity": group.order,
-        "stabilizer": _group_dict(group),
-    } for c, (group, q) in groups.items()]
+    # a maximal cone reads its group and multiplicity from its chart, and
+    # every other face from the chart of the first maximal cone that has it
+    groups = {c: (charts[c].group, charts[c].multiplicity) for c in fan.maximal_cones}
     charts_out = []
     for c in fan.maximal_cones:
         chart = charts[c]
-        generators = _on_cone(c, lambda: monoidlib.monoid_generators(
-            conelib.dual_cone(fan.cone_geometry(c))))
         # restricted to N' (M modulo the units sigma^perp is M'), they are the
         # Hilbert basis of the chart monoid P, and the units restrict to 0
         coarse = sorted({tuple(dot(h, v) for v in chart.n_prime_basis)
-                         for h in generators} - {(0,) * chart.r})
+                         for h in generators[c]} - {(0,) * chart.r})
         # a face of c is a bit mask over c's positions; each generator (>= 0
         # on c) cuts a face's cycle when it is positive on one of its rays
         # (``stackyfan.cycle_generators``), and each chart coordinate lies in
@@ -311,11 +305,13 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
         position = {rho: 1 << k for k, rho in enumerate(c)}
         positive = [(list(h), sum(bit for rho, bit in position.items()
                                   if dot(h, fan.rays[rho]) > 0))
-                    for h in sorted(generators)]
+                    for h in sorted(generators[c])]
         coordinate_bits = [position[rho] for rho in chart.fan_rays]
         cycle_ideals = []
         for k in range(len(c) + 1):
             for f in combinations(c, k):
+                if f not in groups:
+                    groups[f] = chartlib.face_group(chart, f)
                 mask = sum(position[rho] for rho in f)
                 cycle_ideals.append({
                     "cone": cone_id(f),
@@ -338,6 +334,14 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
             },
             "cycle_ideals": cycle_ideals,
         })
+    cones_out = [{
+        "id": cone_id(c),
+        "ray_indices": list(c),
+        "dim": len(c),
+        "multiplicity": groups[c][1],
+        "stacky_multiplicity": groups[c][0].order,
+        "stabilizer": _group_dict(groups[c][0]),
+    } for c in fan.cones]
     boundary = [{
         "ray": entry["ray"],
         "level": entry["level"],
@@ -396,7 +400,7 @@ def mfr_data(sf: StackyFan, cone_selector: Sequence[int]) -> dict:
 
 def stabilizer_data(sf: StackyFan, cone_selector: Sequence[int]) -> dict:
     key = sf.fan.normalize(cone_selector)
-    group, _ = chartlib.chart_group(sf, key)
+    group = chartlib.stabilizer(sf, key)
     return {
         "cone": cone_id(key),
         "stacky_multiplicity": group.order,

@@ -4,7 +4,7 @@ import json
 import math
 import random
 import sys
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -24,10 +24,8 @@ from oracles import coordinate_rays, det
 from toristack.cones import Cone, multiplicity
 from toristack.charts import (
     LocalChart,
-    boundary_divisors,
-    chart_group,
-    cycle_ideal_in_chart,
-    is_deligne_mumford,
+    boundary_divisors_from_charts,
+    face_group,
     is_kummer_etale_chart,
     local_chart,
     split_cone,
@@ -47,6 +45,11 @@ from toristack.stackyfan import StackyFan, is_tame, stacky_multiplicity, validat
 
 def ray_fan(level=1):
     return StackyFan.build(validate_fan([(1,)], [[0]]), {0: level})
+
+
+def boundary_divisors(sf):
+    return boundary_divisors_from_charts(
+        sf, {c: local_chart(sf, c) for c in sf.fan.maximal_cones})
 
 
 # -- splitting -------------------------------------------------------------------
@@ -92,7 +95,6 @@ def test_smooth_chart_is_plain_affine_space():
     assert chart.r == 2 and chart.torus_rank == 0
     assert chart.group.is_trivial
     assert chart.action_weights == ((), ())
-    assert chart.group_label == "trivial"
 
 
 def test_a1_chart_weights():
@@ -110,7 +112,6 @@ def test_ray_level_three_chart():
     assert chart.r == 1
     assert chart.group.invariant_factors == (3,)
     assert chart.action_weights == ((1,),)
-    assert chart.group_label == "mu_3"
 
 
 def test_zero_cone_chart_is_torus():
@@ -235,20 +236,25 @@ def test_invariant_monomials_are_exactly_p():
 # -- tameness flags ----------------------------------------------------------------
 
 def test_dm_examples():
+    # the stack is Deligne-Mumford exactly when the stacky fan is tame
     smooth = StackyFan.build(a2_fan(), {})
-    assert is_deligne_mumford(smooth, [2, 3, 5])
+    assert is_tame(smooth, [2, 3, 5])
     sfa1 = StackyFan.build(a1_singularity_fan(), {})
-    assert not is_deligne_mumford(sfa1, [2])
-    assert is_deligne_mumford(sfa1, [0])
+    assert not is_tame(sfa1, [2])
+    assert is_tame(sfa1, [0])
 
 
 def test_dm_equals_tame_random():
+    # Deligne-Mumford, read as every maximal cone's chart being Kummer log
+    # etale, agrees with the stacky multiplicities that is_tame reads
     rng = random.Random(246)
     for fan in zoo_fans():
         for _ in range(3):
             sf = random_stacky(rng, fan)
             chars = rng.sample([0, 2, 3, 5, 7], k=rng.randint(1, 3))
-            assert is_deligne_mumford(sf, chars) == is_tame(sf, chars)
+            etale = all(is_kummer_etale_chart(local_chart(sf, c), chars)
+                        for c in fan.maximal_cones)
+            assert etale == is_tame(sf, chars)
 
 
 def test_kummer_etale_chart():
@@ -267,19 +273,19 @@ def test_kummer_etale_chart():
 def test_cycle_coordinates_single_ray():
     sf = StackyFan.build(a2_fan(), {})
     chart = local_chart(sf, [0, 1])
-    coords = cycle_ideal_in_chart(sf, [0], [0, 1])
+    coords = chart.cycle_coordinates((0,))
     assert len(coords) == 1
     assert chart.fan_rays[coords[0]] == 0
 
 
 def test_cycle_coordinates_full_cone():
     sf = StackyFan.build(a1_singularity_fan(), {})
-    assert cycle_ideal_in_chart(sf, [0, 1], [0, 1]) == [0, 1]
+    assert local_chart(sf, [0, 1]).cycle_coordinates((0, 1)) == [0, 1]
 
 
 def test_cycle_coordinates_zero_cone():
     sf = StackyFan.build(a1_singularity_fan(), {})
-    assert cycle_ideal_in_chart(sf, [], [0, 1]) == []
+    assert local_chart(sf, [0, 1]).cycle_coordinates(()) == []
 
 
 def test_boundary_divisors_p1():
@@ -395,10 +401,11 @@ def test_local_chart_builds_no_cone_monoid_or_resolution(monkeypatch):
     assert calls == []
 
 
-def test_full_dimensional_chart_runs_two_smith_normal_forms(monkeypatch):
+def test_full_dimensional_chart_runs_one_smith_normal_form(monkeypatch):
     # N' = Z^d for a full-dimensional cone: the splitting runs no normal
-    # form, and the chart's only ones are the Smith eliminations of its
-    # free-net matrix, once for the group and once in its coordinates
+    # form, and the chart's only one is the Smith elimination of its
+    # free-net matrix in its coordinates, which gives the group and the
+    # action weights
     import toristack.charts as charts_mod
     import toristack.linalg as linalg_mod
     import toristack.monoids as monoids_mod
@@ -421,7 +428,7 @@ def test_full_dimensional_chart_runs_two_smith_normal_forms(monkeypatch):
     for sf, c in full:
         calls.clear()
         chart = local_chart(sf, c)
-        assert calls == ["smith_elimination", "smith_elimination"]
+        assert calls == ["smith_elimination"]
         assert chart.n_doubleprime_basis == ()
 
 
@@ -456,41 +463,40 @@ def test_chart_matches_the_resolution_path():
             assert chart.multiplicity == multiplicity(sf.fan.cone_geometry(c))
 
 
-def test_chart_group_and_multiplicity_need_no_splitting(monkeypatch):
-    # the group is the torsion of Z^d / <n_rho v_rho> and the multiplicity
-    # |det| of the rays, or the product of their Smith diagonal below full
-    # dimension: chart_group, and the stabilizer that reads it, split and
-    # invert nothing, and the chart, computed with its splitting, agrees
-    # with both. The fans are validated before anything is forbidden, so the
-    # test does not depend on what other tests cached.
+def test_face_group_and_multiplicity_need_no_splitting(monkeypatch):
+    # a face's group is the quotient of a maximal cone's group by the action
+    # weights of the coordinates off the face, and its multiplicity |G_tau|
+    # over the levels on it: face_group splits, inverts and Hermite-reduces
+    # nothing. Whichever maximal cone holds the face, it agrees with the
+    # face's own chart, the multiplicity of its cone and the stabilizer.
+    # The charts are built before anything is forbidden.
     import toristack.charts as charts_mod
     import toristack.linalg as linalg_mod
 
     def forbidden(name):
         def fail(*args, **kwargs):
-            raise AssertionError(f"chart_group called {name}")
+            raise AssertionError(f"face_group called {name}")
         return fail
 
-    stacky_fans = stacky_fans_with_shuffled_rays()
-    for name in ("_coordinates", "split_cone", "saturate", "complete_to_basis"):
+    charts = [(sf, local_chart(sf, m)) for sf in stacky_fans_with_shuffled_rays()
+              for m in sf.fan.maximal_cones]
+    for name in ("_coordinates", "split_cone", "saturate", "complete_to_basis", "determinant"):
         monkeypatch.setattr(charts_mod, name, forbidden(name))
     monkeypatch.setattr(linalg_mod, "hermite_elimination", forbidden("hermite_elimination"))
     inverse = linalg_mod.integer_inverse
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("toristack") and vars(module).get("integer_inverse") is inverse:
             monkeypatch.setattr(module, "integer_inverse", forbidden("integer_inverse"))
-    built = [(sf, c, chart_group(sf, c)) for sf in stacky_fans for c in sf.fan.cones]
-    assert all(stabilizer(sf, c) == group for sf, c, (group, _) in built)
-    assert any(0 < len(c) < sf.fan.ambient_rank for sf, c, _ in built)
+    built = [(sf, f, face_group(chart, f)) for sf, chart in charts
+             for k in range(chart.r + 1) for f in combinations(chart.cone, k)]
+    assert any(0 < len(f) < sf.fan.ambient_rank for sf, f, _ in built)
     monkeypatch.undo()
-    for sf, c, (group, q) in built:
-        assert q == multiplicity(sf.fan.cone_geometry(c))
-        assert group.order == stacky_multiplicity(sf, c)
-        # the full chart runs the splitting and its tripwire
-        chart = local_chart(sf, c)
-        assert (chart.group, chart.multiplicity, chart.stacky_multiplicity) == (group, q, group.order)
-        assert sorted(chart.fan_rays) == list(c)
-        assert math.prod(chart.levels) * chart.multiplicity == chart.group.order
+    for sf, f, (group, q) in built:
+        assert q == multiplicity(sf.fan.cone_geometry(f))
+        assert group.order == stacky_multiplicity(sf, f)
+        assert stabilizer(sf, f) == group
+        own = local_chart(sf, f)
+        assert (own.group, own.multiplicity) == (group, q), (sf.fan.rays, sf.levels, f)
 
 
 def test_only_cones_dualizes_a_simplicial_cone():
@@ -529,24 +535,49 @@ def test_report_splits_only_maximal_cones(tmp_path, monkeypatch, capsys):
 
 
 def test_chart_coordinates_check_the_group_and_multiplicity(monkeypatch):
-    # a group or multiplicity that the chart's own Smith diagonal does not
-    # reproduce trips the chart
+    # the chart's group comes from its own Smith diagonal, and the
+    # multiplicity from the raw rays (|det| at full dimension, their Smith
+    # diagonal below it) is its witness: either one off trips the chart
     import toristack.charts as charts_mod
 
-    sf = StackyFan.build(a1_singularity_fan(), {0: 3})
-    chart = local_chart(sf, [0, 1])
-    for wrong in ((chart.group, chart.multiplicity + 1), (FiniteAbelianGroup((7,)), chart.multiplicity)):
-        monkeypatch.setattr(charts_mod, "chart_group", lambda sf, key, wrong=wrong: wrong)
-        with pytest.raises(AssertionError,
-                           match="disagree with the cone's multiplicity or stabilizer"):
+    full = StackyFan.build(a1_singularity_fan(), {0: 3})
+    lower = StackyFan.build(validate_fan([(1, 0, 0), (1, 2, 0)], [[0, 1]]), {1: 3})
+    charts = [(sf, local_chart(sf, [0, 1])) for sf in (full, lower)]
+    assert [c.multiplicity for _, c in charts] == [2, 2]
+    determinant, smith_elimination = charts_mod.determinant, charts_mod.smith_elimination
+
+    def rays_diagonal_doubled(s, u=None, v=None):
+        diag = smith_elimination(s, u, v)
+        return diag if u is not None else [2 * diag[0]] + diag[1:]
+
+    monkeypatch.setattr(charts_mod, "determinant", lambda rows: determinant(rows) + 1)
+    monkeypatch.setattr(charts_mod, "smith_elimination", rays_diagonal_doubled)
+    for (sf, chart), wrong in zip(charts, (9, 12)):
+        with pytest.raises(AssertionError, match=f"stabilizer order 6 differs from "
+                                                 f"stacky multiplicity {wrong}"):
             local_chart(sf, [0, 1])
     monkeypatch.undo()
-    assert chart == local_chart(sf, [0, 1])
+    assert all(chart == local_chart(sf, [0, 1]) for sf, chart in charts)
+
+
+def test_face_group_checks_that_the_levels_divide_its_order():
+    # the levels on a face divide the order of its group; a chart whose
+    # levels do not trips face_group
+    chart = local_chart(ray_fan(3), [0])
+    assert face_group(chart, (0,)) == (FiniteAbelianGroup((3,)), 1)
+    assert face_group(chart, ()) == (FiniteAbelianGroup(), 1)
+    smooth = local_chart(StackyFan.build(a2_fan(), {}), [0, 1])
+    for wrong, face, message in ((dataclasses.replace(chart, levels=(9,)), (0,),
+                                  r"levels 9 on face \(0,\) do not divide its stabilizer order 3"),
+                                 (dataclasses.replace(smooth, levels=(2, 1)), (0, 1),
+                                  r"levels 2 on face \(0, 1\) do not divide its stabilizer order 1")):
+        with pytest.raises(AssertionError, match=message):
+            face_group(wrong, face)
 
 
 def test_group_order_is_checked_against_the_stacky_multiplicity(monkeypatch):
-    # a multiplicity off by one trips chart_group, and through it the chart,
-    # the stabilizer and every command that reads a group (exit 3)
+    # a multiplicity off by one trips the chart, the stabilizer that reads
+    # one, and every command that reads a group (exit 3)
     import toristack.charts as charts_mod
     from toristack.cli import main
 
@@ -554,7 +585,7 @@ def test_group_order_is_checked_against_the_stacky_multiplicity(monkeypatch):
     monkeypatch.setattr(charts_mod, "determinant", lambda rows: determinant(rows) + 1)
     sf = StackyFan.build(a1_singularity_fan(), {0: 3})
     message = "stabilizer order 6 differs from stacky multiplicity 9"
-    for compute in (chart_group, local_chart, stabilizer):
+    for compute in (local_chart, stabilizer):
         with pytest.raises(AssertionError, match=message):
             compute(sf, (0, 1))
     for command in (["stabilizer", "--cone", "0,1"], ["mfr", "--cone", "0,1"], ["report"]):

@@ -567,8 +567,8 @@ def test_library_bug_exits_3(monkeypatch, capsys, error):
 def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatch, capsys):
     # (P^1)^3: 27 cones and 8 maximal cones. The fan is complete and its
     # walls settle it, so no pair of maximal cones is compared; one chart per
-    # maximal cone, one group per cone (the charts' own for the maximal
-    # cones), no exact intersection, and one Hilbert basis per maximal cone
+    # maximal cone, one face group per other face (the maximal cones read
+    # their charts'), no exact intersection, and one Hilbert basis per maximal cone
     # (its printed coarse generators) and none in the charts. The
     # non-complete mixed_dim fixture compares each pair of maximal cones once.
     import toristack.charts as charts_mod
@@ -579,7 +579,7 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
 
     charts, groups, pairs, intersections, hilbert_bases = [], [], [], [], []
     local_chart, meet = charts_mod.local_chart, fan_mod._meet_in_shared_face
-    chart_group = charts_mod.chart_group
+    face_group = charts_mod.face_group
     intersect = cones_mod.intersect
     hilbert_basis_full = monoids_mod._hilbert_basis_full
 
@@ -587,9 +587,9 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
         charts.append(tuple(sigma))
         return local_chart(sf, sigma)
 
-    def counting_group(sf, key):
-        groups.append(key)
-        return chart_group(sf, key)
+    def counting_group(chart, face):
+        groups.append(face)
+        return face_group(chart, face)
 
     def counting_meet(fan, c1, c2, *args, **kwargs):
         pairs.append(frozenset((c1, c2)))
@@ -604,7 +604,7 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
         return hilbert_basis_full(ray_list, d)
 
     monkeypatch.setattr(charts_mod, "local_chart", counting_chart)
-    monkeypatch.setattr(charts_mod, "chart_group", counting_group)
+    monkeypatch.setattr(charts_mod, "face_group", counting_group)
     monkeypatch.setattr(fan_mod, "_meet_in_shared_face", counting_meet)
     monkeypatch.setattr(cones_mod, "intersect", counting_intersect)
     monkeypatch.setattr(monoids_mod, "_hilbert_basis_full", counting_hilbert_basis)
@@ -617,7 +617,8 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
     assert data["fan"]["num_cones"] == 27
     assert data["fan"]["complete"] is True
     assert sorted(charts) == sorted(tuple(c) for c in cones)
-    assert sorted(groups) == sorted(tuple(c["ray_indices"]) for c in data["cones"])
+    assert sorted(groups) == sorted(tuple(c["ray_indices"]) for c in data["cones"]
+                                    if len(c["ray_indices"]) < 3)
     assert pairs == []
     assert intersections == []
     assert len(hilbert_bases) == 8
@@ -629,6 +630,37 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
     assert len(maximal) == 2
     assert pairs == [frozenset(pair) for pair in combinations(maximal, 2)]
     assert intersections == []
+
+
+def test_face_rows_eliminate_no_ray_coordinates(tmp_path, monkeypatch, capsys):
+    # (P^1)^3 with levels: the only Smith eliminations of 3 columns are the
+    # 8 charts' free-net matrices and the 8 Hilbert bases' ray matrices.
+    # Every other input is a face group's, in the invariant-factor
+    # coordinates of its chart's group: one column here, for Z/2, Z/3 or Z/6
+    import toristack.linalg as linalg_mod
+    from itertools import product
+
+    widths, original = [], linalg_mod.smith_elimination
+
+    def recording(s, *args, **kwargs):
+        widths.append(len(s[0]) if s else 0)
+        return original(s, *args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("toristack") and vars(module).get("smith_elimination") is original:
+            monkeypatch.setattr(module, "smith_elimination", recording)
+    rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
+                                          [-int(j == i) for j in range(3)])]
+    cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=3)]
+    path = write_doc(tmp_path, "p1_cubed.json", {"rank": 3, "rays": rays, "max_cones": cones,
+                                                 "levels": {"0": 2, "3": 3}})
+    assert main(["report", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    factors = max(len(chart["group"]["invariant_factors"]) for chart in data["charts"])
+    assert factors == 1
+    assert widths.count(3) == 16
+    faces = [w for w in widths if w != 3]
+    assert faces and max(faces) <= factors
 
 
 def test_report_inverts_each_maximal_cone_once(monkeypatch, tmp_path, capsys):
@@ -779,29 +811,34 @@ def record_splitting(monkeypatch, module, name):
     return seen
 
 
-def test_stabilizer_and_face_rows_split_nothing(monkeypatch, capsys):
-    # stabilizer and the report's rows for faces that are no maximal cone
-    # read chart_group alone: no coordinates, splitting, Hermite form or
-    # inverse, which only the charts of the maximal cones compute.
+def test_stabilizer_and_face_rows_split_only_maximal_cones(monkeypatch, capsys):
+    # stabilizer splits one maximal cone, the first that holds the selected
+    # cone, and reads the group off its chart; the report's rows for faces
+    # that are no maximal cone read the maximal cones' charts: face_group
+    # computes no coordinates, splitting, Hermite form or inverse.
     # mixed_dim has lower-dimensional maximal cones and faces.
     import toristack.charts as charts_mod
-    import toristack.cli as cli_mod
 
     for path in sorted(FIXTURES.glob("*.json")):
         doc = json.loads(path.read_text())
+        maximal = check_document(document_from_json(path.read_text()))[1].fan.maximal_cones
         with monkeypatch.context() as m:
-            seen = record_splitting(m, cli_mod, "stabilizer_data")
+            split, coordinates = [], charts_mod._coordinates
+            m.setattr(charts_mod, "_coordinates",
+                      lambda fan, key: split.append(key) or coordinates(fan, key))
             for cone in doc["max_cones"]:
                 for k in range(len(cone) + 1):
+                    split.clear()
                     selector = ",".join(map(str, cone[:k]))
                     assert main(["stabilizer", str(path), "--cone", selector]) == 0
-            assert seen == [], path.name
+                    home = next(c for c in maximal if set(cone[:k]) <= set(c))
+                    assert split == [home], (path.name, selector)
         with monkeypatch.context() as m:
-            seen, split = record_splitting(m, charts_mod, "chart_group"), []
+            seen, split = record_splitting(m, charts_mod, "face_group"), []
             coordinates = charts_mod._coordinates
             m.setattr(charts_mod, "_coordinates",
                       lambda fan, key: split.append(key) or coordinates(fan, key))
             assert main(["report", str(path)]) == 0
             assert seen == [], path.name
-            assert sorted(split) == sorted(tuple(sorted(c)) for c in doc["max_cones"])
+            assert sorted(split) == sorted(maximal)
     capsys.readouterr()

@@ -213,3 +213,30 @@ def test_limit_is_checked_against_the_point_count(monkeypatch):
 
 def test_limit_error_is_no_fan_or_parse_error():
     assert not issubclass(LatticeWalkTooLarge, (FanError, DocumentParseError))
+
+
+def test_walk_over_the_limit_is_refused_before_any_chart(tmp_path, monkeypatch, capsys):
+    # one cone of 12 random rays with 62-bit entries validates at once; its
+    # dual's parallelepiped is far over the limit, and the report refuses it
+    # before it builds any chart or face group, wherever a module binds them
+    import random
+
+    from toristack import charts
+    from toristack.linalg import primitive_vector
+
+    rng = random.Random(12)
+    rays = [list(primitive_vector([rng.randrange(-2 ** 62, 2 ** 62) for _ in range(12)]))
+            for _ in range(12)]
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rank": 12, "rays": rays, "max_cones": [list(range(12))]}),
+                    encoding="utf-8")
+    calls = []
+    for name in ("local_chart", "face_group"):
+        original = getattr(charts, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("toristack") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    assert main(["report", str(path)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "limit exceeded: Hilbert basis over cone [0,1,2,3,4,5,6,7,8,9,10,11] would visit ")
+    assert calls == []

@@ -12,7 +12,7 @@ import pytest
 from toristack import charts as charts_mod
 from toristack import cones as cones_mod
 from toristack import stackyfan as fan_mod
-from toristack.charts import boundary_divisors_from_charts, chart_group, local_chart
+from toristack.charts import boundary_divisors_from_charts, local_chart
 from toristack.cli import main
 from toristack.stackyfan import ConeNotInFan, Fan, StackyFan, validate_fan
 
@@ -33,20 +33,16 @@ def counting(monkeypatch, module, name, calls):
 
 def test_nine_ray_chart_in_rank_18_sweeps_no_minors(monkeypatch):
     # C(18, 9) = 48,620 maximal minors would give the multiplicity; one Smith
-    # diagonal of the rays does, and a second one gives the group. The chart
-    # adds one more, of the free-net matrix in its coordinates.
+    # diagonal of the rays does. The chart's group comes from one more, of
+    # the free-net matrix in its coordinates.
     d, r = 18, 9
     rays = [tuple(int(j == i) + int(j == i + r) * (i + 2) for j in range(d)) for i in range(r)]
     sf = StackyFan.build(validate_fan(rays, [list(range(r))], d), {0: 3})
     calls = []
     for name in ("determinant", "smith_elimination"):
         counting(monkeypatch, charts_mod, name, calls)
-    group, q = chart_group(sf, tuple(range(r)))
-    assert calls == ["smith_elimination"] * 2
-    assert (q, group.invariant_factors) == (1, (3,))
-    calls.clear()
     chart = local_chart(sf, range(r))
-    assert calls == ["smith_elimination"] * 3
+    assert calls == ["smith_elimination"] * 2
     assert (chart.r, chart.torus_rank, chart.multiplicity) == (9, 9, 1)
     assert chart.group.invariant_factors == (3,)
 
@@ -56,11 +52,8 @@ def test_full_dimensional_chart_takes_one_determinant(monkeypatch):
     calls = []
     for name in ("determinant", "smith_elimination"):
         counting(monkeypatch, charts_mod, name, calls)
-    assert chart_group(sf, (0, 1, 2))[1] == 2
-    assert sorted(calls) == ["determinant", "smith_elimination"]
-    calls.clear()
     assert local_chart(sf, (0, 1, 2)).multiplicity == 2
-    assert sorted(calls) == ["determinant", "smith_elimination", "smith_elimination"]
+    assert sorted(calls) == ["determinant", "smith_elimination"]
 
 
 def test_validating_p1_to_the_sixth_compares_no_pair(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,8 @@ Inputs in rank 2-4: complete fans (GL_d(Z) images of products of projective
 spaces and Hirzebruch surfaces, rays shuffled), the same fans with cones
 dropped or with one more cone, and fans that wind around the origin more
 than once, whose walls each still separate exactly two cones. The same
-fans, given levels and characteristics, check the report's tameness flag.
+fans, given levels and characteristics, check the report's tameness flag,
+its cone rows and the stabilizer command.
 """
 
 import functools
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from oracles import det, determinantal_divisors, pairwise_validate_fan
 
-from toristack.cli import FanDocument, check_document, report_data
+from toristack.cli import FanDocument, check_document, report_data, stabilizer_data
 from toristack.stackyfan import FanError, is_complete, is_tame, validate_fan
 
 
@@ -201,4 +202,27 @@ def test_report_cone_rows_match_determinantal_divisors(drawn, data):
         multiplicity = ([1] + determinantal_divisors([rays[i] for i in c], minor))[-1]
         assert row["multiplicity"] == multiplicity, c
         assert row["stacky_multiplicity"] == divisors[-1], c
+        assert row["stabilizer"]["invariant_factors"] == factors, c
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fans(max_rank=5), st.data())
+def test_stabilizer_command_matches_determinantal_divisors(drawn, data):
+    # the stabilizer command on every cone, each read off the chart of one
+    # maximal cone that holds it, against the gcds of minors of the cone's
+    # free-net matrix (rows n_rho v_rho): the stacky multiplicity is D_r
+    # and the invariant factors the quotients D_k / D_(k-1) that are not 1
+    rays, cones, d, _ = drawn
+    levels = {i: data.draw(st.integers(1, 6)) for i in range(len(rays))}
+    doc = FanDocument(d, rays, [tuple(c) for c in cones], levels, [0])
+    found, sf = check_document(doc)
+    assume(not found)
+    minor = functools.cache(det)
+    for c in sf.fan.cones:
+        row = stabilizer_data(sf, list(c))
+        divisors = [1] + determinantal_divisors(
+            [[levels[i] * x for x in rays[i]] for i in c], minor)
+        factors = [b // a for a, b in zip(divisors, divisors[1:]) if b // a > 1]
+        assert row["cone"] == ",".join(map(str, c))
+        assert row["stacky_multiplicity"] == row["stabilizer"]["order"] == divisors[-1], c
         assert row["stabilizer"]["invariant_factors"] == factors, c
