@@ -10,7 +10,6 @@ and torus-invariant cycle data. All arithmetic is exact.
 from .linalg import (
     FiniteAbelianGroup,
     hermite_normal_form,
-    lattice_index,
     quotient_invariants,
     saturate,
     smith_normal_form,
@@ -20,13 +19,9 @@ from .cones import (
     contains,
     dual_cone,
     intersect,
-    is_face,
     is_full_dimensional,
     is_simplicial,
-    multiplicity,
     ray_star,
-    rays,
-    relative_interior_point,
 )
 from .monoids import (
     AffineMonoid,
@@ -37,9 +32,7 @@ from .monoids import (
     admissible_resolution,
     hilbert_basis,
     irreducible_ray_correspondence,
-    is_simplicially_toric,
     minimal_free_resolution,
-    monoid_from_cone,
     quotient_group,
     resolution_cokernel,
     restrict_resolution,
@@ -54,12 +47,8 @@ from .stackyfan import (
     NonPrimitiveRay,
     NonSimplicial,
     StackyFan,
-    cycle_ideal_classical,
-    free_net_points,
     is_complete,
-    is_tame,
     stacky_fan_violations,
-    stacky_multiplicity,
     validate_fan,
 )
 from .charts import (
@@ -93,30 +82,20 @@ __all__ = [
     "admissible_resolution",
     "chart_resolution",
     "contains",
-    "cycle_ideal_classical",
     "dual_cone",
-    "free_net_points",
     "hermite_normal_form",
     "hilbert_basis",
     "intersect",
     "irreducible_ray_correspondence",
     "is_complete",
-    "is_face",
     "is_full_dimensional",
     "is_kummer_etale_chart",
     "is_simplicial",
-    "is_simplicially_toric",
-    "is_tame",
-    "lattice_index",
     "local_chart",
     "minimal_free_resolution",
-    "monoid_from_cone",
-    "multiplicity",
     "quotient_group",
     "quotient_invariants",
     "ray_star",
-    "rays",
-    "relative_interior_point",
     "resolution_cokernel",
     "restrict_resolution",
     "saturate",
@@ -125,6 +104,5 @@ __all__ = [
     "split_cone",
     "stabilizer",
     "stacky_fan_violations",
-    "stacky_multiplicity",
     "validate_fan",
 ]

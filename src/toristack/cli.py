@@ -10,11 +10,12 @@ Exit codes: 0 success, 1 validation failure (every ``FanError``, including
 a cone selector naming no cone of the fan, or the zero cone for ``mfr``),
 2 parse failure (including a file that is not UTF-8, JSON nested past
 the recursion limit, an integer literal longer than Python converts, a
-rank above ``MAX_RANK``, and a ray entry or level whose absolute value is
+JSON object that repeats a key, two level keys naming one ray, a rank
+above ``MAX_RANK``, and a ray entry or level whose absolute value is
 ``ENTRY_LIMIT`` = 2^64 or more), 3 internal error (a consistency tripwire
 or any other exception; indicates a bug, never expected), 4 limit exceeded
 (a Hilbert basis walk over ``monoids.MAX_LATTICE_POINTS`` points, or a
-report listing over ``monoids.MAX_REPORT_FACES`` cycle ideals, refused
+report listing over ``MAX_REPORT_FACES`` cycle ideals, refused
 before it starts, and in a report before any chart or face group; the
 message names the count, the limit and a walk's cone).
 
@@ -52,10 +53,12 @@ MAX_RANK = 64
 # 2^4288 for the rays of a cone, and their levels multiply to less than
 # 2^4096, so a stacky multiplicity has fewer than about 2,524 digits
 ENTRY_LIMIT = 2 ** 64
+# most cycle ideals a report may list, one per face of a maximal cone ((P^1)^8 lists 65,536)
+MAX_REPORT_FACES = 2 ** 17
 
 
 class ReportTooLarge(Exception):
-    """A report would list more than ``monoids.MAX_REPORT_FACES`` cycle ideals."""
+    """A report would list more than ``MAX_REPORT_FACES`` cycle ideals."""
 
 
 class DocumentParseError(ValueError):
@@ -99,9 +102,26 @@ def _decimal(text: str, message: str) -> int:
     raise DocumentParseError(message)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object of one JSON ``{...}``; a repeated key is a parse error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise DocumentParseError(f"invalid JSON: key {key!r} is repeated in one object")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # built once, not per document
+
+
 def document_from_json(text: str) -> FanDocument:
     try:
-        raw = json.loads(text)
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raw = _DECODER.decode(text)
+    except DocumentParseError:
+        raise
     except json.JSONDecodeError as e:
         raise DocumentParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
     except RecursionError as e:
@@ -136,9 +156,11 @@ def document_from_json(text: str) -> FanDocument:
     levels_raw = raw.get("levels")
     _expect(levels_raw is None or isinstance(levels_raw, dict),
             "'levels' must be an object keyed by ray index")
-    levels = {}
+    levels, named = {}, {}
     for key, value in (levels_raw or {}).items():
         index = _decimal(key, f"level key {key!r} must be a decimal ray index")
+        _expect(index not in named, f"level keys {named.get(index)!r} and {key!r} name ray {index}")
+        named[index] = key
         _expect(_int_like(value), f"level for ray {key} must be an integer")
         _expect(abs(value) < ENTRY_LIMIT, f"level for ray {key} has absolute value 2^64 or more")
         levels[index] = value
@@ -157,10 +179,6 @@ def document_to_dict(doc: FanDocument) -> dict:
         "levels": {str(k): v for k, v in sorted(doc.levels.items())},
         "characteristics": list(doc.characteristics),
     }
-
-
-def document_to_json(doc: FanDocument) -> str:
-    return emit_json(document_to_dict(doc))
 
 
 def check_document(doc: FanDocument) -> tuple[list[FanError], StackyFan | None]:
@@ -271,9 +289,9 @@ def _on_cone(key: tuple[int, ...], compute):
 def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     fan = sf.fan
     faces = sum(2 ** len(c) for c in fan.maximal_cones)  # a cycle ideal per chart face
-    if faces > monoidlib.MAX_REPORT_FACES:
+    if faces > MAX_REPORT_FACES:
         raise ReportTooLarge(f"report would list {faces} cycle ideals, "
-                             f"above the limit of {monoidlib.MAX_REPORT_FACES}")
+                             f"above the limit of {MAX_REPORT_FACES}")
     # every maximal cone's coarse generators come first, so that a Hilbert
     # basis walk over the limit is refused before any chart or face group
     generators = {c: _on_cone(c, lambda: monoidlib.monoid_generators(

@@ -11,11 +11,9 @@ lineality, and the dual rays are their representatives in the span of the
 rays. The dual swaps the two descriptions. Dependent generators raise
 ``ValueError``.
 
-The faces of such a cone are the cones on subsets of its rays
-(``is_face``), and two of them meet in a common face exactly when they meet
-in the cone on their shared rays (``intersect``, which asks
-``stackyfan.validate_fan``). No function here solves a system of
-inequalities.
+No function here solves a system of inequalities. ``intersect`` asks
+``stackyfan.validate_fan``; no command calls it, but the benchmark's tracer
+wraps it.
 
 The dual of a lower-dimensional cone is not strictly convex; it is carried
 with an explicit lineality basis instead of being rejected, and
@@ -33,7 +31,6 @@ from .linalg import (
     integer_inverse,
     integer_kernel,
     is_zero_vector,
-    lattice_index,
     primitive_of_rational,
     primitive_vector,
 )
@@ -109,17 +106,6 @@ class Cone:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def generating_vectors(self) -> tuple[IntVec, ...]:
-        """Canonical generator list: rays plus +/- the lineality basis."""
-        return self.rays + self.lineality + tuple(tuple(-x for x in v) for v in self.lineality)
-
-
-def rays(c: Cone) -> tuple[IntVec, ...]:
-    """Extreme rays of c as first lattice points, lex-sorted."""
-    if not c.strictly_convex:
-        raise ValueError("extreme rays are only canonical for strictly convex cones")
-    return c.rays
-
 
 def dual_cone(c: Cone) -> Cone:
     """The dual cone {m : <m, u> >= 0 for all u in c}.
@@ -148,14 +134,6 @@ def contains(c: Cone, v: Sequence) -> bool:
             and all(dot(m, v) == 0 for m in c.dual_lineality))
 
 
-def is_face(c: Cone, f: Cone) -> bool:
-    """Whether f is a face of c: the cone on a subset of c's rays (with the
-    same lineality, for the dual of a lower-dimensional cone)."""
-    if f.ambient_rank != c.ambient_rank:
-        raise ValueError("rank mismatch")
-    return f.lineality == c.lineality and set(f.rays) <= set(c.rays)
-
-
 def intersect(c1: Cone, c2: Cone) -> Cone:
     """The intersection of two strictly convex cones that meet in a common
     face: the cone on their shared rays.
@@ -178,15 +156,6 @@ def intersect(c1: Cone, c2: Cone) -> Cone:
     return Cone.from_generators(set(c1.rays) & set(c2.rays), c1.ambient_rank)
 
 
-def multiplicity(c: Cone) -> int:
-    """Index of the ray lattice Z v_1 + ... + Z v_r in the saturation of its span."""
-    if not is_simplicial(c):
-        raise ValueError("multiplicity requires a simplicial cone")
-    if c.is_zero:
-        return 1
-    return lattice_index(c.rays)
-
-
 def ray_star(c: Cone, rho: Sequence[int]) -> IntVec:
     """The unique ray of the dual cone pairing positively with the ray rho.
 
@@ -203,12 +172,3 @@ def ray_star(c: Cone, rho: Sequence[int]) -> IntVec:
         raise AssertionError("ray star correspondence failed; cone data corrupt")
     return hits[0]
 
-
-def relative_interior_point(c: Cone) -> IntVec:
-    """Sum of the primitive ray generators; lies in the relative interior."""
-    if c.is_zero:
-        raise ValueError("the zero cone has no relative interior point")
-    total = [0] * c.ambient_rank
-    for r in c.rays:
-        total = [a + b for a, b in zip(total, r)]
-    return tuple(total)

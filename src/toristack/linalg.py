@@ -16,7 +16,7 @@ The normal forms are eliminations in place, which compute a unimodular
 transform only when the caller asks for it: a group needs only the Smith
 diagonal, a kernel only V, a saturation only U. ``smith_normal_form`` and
 ``hermite_normal_form`` return a copy with every transform; the package
-itself calls neither.
+itself calls neither, and they stay for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -330,27 +330,10 @@ class FiniteAbelianGroup:
             raise ValueError("negative free rank")
 
     @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors and self.free_rank == 0
-
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    @property
     def order(self) -> int:
         if self.free_rank:
             raise ValueError("group is infinite")
         return math.prod(self.invariant_factors)
-
-    def torsion_count(self, k: int) -> int:
-        """Number of torsion elements x with k*x = 0."""
-        return math.prod(math.gcd(k, d) for d in self.invariant_factors)
-
-    def describe(self) -> str:
-        parts = [f"Z/{d}" for d in self.invariant_factors]
-        parts.extend(["Z"] * self.free_rank)
-        return " + ".join(parts) if parts else "0"
 
 
 def quotient_invariants(generators: Sequence[Sequence[int]], ambient_rank: int) -> FiniteAbelianGroup:
@@ -364,11 +347,6 @@ def quotient_invariants(generators: Sequence[Sequence[int]], ambient_rank: int) 
         invariant_factors=tuple(d for d in diag if d > 1),
         free_rank=ambient_rank - sum(1 for d in diag if d != 0),
     )
-
-
-def lattice_index(generators: Sequence[Sequence[int]]) -> int:
-    """Index of the span of the generators inside its saturation."""
-    return math.prod(d for d in smith_elimination([list(g) for g in generators]) if d != 0)
 
 
 def canonical_basis(rows: Sequence[Sequence[int]]) -> list[IntVec]:

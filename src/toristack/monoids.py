@@ -11,7 +11,8 @@ cone's data comes from as few inversions as its description allows: the
 Hilbert basis from one Smith form of the ray matrix, the free generators
 from the dual rays that C(P) already stores. Every lattice walk here (a
 Hilbert basis) counts its points first and raises ``LatticeWalkTooLarge``
-above ``MAX_LATTICE_POINTS``.
+above ``MAX_LATTICE_POINTS``. No command calls ``quotient_group`` or
+``restrict_resolution``; each states a result of the paper.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ class NotSaturatedError(ValueError):
 MAX_LATTICE_POINTS = 10 ** 6
 """Most points a lattice walk may visit: the parallelepiped of a Hilbert
 basis in rank >= 3, or the basis itself in rank 2."""
-
-MAX_REPORT_FACES = 2 ** 17
-"""Most cycle ideals a report may list, one per face of each maximal cone:
-(P^1)^8 lists 65,536, P^11 24,576, and one cone of rank 18 262,144."""
 
 
 class LatticeWalkTooLarge(Exception):
@@ -280,28 +277,6 @@ class AffineMonoid:
             and cones.contains(self.defining_cone, x)
 
 
-def monoid_from_cone(sigma: Cone, m_rank: int | None = None) -> AffineMonoid:
-    """The monoid of the dual cone of sigma: lattice points of sigma^vee in M.
-
-    sigma lives in N; the result is sharp iff sigma is full-dimensional.
-    """
-    if not cones.is_simplicial(sigma):
-        raise ValueError("monoid_from_cone requires a simplicial cone")
-    if m_rank is not None and m_rank != sigma.ambient_rank:
-        raise ValueError("rank mismatch")
-    return AffineMonoid.from_dual_cone(cones.dual_cone(sigma))
-
-
-def is_simplicially_toric(p: AffineMonoid) -> bool:
-    """Whether C(P) is simplicial, i.e. its ray count equals the rank of P^gp.
-
-    Every ``Cone`` is simplicial, so this holds for every sharp monoid.
-    """
-    if not p.sharp:
-        raise ValueError("sharpness is required; split off units first")
-    return cones.is_simplicial(p.defining_cone)
-
-
 # ---------------------------------------------------------------------------
 # free resolutions
 
@@ -362,11 +337,6 @@ class FreeResolution:
         m, q = integer_inverse([list(r) for r in zip(*gens)])
         g = math.gcd(scale, q)
         return [[x * (scale // g) for x in row] for row in m], q // g
-
-    def coordinates(self, x: Sequence) -> FracVec:
-        """Coordinates of x in the realized generator basis."""
-        m, q = self._basis_inverse
-        return tuple(Fraction(dot(row, x), q) for row in m)
 
     def coordinate_matrix(self) -> list[list[int]]:
         """Rows of the matrix whose columns are the standard basis of M
@@ -451,6 +421,7 @@ def irreducible_ray_correspondence(res: FreeResolution) -> list[RayCorrespondenc
 def quotient_group(p: AffineMonoid, q_generators: Sequence[Sequence[int]]) -> FiniteAbelianGroup:
     """P/Q for a saturated submonoid Q close to P, as P^gp / Q^gp.
 
+    The paper's quotient P/Q, checked by ``test_quotient_matches_box_oracle``.
     Both preconditions are decided exactly. C(P) is simplicial and Q <= P,
     so Q is close to P iff every ray of C(P) has a positive multiple among
     the generators: no other sum of points of C(P) reaches an extreme ray.
@@ -493,6 +464,8 @@ def restrict_resolution(p: AffineMonoid, res: FreeResolution,
                         coordinate_subset: Sequence[int]) -> tuple[AffineMonoid, FreeResolution]:
     """Project the minimal resolution to a subset of the free coordinates.
 
+    The paper's projection stability, checked by
+    ``test_restrict_resolution_matches_the_projected_monoid_oracle``.
     Returns the projected monoid Q together with its minimal free resolution,
     asserting that the projection of the original resolution is that minimal
     resolution (recomputed from scratch). Q is re-coordinated by a canonical

@@ -12,11 +12,12 @@ rank test of their own. A complete fan is settled from its walls alone
 (see ``validate_fan``), so no check builds a ``Cone`` or a face. A stacky
 fan adds one positive integer level per ray, whose free-net points
 n_rho * v_rho scale the lattice data of every cone containing the ray.
+Its stacky multiplicities and tameness are read off the charts, its
+cycle ideals off the report.
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -29,10 +30,8 @@ from .linalg import (
     IntVec,
     circuit_vectors,
     dot,
-    lattice_index,
     primitive_vector,
 )
-from .monoids import monoid_generators
 
 
 # residue characteristics are checked for primality below this bound only
@@ -422,12 +421,6 @@ class StackyFan:
         return cls(fan, tuple(table))
 
 
-def free_net_points(sf: StackyFan) -> dict[int, IntVec]:
-    """The point n_rho * v_rho on each ray, keyed by ray index."""
-    return {i: tuple(n * x for x in ray)
-            for i, (ray, n) in enumerate(zip(sf.fan.rays, sf.levels))}
-
-
 def is_complete(fan: Fan) -> bool:
     """Wall criterion for completeness of a fan.
 
@@ -442,58 +435,3 @@ def is_complete(fan: Fan) -> bool:
     return (bool(top) and all(len(c) == fan.ambient_rank for c in top)
             and all(len(cofaces) == 2 for cofaces in fan._walls.values()))
 
-
-def stacky_multiplicity(sf: StackyFan, sigma: Iterable[int]) -> int:
-    """mult(sigma) times the product of the levels on the rays of sigma."""
-    key = sf.fan.normalize(sigma)
-    mult = lattice_index([sf.fan.rays[i] for i in key])
-    return mult * math.prod(sf.levels[i] for i in key)
-
-
-def is_tame(sf: StackyFan, residue_characteristics: Sequence[int]) -> bool:
-    """Every stacky multiplicity invertible in every listed characteristic.
-
-    Characteristic 0 imposes no condition. Only maximal cones are read: the
-    group of a face embeds in the cone's, so its order divides the cone's.
-    """
-    chars = [int(p) for p in residue_characteristics if int(p) != 0]
-    if not chars:
-        return True
-    for c in sf.fan.maximal_cones:
-        m = stacky_multiplicity(sf, c)
-        if any(math.gcd(m, p) != 1 for p in chars):
-            return False
-    return True
-
-
-def face_of_chart(fan: Fan, tau: Iterable[int],
-                  sigma_chart: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The cone keys of tau and of the chart cone; tau must be a face of it."""
-    tau_key = fan.normalize(tau)
-    sigma_key = fan.normalize(sigma_chart)
-    if not set(tau_key) <= set(sigma_key):
-        raise ValueError(f"cone {tau_key} is not a face of chart cone {sigma_key}")
-    return tau_key, sigma_key
-
-
-def cycle_generators(fan: Fan, generators: Sequence[IntVec], tau: tuple[int, ...]) -> list[IntVec]:
-    """The generators of sigma^vee intersect M (chart over sigma) that cut
-    out the cycle of the face tau: see ``cycle_ideal_classical``. The sum of
-    tau's rays (primitive and distinct in a fan) is the relative interior
-    point ``cones.relative_interior_point`` takes, without building the cone."""
-    if not tau:
-        return []
-    relint = [sum(x) for x in zip(*(fan.rays[i] for i in tau))]
-    return sorted(h for h in generators if dot(h, relint) > 0)
-
-
-def cycle_ideal_classical(fan: Fan, tau: Iterable[int], sigma_chart: Iterable[int]) -> list[IntVec]:
-    """Generators of the ideal of the torus-invariant cycle of tau in a chart.
-
-    These are the monoid generators of sigma^vee intersect M that pair
-    strictly positively with a relative interior point of tau; they generate
-    the ideal of lattice points positive somewhere on tau.
-    """
-    tau_key, sigma_key = face_of_chart(fan, tau, sigma_chart)
-    dual = conelib.dual_cone(fan.cone_geometry(sigma_key))
-    return cycle_generators(fan, monoid_generators(dual), tau_key)

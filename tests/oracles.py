@@ -8,8 +8,10 @@ cone one ray at a time or from tight subsets of its inequalities, canonical
 JSON from the standard library's encoder,
 the saturation check from a walk over the whole box of coefficients, fan
 validation from every pair of maximal cones with every circuit of their rays,
-and the closeness and saturation of a submonoid from Fourier-Motzkin and
-every lattice point of a box.
+the closeness and saturation of a submonoid from Fourier-Motzkin and
+every lattice point of a box, multiplicities, stacky multiplicities and
+tameness from gcds of minors, and the irreducible elements of a monoid in
+the orthant from a search that subtracts its generators.
 """
 
 import json
@@ -495,3 +497,48 @@ def box_quotient_verdict(p_rays, q_generators):
         if in_cone(x) and residue(x) in classes and not in_q(x):
             return "not saturated"
     return q // len(classes)
+
+
+def generator_coordinates(generators, x):
+    """Coordinates of x in the basis ``generators`` of Q^d, by Gaussian
+    elimination: a tuple of ``Fraction``s."""
+    return tuple(solve_square([list(row) for row in zip(*generators)], x))
+
+
+def multiplicity(rays, minor=det):
+    """Index of the lattice that linearly independent rays span in its
+    saturation: D_r, the gcd of their r x r minors (1 for no rays)."""
+    return ([1] + determinantal_divisors(rays, minor))[-1]
+
+
+def stacky_multiplicity(rays, levels, minor=det):
+    """The multiplicity of the rays times the product of their levels, the
+    order of the stabilizer of the cone they span."""
+    return multiplicity(rays, minor) * math.prod(levels)
+
+
+def is_tame(rays, levels, maximal_cones, characteristics):
+    """Whether every maximal cone's stacky multiplicity is prime to every
+    nonzero characteristic. A face's stabilizer is a quotient of its cone's,
+    so its order divides the cone's and the maximal cones decide it."""
+    return all(math.gcd(stacky_multiplicity([rays[i] for i in c], [levels[i] for i in c]), p) == 1
+               for c in maximal_cones for p in characteristics if p)
+
+
+def irreducible_elements(generators):
+    """The irreducible elements of the monoid generated by vectors with
+    nonnegative entries: the nonzero generators that are no sum of a
+    generator and a nonzero element of the monoid, by a memoised search
+    that subtracts generators down to the origin."""
+    gens = sorted({tuple(g) for g in generators if any(g)})
+
+    def minus(v, g):
+        diff = tuple(a - b for a, b in zip(v, g))
+        return diff if min(diff) >= 0 else None
+
+    @cache
+    def member(v):
+        return not any(v) or any((w := minus(v, g)) is not None and member(w) for g in gens)
+
+    return sorted(g for g in gens if not any(
+        h != g and (w := minus(g, h)) is not None and member(w) for h in gens))

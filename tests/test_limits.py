@@ -1,5 +1,5 @@
 """Lattice walks over ``monoids.MAX_LATTICE_POINTS`` and reports over
-``monoids.MAX_REPORT_FACES`` fail fast with exit 4, and a rank over
+``cli.MAX_REPORT_FACES`` fail fast with exit 4, and a rank over
 ``cli.MAX_RANK`` or a ray entry or level at ``cli.ENTRY_LIMIT`` with exit 2.
 
 Each case that could run away runs in its own process with a timeout, so a
@@ -15,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from toristack import monoids
-from toristack.cli import ENTRY_LIMIT, MAX_RANK, DocumentParseError, main
+from toristack import cli, monoids
+from toristack.cli import ENTRY_LIMIT, MAX_RANK, MAX_REPORT_FACES, DocumentParseError, main
 from toristack.cones import Cone, dual_cone
-from toristack.monoids import MAX_REPORT_FACES, LatticeWalkTooLarge, hilbert_basis
+from toristack.monoids import LatticeWalkTooLarge, hilbert_basis
 from toristack.stackyfan import FanError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,11 +100,11 @@ def test_report_on_a_cone_of_high_rank_exits_4(tmp_path, rank):
 def test_report_budget_is_checked_against_the_face_count(monkeypatch, capsys):
     # P^2: three maximal 2-cones, four faces each
     path = str(ROOT / "tests" / "fixtures" / "p2.json")
-    monkeypatch.setattr(monoids, "MAX_REPORT_FACES", 12)
+    monkeypatch.setattr(cli, "MAX_REPORT_FACES", 12)
     assert main(["report", path]) == 0
     charts = json.loads(capsys.readouterr().out)["charts"]
     assert sum(len(chart["cycle_ideals"]) for chart in charts) == 12
-    monkeypatch.setattr(monoids, "MAX_REPORT_FACES", 11)
+    monkeypatch.setattr(cli, "MAX_REPORT_FACES", 11)
     assert main(["report", path]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from conftest import (
     FIXTURES,
@@ -27,8 +28,11 @@ from conftest import (
 from oracles import pairwise_validate_fan
 
 from toristack import cones as conelib
-from toristack.linalg import primitive_vector
+from toristack.charts import face_group, is_kummer_etale_chart, local_chart
+from toristack.cli import FanDocument, check_document, cone_id, report_data
+from toristack.linalg import dot, primitive_vector
 from toristack.stackyfan import (
+    ConeNotInFan,
     DuplicateRay,
     Fan,
     IntersectionNotFace,
@@ -36,13 +40,9 @@ from toristack.stackyfan import (
     NonPrimitiveRay,
     NonSimplicial,
     StackyFan,
-    cycle_ideal_classical,
-    free_net_points,
     is_complete,
     is_residue_characteristic,
-    is_tame,
     stacky_fan_violations,
-    stacky_multiplicity,
     validate_fan,
 )
 
@@ -304,20 +304,27 @@ def test_residue_characteristics():
 
 
 # -- free nets -------------------------------------------------------------------
+# a chart's group is N' modulo the free-net points n_rho * v_rho of its cone
+
+def chart_levels_and_group(sf, cone):
+    chart = local_chart(sf, cone)
+    return dict(zip(chart.fan_rays, chart.levels)), chart.group.invariant_factors
+
 
 def test_free_net_canonical():
     sf = StackyFan.build(p1_fan(), {})
-    assert free_net_points(sf) == {0: (1,), 1: (-1,)}
+    assert [chart_levels_and_group(sf, [i]) for i in (0, 1)] == [({0: 1}, ()), ({1: 1}, ())]
 
 
 def test_free_net_p1_levels():
     sf = StackyFan.build(p1_fan(), {0: 2, 1: 3})
-    assert free_net_points(sf) == {0: (2,), 1: (-3,)}
+    assert [chart_levels_and_group(sf, [i]) for i in (0, 1)] == [({0: 2}, (2,)), ({1: 3}, (3,))]
 
 
 def test_free_net_a1():
+    # the free-net points (1, 0) and (2, 4) span a sublattice of index 4
     sf = StackyFan.build(a1_singularity_fan(), {1: 2})
-    assert free_net_points(sf) == {0: (1, 0), 1: (2, 4)}
+    assert chart_levels_and_group(sf, [0, 1]) == ({0: 1, 1: 2}, (4,))
 
 
 # -- completeness -----------------------------------------------------------------
@@ -350,6 +357,18 @@ def test_deleting_any_maximal_cone_breaks_completeness():
 
 # -- multiplicities and tameness ---------------------------------------------------
 
+def stacky_multiplicity(sf, maximal_cone, face=None):
+    """The stacky multiplicity of a maximal cone off its chart, or of a face
+    of it off the chart's ``face_group``."""
+    chart = local_chart(sf, maximal_cone)
+    return chart.stacky_multiplicity if face is None else face_group(chart, face)[0].order
+
+
+def is_tame(sf, chars):
+    """Tameness as the report reads it: every maximal chart Kummer log etale."""
+    return all(is_kummer_etale_chart(local_chart(sf, c), chars) for c in sf.fan.maximal_cones)
+
+
 def test_stacky_multiplicity_examples():
     sf = StackyFan.build(a2_fan(), {})
     assert stacky_multiplicity(sf, [0, 1]) == 1
@@ -357,16 +376,16 @@ def test_stacky_multiplicity_examples():
     assert stacky_multiplicity(sfa1, [0, 1]) == 2
     sfr = StackyFan.build(validate_fan([(1,)], [[0]]), {0: 3})
     assert stacky_multiplicity(sfr, [0]) == 3
-    assert stacky_multiplicity(sfr, []) == 1
-    with pytest.raises(ValueError):
+    assert stacky_multiplicity(sfr, [0], ()) == 1
+    with pytest.raises(ConeNotInFan):
         stacky_multiplicity(sfa1, [0, 5])
 
 
 def test_stacky_multiplicity_mixed():
     sf = StackyFan.build(a1_singularity_fan(), {0: 3, 1: 2})
     assert stacky_multiplicity(sf, [0, 1]) == 2 * 3 * 2
-    assert stacky_multiplicity(sf, [0]) == 3
-    assert stacky_multiplicity(sf, [1]) == 2
+    assert stacky_multiplicity(sf, [0, 1], (0,)) == 3
+    assert stacky_multiplicity(sf, [0, 1], (1,)) == 2
 
 
 def test_tame_examples():
@@ -386,58 +405,74 @@ def test_multiplicity_monotone_under_faces():
     rng = random.Random(808)
     for fan in zoo_fans():
         sf = random_stacky(rng, fan)
-        for c in fan.cones:
-            m_c = stacky_multiplicity(sf, c)
-            for tau in fan.cones:
-                if set(tau) <= set(c):
-                    assert m_c % stacky_multiplicity(sf, tau) == 0
+        for m in fan.maximal_cones:
+            faces = [f for k in range(len(m) + 1) for f in combinations(m, k)]
+            for c in faces:
+                m_c = stacky_multiplicity(sf, m, c)
+                for tau in faces:
+                    if set(tau) <= set(c):
+                        assert m_c % stacky_multiplicity(sf, m, tau) == 0
 
 
 # -- cycle ideals ------------------------------------------------------------------
 
+def cycle_ideals(fan, chart_cone):
+    """The report's cycle ideals in the chart over a maximal cone: face id ->
+    coarse generators."""
+    doc = FanDocument(fan.ambient_rank, list(fan.rays), list(fan.maximal_cones))
+    found, sf = check_document(doc)
+    assert not found
+    chart = next(ch for ch in report_data(doc, sf)["charts"] if ch["cone"] == cone_id(chart_cone))
+    return {ci["cone"]: [tuple(h) for h in ci["coarse_generators"]] for ci in chart["cycle_ideals"]}
+
+
 def test_cycle_ideal_axis():
-    fan = a2_fan()
-    assert cycle_ideal_classical(fan, [0], [0, 1]) == [(1, 0)]
+    assert cycle_ideals(a2_fan(), [0, 1])["0"] == [(1, 0)]
 
 
 def test_cycle_ideal_origin():
-    fan = a2_fan()
-    assert cycle_ideal_classical(fan, [0, 1], [0, 1]) == [(0, 1), (1, 0)]
+    assert cycle_ideals(a2_fan(), [0, 1])["0,1"] == [(0, 1), (1, 0)]
 
 
 def test_cycle_ideal_a1():
-    fan = a1_singularity_fan()
-    assert cycle_ideal_classical(fan, [0], [0, 1]) == [(1, 0), (2, -1)]
-    assert cycle_ideal_classical(fan, [1], [0, 1]) == [(0, 1), (1, 0)]
+    ideals = cycle_ideals(a1_singularity_fan(), [0, 1])
+    assert ideals["0"] == [(1, 0), (2, -1)]
+    assert ideals["1"] == [(0, 1), (1, 0)]
 
 
 def test_cycle_ideal_zero_cone_is_empty():
-    fan = a2_fan()
-    assert cycle_ideal_classical(fan, [], [0, 1]) == []
+    assert cycle_ideals(a2_fan(), [0, 1])[""] == []
 
 
 def test_cycle_ideal_requires_face():
-    fan = p2_fan()
-    with pytest.raises(ValueError):
-        cycle_ideal_classical(fan, [2], [0, 1])
+    # a chart lists the cycle ideals of the faces of its own cone only
+    assert set(cycle_ideals(p2_fan(), [0, 1])) == {"", "0", "1", "0,1"}
 
 
 def test_cycle_ideal_containment_under_faces():
     # tau1 a face of tau2 means V(tau2) <= V(tau1), so the tau1-ideal sits
     # inside the tau2-ideal: each tau1 generator is a tau2 generator plus a
-    # monoid element
+    # monoid element. Each ideal holds exactly the generators of the chart
+    # monoid positive on the relative interior point of its face, the sum
+    # of the face's rays.
     from toristack.cones import dual_cone, contains
+    from toristack.monoids import monoid_generators
     for fan in zoo_fans():
         for chart in fan.maximal_cones:
-            faces = [f for f in fan.cones if set(f) <= set(chart)]
+            ideals = cycle_ideals(fan, chart)
             dual = dual_cone(fan.cone_geometry(chart))
+            generators = sorted(monoid_generators(dual))
+            faces = [f for k in range(len(chart) + 1) for f in combinations(chart, k)]
+            assert sorted(ideals) == sorted(map(cone_id, faces))
             for t1 in faces:
+                gens1 = ideals[cone_id(t1)]
+                relint = [sum(x) for x in zip(*(fan.rays[i] for i in t1))] or [0] * fan.ambient_rank
+                assert gens1 == [h for h in generators if dot(h, relint) > 0], (chart, t1)
                 if not t1:
                     continue
-                gens1 = cycle_ideal_classical(fan, t1, chart)
                 for t2 in faces:
                     if set(t1) <= set(t2) and t1 != t2:
-                        gens2 = cycle_ideal_classical(fan, t2, chart)
+                        gens2 = ideals[cone_id(t2)]
                         for h in gens1:
                             ok = any(
                                 contains(dual, tuple(a - b for a, b in zip(h, g)))

@@ -21,10 +21,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import det, determinantal_divisors, pairwise_validate_fan
+from oracles import det, determinantal_divisors, is_tame, pairwise_validate_fan
 
 from toristack.cli import FanDocument, check_document, report_data, stabilizer_data
-from toristack.stackyfan import FanError, is_complete, is_tame, validate_fan
+from toristack.stackyfan import FanError, is_complete, validate_fan
 
 
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -167,7 +167,7 @@ def test_folded_and_doubled_fans_are_refused_with_the_first_overlapping_pair():
 @given(fans(), st.data())
 def test_report_tameness_is_read_from_the_maximal_charts(drawn, data):
     # the report reads tameness from the charts of the maximal cones only;
-    # stackyfan.is_tame reads the stacky multiplicities of the same cones
+    # the oracle from the gcds of the minors of the same cones' rays
     rays, cones, d, _ = drawn
     levels = {i: data.draw(st.integers(1, 6)) for i in range(len(rays))}
     chars = data.draw(st.lists(st.sampled_from([0, 2, 3, 5, 7]), min_size=1, max_size=3,
@@ -176,7 +176,8 @@ def test_report_tameness_is_read_from_the_maximal_charts(drawn, data):
     found, sf = check_document(doc)
     assume(not found)
     fan = report_data(doc, sf)["fan"]
-    assert fan["tame"] == fan["deligne_mumford"] == is_tame(sf, chars)
+    tame = is_tame(rays, [levels[i] for i in range(len(rays))], cones, chars)
+    assert fan["tame"] == fan["deligne_mumford"] == tame
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
