@@ -24,8 +24,7 @@ chart only by ``chart_resolution``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import stackyfan as fans
 from .cones import Cone
@@ -44,8 +43,7 @@ from .monoids import AffineMonoid, admissible_resolution, split_coordinates
 from .stackyfan import Fan, StackyFan
 
 
-@dataclass(frozen=True)
-class LocalChart:
+class LocalChart(NamedTuple):
     """Quotient-chart data [A^r/G] x T^(d-r) over one cone of the fan.
 
     G is the cokernel of the free-net matrix, N'/<n_rho v_rho>, of order
@@ -71,7 +69,7 @@ class LocalChart:
     fan_rays: tuple[int, ...]
     levels: tuple[int, ...]
     action_weights: tuple[tuple[int, ...], ...]
-    defining_cone: Cone = field(repr=False)
+    defining_cone: Cone
 
     def cycle_coordinates(self, face: Sequence[int]) -> list[int]:
         """Indices of the coordinates whose fan rays lie in ``face``."""

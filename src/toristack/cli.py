@@ -30,11 +30,11 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from . import charts as chartlib
 from . import cones as conelib
@@ -70,15 +70,14 @@ class DocumentParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass
-class FanDocument:
+class FanDocument(NamedTuple):
     """Parsed input file describing a stacky fan over chosen characteristics."""
 
     rank: int
     rays: list[tuple[int, ...]]
     max_cones: list[tuple[int, ...]]
-    levels: dict[int, int] = field(default_factory=dict)
-    characteristics: list[int] = field(default_factory=lambda: [0])
+    levels: Mapping[int, int] = MappingProxyType({})
+    characteristics: Sequence[int] = (0,)
 
 
 def _expect(condition, message):
@@ -91,10 +90,10 @@ def _int_like(x) -> bool:
 
 
 def _decimal(text: str, message: str) -> int:
-    """The integer an ASCII decimal string (``-?[0-9]+``) spells, else
-    ``DocumentParseError`` with the message, also for more digits than
-    ``int()`` converts."""
-    if re.fullmatch("-?[0-9]+", text):
+    """The integer an ASCII decimal string (``-?[0-9]+``, but not ``-0``,
+    ``-00``, ...) spells, else ``DocumentParseError`` with the message, also
+    for more digits than ``int()`` converts."""
+    if re.fullmatch("[0-9]+|-0*[1-9][0-9]*", text):
         try:
             return int(text)
         except ValueError:  # past int()'s digit limit

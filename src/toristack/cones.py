@@ -22,8 +22,7 @@ with an explicit lineality basis instead of being rejected, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import (
     IntVec,
@@ -55,16 +54,15 @@ def dual_rows(rays: Sequence[IntVec], d: int) -> list[IntVec]:
     return [primitive_vector([dot(row, col) for col in zip(*rays)]) for row in m]
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Simplicial rational polyhedral cone with cached ray and inequality data."""
 
     ambient_rank: int
     rays: tuple[IntVec, ...] = ()
-    lineality: tuple[IntVec, ...] = field(default=(), compare=True)
-    dim: int = field(default=0, compare=False)
-    dual_rays: tuple[IntVec, ...] = field(default=(), compare=False, repr=False)
-    dual_lineality: tuple[IntVec, ...] = field(default=(), compare=False, repr=False)
+    lineality: tuple[IntVec, ...] = ()
+    dim: int = 0
+    dual_rays: tuple[IntVec, ...] = ()
+    dual_lineality: tuple[IntVec, ...] = ()
 
     @classmethod
     def from_generators(cls, generators: Iterable[Sequence], ambient_rank: int) -> "Cone":

@@ -22,10 +22,9 @@ itself calls neither, and they stay for the benchmark's tracer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
@@ -308,26 +307,29 @@ def smith_normal_form(rows: Sequence[Sequence[int]]
 # ---------------------------------------------------------------------------
 # abelian groups and lattices
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class _GroupFields(NamedTuple):
+    invariant_factors: tuple[int, ...] = ()
+    free_rank: int = 0
+
+
+class FiniteAbelianGroup(_GroupFields):
     """Cokernel bookkeeping: invariant factors d_1 | d_2 | ... plus free rank.
 
     Factors equal to 1 are dropped; the trivial group is the empty tuple.
     """
 
-    invariant_factors: tuple[int, ...] = ()
-    free_rank: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        facs = tuple(int(d) for d in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", facs)
+    def __new__(cls, invariant_factors: Sequence[int] = (), free_rank: int = 0):
+        facs = tuple(int(d) for d in invariant_factors)
         if any(d < 2 for d in facs):
             raise ValueError("invariant factors must be >= 2")
         for a, b in zip(facs, facs[1:]):
             if b % a != 0:
                 raise ValueError(f"broken divisibility chain: {a} does not divide {b}")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("negative free rank")
+        return super().__new__(cls, facs, free_rank)
 
     @property
     def order(self) -> int:

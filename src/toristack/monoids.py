@@ -18,7 +18,6 @@ above ``MAX_LATTICE_POINTS``. No command calls ``quotient_group`` or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import le, mul
@@ -254,8 +253,7 @@ def monoid_generators(c: Cone) -> list[IntVec]:
 # ---------------------------------------------------------------------------
 # monoids
 
-@dataclass(frozen=True)
-class AffineMonoid:
+class AffineMonoid(NamedTuple):
     """P = C(P) intersect M, stored by its defining cone and Hilbert basis."""
 
     lattice_rank: int
@@ -289,18 +287,7 @@ class RayCorrespondence(NamedTuple):
     facet_rays: tuple[IntVec, ...]  # rays of the facet cutting out the prime
 
 
-@dataclass(frozen=True)
-class FreeResolution:
-    """Embedding of P into a free monoid inside P^gp (x) Q.
-
-    generators are the minimal free generators f_i = v_i / b_i sitting on the
-    rays v_i of C(P); realized_generators g_i = f_i / n_i carry the level
-    scalings (all n_i = 1 for the minimal resolution). Construction checks
-    that P lies in the free monoid on the f_i, hence in the one on the g_i:
-    the i-th coordinate of a Hilbert-basis element in the g basis is a
-    nonnegative multiple of n_i.
-    """
-
+class _ResolutionFields(NamedTuple):
     source: AffineMonoid
     rank: int
     denominators: tuple[int, ...]
@@ -308,7 +295,21 @@ class FreeResolution:
     generators: tuple[FracVec, ...]
     realized_generators: tuple[FracVec, ...]
 
-    def __post_init__(self):
+
+class FreeResolution(_ResolutionFields):
+    """Embedding of P into a free monoid inside P^gp (x) Q.
+
+    generators are the minimal free generators f_i = v_i / b_i sitting on the
+    rays v_i of C(P); realized_generators g_i = f_i / n_i carry the level
+    scalings (all n_i = 1 for the minimal resolution). Construction checks
+    that P lies in the free monoid on the f_i, hence in the one on the g_i:
+    the i-th coordinate of a Hilbert-basis element in the g basis is a
+    nonnegative multiple of n_i. The inverse that check takes is kept in the
+    instance ``__dict__``, beside the fields.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if any(n < 1 for n in self.levels):
             raise ValueError("levels must be positive integers")
         if any(b < 1 for b in self.denominators):
@@ -319,6 +320,7 @@ class FreeResolution:
             if any(v % (q * n) or v < 0 for v, n in zip(coordinates, self.levels)):
                 raise AssertionError(
                     f"monoid element {h} is not a lattice point of the free monoid")
+        return self
 
     @property
     def is_minimal(self) -> bool:
@@ -481,7 +483,7 @@ def restrict_resolution(p: AffineMonoid, res: FreeResolution,
     if len(subset) == d:
         return p, res
     r = len(subset)
-    m, den = res._basis_inverse  # integral on P, as __post_init__ checked
+    m, den = res._basis_inverse  # integral on P, as construction checked
 
     def project(x: IntVec) -> IntVec:
         return tuple(dot(m[i], x) // den for i in subset)

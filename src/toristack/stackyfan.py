@@ -19,10 +19,9 @@ cycle ideals off the report.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import cones as conelib
 from .cones import Cone
@@ -120,23 +119,25 @@ class _DualRows(dict):
         return rows
 
 
-@dataclass(frozen=True)
-class Fan:
-    """Finite simplicial fan, given by its maximal cones.
-
-    Its hash, its index from rays to maximal cones and its walls are
-    computed once per instance, so a lookup costs the same in a fan of any
-    size. Each cone's dual rows are computed once: ``validate_fan`` fills
-    those of the listed cones, and a face's are computed on first lookup.
-    """
-
+class _FanFields(NamedTuple):
     ambient_rank: int
     rays: tuple[IntVec, ...]
     maximal_cones: tuple[tuple[int, ...], ...]
 
+
+class Fan(_FanFields):
+    """Finite simplicial fan, given by its maximal cones.
+
+    Its hash, its index from rays to maximal cones and its walls are
+    computed once per instance and kept in its ``__dict__``, so a lookup
+    costs the same in a fan of any size. Each cone's dual rows are computed
+    once: ``validate_fan`` fills those of the listed cones, and a face's are
+    computed on first lookup.
+    """
+
     @cached_property
     def _hash(self) -> int:
-        return hash((self.ambient_rank, self.rays, self.maximal_cones))
+        return tuple.__hash__(self)
 
     def __hash__(self) -> int:
         return self._hash
@@ -393,8 +394,7 @@ def _meet_in_shared_face(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> 
     return True
 
 
-@dataclass(frozen=True)
-class StackyFan:
+class StackyFan(NamedTuple):
     """Fan plus one positive integer level per ray."""
 
     fan: Fan

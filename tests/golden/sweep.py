@@ -2,8 +2,8 @@
 
 Runs ``toristack`` in-process over a corpus it builds itself and prints the
 number of commands run and one SHA-256 digest of their (argv, exit code,
-stdout, stderr). A refactor meant to keep every output prints the same two
-values before and after it. The corpus:
+stdout, stderr). A refactor meant to keep every output prints the same
+line before and after it. The corpus:
 
 - every fixture in ``tests/fixtures`` and every refused document in
   ``tests/golden/refused``;
@@ -13,9 +13,13 @@ values before and after it. The corpus:
 
 Each document runs ``validate``, ``report`` and ``complete`` (JSON and
 text), and ``mfr`` and ``stabilizer`` (JSON and text) on every prefix of
-every listed maximal cone, the empty prefix included. Documents are written
-to a temporary directory and named by their position in the corpus, so no
-path enters the digest. Standard library only; not a pytest test.
+every listed maximal cone, the empty prefix included. After them come the
+refusals (``refusals``): commands that must exit 1 with ``ConeNotInFan``,
+2 on a parse error, or 4 on a limit, each in both formats. Documents are
+written to a temporary directory and named by their position in the corpus,
+so no path enters the digest. Beside the digest the sweep prints how many
+commands ended with each exit code. Standard library only; not a pytest
+test.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import math
 import random
 import sys
 import tempfile
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
@@ -135,6 +140,41 @@ def commands(doc):
     return out
 
 
+P1 = '"rays": [[1], [-1]], "max_cones": [[0], [1]]'
+
+
+def refusals():
+    """(name, document text, argvs) of the commands that must be refused."""
+    p2 = (ROOT / "tests" / "fixtures" / "p2.json").read_text(encoding="utf-8")
+    walk = json.dumps({"rank": 2, "rays": [[1, 0], [10 ** 7, 10 ** 7 + 1]], "max_cones": [[0, 1]]})
+    faces = json.dumps({"rank": 18, "rays": [[int(i == j) for j in range(18)] for i in range(18)],
+                        "max_cones": [list(range(18))]})
+    whole = [["validate"], ["report"], ["stabilizer", "--cone", "0"]]
+    cases = [
+        # exit 1: a selector naming no cone of the fan (ConeNotInFan)
+        ("p2-not-a-cone", p2, [[cmd, "--cone", cone] for cmd in ("mfr", "stabilizer")
+                               for cone in ("0,1,2", "-1", "3", "0,-01")]),
+        # exit 2: malformed JSON, a repeated key or ray, -0, the rank and entry limits
+        ("truncated-json", '{"rank": 1, %s' % P1, whole),
+        ("missing-comma", '{"rank": 1 %s}' % P1, whole),
+        ("repeated-key", '{"rank": 1, "rank": 1, %s}' % P1, whole),
+        ("repeated-level-ray", '{"rank": 1, %s, "levels": {"1": 2, "01": 3}}' % P1, whole),
+        ("minus-zero-level", '{"rank": 1, %s, "levels": {"-0": 2}}' % P1, whole),
+        ("minus-zero-cone", '{"rank": 1, %s}' % P1,
+         [[cmd, "--cone", cone] for cmd in ("mfr", "stabilizer") for cone in ("-0", "-00")]),
+        ("rank-65", '{"rank": 65, "rays": [], "max_cones": []}', whole),
+        ("entry-2^64", '{"rank": 1, "rays": [[%d], [-1]], "max_cones": [[0], [1]]}' % 2 ** 64,
+         whole),
+        ("level-2^64", '{"rank": 1, %s, "levels": {"0": %d}}' % (P1, 2 ** 64), whole),
+        # exit 4: a Hilbert basis walk over MAX_LATTICE_POINTS, a report over MAX_REPORT_FACES
+        ("walk-over-limit", walk, [["mfr", "--cone", "0,1"], ["report"]]),
+        ("faces-over-limit", faces, [["report"]]),
+    ]
+    return [(name, text, [[argv[0], "FILE", *argv[1:], "--format", fmt]
+                          for argv in argvs for fmt in ("json", "text")])
+            for name, text, argvs in cases]
+
+
 def run(argv):
     """Exit code, stdout and stderr of one in-process command."""
     from toristack.cli import main
@@ -160,17 +200,19 @@ def corpus():
 
 
 def main() -> int:
-    digest, count = hashlib.sha256(), 0
+    digest, codes = hashlib.sha256(), Counter()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
-        for name, text in corpus():
+        for name, text, argvs in ([(name, text, commands(json.loads(text)))
+                                   for name, text in corpus()] + refusals()):
             path.write_text(text, encoding="utf-8")
-            for argv in commands(json.loads(text)):
+            for argv in argvs:
                 code, stdout, stderr = run([str(path) if a == "FILE" else a for a in argv])
                 record = [name, argv, code, stdout, stderr]
                 digest.update(json.dumps(record).encode() + b"\n")
-                count += 1
-    print(f"{count} commands, sha256 {digest.hexdigest()}")
+                codes[code] += 1
+    by_code = ", ".join(f"exit {code}: {n}" for code, n in sorted(codes.items()))
+    print(f"{sum(codes.values())} commands, sha256 {digest.hexdigest()} ({by_code})")
     return 0
 
 

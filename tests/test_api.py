@@ -6,13 +6,25 @@ why it stays: the benchmark's tracer wraps it (``bench/tracing.py``'s
 ``LAYERS``), or it states a result of the paper that no command prints and
 the named test checks it against an oracle. README's import block takes
 exported names only.
+
+The value types are immutable named tuples: no field of one can be
+assigned, and the CLI starts without importing ``dataclasses`` or
+``inspect``.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import toristack
+from conftest import FIXTURES
+from toristack.charts import chart_resolution, local_chart
+from toristack.cli import check_document, document_from_json
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "toristack"
@@ -92,3 +104,31 @@ def test_readme_imports_only_exported_names():
     block = re.search(r"^from toristack import \((.*?)\)", text, re.MULTILINE | re.DOTALL)
     names = {name.strip() for name in block.group(1).split(",") if name.strip()}
     assert names and names <= set(toristack.__all__), names - set(toristack.__all__)
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
+    # every command starts a fresh interpreter; the value types are named
+    # tuples, so start-up pays for neither module (-S: no site hook imports them)
+    code = ("import sys, toristack.cli\n"
+            "toristack.cli.build_parser()\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_every_value_type_is_immutable():
+    # assigning to any field of a value the pipeline builds raises, also for
+    # the types that keep computed values in an instance __dict__
+    doc = document_from_json((FIXTURES / "p1_levels23.json").read_text(encoding="utf-8"))
+    sf = check_document(doc)[1]
+    chart = local_chart(sf, sf.fan.maximal_cones[0])
+    values = [doc, sf, sf.fan, chart, chart.group, chart.defining_cone, *chart_resolution(chart)]
+    assert sorted(type(v).__name__ for v in values) == [
+        "AffineMonoid", "Cone", "Fan", "FanDocument", "FiniteAbelianGroup", "FreeResolution",
+        "LocalChart", "StackyFan"]
+    for value in values:
+        for field in type(value)._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))

@@ -171,8 +171,8 @@ P1_TEXT = '"rays": [[1], [-1]], "max_cones": [[0], [1]]'
      "invalid JSON: key '1' is repeated in one object"),
     ('{"rank": 1, %s, "levels": {"1": 2, "01": 3}}' % P1_TEXT,
      "level keys '1' and '01' name ray 1"),
-    ('{"rank": 1, %s, "levels": {"-0": 2, "0": 3}}' % P1_TEXT,
-     "level keys '-0' and '0' name ray 0"),
+    ('{"rank": 1, %s, "levels": {"00": 2, "0": 3}}' % P1_TEXT,
+     "level keys '00' and '0' name ray 0"),
 ])
 def test_a_repeated_key_or_ray_is_a_parse_error(tmp_path, capsys, text, message):
     # neither JSON object keys nor level keys resolve a repeat, last one wins
@@ -231,6 +231,23 @@ def test_cone_selector_not_ascii_decimal_exits_2(capsys, selector):
     assert main(["stabilizer", str(FIXTURES / "p2.json"), "--cone", selector]) == 2
     assert capsys.readouterr().err == (f"parse error: bad cone selector {selector!r}; "
                                        "expected i,j,...\n")
+
+
+@pytest.mark.parametrize("zero", ["-0", "-00"])
+def test_minus_zero_names_no_ray_and_exits_2(tmp_path, capsys, zero):
+    # int() reads "-0" as 0, but a negative index names no cone: neither a
+    # cone item nor a level key may spell ray 0 with a minus sign
+    assert main(["stabilizer", str(FIXTURES / "p1_levels23.json"), "--cone", zero]) == 2
+    assert capsys.readouterr().err == (f"parse error: bad cone selector {zero!r}; "
+                                       "expected i,j,...\n")
+    path = tmp_path / "minus_zero.json"
+    path.write_text('{"rank": 1, %s, "levels": {"%s": 2}}' % (P1_TEXT, zero), encoding="utf-8")
+    for command in (["validate"], ["stabilizer", "--cone", "0"]):
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err == (f"parse error: level key {zero!r} must be a "
+                                           "decimal ray index\n")
+    assert main(["stabilizer", str(FIXTURES / "p2.json"), "--cone", "-01"]) == 1
+    assert capsys.readouterr().err == "validation error: cone (-1,) is not in the fan\n"
 
 
 def test_cone_selector_strips_spaces_and_skips_empty_items(capsys):
@@ -407,18 +424,18 @@ def test_stabilizer_computes_no_hilbert_basis_or_resolution(monkeypatch):
 
     calls = []
     hilbert_basis_full = monoids_mod._hilbert_basis_full
-    post_init = monoids_mod.FreeResolution.__post_init__
+    checked_new = monoids_mod.FreeResolution.__new__
 
     def counting_hilbert_basis(ray_list, d):
         calls.append("hilbert basis")
         return hilbert_basis_full(ray_list, d)
 
-    def counting_resolution(res):
+    def counting_resolution(cls, *args, **kwargs):
         calls.append("free resolution")
-        post_init(res)
+        return checked_new(cls, *args, **kwargs)
 
     monkeypatch.setattr(monoids_mod, "_hilbert_basis_full", counting_hilbert_basis)
-    monkeypatch.setattr(monoids_mod.FreeResolution, "__post_init__", counting_resolution)
+    monkeypatch.setattr(monoids_mod.FreeResolution, "__new__", counting_resolution)
     for name, cone in [("weighted_p2_levels", "1,2"), ("quotient_3d", "0,2"), ("mixed_dim", "0,1")]:
         assert main(["stabilizer", str(FIXTURES / f"{name}.json"), "--cone", cone]) == 0
     assert calls == []
