@@ -284,10 +284,13 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     cones cover one generic point once, is a valid fan with no pair
     compared (``_covers_once``). Otherwise every pair of maximal cones is
     compared in order, and the first pair that fails
-    ``_meet_in_shared_face`` is named. Before both, each listed cone's
-    ``cones.dual_rows`` is computed in listing order, the simpliciality
-    test (the first cone with dependent rays is named); the rows fill the
-    fan's ``Fan.dual_rows``, so no later step tests rank again.
+    ``_meet_in_shared_face`` is named: a pair is certified by a separating
+    functional from either side (each single dual row off the shared rays,
+    or their sum) before any circuit is enumerated. Before both, each
+    listed cone's ``cones.dual_rows`` is computed in listing order, the
+    simpliciality test (the first cone with dependent rays is named); the
+    rows fill the fan's ``Fan.dual_rows``, so no later step tests rank
+    again.
     """
     rays = [tuple(int(x) for x in r) for r in rays]
     maximal_cones = [tuple(int(i) for i in c) for c in maximal_cones]
@@ -353,30 +356,34 @@ def _covers_once(fan: Fan) -> bool:
 
 
 def _separates(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...], shared: set[int]) -> bool:
-    """Whether the functional m, the sum of c1's dual rows (``Fan.dual_rows``)
-    at its rays outside the shared rays, is negative on c2's rays outside them.
+    """Whether some functional m, each single dual row of c1
+    (``Fan.dual_rows``) at a ray outside the shared rays tau, or their sum,
+    is negative on c2's rays outside tau.
 
-    m vanishes on the shared rays and is positive on c1's others, so then
-    m >= 0 on c1 and m <= 0 on c2, each cone meets m^perp exactly in the
-    cone on the shared rays, and so does their intersection, which lies in
-    m^perp. m is the sum of the dual rays of c1's ``Fan.cone_geometry``
-    that vanish on the shared rays, which ``Cone.on_rays`` stores from the
-    same rows.
+    Each such row, and so their sum, is >= 0 on c1 and vanishes on tau. For
+    a point x of both cones, m.x >= 0 as x lies in c1, and writing x as a
+    nonnegative combination of c2's rays, m.x <= 0 with equality only if no
+    weight falls on c2's rays outside tau: x lies in the cone on tau. Both
+    tests read one table of pairings, c1's rows outside tau against c2's
+    rays outside tau (neither is empty for two maximal cones). The sum of
+    the rows is the sum of the dual rays of c1's ``Fan.cone_geometry`` that
+    vanish on tau, which ``Cone.on_rays`` stores from the same rows.
     """
-    outside = [row for i, row in zip(c1, fan.dual_rows[c1]) if i not in shared]
-    m = [sum(col) for col in zip(*outside)]
-    return all(dot(m, fan.rays[i]) < 0 for i in c2 if i not in shared)
+    table = [[dot(row, fan.rays[j]) for j in c2 if j not in shared]
+             for i, row in zip(c1, fan.dual_rows[c1]) if i not in shared]
+    return any(max(p) < 0 for p in table) or max(map(sum, zip(*table))) < 0
 
 
 def _meet_in_shared_face(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
     """Whether two maximal cones of the fan intersect in the cone on their
     shared rays.
 
-    A separating functional from either side (``_separates``) certifies it.
-    Otherwise, with A and B the rays of c1 and c2 outside the shared rays
-    tau, a point of both cones outside tau is a relation among the rays of
-    A, B and tau that is >= 0 on A and <= 0 on B, and nonzero there since
-    each cone's rays are independent. Such a relation is a conformal sum of
+    A separating functional from either side certifies it: each single dual
+    row off the shared rays tau, or their sum (``_separates``), of c1, then
+    of c2. Otherwise, with A and B the rays of c1 and c2 outside tau, a
+    point of both cones outside tau is a relation among the rays of A, B
+    and tau that is >= 0 on A and <= 0 on B, and nonzero there since each
+    cone's rays are independent. Such a relation is a conformal sum of
     circuits, so one exists iff some circuit c, or -c, has those signs (De
     Loera-Rambau-Santos, *Triangulations*, ch. 4). Each cone's rays being
     independent, every circuit meets both A and B.

@@ -1,5 +1,6 @@
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import det  # noqa: E402
 
 from toristack import StackyFan, validate_fan  # noqa: E402
+from toristack.linalg import primitive_vector  # noqa: E402
 from toristack.stackyfan import Fan  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -104,3 +106,31 @@ def shuffled(rng: random.Random, fan):
         rays[new] = fan.rays[old]
     return validate_fan(rays, [[new_index[i] for i in c] for c in fan.maximal_cones],
                         fan.ambient_rank)
+
+
+def cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def angle_key(v):
+    """Orders nonzero plane vectors by their angle in [0, 2 pi) from (1, 0)."""
+    x, y = v
+    p = Fraction(x, abs(x) + abs(y))
+    return (0, -p) if y > 0 or (y == 0 and x > 0) else (1, p)
+
+
+def overlapping_polygon(rng, n):
+    """A complete rank-2 fan on n rays with one cone {i, i+1} replaced by
+    {i, i+2}, which contains the cone {i+1, i+2}; returns that pair too."""
+    while True:
+        pool = set()
+        while len(pool) < n:
+            v = (rng.randint(-6, 6), rng.randint(-6, 6))
+            if any(v):
+                pool.add(primitive_vector(v))
+        rays = sorted(pool, key=angle_key)
+        if all(cross(rays[k], rays[(k + 1) % n]) > 0 for k in range(n)):
+            break
+    i = next(k for k in range(n) if cross(rays[k], rays[(k + 2) % n]) > 0)
+    cones = [sorted([k, (k + 1) % n]) for k in range(n) if k != i] + [sorted([i, (i + 2) % n])]
+    return rays, cones, {tuple(sorted([i, (i + 2) % n])), tuple(sorted([(i + 1) % n, (i + 2) % n]))}

@@ -1,8 +1,9 @@
 """Work that must not grow faster than the fan, counted in calls rather than
 timed: a lower-dimensional chart's multiplicity takes no sweep over maximal
 minors, validating a complete fan compares no pair of cones and builds at
-most one ``Cone`` per maximal cone, only a report lists the faces of a
-cone, and each boundary divisor reads only the cones on its own ray."""
+most one ``Cone`` per maximal cone, an incomplete fan enumerates circuits
+only for a pair that no dual row certifies, only a report lists the faces
+of a cone, and each boundary divisor reads only the cones on its own ray."""
 
 import json
 from itertools import product
@@ -14,7 +15,8 @@ from toristack import cones as cones_mod
 from toristack import stackyfan as fan_mod
 from toristack.charts import boundary_divisors_from_charts, local_chart
 from toristack.cli import main
-from toristack.stackyfan import ConeNotInFan, Fan, StackyFan, validate_fan
+from toristack.stackyfan import (ConeNotInFan, Fan, IntersectionNotFace, StackyFan, is_complete,
+                                 validate_fan)
 
 # the fan of the octagon: eight rays, eight 2-cones on consecutive rays
 OCTAGON_RAYS = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
@@ -77,6 +79,30 @@ def test_validating_p1_to_the_sixth_compares_no_pair(tmp_path, monkeypatch, caps
     assert json.loads(capsys.readouterr().out) == {"ok": True, "errors": []}
     assert pairs == []
     assert len(built) <= len(cones) and len(set(built)) == len(built)
+
+
+# sixteen rays in counterclockwise order and the cones on consecutive rays,
+# with {13, 14} replaced by {13, 15}: that cone contains {14, 15}, and the
+# two sort last, so theirs is the last of the 120 pairs compared
+POLYGON_RAYS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
+                (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1)]
+POLYGON_CONES = [[k, (k + 1) % 16] for k in range(16) if k != 13]
+OVERLAP_CONE = [13, 15]
+
+
+def test_only_the_overlapping_pair_enumerates_circuits(monkeypatch):
+    # every other pair, disjoint or sharing a ray, is certified by one dual
+    # row or by the sum of the rows off the shared ray, from either side
+    calls = []
+    counting(monkeypatch, fan_mod, "circuit_vectors", calls)
+    with pytest.raises(IntersectionNotFace) as info:
+        validate_fan(POLYGON_RAYS, POLYGON_CONES + [OVERLAP_CONE], 2)
+    assert info.value.cone_pair == ((13, 15), (14, 15))
+    assert len(calls) == 1
+    calls.clear()
+    fan = validate_fan(POLYGON_RAYS, POLYGON_CONES, 2)  # valid, with a hole at {13, 14}
+    assert len(fan.maximal_cones) == 15 and not is_complete(fan)
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", [["validate"], ["stabilizer", "--cone", "0,2,4"],

@@ -5,7 +5,6 @@ import random
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from itertools import combinations
 
 from conftest import (
@@ -15,6 +14,7 @@ from conftest import (
     a3_fan,
     hirzebruch_fan,
     mixed_dim_fan,
+    overlapping_polygon,
     p1_fan,
     p1xp1_fan,
     p2_fan,
@@ -30,7 +30,7 @@ from oracles import pairwise_validate_fan
 from toristack import cones as conelib
 from toristack.charts import face_group, is_kummer_etale_chart, local_chart
 from toristack.cli import FanDocument, check_document, cone_id, report_data
-from toristack.linalg import dot, primitive_vector
+from toristack.linalg import dot
 from toristack.stackyfan import (
     ConeNotInFan,
     DuplicateRay,
@@ -93,32 +93,20 @@ def test_overlap_without_certificate_is_refused_by_circuit_test(monkeypatch):
     assert info.value.cone_pair == ((0, 1), (0, 2))
 
 
-def cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
+def test_one_dual_row_certifies_a_pair_that_no_row_sum_does(monkeypatch):
+    # the rows of (0, 1) are (-1, -1) and (1, 2): their sum (0, 1) is positive
+    # on rays 2 and 3, the first row negative on both. The sum (-1, 0) of the
+    # rows of (2, 3) is positive on rays 0 and 1.
+    import toristack.stackyfan as fan_mod
 
+    def no_circuits(columns):
+        raise AssertionError("validate_fan enumerated circuits")
 
-def angle_key(v):
-    """Orders nonzero plane vectors by their angle in [0, 2 pi) from (1, 0)."""
-    x, y = v
-    p = Fraction(x, abs(x) + abs(y))
-    return (0, -p) if y > 0 or (y == 0 and x > 0) else (1, p)
-
-
-def overlapping_polygon(rng, n):
-    """A complete rank-2 fan on n rays with one cone {i, i+1} replaced by
-    {i, i+2}, which contains the cone {i+1, i+2}; returns that pair too."""
-    while True:
-        pool = set()
-        while len(pool) < n:
-            v = (rng.randint(-6, 6), rng.randint(-6, 6))
-            if any(v):
-                pool.add(primitive_vector(v))
-        rays = sorted(pool, key=angle_key)
-        if all(cross(rays[k], rays[(k + 1) % n]) > 0 for k in range(n)):
-            break
-    i = next(k for k in range(n) if cross(rays[k], rays[(k + 2) % n]) > 0)
-    cones = [sorted([k, (k + 1) % n]) for k in range(n) if k != i] + [sorted([i, (i + 2) % n])]
-    return rays, cones, {tuple(sorted([i, (i + 2) % n])), tuple(sorted([(i + 1) % n, (i + 2) % n]))}
+    monkeypatch.setattr(fan_mod, "circuit_vectors", no_circuits)
+    rays = [(-2, 1), (-1, 1), (-1, 2), (-1, 3)]
+    fan = validate_fan(rays, [(0, 1), (2, 3)], 2)
+    assert fan.maximal_cones == ((0, 1), (2, 3))
+    assert pairwise_validate_fan(rays, [(0, 1), (2, 3)], 2)[0] is None
 
 
 def test_validation_never_runs_the_double_description(monkeypatch):

@@ -4,8 +4,11 @@ every pair (``oracles.pairwise_validate_fan``).
 
 Inputs in rank 2-4: complete fans (GL_d(Z) images of products of projective
 spaces and Hirzebruch surfaces, rays shuffled), the same fans with cones
-dropped or with one more cone, and fans that wind around the origin more
-than once, whose walls each still separate exactly two cones. The same
+dropped, with one more cone, or with some cones cut down to proper faces
+(lower-dimensional maximal cones, and then perhaps one stray 2-cone), fans
+that wind around the origin more than once, whose walls each still
+separate exactly two cones, and polygons with one cone {i, i + 1} replaced
+by {i, i + 2}, times projective spaces above rank 2. The same
 fans, given levels and characteristics, check the report's tameness flag,
 its cone rows and the stabilizer command.
 """
@@ -21,6 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import overlapping_polygon
 from oracles import det, determinantal_divisors, is_tame, pairwise_validate_fan
 
 from toristack.cli import FanDocument, check_document, report_data, stabilizer_data
@@ -57,6 +61,12 @@ FOLDED = [(0, 1), (-2, -1), (-2, 1), (3, -2)], [(0, 1), (1, 2), (2, 3), (0, 3)]
 # rays 1 and 2 lie on three cones each, and (1, t) in one cone only
 DOUBLED = ([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, 1)],
            [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (2, 4)])
+# a stray 2-cone through the facet {e2, e3} of the positive octant, which
+# it meets in the ray through (0, 1, 1). The octant's dual row x at e1 is 0
+# on ray 3 and -1 on ray 4: it certifies nothing, but a row test weakened
+# to "<= 0" would accept the pair.
+THROUGH_A_FACET = ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (-1, 0, 0)],
+                   [(0, 1, 2), (3, 4)])
 
 
 def product(first, second):
@@ -105,23 +115,43 @@ def complete_fan(rng, d):
     return fan
 
 
-def wound_fan(rng, d):
-    base = rng.choice([PENTAGRAM, winding(OCTAGON, 2), winding(OCTAGON, 3)])
+def lifted(rng, base, d):
+    """A rank-2 fan times projective spaces of rank 1 or 2, up to rank d."""
     while len(base[0][0]) < d:
         base = product(base, projective(min(rng.choice((1, 2)), d - len(base[0][0]))))
     return base
 
 
+def wound_fan(rng, d):
+    return lifted(rng, rng.choice([PENTAGRAM, winding(OCTAGON, 2), winding(OCTAGON, 3)]), d)
+
+
+def overlap_fan(rng, d):
+    """A random polygon fan on 5-9 rays with one cone {i, i + 1} replaced by
+    {i, i + 2}, which contains {i + 1, i + 2}; lifted to rank d."""
+    rays, cones, _ = overlapping_polygon(rng, rng.randint(5, 9))
+    return lifted(rng, (rays, cones), d)
+
+
 @st.composite
 def fans(draw, max_rank=4):
     d = draw(st.integers(2, max_rank))
-    kind = draw(st.sampled_from(["complete", "complete", "dropped", "extra", "wound"]))
+    kind = draw(st.sampled_from(["complete", "complete", "dropped", "extra", "wound", "overlap",
+                                 "faces", "stray"]))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    rays, cones = disguise(rng, wound_fan(rng, d) if kind == "wound" else complete_fan(rng, d))
+    base = {"wound": wound_fan, "overlap": overlap_fan}.get(kind, complete_fan)(rng, d)
+    rays, cones = disguise(rng, base)
     if kind == "dropped":
         cones = rng.sample(cones, rng.randint(1, len(cones) - 1))
     elif kind == "extra":
         cones = cones + [sorted(rng.sample(range(len(rays)), d))]
+    elif kind in ("faces", "stray"):
+        # at least one cone cut down to a proper face, so a hole is left
+        cut = rng.sample(range(len(cones)), rng.randint(1, len(cones)))
+        for k in cut:
+            cones[k] = sorted(rng.sample(cones[k], rng.randint(1, d - 1)))
+        if kind == "stray":
+            cones.append(sorted(rng.sample(range(len(rays)), min(2, d - 1))))
     return rays, cones, d, kind
 
 
@@ -140,14 +170,16 @@ def outcome(rays, cones, d):
 @example((*product(PENTAGRAM, projective(1)), 3, "wound"))
 @example((*FOLDED, 2, "wound"))
 @example((*DOUBLED, 2, "extra"))
+@example((*THROUGH_A_FACET, 3, "stray"))
 def test_validation_agrees_with_every_pair_compared(drawn):
     rays, cones, d, kind = drawn
     expected = pairwise_validate_fan(rays, cones, d)
     assert outcome(rays, cones, d) == expected
     if expected[0] is None:
         # a complete fan with one more cone validates only when that cone is
-        # already one of its cones; dropping a cone leaves a hole
-        assert is_complete(validate_fan(rays, cones, d)) == (kind != "dropped")
+        # already one of its cones; dropping a cone or cutting it to a face
+        # leaves a hole, which a stray cone of lower dimension cannot fill
+        assert is_complete(validate_fan(rays, cones, d)) == (kind in ("complete", "extra"))
 
 
 def test_pentagram_is_refused_with_the_first_overlapping_pair():
