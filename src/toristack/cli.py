@@ -139,17 +139,18 @@ def document_from_json(text: str) -> FanDocument:
     rays_raw = raw["rays"]
     _expect(isinstance(rays_raw, list), "'rays' must be a list")
     rays = []
+    # JSON gives no int subclass but bool, so ``type(x) is int`` is ``_int_like``
     for i, r in enumerate(rays_raw):
-        _expect(isinstance(r, list) and len(r) == rank and all(_int_like(x) for x in r),
+        _expect(isinstance(r, list) and len(r) == rank and all(type(x) is int for x in r),
                 f"ray {r!r} must be a list of {rank} integers")
-        _expect(all(abs(x) < ENTRY_LIMIT for x in r),
+        _expect(-ENTRY_LIMIT < min(r) and max(r) < ENTRY_LIMIT,
                 f"ray {i} has an entry of absolute value 2^64 or more")
         rays.append(tuple(r))
     cones_raw = raw["max_cones"]
     _expect(isinstance(cones_raw, list), "'max_cones' must be a list")
     max_cones = []
     for c in cones_raw:
-        _expect(isinstance(c, list) and all(_int_like(i) for i in c),
+        _expect(isinstance(c, list) and all(type(i) is int for i in c),
                 f"cone {c!r} must be a list of ray indices")
         max_cones.append(tuple(c))
     levels_raw = raw.get("levels")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 IntVec = tuple[int, ...]
@@ -38,7 +39,7 @@ def dot(u: Sequence, v: Sequence):
     """Pairing <u, v>; works for int and Fraction entries."""
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_zero_vector(v: Sequence) -> bool:
@@ -46,11 +47,12 @@ def is_zero_vector(v: Sequence) -> bool:
 
 
 def primitive_vector(v: Sequence[int]) -> IntVec:
-    """First lattice point on the ray through v (direction preserved)."""
-    g = math.gcd(*(abs(int(a)) for a in v)) if v else 0
+    """First lattice point on the ray through v (direction preserved); the
+    entries must be integers."""
+    g = math.gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(int(a) // g for a in v)
+    return tuple(map(g.__rfloordiv__, v))
 
 
 def primitive_of_rational(v: Sequence) -> IntVec:
@@ -97,11 +99,13 @@ def integer_inverse(rows: Sequence[Sequence[int]]) -> IntegerInverse:
     as ``+/-det A`` times I. ``q = |det A| > 0``; a singular matrix raises.
     """
     n = len(rows)
-    a = [[int(x) for x in r] + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    a = [list(r) + [0] * i + [1] + [0] * (n - 1 - i) for i, r in enumerate(rows)]
     prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
+        for piv in range(k, n):
+            if a[piv][k]:
+                break
+        else:
             raise ValueError("matrix is singular")
         a[k], a[piv] = a[piv], a[k]
         rk = a[k]

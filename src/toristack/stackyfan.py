@@ -18,9 +18,11 @@ cycle ideals off the report.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import cones as conelib
@@ -231,7 +233,7 @@ def _ray_violations(rays: Sequence[IntVec], maximal_cones: Sequence[Sequence[int
     for i, r in enumerate(rays):
         if len(r) != ambient_rank:
             found.append(FanError(f"ray {r} does not have length {ambient_rank}"))
-        elif not any(r) or primitive_vector(r) != r:
+        elif math.gcd(*r) != 1:
             found.append(NonPrimitiveRay(i, r))
     for i, r in enumerate(rays):
         if first.setdefault(r, i) != i:
@@ -283,10 +285,11 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     A complete fan whose walls each separate exactly two cones, and whose
     cones cover one generic point once, is a valid fan with no pair
     compared (``_covers_once``). Otherwise every pair of maximal cones is
-    compared in order, and the first pair that fails
-    ``_meet_in_shared_face`` is named: a pair is certified by a separating
-    functional from either side (each single dual row off the shared rays,
-    or their sum) before any circuit is enumerated. Before both, each
+    settled in order, and the first pair that fails
+    ``_meet_in_shared_face`` is named: after a bulk test by sign masks
+    (``_check_pairs``), a pair is certified by a separating functional from
+    either side (each single dual row off the shared rays, or their sum)
+    before any circuit is enumerated. Before both, each
     listed cone's ``cones.dual_rows`` is computed in listing order, the
     simpliciality test (the first cone with dependent rays is named); the
     rows fill the fan's ``Fan.dual_rows``, so no later step tests rank
@@ -321,10 +324,36 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     fan.dual_rows.update(listed)
 
     if not _covers_once(fan):
-        for c1, c2 in combinations(maximal, 2):
-            if not _meet_in_shared_face(fan, c1, c2):
-                raise IntersectionNotFace(c1, c2)
+        _check_pairs(fan)
     return fan
+
+
+def _check_pairs(fan: Fan) -> None:
+    """Raise ``IntersectionNotFace`` on the first pair of maximal cones, in
+    ``combinations`` order, that ``_meet_in_shared_face`` refuses. A pair
+    that one dual row of c1 certifies (``_separates``) skips it: per row of
+    c1, a bitmask (bit i for ray i) of its own ray and the rays where it is
+    < 0, from one pass over the ray columns, certifies c2 when, cut to c2's
+    rays, it is c2's rays off tau. One c1's masks are kept at a time."""
+    maximal = fan.maximal_cones
+    columns = [col[::-1] for col in zip(*fan.rays)]  # ray n - 1 first, the mask's top bit
+    bits = [sum(1 << i for i in c) for c in maximal]
+    for k, (c1, b1) in enumerate(zip(maximal[:-1], bits)):
+        masks = []
+        for i, row in zip(c1, fan.dual_rows[c1]):
+            pairings = map(mul, columns[0], repeat(row[0]))
+            for col, x in zip(columns[1:], row[1:]):
+                pairings = map(add, pairings, map(mul, col, repeat(x)))
+            negative = "".join(map("01".__getitem__, map((0).__gt__, pairings)))
+            masks.append(int(negative, 2) | 1 << i)
+        for c2, b2 in zip(maximal[k + 1:], bits[k + 1:]):
+            off = b2 & ~b1
+            for m in masks:
+                if m & b2 == off:
+                    break
+            else:
+                if not _meet_in_shared_face(fan, c1, c2):
+                    raise IntersectionNotFace(c1, c2)
 
 
 def _covers_once(fan: Fan) -> bool:
@@ -368,6 +397,7 @@ def _separates(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...], shared: set[i
     rays outside tau (neither is empty for two maximal cones). The sum of
     the rows is the sum of the dual rays of c1's ``Fan.cone_geometry`` that
     vanish on tau, which ``Cone.on_rays`` stores from the same rows.
+    ``_check_pairs`` runs the single-row test of side 1 first, on bitmasks.
     """
     table = [[dot(row, fan.rays[j]) for j in c2 if j not in shared]
              for i, row in zip(c1, fan.dual_rows[c1]) if i not in shared]
@@ -376,7 +406,8 @@ def _separates(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...], shared: set[i
 
 def _meet_in_shared_face(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
     """Whether two maximal cones of the fan intersect in the cone on their
-    shared rays.
+    shared rays: the exact test for the pairs that ``_check_pairs``' sign
+    masks leave.
 
     A separating functional from either side certifies it: each single dual
     row off the shared rays tau, or their sum (``_separates``), of c1, then

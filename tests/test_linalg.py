@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from oracles import det, quotient_torsion_counts
@@ -8,10 +9,13 @@ from toristack.linalg import (
     FiniteAbelianGroup,
     circuit_vectors,
     determinant,
+    dot,
     hermite_normal_form,
     identity_rows,
+    integer_inverse,
     integer_kernel,
     invert_unimodular,
+    primitive_vector,
     quotient_invariants,
     saturate,
     smith_normal_form,
@@ -236,6 +240,46 @@ def test_unimodular_inverse():
 def test_unimodular_inverse_refuses_with_one_message(rows):
     with pytest.raises(ValueError, match="^matrix is not unimodular$"):
         invert_unimodular(rows)
+
+
+def test_dot_checks_lengths_and_takes_fractions():
+    assert dot((1, -2, 3), (4, 5, 6)) == 12
+    assert dot((), ()) == 0
+    assert dot((Fraction(1, 2), 3), (Fraction(2, 3), Fraction(-1, 6))) == Fraction(-1, 6)
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        dot((1, 2), (1, 2, 3))
+
+
+@pytest.mark.parametrize("v, expected", [
+    ((4, -6, 0), (2, -3, 0)),
+    ((-4, 6), (-2, 3)),
+    ((0, -5), (0, -1)),
+    ((7,), (1,)),
+    ((-3, 2), (-3, 2)),
+    ((2 ** 70, -(2 ** 71)), (1, -2)),
+])
+def test_primitive_vector_keeps_sign_and_direction(v, expected):
+    assert primitive_vector(v) == expected
+    assert primitive_vector(list(v)) == expected
+
+
+@pytest.mark.parametrize("v", [(0, 0), (0,), ()])
+def test_primitive_vector_refuses_the_zero_vector(v):
+    with pytest.raises(ValueError, match="zero vector"):
+        primitive_vector(v)
+
+
+def test_integer_inverse_takes_q_positive_and_refuses_singular():
+    a = [[0, 1], [1, 0]]  # det -1, and the first pivot needs a row swap
+    m, q = integer_inverse(a)
+    assert q == 1 and matmul(a, m) == identity_rows(2)
+    a = [[1, 2, 0], [3, 4, 0], [0, 0, 5]]  # det -10
+    m, q = integer_inverse(a)
+    assert q == 10 and matmul(a, m) == [[q * x for x in row] for row in identity_rows(3)]
+    assert integer_inverse([]) == ([], 1)
+    for singular in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            integer_inverse(singular)
 
 
 def test_integer_kernel_basis():

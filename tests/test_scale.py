@@ -2,10 +2,13 @@
 timed: a lower-dimensional chart's multiplicity takes no sweep over maximal
 minors, validating a complete fan compares no pair of cones and builds at
 most one ``Cone`` per maximal cone, an incomplete fan enumerates circuits
-only for a pair that no dual row certifies, only a report lists the faces
+only for a pair that no dual row certifies and sends fewer pairs than cones
+to the exact pair test when one row of the first cone certifies most of
+them, only a report lists the faces
 of a cone, and each boundary divisor reads only the cones on its own ray."""
 
 import json
+import math
 from itertools import product
 
 import pytest
@@ -103,6 +106,30 @@ def test_only_the_overlapping_pair_enumerates_circuits(monkeypatch):
     fan = validate_fan(POLYGON_RAYS, POLYGON_CONES, 2)  # valid, with a hole at {13, 14}
     assert len(fan.maximal_cones) == 15 and not is_complete(fan)
     assert calls == []
+
+
+def test_sign_masks_leave_few_pairs_to_the_exact_test(monkeypatch):
+    # the masks certify in bulk what one dual row of the first cone
+    # certifies; only the pairs left reach _meet_in_shared_face
+    pairs, circuits = [], []
+    counting(monkeypatch, fan_mod, "_meet_in_shared_face", pairs)
+    counting(monkeypatch, fan_mod, "circuit_vectors", circuits)
+    with pytest.raises(IntersectionNotFace) as info:
+        validate_fan(POLYGON_RAYS, POLYGON_CONES + [OVERLAP_CONE], 2)
+    assert info.value.cone_pair == ((13, 15), (14, 15))
+    assert len(circuits) == 1 and len(pairs) < 16
+    # 300 evenly spaced of the primitive vectors with entries in [-13, 13],
+    # in angular order, and the cones on consecutive rays but the last: 44,551 pairs
+    pool = sorted({(a // math.gcd(a, b), b // math.gcd(a, b))
+                   for a in range(-13, 14) for b in range(-13, 14) if a or b},
+                  key=lambda v: math.atan2(v[1], v[0]))
+    rays = [pool[k * len(pool) // 300] for k in range(300)]
+    cones = [[k, k + 1] for k in range(299)]
+    pairs.clear()
+    circuits.clear()
+    fan = validate_fan(rays, cones, 2)
+    assert len(fan.maximal_cones) == 299 and not is_complete(fan)
+    assert 0 < len(pairs) < len(fan.maximal_cones) and circuits == []
 
 
 @pytest.mark.parametrize("command", [["validate"], ["stabilizer", "--cone", "0,2,4"],

@@ -27,7 +27,9 @@ from hypothesis import strategies as st
 from conftest import overlapping_polygon
 from oracles import det, determinantal_divisors, is_tame, pairwise_validate_fan
 
+from toristack import stackyfan as fan_mod
 from toristack.cli import FanDocument, check_document, report_data, stabilizer_data
+from toristack.linalg import dot
 from toristack.stackyfan import FanError, is_complete, validate_fan
 
 
@@ -67,6 +69,12 @@ DOUBLED = ([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, 1)],
 # to "<= 0" would accept the pair.
 THROUGH_A_FACET = ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (-1, 0, 0)],
                    [(0, 1, 2), (3, 4)])
+# the first quadrant and a cone that no single dual row of it separates
+# (x and y are each >= 0 on one of the other cone's rays): the first certified
+# by the sum x + y of the quadrant's rows, the second only by a row of
+# the other cone, which is < 0 on both axes
+BY_THE_ROW_SUM = [(1, 0), (0, 1), (-2, 1), (1, -2)], [(0, 1), (2, 3)]
+FROM_THE_SECOND_SIDE = [(1, 0), (0, 1), (-1, 2), (1, -3)], [(0, 1), (2, 3)]
 
 
 def product(first, second):
@@ -171,6 +179,8 @@ def outcome(rays, cones, d):
 @example((*FOLDED, 2, "wound"))
 @example((*DOUBLED, 2, "extra"))
 @example((*THROUGH_A_FACET, 3, "stray"))
+@example((*BY_THE_ROW_SUM, 2, "dropped"))
+@example((*FROM_THE_SECOND_SIDE, 2, "dropped"))
 def test_validation_agrees_with_every_pair_compared(drawn):
     rays, cones, d, kind = drawn
     expected = pairwise_validate_fan(rays, cones, d)
@@ -180,6 +190,20 @@ def test_validation_agrees_with_every_pair_compared(drawn):
         # already one of its cones; dropping a cone or cutting it to a face
         # leaves a hole, which a stray cone of lower dimension cannot fill
         assert is_complete(validate_fan(rays, cones, d)) == (kind in ("complete", "extra"))
+
+
+@pytest.mark.parametrize("fan, side_one", [(BY_THE_ROW_SUM, True), (FROM_THE_SECOND_SIDE, False)],
+                         ids=["row-sum", "second-side"])
+def test_pairs_no_single_row_certifies_are_settled_without_circuits(monkeypatch, fan, side_one):
+    rays, cones = fan
+    q1, c2 = (0, 1), (2, 3)
+    assert not any(all(dot(row, rays[j]) < 0 for j in c2) for row in ((1, 0), (0, 1)))
+    enumerated = []
+    monkeypatch.setattr(fan_mod, "circuit_vectors", lambda *a: enumerated.append(a) or iter(()))
+    fan = validate_fan(rays, cones, 2)
+    assert fan.maximal_cones == (q1, c2) and enumerated == []
+    assert fan_mod._separates(fan, q1, c2, set()) == side_one
+    assert fan_mod._separates(fan, c2, q1, set())
 
 
 def test_pentagram_is_refused_with_the_first_overlapping_pair():
