@@ -34,7 +34,6 @@ from .monoids import (
     irreducible_ray_correspondence,
     minimal_free_resolution,
     quotient_group,
-    resolution_cokernel,
     restrict_resolution,
     saturation_intersection_check,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "quotient_group",
     "quotient_invariants",
     "ray_star",
-    "resolution_cokernel",
     "restrict_resolution",
     "saturate",
     "saturation_intersection_check",

@@ -6,7 +6,10 @@ cone (after splitting off the torus directions) and F the free monoid of its
 level-scaled resolution. That group is the cokernel of the free-net matrix,
 N' / <n_rho v_rho>, whose rows n_rho v_rho in a basis of the saturated span
 N' are the matrix of P^gp -> F^gp (the local group of a stacky fan,
-Borisov-Chen-Smith, J. AMS 18, 2005).
+Borisov-Chen-Smith, J. AMS 18, 2005). The chart is the one place where
+that group is computed: ``mfr`` prints it as the cokernel of the
+resolution, and a report reads each face's cycle coordinates and each
+ray's boundary-divisor coordinate off the chart's ``fan_rays``.
 A chart (``local_chart``) is computed in full at once: the splitting
 N = N' + N'', the cone's dual rows (``Fan.dual_rows``, the fan's one inverse
 per cone) restricted to N', and one Smith normal form of the free-net
@@ -24,7 +27,7 @@ chart only by ``chart_resolution``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import stackyfan as fans
 from .cones import Cone
@@ -70,10 +73,6 @@ class LocalChart(NamedTuple):
     levels: tuple[int, ...]
     action_weights: tuple[tuple[int, ...], ...]
     defining_cone: Cone
-
-    def cycle_coordinates(self, face: Sequence[int]) -> list[int]:
-        """Indices of the coordinates whose fan rays lie in ``face``."""
-        return sorted(i for i, rho in enumerate(self.fan_rays) if rho in face)
 
 
 def split_cone(rays: Sequence[IntVec], ambient_rank: int) -> tuple[list[IntVec], list[IntVec]]:
@@ -215,26 +214,3 @@ def is_kummer_etale_chart(chart: LocalChart, residue_characteristics: Sequence[i
     chars = [int(p) for p in residue_characteristics if int(p) != 0]
     return all(math.gcd(chart.group.order, p) == 1 for p in chars)
 
-
-def boundary_divisors_from_charts(sf: StackyFan,
-                                  charts: Mapping[tuple[int, ...], LocalChart]) -> list[dict]:
-    """Per ray: the single chart coordinate cutting its divisor in each chart.
-
-    ``charts`` holds the chart of every maximal cone on the ray, keyed by
-    cone; the generic stabilizer along the divisor is cyclic of order equal
-    to the level.
-    """
-    out = []
-    for rho in range(len(sf.fan.rays)):
-        coordinates = {}
-        for c in sf.fan.cones_by_ray.get(rho, ()):
-            coords = charts[c].cycle_coordinates((rho,))
-            if len(coords) != 1:
-                raise AssertionError("a ray must be cut by exactly one chart coordinate")
-            coordinates[c] = coords[0]
-        out.append({
-            "ray": rho,
-            "level": sf.levels[rho],
-            "chart_coordinates": coordinates,
-        })
-    return out

@@ -309,6 +309,8 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     # a maximal cone reads its group and multiplicity from its chart, and
     # every other face from the chart of the first maximal cone that has it
     groups = {c: (charts[c].group, charts[c].multiplicity) for c in fan.maximal_cones}
+    # per ray, the one coordinate of each chart on it that cuts its divisor
+    divisor_coordinates = [{} for _ in fan.rays]
     charts_out = []
     for c in fan.maximal_cones:
         chart = charts[c]
@@ -316,10 +318,13 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
         # Hilbert basis of the chart monoid P, and the units restrict to 0
         coarse = sorted({tuple(dot(h, v) for v in chart.n_prime_basis)
                          for h in generators[c]} - {(0,) * chart.r})
+        if sorted(chart.fan_rays) != list(c):
+            raise AssertionError("a ray must be cut by exactly one chart coordinate")
+        for i, rho in enumerate(chart.fan_rays):
+            divisor_coordinates[rho][cone_id(c)] = i
         # a face of c is a bit mask over c's positions; each generator (>= 0
-        # on c) cuts a face's cycle when it is positive on one of its rays
-        # (``stackyfan.cycle_generators``), and each chart coordinate lies in
-        # a face when its fan ray does (``LocalChart.cycle_coordinates``)
+        # on c) cuts a face's cycle when it is positive on one of its rays,
+        # and each chart coordinate lies in a face when its fan ray does
         position = {rho: 1 << k for k, rho in enumerate(c)}
         positive = [(list(h), sum(bit for rho, bit in position.items()
                                   if dot(h, fan.rays[rho]) > 0))
@@ -352,6 +357,8 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
             },
             "cycle_ideals": cycle_ideals,
         })
+    # the walk above put every face of every maximal cone in groups
+    cones = sorted(groups, key=lambda f: (len(f), f))
     cones_out = [{
         "id": cone_id(c),
         "ray_indices": list(c),
@@ -359,19 +366,20 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
         "multiplicity": groups[c][1],
         "stacky_multiplicity": groups[c][0].order,
         "stabilizer": _group_dict(groups[c][0]),
-    } for c in fan.cones]
+    } for c in cones]
+    # the generic stabilizer along a boundary divisor is cyclic of order its level
     boundary = [{
-        "ray": entry["ray"],
-        "level": entry["level"],
-        "generic_stabilizer": f"mu_{entry['level']}" if entry["level"] > 1 else "trivial",
-        "chart_coordinates": {cone_id(c): i for c, i in sorted(entry["chart_coordinates"].items())},
-    } for entry in chartlib.boundary_divisors_from_charts(sf, charts)]
+        "ray": rho,
+        "level": level,
+        "generic_stabilizer": f"mu_{level}" if level > 1 else "trivial",
+        "chart_coordinates": divisor_coordinates[rho],
+    } for rho, level in enumerate(sf.levels)]
     out = {
         "document": document_to_dict(doc),
         "fan": {
             "rank": fan.ambient_rank,
             "num_rays": len(fan.rays),
-            "num_cones": len(fan.cones),
+            "num_cones": len(cones),
             "maximal_cones": [cone_id(c) for c in fan.maximal_cones],
             "complete": fanlib.is_complete(fan),
             "tame": tame,
@@ -410,7 +418,9 @@ def mfr_data(sf: StackyFan, cone_selector: Sequence[int]) -> dict:
         "levels": list(res.levels),
         "free_generators": [[x for x in f] for f in res.generators],
         "realized_generators": [[x for x in g] for g in res.realized_generators],
-        "cokernel": _group_dict(monoidlib.resolution_cokernel(res)),
+        # F^gp / P^gp: the matrix of P^gp -> F^gp in the realized basis is
+        # the chart's free-net matrix, so its cokernel is the chart's group
+        "cokernel": _group_dict(chart.group),
         "saturation_check": monoidlib.saturation_intersection_check(res),
         "correspondence": correspondence,
     }

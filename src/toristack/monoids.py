@@ -4,15 +4,18 @@ A monoid P is stored through its defining cone C(P) in M (x) Q together with
 its Hilbert basis, so saturation holds by construction: P is exactly the set
 of lattice points of C(P). On top of that sit the resolution operations: the
 minimal free resolution (the smallest free monoid F with P <= F <= P^gp (x) Q
-and P close to F), its scalings by positive integer levels, the cokernel
-F^gp / P^gp, the correspondence between free generators, rays of C(P)
-and height-one primes, and the exact check that P^gp intersect F = P. A
-cone's data comes from as few inversions as its description allows: the
-Hilbert basis from one Smith form of the ray matrix, the free generators
-from the dual rays that C(P) already stores. Every lattice walk here (a
-Hilbert basis) counts its points first and raises ``LatticeWalkTooLarge``
-above ``MAX_LATTICE_POINTS``. No command calls ``quotient_group`` or
-``restrict_resolution``; each states a result of the paper.
+and P close to F), its scalings by positive integer levels, the
+correspondence between free generators, rays of C(P) and height-one primes,
+and the exact check that P^gp intersect F = P. The cokernel F^gp / P^gp is
+not computed here: in the basis of realized generators the matrix of
+P^gp -> F^gp is a chart's free-net matrix, so it is the chart's group
+(``charts.LocalChart.group``). A cone's data comes from as few inversions
+as its description allows: the Hilbert basis from one Smith form of the ray
+matrix, the free generators from the dual rays that C(P) already stores.
+Every lattice walk here (a Hilbert basis) counts its points first and raises
+``LatticeWalkTooLarge`` above ``MAX_LATTICE_POINTS``. No command calls
+``quotient_group`` or ``restrict_resolution``; each states a result of the
+paper.
 """
 
 from __future__ import annotations
@@ -304,8 +307,9 @@ class FreeResolution(_ResolutionFields):
     scalings (all n_i = 1 for the minimal resolution). Construction checks
     that P lies in the free monoid on the f_i, hence in the one on the g_i:
     the i-th coordinate of a Hilbert-basis element in the g basis is a
-    nonnegative multiple of n_i. The inverse that check takes is kept in the
-    instance ``__dict__``, beside the fields.
+    nonnegative multiple of n_i. The Hilbert basis generates P^gp, so the
+    check also makes the matrix of P^gp -> F^gp integral. The inverse that
+    check takes is kept in the instance ``__dict__``, beside the fields.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -339,18 +343,6 @@ class FreeResolution(_ResolutionFields):
         m, q = integer_inverse([list(r) for r in zip(*gens)])
         g = math.gcd(scale, q)
         return [[x * (scale // g) for x in row] for row in m], q // g
-
-    def coordinate_matrix(self) -> list[list[int]]:
-        """Rows of the matrix whose columns are the standard basis of M
-        written in the realized basis.
-
-        This is the matrix of P^gp -> F^gp; a non-integral entry means the
-        resolution data is broken and raises.
-        """
-        m, q = self._basis_inverse
-        if any(x % q for row in m for x in row):
-            raise ValueError("non-integral coordinate matrix: broken resolution")
-        return [[x // q for x in row] for row in m]
 
 
 def minimal_free_resolution(p: AffineMonoid) -> FreeResolution:
@@ -396,11 +388,6 @@ def admissible_resolution(p: AffineMonoid, levels: Mapping[IntVec, int]) -> Free
         generators=gens,
         realized_generators=tuple(tuple(x / n for x in f) for f, n in zip(gens, ns)),
     )
-
-
-def resolution_cokernel(res: FreeResolution) -> FiniteAbelianGroup:
-    """Invariant factors of F^gp modulo the image of P^gp."""
-    return quotient_invariants(list(zip(*res.coordinate_matrix())), res.rank)
 
 
 def irreducible_ray_correspondence(res: FreeResolution) -> list[RayCorrespondence]:

@@ -2,18 +2,18 @@
 
 A fan is stored by its primitive rays (in user order, so ray indices are
 stable identifiers) and its maximal cones as sorted tuples of ray indices;
-cones are simplicial, so its faces are their index subsets (``Fan.cones``,
-built when read). The fan axioms (pairwise intersections are common faces)
-are checked on construction. A fan dualizes each cone it is asked about
-once (``Fan.dual_rows``, by ``cones.dual_rows``, which is also the
-simpliciality test): validation fills that table for every listed cone,
-and the fan checks, the charts and the fan's ``Cone``s read it with no
-rank test of their own. A complete fan is settled from its walls alone
-(see ``validate_fan``), so no check builds a ``Cone`` or a face. A stacky
-fan adds one positive integer level per ray, whose free-net points
-n_rho * v_rho scale the lattice data of every cone containing the ray.
-Its stacky multiplicities and tameness are read off the charts, its
-cycle ideals off the report.
+cones are simplicial, so its faces are their index subsets, which a fan
+never lists (a report walks each maximal cone's). The fan axioms (pairwise
+intersections are common faces) are checked on construction. A fan
+dualizes each cone it is asked about once (``Fan.dual_rows``, by
+``cones.dual_rows``, which is also the simpliciality test): validation
+fills that table for every listed cone, and the fan checks, the charts and
+the fan's ``Cone``s read it with no rank test of their own. A complete fan
+is settled from its walls alone (see ``validate_fan``), so no check builds
+a ``Cone`` or a face. A stacky fan adds one positive integer level per
+ray, whose free-net points n_rho * v_rho scale the lattice data of every
+cone containing the ray. Its stacky multiplicities and tameness are read
+off the charts, its cycle ideals and boundary divisors off the report.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from functools import cached_property, lru_cache
-from itertools import combinations, repeat
+from itertools import repeat
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -153,12 +153,6 @@ class Fan(_FanFields):
     def cone_geometry(self, indices: tuple[int, ...]) -> Cone:
         return Cone.on_rays([self.rays[i] for i in indices], self.dual_rows[indices],
                             self.ambient_rank)
-
-    @cached_property
-    def cones(self) -> tuple[tuple[int, ...], ...]:
-        """Every face of a maximal cone (2^r per r-cone), by dimension, then indices."""
-        return tuple(sorted({f for c in self.maximal_cones for k in range(len(c) + 1)
-                             for f in combinations(c, k)}, key=lambda f: (len(f), f)))
 
     @cached_property
     def cones_by_ray(self) -> dict[int, list[tuple[int, ...]]]:
@@ -397,7 +391,8 @@ def _separates(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...], shared: set[i
     rays outside tau (neither is empty for two maximal cones). The sum of
     the rows is the sum of the dual rays of c1's ``Fan.cone_geometry`` that
     vanish on tau, which ``Cone.on_rays`` stores from the same rows.
-    ``_check_pairs`` runs the single-row test of side 1 first, on bitmasks.
+    ``_check_pairs`` runs the single-row test of side 1 on bitmasks, so
+    ``_meet_in_shared_face`` calls this for side 2 only.
     """
     table = [[dot(row, fan.rays[j]) for j in c2 if j not in shared]
              for i, row in zip(c1, fan.dual_rows[c1]) if i not in shared]
@@ -409,18 +404,22 @@ def _meet_in_shared_face(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> 
     shared rays: the exact test for the pairs that ``_check_pairs``' sign
     masks leave.
 
-    A separating functional from either side certifies it: each single dual
-    row off the shared rays tau, or their sum (``_separates``), of c1, then
-    of c2. Otherwise, with A and B the rays of c1 and c2 outside tau, a
-    point of both cones outside tau is a relation among the rays of A, B
-    and tau that is >= 0 on A and <= 0 on B, and nonzero there since each
-    cone's rays are independent. Such a relation is a conformal sum of
+    A separating functional from either side certifies it: the sum of c1's
+    dual rows off the shared rays tau (the masks tested its single rows),
+    then each single row of c2 off tau, or their sum (``_separates``).
+    Otherwise, with A and B the rays of c1 and c2 outside tau, a point of
+    both cones outside tau is a relation among the rays of A, B and tau
+    that is >= 0 on A and <= 0 on B, and nonzero there since each cone's
+    rays are independent. Such a relation is a conformal sum of
     circuits, so one exists iff some circuit c, or -c, has those signs (De
     Loera-Rambau-Santos, *Triangulations*, ch. 4). Each cone's rays being
     independent, every circuit meets both A and B.
     """
     shared = set(c1) & set(c2)
-    if _separates(fan, c1, c2, shared) or _separates(fan, c2, c1, shared):
+    total = [sum(x) for x in zip(*(row for i, row in zip(c1, fan.dual_rows[c1])
+                                   if i not in shared))]
+    if (max(dot(total, fan.rays[j]) for j in c2 if j not in shared) < 0
+            or _separates(fan, c2, c1, shared)):
         return True
     a = [fan.rays[i] for i in c1 if i not in shared]
     b = [fan.rays[i] for i in c2 if i not in shared]

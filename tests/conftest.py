@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import det  # noqa: E402
 
 from toristack import StackyFan, validate_fan  # noqa: E402
+from toristack.cli import FanDocument, report_data  # noqa: E402
 from toristack.linalg import primitive_vector  # noqa: E402
 from toristack.stackyfan import Fan  # noqa: E402
 
@@ -86,6 +88,21 @@ FAN_ZOO = [
     lambda: hirzebruch_fan(0), lambda: hirzebruch_fan(1), lambda: hirzebruch_fan(2),
     p1xp1_fan, weighted_p2_fan, p3_fan, quotient_3d_fan, mixed_dim_fan,
 ]
+
+
+def fan_faces(fan):
+    """Every face of a maximal cone of the fan (2^r per r-cone), each once,
+    by dimension, then indices."""
+    return sorted({f for c in fan.maximal_cones for k in range(len(c) + 1)
+                   for f in combinations(c, k)}, key=lambda f: (len(f), f))
+
+
+def report_of(sf, characteristics=(0,)):
+    """``report_data`` of the stacky fan, listed as its own document."""
+    fan = sf.fan
+    doc = FanDocument(fan.ambient_rank, list(fan.rays), list(fan.maximal_cones),
+                      dict(enumerate(sf.levels)), list(characteristics))
+    return report_data(doc, sf)
 
 
 def zoo_fans():

@@ -9,7 +9,9 @@ line before and after it. The corpus:
   ``tests/golden/refused``;
 - seeded (P^1)^d, P^d, Hirzebruch and weighted P^2 documents, each a random
   GL_d(Z) image with its rays shuffled, random levels and characteristics;
-- random one-cone documents of rank 1-4, full- and lower-dimensional.
+- random one-cone documents of rank 1-4, full- and lower-dimensional;
+- documents that reach each way a pair of cones is settled or refused
+  (``certificate_documents``), and each kind of refused characteristic.
 
 Each document runs ``validate``, ``report`` and ``complete`` (JSON and
 text), and ``mfr`` and ``stabilizer`` (JSON and text) on every prefix of
@@ -141,6 +143,36 @@ def commands(doc):
 
 
 P1 = '"rays": [[1], [-1]], "max_cones": [[0], [1]]'
+OCTAGON = [[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]]
+
+
+def certificate_documents():
+    """(name, document) pairs that reach each certificate of fan validation
+    and each refusal of a characteristic."""
+    def doc(rays, cones, characteristics=(0,)):
+        return {"rank": len(rays[0]), "rays": rays, "max_cones": cones,
+                "characteristics": list(characteristics)}
+
+    return [
+        # incomplete: most pairs certified by one dual row's sign mask. Two
+        # primes run every Miller-Rabin round, the second (5 mod 8) squaring
+        ("octagon-one-cone-dropped",
+         doc(OCTAGON, [[k, k + 1] for k in range(7)], [0, 2 ** 61 - 1, 2 ** 64 - 59])),
+        # no single dual row separates the pair: the sum of the first cone's
+        # rows does, or only a row of the second cone
+        ("by-the-row-sum", doc([[1, 0], [0, 1], [-2, 1], [1, -2]], [[0, 1], [2, 3]])),
+        ("from-the-second-side", doc([[1, 0], [0, 1], [-1, 2], [1, -3]], [[0, 1], [2, 3]])),
+        # two 3-cones that meet only at 0, which no dual row or row sum of
+        # either certifies: only their circuits do
+        ("by-circuits-only", doc([[1, 0, 0], [-1, -1, 1], [-1, 1, 1], [0, 0, -1], [1, -1, -1],
+                                  [1, 1, 0]], [[0, 1, 2], [3, 4, 5]])),
+        # each ray on two cones, but the cones on ray 0 lie on one side of it
+        ("wall-sign", doc([[1, 0], [0, 1], [1, 1]], [[0, 1], [0, 2], [1, 2]])),
+        # a strong pseudoprime to the bases 2, 3, 5 and 7, a multiple of a
+        # base, and 2^64
+        ("composite-characteristic", doc([[1], [-1]], [[0], [1]], [3215031751, 91])),
+        ("characteristic-2^64", doc([[1], [-1]], [[0], [1]], [2 ** 64])),
+    ]
 
 
 def refusals():
@@ -196,7 +228,7 @@ def corpus():
     for seed in SEEDS:
         docs = seeded_documents(seed) + one_cone_documents(seed)
         out += [(f"seed-{seed}-{i}", json.dumps(doc)) for i, doc in enumerate(docs)]
-    return out
+    return out + [(name, json.dumps(doc)) for name, doc in certificate_documents()]
 
 
 def main() -> int:

@@ -9,9 +9,10 @@ JSON from the standard library's encoder,
 the saturation check from a walk over the whole box of coefficients, fan
 validation from every pair of maximal cones with every circuit of their rays,
 the closeness and saturation of a submonoid from Fourier-Motzkin and
-every lattice point of a box, multiplicities, stacky multiplicities and
-tameness from gcds of minors, and the irreducible elements of a monoid in
-the orthant from a search that subtracts its generators.
+every lattice point of a box, multiplicities, stacky multiplicities,
+tameness and the cokernel of a free resolution from gcds of minors, and
+the irreducible elements of a monoid in the orthant from a search that
+subtracts its generators.
 """
 
 import json
@@ -96,6 +97,27 @@ def basis_coordinates(basis, v):
             assert all(c.denominator == 1 for c in x)
             return tuple(int(c) for c in x)
     raise ValueError("basis vectors are linearly dependent")
+
+
+def coordinate_matrix(generators):
+    """The matrix of Z^r -> the lattice with basis ``generators`` (r vectors
+    of ``Fraction``s spanning Q^r): column j holds the coordinates of e_j in
+    that basis, by Gaussian elimination. Asserts that every entry is an
+    integer, as it is for a free resolution's realized generators, whose
+    lattice F^gp holds P^gp = Z^r."""
+    columns = [solve_square([list(row) for row in zip(*generators)],
+                            [int(k == j) for k in range(len(generators))])
+               for j in range(len(generators))]
+    assert all(x.denominator == 1 for col in columns for x in col), generators
+    return [[int(col[i]) for col in columns] for i in range(len(generators))]
+
+
+def cokernel_invariant_factors(generators):
+    """The invariant factors above 1 of F^gp / P^gp, F^gp the lattice with
+    basis ``generators`` and P^gp = Z^r: the quotients D_k / D_(k-1) of the
+    determinantal divisors of ``coordinate_matrix``."""
+    divisors = [1] + determinantal_divisors(coordinate_matrix(generators))
+    return tuple(b // a for a, b in zip(divisors, divisors[1:]) if b // a > 1)
 
 
 def coordinate_rays(basis, ray_vectors):

@@ -11,14 +11,17 @@ from conftest import (
     FIXTURES,
     a1_singularity_fan,
     a2_fan,
+    fan_faces,
     p1_fan,
     p2_fan,
     random_full_cone_rays,
     random_stacky,
+    report_of,
     shuffled,
     zoo_fans,
 )
 from oracles import (
+    coordinate_matrix,
     coordinate_rays,
     det,
     generator_coordinates,
@@ -30,7 +33,6 @@ from oracles import (
 from toristack.cones import Cone, dual_cone
 from toristack.charts import (
     LocalChart,
-    boundary_divisors_from_charts,
     face_group,
     is_kummer_etale_chart,
     local_chart,
@@ -66,8 +68,14 @@ def tame(sf, chars):
 
 
 def boundary_divisors(sf):
-    return boundary_divisors_from_charts(
-        sf, {c: local_chart(sf, c) for c in sf.fan.maximal_cones})
+    return report_of(sf)["boundary_divisors"]
+
+
+def cycle_coordinates(sf, cone):
+    """Per face id, the chart coordinates of its cycle ideal in the report's
+    chart over cone."""
+    chart = next(ch for ch in report_of(sf)["charts"] if ch["cone"] == ",".join(map(str, cone)))
+    return {ci["cone"]: ci["chart_coordinates"] for ci in chart["cycle_ideals"]}, chart
 
 
 # -- splitting -------------------------------------------------------------------
@@ -170,7 +178,7 @@ def test_stabilizer_formula_random():
     rng = random.Random(321)
     for fan in zoo_fans():
         sf = random_stacky(rng, fan)
-        for c in fan.cones:
+        for c in fan_faces(fan):
             assert stabilizer(sf, c).order == cone_stacky_multiplicity(sf, c)
 
 
@@ -178,9 +186,9 @@ def test_stabilizer_divides_up_the_face_lattice():
     rng = random.Random(654)
     for fan in zoo_fans():
         sf = random_stacky(rng, fan)
-        for c in fan.cones:
+        for c in fan_faces(fan):
             big = stabilizer(sf, c).order
-            for tau in fan.cones:
+            for tau in fan_faces(fan):
                 if set(tau) <= set(c):
                     assert big % stabilizer(sf, tau).order == 0
 
@@ -293,20 +301,19 @@ def test_kummer_etale_chart():
 
 def test_cycle_coordinates_single_ray():
     sf = StackyFan.build(a2_fan(), {})
-    chart = local_chart(sf, [0, 1])
-    coords = chart.cycle_coordinates((0,))
-    assert len(coords) == 1
-    assert chart.fan_rays[coords[0]] == 0
+    coords, chart = cycle_coordinates(sf, (0, 1))
+    assert len(coords["0"]) == 1
+    assert chart["coordinate_fan_rays"][coords["0"][0]] == 0
 
 
 def test_cycle_coordinates_full_cone():
     sf = StackyFan.build(a1_singularity_fan(), {})
-    assert local_chart(sf, [0, 1]).cycle_coordinates((0, 1)) == [0, 1]
+    assert cycle_coordinates(sf, (0, 1))[0]["0,1"] == [0, 1]
 
 
 def test_cycle_coordinates_zero_cone():
     sf = StackyFan.build(a1_singularity_fan(), {})
-    assert local_chart(sf, [0, 1]).cycle_coordinates(()) == []
+    assert cycle_coordinates(sf, (0, 1))[0][""] == []
 
 
 def test_boundary_divisors_p1():
@@ -379,7 +386,7 @@ def test_coordinates_pair_with_their_fan_rays():
     # and carries the level of the coordinate
     for sf in stacky_fans_with_shuffled_rays():
         fan = sf.fan
-        for c in fan.cones[1:]:
+        for c in fan_faces(fan)[1:]:
             chart = local_chart(sf, c)
             stars, local = coordinate_rays(chart.n_prime_basis, [fan.rays[i] for i in c])
             for i, (w, _) in enumerate(stars):
@@ -417,7 +424,7 @@ def test_local_chart_builds_no_cone_monoid_or_resolution(monkeypatch):
     monkeypatch.setattr(monoids_mod, "_hilbert_basis_full", forbidden("_hilbert_basis_full"))
     monkeypatch.setattr(monoids_mod.FreeResolution, "__new__", forbidden("FreeResolution"))
     for sf in sfs:
-        for c in sf.fan.cones:
+        for c in fan_faces(sf.fan):
             local_chart(sf, c)
     assert calls == []
 
@@ -468,7 +475,7 @@ def chart_through_resolution(sf, c):
         fan_rays.append(hits[0])
     levels = tuple(sf.levels[rho] for rho in fan_rays)
     res = admissible_resolution(p, dict(zip(p.defining_cone.rays, levels)))
-    s, u, _ = smith_normal_form(res.coordinate_matrix())
+    s, u, _ = smith_normal_form(coordinate_matrix(res.realized_generators))
     diag = [s[i][i] for i in range(len(c))]
     torsion = [i for i, x in enumerate(diag) if x > 1]
     weights = tuple(tuple(u[row][i] % diag[row] for row in torsion) for i in range(len(c)))
@@ -477,7 +484,7 @@ def chart_through_resolution(sf, c):
 
 def test_chart_matches_the_resolution_path():
     for sf in stacky_fans_with_shuffled_rays():
-        for c in sf.fan.cones[1:]:
+        for c in fan_faces(sf.fan)[1:]:
             chart = local_chart(sf, c)
             assert (chart.group, chart.action_weights, chart.fan_rays, chart.levels) \
                 == chart_through_resolution(sf, c), (sf.fan.rays, sf.levels, c)

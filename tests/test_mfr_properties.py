@@ -12,7 +12,10 @@ For each cone, the oracle reads the rays of C(P) off ``coordinate_rays`` in
 the printed N' basis (itself checked to be a basis of the saturated span of
 the rays), the denominators from the image of Z^r under each coordinate in
 the basis of those rays, the Hilbert basis from ``box_hilbert_basis`` and
-the stacky multiplicity from the gcd of the maximal minors of the rays.
+the stacky multiplicity from the gcd of the maximal minors of the rays,
+and the invariant factors of the cokernel F^gp / P^gp from the
+determinantal divisors of the matrix of Z^r in the basis of the oracle's
+realized generators.
 """
 
 import math
@@ -20,8 +23,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from conftest import random_stacky, shuffled, zoo_fans
-from oracles import box_hilbert_basis, coordinate_rays, det, solve_square
+from conftest import fan_faces, random_stacky, shuffled, zoo_fans
+from oracles import (box_hilbert_basis, cokernel_invariant_factors, coordinate_rays, det,
+                     solve_square)
 
 from toristack import validate_fan
 from toristack.cli import mfr_data
@@ -88,6 +92,7 @@ def expected_mfr(sf, cone, basis):
         "hilbert_basis": [list(h) for h in box_hilbert_basis(ws, r)],
         "fan_rays": fan_rays,
         "stacky_multiplicity": max_minor_gcd(rays) * math.prod(sf.levels[i] for i in cone),
+        "cokernel_invariant_factors": cokernel_invariant_factors(realized),
     }
 
 
@@ -109,7 +114,7 @@ def test_mfr_matches_oracles_on_every_cone_of_random_stacky_fans():
     ranks, cones_seen = set(), 0
     for sf in random_stacky_fans():
         ranks.add(sf.fan.ambient_rank)
-        for cone in sf.fan.cones[1:]:
+        for cone in fan_faces(sf.fan)[1:]:
             data = mfr_data(sf, list(cone))
             expected = expected_mfr(sf, cone, data["splitting_basis"][:len(cone)])
             context = (sf.fan.rays, cone, sf.levels)
@@ -118,6 +123,8 @@ def test_mfr_matches_oracles_on_every_cone_of_random_stacky_fans():
                 assert data[field] == expected[field], (field,) + context
             assert [line["fan_ray"] for line in data["correspondence"]] == expected["fan_rays"]
             assert data["cokernel"]["order"] == expected["stacky_multiplicity"], context
+            assert tuple(data["cokernel"]["invariant_factors"]) \
+                == expected["cokernel_invariant_factors"], context
             assert data["saturation_check"] is True
             cones_seen += 1
     assert ranks == {2, 3, 4, 5}

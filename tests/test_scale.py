@@ -4,8 +4,10 @@ minors, validating a complete fan compares no pair of cones and builds at
 most one ``Cone`` per maximal cone, an incomplete fan enumerates circuits
 only for a pair that no dual row certifies and sends fewer pairs than cones
 to the exact pair test when one row of the first cone certifies most of
-them, only a report lists the faces
-of a cone, and each boundary divisor reads only the cones on its own ray."""
+them (which tables single rows of the second cone only), ``mfr`` takes
+its cokernel from the chart's one Smith elimination, only a report lists
+the faces of a cone, and each boundary divisor reads only the cones on its
+own ray."""
 
 import json
 import math
@@ -13,11 +15,16 @@ from itertools import product
 
 import pytest
 
+from conftest import FIXTURES
+
 from toristack import charts as charts_mod
+from toristack import cli as cli_mod
 from toristack import cones as cones_mod
+from toristack import linalg as linalg_mod
+from toristack import monoids as monoids_mod
 from toristack import stackyfan as fan_mod
-from toristack.charts import boundary_divisors_from_charts, local_chart
-from toristack.cli import main
+from toristack.charts import local_chart
+from toristack.cli import FanDocument, cone_id, main, report_data
 from toristack.stackyfan import (ConeNotInFan, Fan, IntersectionNotFace, StackyFan, is_complete,
                                  validate_fan)
 
@@ -50,6 +57,22 @@ def test_nine_ray_chart_in_rank_18_sweeps_no_minors(monkeypatch):
     assert calls == ["smith_elimination"] * 2
     assert (chart.r, chart.torus_rank, chart.multiplicity) == (9, 9, 1)
     assert chart.group.invariant_factors == (3,)
+
+
+@pytest.mark.parametrize("fixture, cone, eliminations", [("quotient_3d.json", "0,1,2", 2),
+                                                         ("a1_cone.json", "0,1", 1)],
+                         ids=["rank-3", "rank-2"])
+def test_mfr_computes_the_cokernel_once(monkeypatch, capsys, fixture, cone, eliminations):
+    # the cokernel mfr prints is the chart's group, from the chart's one
+    # Smith elimination; a Hilbert basis takes one more from rank 3 on and
+    # none in rank 2 (Hirzebruch-Jung)
+    calls = []
+    for module in (linalg_mod, charts_mod, monoids_mod):
+        counting(monkeypatch, module, "smith_elimination", calls)
+    assert main(["mfr", str(FIXTURES / fixture), "--cone", cone]) == 0
+    capsys.readouterr()
+    assert len(calls) == eliminations
+    assert not hasattr(Fan, "cones")
 
 
 def test_full_dimensional_chart_takes_one_determinant(monkeypatch):
@@ -93,6 +116,15 @@ POLYGON_CONES = [[k, (k + 1) % 16] for k in range(16) if k != 13]
 OVERLAP_CONE = [13, 15]
 
 
+def evenly_spaced_rays(n):
+    """n evenly spaced of the primitive vectors with entries in [-13, 13], in
+    angular order."""
+    pool = sorted({(a // math.gcd(a, b), b // math.gcd(a, b))
+                   for a in range(-13, 14) for b in range(-13, 14) if a or b},
+                  key=lambda v: math.atan2(v[1], v[0]))
+    return [pool[k * len(pool) // n] for k in range(n)]
+
+
 def test_only_the_overlapping_pair_enumerates_circuits(monkeypatch):
     # every other pair, disjoint or sharing a ray, is certified by one dual
     # row or by the sum of the rows off the shared ray, from either side
@@ -118,18 +150,37 @@ def test_sign_masks_leave_few_pairs_to_the_exact_test(monkeypatch):
         validate_fan(POLYGON_RAYS, POLYGON_CONES + [OVERLAP_CONE], 2)
     assert info.value.cone_pair == ((13, 15), (14, 15))
     assert len(circuits) == 1 and len(pairs) < 16
-    # 300 evenly spaced of the primitive vectors with entries in [-13, 13],
-    # in angular order, and the cones on consecutive rays but the last: 44,551 pairs
-    pool = sorted({(a // math.gcd(a, b), b // math.gcd(a, b))
-                   for a in range(-13, 14) for b in range(-13, 14) if a or b},
-                  key=lambda v: math.atan2(v[1], v[0]))
-    rays = [pool[k * len(pool) // 300] for k in range(300)]
+    # 300 evenly spaced rays and the cones on consecutive rays but the last: 44,551 pairs
+    rays = evenly_spaced_rays(300)
     cones = [[k, k + 1] for k in range(299)]
     pairs.clear()
     circuits.clear()
     fan = validate_fan(rays, cones, 2)
     assert len(fan.maximal_cones) == 299 and not is_complete(fan)
     assert 0 < len(pairs) < len(fan.maximal_cones) and circuits == []
+
+
+def test_the_exact_pair_test_tables_only_the_second_cone(monkeypatch):
+    # the masks ran the single-row test of the first cone, so a pair left
+    # to _meet_in_shared_face adds only the sum of those rows, and tables
+    # single rows (_separates) for the second cone alone
+    pairs, tables = [], []
+    meet, separates = fan_mod._meet_in_shared_face, fan_mod._separates
+
+    def recording_meet(fan, c1, c2):
+        pairs.append((c1, c2))
+        return meet(fan, c1, c2)
+
+    def recording_separates(fan, c1, c2, shared):
+        tables.append((c2, c1))
+        return separates(fan, c1, c2, shared)
+
+    monkeypatch.setattr(fan_mod, "_meet_in_shared_face", recording_meet)
+    monkeypatch.setattr(fan_mod, "_separates", recording_separates)
+    with pytest.raises(IntersectionNotFace) as info:
+        validate_fan(POLYGON_RAYS, POLYGON_CONES + [OVERLAP_CONE], 2)
+    assert info.value.cone_pair == ((13, 15), (14, 15))
+    assert tables and set(tables) <= set(pairs) and len(tables) <= len(pairs)
 
 
 @pytest.mark.parametrize("command", [["validate"], ["stabilizer", "--cone", "0,2,4"],
@@ -142,7 +193,7 @@ def test_commands_other_than_report_list_no_face(tmp_path, monkeypatch, capsys, 
     cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=d)]
     path = tmp_path / "p1_cubed.json"
     path.write_text(json.dumps({"rank": d, "rays": rays, "max_cones": cones}), encoding="utf-8")
-    fans = []
+    fans, listed = [], []
     validate = fan_mod.validate_fan
 
     def keeping_validate_fan(*args):
@@ -150,10 +201,15 @@ def test_commands_other_than_report_list_no_face(tmp_path, monkeypatch, capsys, 
         return fans[-1]
 
     monkeypatch.setattr(fan_mod, "validate_fan", keeping_validate_fan)
+    # a report walks the faces of each maximal cone, and nothing else lists one
+    counting(monkeypatch, cli_mod, "combinations", listed)
+    assert not hasattr(Fan, "cones")
     assert main([command[0], str(path), *command[1:]]) == 0
     capsys.readouterr()
-    assert len(fans) == 1 and "cones" not in fans[0].__dict__
-    assert len(fans[0].cones) == 27  # listed on first read: (P^1)^3 has 3^3 cones
+    assert len(fans) == 1 and listed == []
+    assert main(["report", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["fan"]["num_cones"] == 27  # 3^3 faces
+    assert len(listed) == 8 * 4  # combinations(c, k), k = 0..3, per maximal cone
 
 
 class Watched(tuple):
@@ -170,25 +226,25 @@ class Watched(tuple):
         return super().__iter__()
 
 
-class CountingCharts(dict):
-    def __getitem__(self, key):
-        Watched.reads += 1
-        return super().__getitem__(key)
-
-
 def test_boundary_divisors_read_only_the_cones_on_each_ray():
-    sf = StackyFan.build(validate_fan(OCTAGON_RAYS, OCTAGON_CONES))
-    charts = CountingCharts({c: local_chart(sf, c) for c in sf.fan.maximal_cones})
-    fan = sf.fan
-    watched = StackyFan(Fan(fan.ambient_rank, fan.rays, tuple(map(Watched, fan.maximal_cones))),
-                        sf.levels)
-    watched.fan.cones_by_ray  # the fan's index, built once per fan
-    Watched.reads = 0
-    divisors = boundary_divisors_from_charts(watched, charts)
-    # one read per ray of each maximal cone: 16, where a sweep of every
-    # maximal cone for every ray makes 64 membership tests
-    assert Watched.reads == sum(map(len, fan.maximal_cones)) == 16
-    assert divisors == boundary_divisors_from_charts(sf, dict(charts))
+    # each chart writes the divisor coordinates of its own rays, so the
+    # report's reads of its cones grow with the fan: doubling a polygon
+    # doubles them, where a sweep of every maximal cone for every ray would
+    # add n^2 membership tests (4,096 on 64 rays, against about 1,100)
+    reads = []
+    for n in (32, 64):
+        rays = evenly_spaced_rays(n)
+        sf = StackyFan.build(validate_fan(rays, [[k, (k + 1) % n] for k in range(n)], 2))
+        fan = sf.fan
+        watched = StackyFan(Fan(2, fan.rays, tuple(map(Watched, fan.maximal_cones))), sf.levels)
+        doc = FanDocument(2, rays, list(fan.maximal_cones))
+        Watched.reads = 0
+        divisors = report_data(doc, watched)["boundary_divisors"]
+        reads.append(Watched.reads)
+        assert divisors == report_data(doc, sf)["boundary_divisors"]
+        assert [set(d["chart_coordinates"]) for d in divisors] \
+            == [{cone_id(c) for c in fan.maximal_cones if k in c} for k in range(n)]
+    assert reads[1] <= 2 * reads[0] + 8, reads
 
 
 def test_normalize_accepts_exactly_the_faces_of_maximal_cones():

@@ -12,6 +12,7 @@ from conftest import (
     a1_singularity_fan,
     a2_fan,
     a3_fan,
+    fan_faces,
     hirzebruch_fan,
     mixed_dim_fan,
     overlapping_polygon,
@@ -21,6 +22,7 @@ from conftest import (
     p3_fan,
     quotient_3d_fan,
     random_stacky,
+    report_of,
     weighted_p2_fan,
     zoo_fans,
 )
@@ -55,15 +57,20 @@ def canonical(sf_levels, fan):
 
 # -- validation ----------------------------------------------------------------
 
+def report_cones(fan):
+    """The faces a report lists, in its order."""
+    return [tuple(row["ray_indices"]) for row in report_of(StackyFan.build(fan))["cones"]]
+
+
 def test_p1_fan_valid():
     fan = p1_fan()
-    assert fan.cones == ((), (0,), (1,))
+    assert report_cones(fan) == [(), (0,), (1,)]
     assert fan.maximal_cones == ((0,), (1,))
 
 
 def test_p2_fan_valid():
     fan = p2_fan()
-    assert len(fan.cones) == 1 + 3 + 3
+    assert len(report_cones(fan)) == 1 + 3 + 3
     assert fan.maximal_cones == ((0, 1), (0, 2), (1, 2))
 
 
@@ -215,11 +222,12 @@ def test_build_reads_the_validated_rows_and_keeps_its_tripwire(monkeypatch):
 
 def test_closure_is_idempotent_and_intersections_stored():
     for fan in zoo_fans():
-        cone_set = set(fan.cones)
-        for c in fan.cones:
+        listed = report_cones(fan)
+        cone_set = set(listed)
+        assert len(cone_set) == len(listed) and listed == fan_faces(fan)
+        for c in listed:
             for k in range(len(c)):
-                import itertools
-                for sub in itertools.combinations(c, k):
+                for sub in combinations(c, k):
                     assert sub in cone_set
         for c1 in fan.maximal_cones:
             for c2 in fan.maximal_cones:

@@ -14,6 +14,7 @@ its cone rows and the stabilizer command.
 """
 
 import functools
+import math
 import random
 from itertools import combinations
 
@@ -24,8 +25,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import overlapping_polygon
-from oracles import det, determinantal_divisors, is_tame, pairwise_validate_fan
+from conftest import fan_faces, overlapping_polygon
+from oracles import (coordinate_rays, det, determinantal_divisors, is_tame, multiplicity,
+                     pairwise_validate_fan)
 
 from toristack import stackyfan as fan_mod
 from toristack.cli import FanDocument, check_document, report_data, stabilizer_data
@@ -75,6 +77,10 @@ THROUGH_A_FACET = ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (-1, 0, 0)],
 # the other cone, which is < 0 on both axes
 BY_THE_ROW_SUM = [(1, 0), (0, 1), (-2, 1), (1, -2)], [(0, 1), (2, 3)]
 FROM_THE_SECOND_SIDE = [(1, 0), (0, 1), (-1, 2), (1, -3)], [(0, 1), (2, 3)]
+# two 3-cones that meet only at 0, which no dual row of either, nor the sum
+# of either's rows, separates: only their circuits certify the pair
+BY_CIRCUITS_ONLY = ([(1, 0, 0), (-1, -1, 1), (-1, 1, 1), (0, 0, -1), (1, -1, -1), (1, 1, 0)],
+                    [(0, 1, 2), (3, 4, 5)])
 
 
 def product(first, second):
@@ -169,7 +175,7 @@ def outcome(rays, cones, d):
         fan = validate_fan(rays, cones, d)
     except FanError as e:
         return type(e).__name__, getattr(e, "cone_pair", getattr(e, "cone_indices", None))
-    return None, (list(fan.cones), list(fan.maximal_cones))
+    return None, (fan_faces(fan), list(fan.maximal_cones))
 
 
 @PROPERTY
@@ -181,6 +187,7 @@ def outcome(rays, cones, d):
 @example((*THROUGH_A_FACET, 3, "stray"))
 @example((*BY_THE_ROW_SUM, 2, "dropped"))
 @example((*FROM_THE_SECOND_SIDE, 2, "dropped"))
+@example((*BY_CIRCUITS_ONLY, 3, "dropped"))
 def test_validation_agrees_with_every_pair_compared(drawn):
     rays, cones, d, kind = drawn
     expected = pairwise_validate_fan(rays, cones, d)
@@ -204,6 +211,18 @@ def test_pairs_no_single_row_certifies_are_settled_without_circuits(monkeypatch,
     assert fan.maximal_cones == (q1, c2) and enumerated == []
     assert fan_mod._separates(fan, q1, c2, set()) == side_one
     assert fan_mod._separates(fan, c2, q1, set())
+
+
+def test_a_pair_only_circuits_certify_is_accepted(monkeypatch):
+    rays, cones = BY_CIRCUITS_ONLY
+    enumerated = []
+    circuit_vectors = fan_mod.circuit_vectors
+    monkeypatch.setattr(fan_mod, "circuit_vectors",
+                        lambda *a: enumerated.append(a) or circuit_vectors(*a))
+    fan = validate_fan(rays, cones, 3)
+    assert fan.maximal_cones == tuple(cones) and len(enumerated) == 1
+    assert not fan_mod._separates(fan, *cones, set())
+    assert not fan_mod._separates(fan, *cones[::-1], set())
 
 
 def test_pentagram_is_refused_with_the_first_overlapping_pair():
@@ -275,7 +294,7 @@ def test_stabilizer_command_matches_determinantal_divisors(drawn, data):
     found, sf = check_document(doc)
     assume(not found)
     minor = functools.cache(det)
-    for c in sf.fan.cones:
+    for c in fan_faces(sf.fan):
         row = stabilizer_data(sf, list(c))
         divisors = [1] + determinantal_divisors(
             [[levels[i] * x for x in rays[i]] for i in c], minor)
@@ -283,3 +302,65 @@ def test_stabilizer_command_matches_determinantal_divisors(drawn, data):
         assert row["cone"] == ",".join(map(str, c))
         assert row["stacky_multiplicity"] == row["stabilizer"]["order"] == divisors[-1], c
         assert row["stabilizer"]["invariant_factors"] == factors, c
+
+
+def weighted_projective(rng, d):
+    """P(q_0, ..., q_d): the rays e_1..e_d and the primitive vector on
+    -(q_1, ..., q_d), with the cones on every d of them."""
+    weights = [rng.randint(1, 3) for _ in range(d)]
+    g = math.gcd(*weights)
+    rays = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    return rays + [tuple(-q // g for q in weights)], list(combinations(range(d + 1), d))
+
+
+def drawn_stacky_fans(count):
+    """(rays, cones, d, levels) of valid stacky fans in ranks 2-5, from the
+    complete fans of ``fans`` (some with cones dropped or cut to faces) and
+    weighted projective spaces, disguised by GL_d(Z), with levels 1-6."""
+    rng = random.Random(2718)
+    out = []
+    while len(out) < count:
+        d = 2 + len(out) % 4
+        kind = rng.choice(["complete", "weighted", "dropped", "faces"])
+        rays, cones = disguise(rng, weighted_projective(rng, d) if kind == "weighted"
+                               else complete_fan(rng, d))
+        if kind == "dropped":
+            cones = rng.sample(cones, rng.randint(1, len(cones)))
+        elif kind == "faces":
+            for k in rng.sample(range(len(cones)), rng.randint(1, len(cones))):
+                cones[k] = sorted(rng.sample(cones[k], rng.randint(1, d - 1)))
+        levels = {i: rng.randint(1, 6) for i in range(len(rays))}
+        doc = FanDocument(d, rays, [tuple(c) for c in cones], levels, [0])
+        found, sf = check_document(doc)
+        if not found:
+            out.append((doc, sf))
+    return out
+
+
+def test_report_chart_coordinates_match_the_coordinate_rays_oracle():
+    # each chart's coordinates are the rays of C(P) in lex order in its
+    # printed N' basis, each named by the one ray of the cone it pairs with
+    # positively (``oracles.coordinate_rays``); a face's cycle ideal holds
+    # the coordinates of its rays, and a ray's boundary divisor is cut by
+    # its one coordinate in each chart on it
+    drawn = drawn_stacky_fans(120)
+    assert {doc.rank for doc, _ in drawn} == {2, 3, 4, 5}
+    for doc, sf in drawn:
+        data = report_data(doc, sf)
+        cut = [{} for _ in doc.rays]
+        for chart in data["charts"]:
+            c = tuple(map(int, chart["cone"].split(","))) if chart["cone"] else ()
+            basis = chart["splitting"]["n_prime_basis"]
+            assert multiplicity(basis) == 1, (doc, c)  # a basis of a saturated lattice
+            stars, _ = coordinate_rays(basis, [doc.rays[i] for i in c])
+            fan_rays = [c[j] for _, j in stars]
+            assert chart["coordinate_fan_rays"] == fan_rays, (doc, c)
+            faces = [f for k in range(len(c) + 1) for f in combinations(c, k)]
+            assert [ci["cone"] for ci in chart["cycle_ideals"]] \
+                == [",".join(map(str, f)) for f in faces], (doc, c)
+            for ci, f in zip(chart["cycle_ideals"], faces):
+                assert ci["chart_coordinates"] \
+                    == [i for i, rho in enumerate(fan_rays) if rho in f], (doc, c, f)
+            for i, rho in enumerate(fan_rays):
+                cut[rho][chart["cone"]] = i
+        assert [b["chart_coordinates"] for b in data["boundary_divisors"]] == cut, doc
