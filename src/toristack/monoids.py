@@ -11,9 +11,12 @@ not computed here: in the basis of realized generators the matrix of
 P^gp -> F^gp is a chart's free-net matrix, so it is the chart's group
 (``charts.LocalChart.group``). A cone's data comes from as few inversions
 as its description allows: the Hilbert basis from one Smith form of the ray
-matrix, the free generators from the dual rays that C(P) already stores.
-Every lattice walk here (a Hilbert basis) counts its points first and raises
-``LatticeWalkTooLarge`` above ``MAX_LATTICE_POINTS``. No command calls
+matrix, the free generators and a resolution's P <= F check from the dual
+rays that C(P) already stores. Every lattice walk here (a Hilbert basis)
+counts its points first and raises ``LatticeWalkTooLarge`` above
+``MAX_LATTICE_POINTS``; from rank 3 on it holds one integer per residue of
+the parallelepiped and forms a lattice point only for each irreducible
+residue. No command calls
 ``quotient_group`` or ``restrict_resolution``; each states a result of the
 paper.
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import le, mul
+from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from . import cones
@@ -31,7 +34,6 @@ from .cones import Cone
 from .linalg import (
     FiniteAbelianGroup,
     FracVec,
-    IntegerInverse,
     IntVec,
     canonical_basis,
     complete_to_basis,
@@ -141,25 +143,39 @@ def _hilbert_basis_full(ray_list: Sequence[IntVec], d: int) -> list[IntVec]:
 
     In rank 2 the basis comes from the Hirzebruch-Jung continued fraction of
     the rays (``_hilbert_basis_plane``), with no normal form and no
-    parallelepiped. From rank 3 on, it enumerates the lattice points of the
-    half-open fundamental parallelepiped of the primitive rays (one per
-    residue class of Z^d modulo the ray lattice, vol = |det| of them, so
-    more than ``MAX_LATTICE_POINTS`` raises ``LatticeWalkTooLarge`` before
-    any is built) and adds the rays. Every candidate carries its
-    coordinates in the basis ``ray / vol``: ``vol * e_i`` for the i-th ray,
-    and for a parallelepiped point its residue vector, built one invariant
-    factor of Z^d / A Z^d at a time. All of it comes from one Smith
-    elimination U A V = S of the ray matrix A, with no inverse: vol is the
-    product of the diagonal s_j, and since A^-1 U^-1 = V S^-1, the j-th
-    residue generator U^-1 e_j has the scaled coordinates (vol / s_j) V e_j.
-    The irreducible elements are then found by the reduction rule of
-    Normaliz (Bruns-Ichim, J. Algebra 324, 2010): in order of degree
-    (coordinate sum), h is reducible iff some already accepted element is
-    componentwise <= h, because every decomposition of a reducible h starts
-    with a Hilbert-basis element of lower degree.
+    parallelepiped. From rank 3 on, the basis is the rays and the
+    irreducible lattice points of the half-open fundamental parallelepiped
+    of the rays, one per residue class of Z^d modulo the ray lattice:
+    vol = |det| of them, so more than ``MAX_LATTICE_POINTS`` raises
+    ``LatticeWalkTooLarge`` before any is built. Each point is walked as
+    its residue vector c, its coordinates in the basis ``ray / vol`` (each
+    in [0, vol)), and only an irreducible one is turned into the point
+    A c / vol. All of it comes from one Smith elimination U A V = S of the
+    ray matrix A, with no inverse: vol is the product of the diagonal s_j,
+    and since A^-1 U^-1 = V S^-1, the j-th residue generator U^-1 e_j has
+    the scaled coordinates w_j = (vol / s_j) V e_j. A w_j = 0 (mod vol) is
+    checked once per generator, which by linearity makes every A c / vol
+    integral. The residues are built one invariant factor at a time, each
+    packed into one integer, coordinate k in the k-th field of ``width``
+    bits: adding a step of the generator adds the fields, and a guard bit on
+    top of each field flags those that reached vol, so that one
+    subtraction brings them back.
+
+    The irreducible residues are found by the reduction rule of Normaliz
+    (Bruns-Ichim, J. Algebra 324, 2010): taken in an order where g comes
+    before h whenever g <= h componentwise, h is reducible iff some already
+    accepted residue is componentwise <= h, because every decomposition of
+    a reducible h starts with a Hilbert-basis element below it. The integer
+    order of the packed residues is such an order (lexicographic from the
+    last coordinate), and one subtraction compares all fields at once. A
+    ray, ``vol * e_i`` in these coordinates, neither reduces a residue nor
+    is reduced by one, as the rays are primitive (checked), so the rays join
+    the basis unreduced.
     """
     if d == 2:
         return _hilbert_basis_plane(*ray_list)
+    if any(math.gcd(*r) != 1 for r in ray_list):
+        raise AssertionError("ray of a simplicial cone is not primitive")
     rows = [list(r) for r in zip(*ray_list)]  # A: the rays as columns
     v = identity_rows(d)
     diag = smith_elimination([row[:] for row in rows], v=v)
@@ -168,28 +184,41 @@ def _hilbert_basis_full(ray_list: Sequence[IntVec], d: int) -> list[IntVec]:
         raise AssertionError("rays of a simplicial cone are dependent")
     if vol > MAX_LATTICE_POINTS:
         raise LatticeWalkTooLarge(vol)
-    fracs = [(0,) * d]
+    # a field holds a sum of two coordinates (< 2 vol) below its guard bit
+    width = vol.bit_length() + 2
+    top = width - 1
+    ones = sum(1 << (k * width) for k in range(d))
+    guard, vols = ones << top, ones * vol
+    residues = [0]
     for j, n in enumerate(diag):
         if n > 1:
             w = [row[j] * (vol // n) for row in v]
-            fracs = [tuple([(f + c * x) % vol for f, x in zip(frac, w)])
-                     for frac in fracs for c in range(n)]
-    coords: dict[IntVec, tuple[int, ...]] = {
-        r: tuple(vol * int(i == k) for k in range(d)) for i, r in enumerate(ray_list)}
-    for frac in fracs[1:]:  # fracs[0] is the origin
+            if any(dot(row, w) % vol for row in rows):
+                raise AssertionError("parallelepiped point is not integral")
+            steps = [sum((c * x % vol) << (k * width) for k, x in enumerate(w)) for c in range(n)]
+            residues = [(x := r + s) - ((((x | guard) - vols) & guard) >> top) * vol
+                        for r in residues for s in steps]
+    residues.sort()
+    accepted = []
+    for h in residues[1:]:  # residues[0] is the origin
+        hg = h | guard
+        for g in accepted:
+            if (hg - g) & guard == guard:  # g <= h in every field
+                break
+        else:
+            accepted.append(h)
+    mask = (1 << width) - 1
+    basis = list(ray_list)
+    for h in accepted:
+        c = [(h >> (k * width)) & mask for k in range(d)]
         p = []
         for row in rows:
-            q, rem = divmod(sum(map(mul, row, frac)), vol)
+            q, rem = divmod(dot(row, c), vol)
             if rem:
                 raise AssertionError("parallelepiped point is not integral")
             p.append(q)
-        coords[tuple(p)] = frac
-    accepted: list[tuple[tuple[int, ...], IntVec]] = []
-    for h in sorted(coords, key=lambda h: (sum(coords[h]), h)):
-        ch = coords[h]
-        if not any(all(map(le, cg, ch)) for cg, _ in accepted):
-            accepted.append((ch, h))
-    return sorted(h for _, h in accepted)
+        basis.append(tuple(p))
+    return sorted(basis)
 
 
 def split_coordinates(vectors: Sequence[IntVec], n_prime: Sequence[IntVec],
@@ -304,12 +333,17 @@ class FreeResolution(_ResolutionFields):
 
     generators are the minimal free generators f_i = v_i / b_i sitting on the
     rays v_i of C(P); realized_generators g_i = f_i / n_i carry the level
-    scalings (all n_i = 1 for the minimal resolution). Construction checks
-    that P lies in the free monoid on the f_i, hence in the one on the g_i:
-    the i-th coordinate of a Hilbert-basis element in the g basis is a
-    nonnegative multiple of n_i. The Hilbert basis generates P^gp, so the
-    check also makes the matrix of P^gp -> F^gp integral. The inverse that
-    check takes is kept in the instance ``__dict__``, beside the fields.
+    scalings (all n_i = 1 for the minimal resolution). In the g basis the
+    i-th coordinate of m is n_i <u_i, m>, for the dual ray
+    u_i = ``cones.ray_star(C(P), v_i)`` that C(P) already stores, so no
+    matrix is inverted. Construction checks that P lies in the free monoid
+    on the f_i, hence in the one on the g_i: for each Hilbert-basis element
+    h, every <u_i, h> >= 0, and those coordinates rebuild h exactly,
+    sum_i n_i <u_i, h> (L g_i) = L h over the common denominator L of the
+    g_i. Generators off the rays of C(P) fail that check. The Hilbert basis
+    generates P^gp, so the matrix of P^gp -> F^gp is integral. The
+    realized generators over L and the dual rays are kept in the instance
+    ``__dict__``, beside the fields.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -318,10 +352,13 @@ class FreeResolution(_ResolutionFields):
             raise ValueError("levels must be positive integers")
         if any(b < 1 for b in self.denominators):
             raise ValueError("denominators must be positive integers")
-        m, q = self._basis_inverse
+        scale, gens = self._scaled_generators
+        columns = list(zip(*gens))
+        rows = [[n * x for x in u] for u, n in zip(self._dual_rays, self.levels)]
         for h in self.source.hilbert_basis:
-            coordinates = (dot(row, h) for row in m)
-            if any(v % (q * n) or v < 0 for v, n in zip(coordinates, self.levels)):
+            coordinates = [sum(map(mul, row, h)) for row in rows]
+            if (min(coordinates) < 0
+                    or [sum(map(mul, coordinates, col)) for col in columns] != [scale * x for x in h]):
                 raise AssertionError(
                     f"monoid element {h} is not a lattice point of the free monoid")
         return self
@@ -334,15 +371,14 @@ class FreeResolution(_ResolutionFields):
     def _scaled_generators(self) -> tuple[int, list[IntVec]]:
         """(L, L * g_i): the realized generators over their common denominator."""
         scale = math.lcm(*(x.denominator for g in self.realized_generators for x in g))
-        return scale, [tuple(int(x * scale) for x in g) for g in self.realized_generators]
+        return scale, [tuple(x.numerator * (scale // x.denominator) for x in g)
+                       for g in self.realized_generators]
 
     @cached_property
-    def _basis_inverse(self) -> IntegerInverse:
-        """(M, q) with ``M / q`` the inverse of the realized generator matrix."""
-        scale, gens = self._scaled_generators
-        m, q = integer_inverse([list(r) for r in zip(*gens)])
-        g = math.gcd(scale, q)
-        return [[x * (scale // g) for x in row] for row in m], q // g
+    def _dual_rays(self) -> tuple[IntVec, ...]:
+        """u_i = ``cones.ray_star(C(P), v_i)`` for each ray v_i, in ray order."""
+        c = self.source.defining_cone
+        return tuple(cones.ray_star(c, v) for v in c.rays)
 
 
 def minimal_free_resolution(p: AffineMonoid) -> FreeResolution:
@@ -470,10 +506,10 @@ def restrict_resolution(p: AffineMonoid, res: FreeResolution,
     if len(subset) == d:
         return p, res
     r = len(subset)
-    m, den = res._basis_inverse  # integral on P, as construction checked
+    duals = res._dual_rays  # <u_i, x> is the i-th coordinate at level 1
 
     def project(x: IntVec) -> IntVec:
-        return tuple(dot(m[i], x) // den for i in subset)
+        return tuple(dot(duals[i], x) for i in subset)
 
     projected = sorted(set(map(project, p.hilbert_basis)))
     basis = canonical_basis(projected)

@@ -1,7 +1,8 @@
-"""Property tests: the Hirzebruch-Jung Hilbert basis of a 2-cone against
-box enumeration, for cones in the plane (both ray orders, both
+"""Property tests against box enumeration: the Hirzebruch-Jung Hilbert
+basis of a 2-cone, for cones in the plane (both ray orders, both
 orientations) and for 2-cones inside rank 3-4, which reach it through the
-lower-dimensional branch of ``hilbert_basis``."""
+lower-dimensional branch of ``hilbert_basis``; and the parallelepiped walk
+of full-dimensional cones in rank 3-5, in any order of the rays."""
 
 import math
 
@@ -49,6 +50,39 @@ def plane_cones_in_space(draw, bound=6):
     return gens, d
 
 
+@st.composite
+def full_cones(draw, max_box=8000):
+    """d primitive rays spanning Z^d up to finite index, d = 3-5: the rows of
+    a lower triangular matrix with diagonal 1-5, made primitive, under a
+    signed permutation of the coordinates, so that box enumeration sweeps at
+    most ``max_box`` points."""
+    d = draw(st.integers(3, 5))
+    rows = [[draw(st.sampled_from((0, 0, 1, -1, 2, -3))) for _ in range(i)]
+            + [draw(st.integers(1, 5))] + [0] * (d - 1 - i) for i in range(d)]
+    rows = [[x // math.gcd(*row) for x in row] for row in rows]
+    order = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    rays = [tuple(s * row[k] for s, k in zip(signs, order)) for row in rows]
+    assume(math.prod(sum(abs(r[j]) for r in rays) + 1 for j in range(d)) <= max_box)
+    return draw(st.permutations(rays)), d
+
+
+@PROPERTY
+@given(full_cones())
+@example(([(1, 0, 0), (1, 2, 0), (1, 0, 2)], 3))  # Z/2 x Z/2, three residues of degree 4
+@example(([(1, 0, 0), (0, 1, 0), (2, 3, 6)], 3))  # two residues of degree 8, one reducible
+# taken in the order built, the reversed rays keep (2, 1, 1) = (1, 0, 1) + (1, 1, 0)
+@example(([(1, 0, 0), (1, 3, 0), (1, -3, 2)], 3))
+@example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 6)], 4))
+@example(([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 2, 0, 0), (0, 1, 0, 2, 0),
+           (1, 0, 1, 1, 2)], 5))  # Z/2 x Z/4
+def test_full_hilbert_basis_matches_box_oracle(case):
+    rays, d = case
+    expected = box_hilbert_basis(rays, d)
+    assert _hilbert_basis_full(rays, d) == expected
+    assert _hilbert_basis_full(rays[::-1], d) == expected
+
+
 def mirror(v):
     return (-v[0], v[1])
 
@@ -90,3 +124,8 @@ def test_non_primitive_ray_is_a_tripwire():
         _hilbert_basis_full([(1, 0), (2, 4)], 2)
     with pytest.raises(AssertionError, match="not primitive"):
         _hilbert_basis_full([(0, 3), (1, 1)], 2)
+    # in rank 3 no reduction would drop (2, 0, 0): nothing lies below a ray
+    with pytest.raises(AssertionError, match="not primitive"):
+        _hilbert_basis_full([(2, 0, 0), (0, 1, 0), (1, 1, 3)], 3)
+    with pytest.raises(AssertionError, match="not primitive"):
+        _hilbert_basis_full([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (2, 2, 2, 4)], 4)

@@ -490,10 +490,31 @@ def test_resolution_checks_the_minimal_free_monoid_under_levels():
                        generators=minimal, realized_generators=realized)
 
 
+def embedding(p, generators):
+    """P inside the free monoid F on ``generators``, which need not lie on the
+    rays of C(P): the minimal resolution of P with its generators replaced.
+
+    ``FreeResolution`` refuses generators off the rays and ``_replace`` skips
+    its checks, so P <= F is checked here, on the oracle's coordinates.
+    """
+    gens = tuple(tuple(frac(x) for x in g) for g in generators)
+    for h in p.hilbert_basis:
+        coordinates = generator_coordinates(gens, h)
+        assert all(x.denominator == 1 and x >= 0 for x in coordinates), (gens, h)
+    return minimal_free_resolution(p)._replace(generators=gens, realized_generators=gens)
+
+
+def test_resolution_rejects_generators_off_the_rays():
+    # P <= F holds, since (0, 1) = (1, 0) + (-1, 1), but (-1, 1) lies on no
+    # ray of C(P), so the coordinates read off the dual rays miss (0, 1)
+    with pytest.raises(AssertionError, match="not a lattice point of the free monoid"):
+        orthant_resolution((1, 0), (-1, 1))
+
+
 def test_saturation_check_finds_lattice_point_outside_monoid():
     # P <= F holds, since (0, 1) = (1, 0) + (-1, 1); but the generator (-1, 1)
     # is a lattice point of F outside P
-    res = orthant_resolution((1, 0), (-1, 1))
+    res = embedding(monoid_of(sigma((1, 0), (0, 1))), [(1, 0), (-1, 1)])
     assert coordinate_matrix(res.realized_generators) == [[1, 1], [0, 1]]
     assert not saturation_intersection_check(res)
 
@@ -509,14 +530,12 @@ def inverse_resolution(c_rows):
     p = monoid_of(Cone.from_generators(
         [tuple(int(i == j) for j in range(d)) for i in range(d)], d))
     columns = [solve_square(c_rows, [int(i == j) for i in range(d)]) for j in range(d)]
-    gens = tuple(tuple(col) for col in columns)
-    return FreeResolution(source=p, rank=d, denominators=(1,) * d, levels=(1,) * d,
-                          generators=gens, realized_generators=gens)
+    return embedding(p, columns)
 
 
 def test_saturation_check_agrees_with_box_walk():
     rng = random.Random(909)
-    resolutions = [orthant_resolution((1, 0), (-1, 1))]
+    resolutions = [embedding(monoid_of(sigma((1, 0), (0, 1))), [(1, 0), (-1, 1)])]
     for _ in range(16):
         d = rng.randint(1, 4)
         p = monoid_of(Cone.from_generators(random_full_cone_rays(rng, d, bound=3), d))
