@@ -31,7 +31,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from json.encoder import encode_basestring
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -205,47 +205,77 @@ def validation_errors(doc: FanDocument) -> list[dict]:
 # ---------------------------------------------------------------------------
 # serialization
 
+# the types the writer knows; an instance of a subclass of one of them is
+# written as that type
+_JSON_TYPES = (str, bool, int, list, tuple, dict, Fraction, type(None))
+# the sets of element types that the block paths compare against
+_INT, _STR, _FRACTION, _ROWS = {int}, {str}, {Fraction}, {list, tuple}
+
+
 def _write_json(value, out: list[str], newline: str) -> None:
     """Append the JSON text of value to out; newline ends a line and indents the next."""
-    if isinstance(value, str):
-        out.append(encode_basestring(value))
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(encode_basestring(str(value)) if abs(value) > _JSON_SAFE_INT
-                   else int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
+    kind = type(value)
+    if kind not in _JSON_TYPES:
+        kind = next((t for t in _JSON_TYPES if isinstance(value, t)), None)
+        if kind is None:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        items = value if set(map(type, value)) == _STR else {str(k): v for k, v in value.items()}
+        sep = "{" + inner
+        for key, x in sorted(items.items()):
+            out.append(sep + encode_basestring(key) + ": ")
+            _write_json(x, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(type(x) is int and -_JSON_SAFE_INT <= x <= _JSON_SAFE_INT for x in value):
-            out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
-            return
+        kinds = set(map(type, value))
+        # a list of exact ints in the safe range is one join, and a list of
+        # equal-length rows of them one format of a row template per row
+        if kinds == _INT:
+            if -_JSON_SAFE_INT <= min(value) and max(value) <= _JSON_SAFE_INT:
+                out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+                return
+        elif kinds <= _ROWS and len(value[0]) and len(set(map(len, value))) == 1:
+            flat = tuple(chain.from_iterable(value))
+            cells = set(map(type, flat))
+            if cells == _INT and -_JSON_SAFE_INT <= min(flat) and max(flat) <= _JSON_SAFE_INT:
+                cell = "%d"
+            elif cells == _FRACTION:
+                cell = '"%d/%d"'
+                flat = tuple(chain.from_iterable((x.numerator, x.denominator) for x in flat))
+            else:
+                cell = None
+            if cell:
+                row = inner + "  "
+                row = "[" + row + ("," + row).join((cell,) * len(value[0])) + inner + "]"
+                out.append(("[" + inner + ("," + inner).join((row,) * len(value))
+                            + newline + "]") % flat)
+                return
         sep = "[" + inner
         for x in value:
             out.append(sep)
             _write_json(x, out, inner)
             sep = "," + inner
         out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        items = {str(k): v for k, v in value.items()}
-        sep = "{" + inner
-        for key in sorted(items):
-            out.append(sep + encode_basestring(key) + ": ")
-            _write_json(items[key], out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, Fraction):
+    elif kind is str:
+        out.append(encode_basestring(value))
+    elif kind is int:
+        out.append(encode_basestring(str(value)) if abs(value) > _JSON_SAFE_INT
+                   else int.__repr__(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is Fraction:
         out.append(f'"{value.numerator}/{value.denominator}"')
-    elif value is None:
-        out.append("null")
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        out.append("null")
 
 
 def emit_json(obj) -> str:
@@ -255,6 +285,10 @@ def emit_json(obj) -> str:
     ensure_ascii=False)`` plus a final newline, after keys become strings,
     tuples lists, integers beyond 2^53-1 in absolute value decimal strings
     and ``Fraction``s ``"p/q"`` strings; other types raise ``TypeError``.
+    Two kinds of list are written as one block: exact ints within 2^53-1 in
+    one ``join``, and non-empty rows of one length, all such ints or all
+    ``Fraction``s, in one ``%`` format of a row template per row. Any other
+    list, and each of its elements, goes through the recursion.
     """
     out: list[str] = []
     _write_json(obj, out, "\n")

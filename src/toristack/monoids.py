@@ -343,11 +343,15 @@ class FreeResolution(_ResolutionFields):
     g_i. Generators off the rays of C(P) fail that check. The Hilbert basis
     generates P^gp, so the matrix of P^gp -> F^gp is integral. The
     realized generators over L and the dual rays are kept in the instance
-    ``__dict__``, beside the fields.
+    ``__dict__``, beside the fields; ``dual_rays``, when given, are the u_i
+    in ray order, so that a caller that already has them (as
+    ``admissible_resolution`` does) does not pair each ray again.
     """
 
-    def __new__(cls, *args, **kwargs):
+    def __new__(cls, *args, dual_rays=None, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if dual_rays is not None:
+            self.__dict__["_dual_rays"] = dual_rays
         if any(n < 1 for n in self.levels):
             raise ValueError("levels must be positive integers")
         if any(b < 1 for b in self.denominators):
@@ -415,7 +419,8 @@ def admissible_resolution(p: AffineMonoid, levels: Mapping[IntVec, int]) -> Free
             raise ValueError(f"level on ray {key} must be >= 1")
         by_ray[key] = int(n)
     ns = tuple(by_ray.get(r, 1) for r in ray_list)
-    denominators = tuple(dot(cones.ray_star(c, v), v) for v in ray_list)
+    duals = tuple(cones.ray_star(c, v) for v in ray_list)
+    denominators = tuple(map(dot, duals, ray_list))
     gens = tuple(tuple(Fraction(x, b) for x in v) for v, b in zip(ray_list, denominators))
     return FreeResolution(
         source=p, rank=p.lattice_rank,
@@ -423,6 +428,7 @@ def admissible_resolution(p: AffineMonoid, levels: Mapping[IntVec, int]) -> Free
         levels=ns,
         generators=gens,
         realized_generators=tuple(tuple(x / n for x in f) for f, n in zip(gens, ns)),
+        dual_rays=duals,
     )
 
 

@@ -11,7 +11,9 @@ line before and after it. The corpus:
   GL_d(Z) image with its rays shuffled, random levels and characteristics;
 - random one-cone documents of rank 1-4, full- and lower-dimensional;
 - documents that reach each way a pair of cones is settled or refused
-  (``certificate_documents``), and each kind of refused characteristic.
+  (``certificate_documents``), and each kind of refused characteristic;
+- cones with 62-bit ray entries (``big_entry_documents``), whose reports and
+  resolutions hold integers beyond 2^53-1, written as strings, inside rows.
 
 Each document runs ``validate``, ``report`` and ``complete`` (JSON and
 text), and ``mfr`` and ``stabilizer`` (JSON and text) on every prefix of
@@ -175,6 +177,20 @@ def certificate_documents():
     ]
 
 
+def big_entry_documents():
+    """(name, document) pairs of small-index cones with 62-bit ray entries."""
+    n = 2 ** 62 - 1
+    return [
+        # index 3, a level on one ray
+        ("62-bit-plane-cone", {"rank": 2, "rays": [[n, 1], [n - 3, 1]], "max_cones": [[0, 1]],
+                               "levels": {"1": 2}}),
+        # unimodular, and the plane of the first two rays as a face
+        ("62-bit-space-cone", {"rank": 3, "rays": [[n, 1, 0], [n - 1, 1, 0], [0, 5, 1]],
+                               "max_cones": [[0, 1, 2]], "levels": {"2": 3},
+                               "characteristics": [0, 3]}),
+    ]
+
+
 def refusals():
     """(name, document text, argvs) of the commands that must be refused."""
     p2 = (ROOT / "tests" / "fixtures" / "p2.json").read_text(encoding="utf-8")
@@ -228,7 +244,8 @@ def corpus():
     for seed in SEEDS:
         docs = seeded_documents(seed) + one_cone_documents(seed)
         out += [(f"seed-{seed}-{i}", json.dumps(doc)) for i, doc in enumerate(docs)]
-    return out + [(name, json.dumps(doc)) for name, doc in certificate_documents()]
+    return out + [(name, json.dumps(doc))
+                  for name, doc in certificate_documents() + big_entry_documents()]
 
 
 def main() -> int:

@@ -18,7 +18,7 @@ from oracles import (
 )
 
 from toristack.cones import Cone, contains, dual_cone
-from toristack.linalg import FiniteAbelianGroup
+from toristack.linalg import FiniteAbelianGroup, dot
 from toristack.monoids import (
     AffineMonoid,
     FreeResolution,
@@ -456,6 +456,19 @@ def test_saturation_check_examples():
     n1 = monoid_of(Cone.from_generators([(1,)], 1))
     assert saturation_intersection_check(admissible_resolution(n1, {(1,): 2}))
 
+
+
+def test_resolution_pairs_each_ray_with_its_dual_ray_once(monkeypatch):
+    # the denominators and the P <= F check read one dual ray per ray of C(P)
+    import toristack.cones
+    calls = []
+    ray_star = toristack.cones.ray_star
+    monkeypatch.setattr(toristack.cones, "ray_star", lambda c, v: calls.append(v) or ray_star(c, v))
+    p = monoid_of(sigma((1, 0, 0), (0, 1, 0), (2, 3, 6)))
+    res = admissible_resolution(p, {p.defining_cone.rays[0]: 2})
+    assert calls == list(p.defining_cone.rays)
+    assert res._dual_rays == tuple(ray_star(p.defining_cone, v) for v in p.defining_cone.rays)
+    assert res.denominators == tuple(map(dot, res._dual_rays, p.defining_cone.rays))
 
 # -- tripwires on broken resolution data ------------------------------------------
 

@@ -10,7 +10,9 @@ that wind around the origin more than once, whose walls each still
 separate exactly two cones, and polygons with one cone {i, i + 1} replaced
 by {i, i + 2}, times projective spaces above rank 2. The same
 fans, given levels and characteristics, check the report's tameness flag,
-its cone rows and the stabilizer command.
+its cone rows and the stabilizer command. Drawn stacky fans in ranks 2-5
+check the report's chart coordinates; with random one-cone fans, those in
+ranks 2-4 check its cycle ideals.
 """
 
 import functools
@@ -25,9 +27,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fan_faces, overlapping_polygon
-from oracles import (coordinate_rays, det, determinantal_divisors, is_tame, multiplicity,
-                     pairwise_validate_fan)
+from conftest import fan_faces, overlapping_polygon, random_full_cone_rays
+from oracles import (box_hilbert_basis, coordinate_rays, det, determinantal_divisors, is_tame,
+                     multiplicity, pairwise_validate_fan)
 
 from toristack import stackyfan as fan_mod
 from toristack.cli import FanDocument, check_document, report_data, stabilizer_data
@@ -313,6 +315,7 @@ def weighted_projective(rng, d):
     return rays + [tuple(-q // g for q in weights)], list(combinations(range(d + 1), d))
 
 
+@functools.cache
 def drawn_stacky_fans(count):
     """(rays, cones, d, levels) of valid stacky fans in ranks 2-5, from the
     complete fans of ``fans`` (some with cones dropped or cut to faces) and
@@ -364,3 +367,66 @@ def test_report_chart_coordinates_match_the_coordinate_rays_oracle():
             for i, rho in enumerate(fan_rays):
                 cut[rho][chart["cone"]] = i
         assert [b["chart_coordinates"] for b in data["boundary_divisors"]] == cut, doc
+
+
+# most lattice points in the bounding box of a dual cone's parallelepiped
+# that the cycle-ideal test hands to ``oracles.box_hilbert_basis``
+MAX_ORACLE_BOX = 2000
+
+
+def oracle_box(duals):
+    """Lattice points in the bounding box of the parallelepiped of duals."""
+    return math.prod(sum(max(0, u[j]) for u in duals) - sum(min(0, u[j]) for u in duals) + 1
+                     for j in range(len(duals)))
+
+
+def dual_rays(rays):
+    """The primitive rays of the dual of a full-dimensional simplicial cone."""
+    d = len(rays)
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    return [u for u, _ in coordinate_rays(identity, rays)[0]]
+
+
+def one_cone_stacky_fans(count):
+    """(doc, sf) of full-dimensional cones on random rays in ranks 2-4, with
+    entries in [-3, 3], [-2, 2] and [-1, 1] by rank, levels 1-6, and an
+    oracle box of at most ``MAX_ORACLE_BOX`` points."""
+    rng = random.Random(3141)
+    out = []
+    while len(out) < count:
+        d = 2 + len(out) % 3
+        rays = [tuple(x // math.gcd(*v) for x in v) for v in random_full_cone_rays(rng, d, 5 - d)]
+        if oracle_box(dual_rays(rays)) > MAX_ORACLE_BOX:
+            continue
+        doc = FanDocument(d, rays, [tuple(range(d))],
+                          {i: rng.randint(1, 6) for i in range(d)}, [0])
+        found, sf = check_document(doc)
+        assert not found, doc
+        out.append((doc, sf))
+    return out
+
+
+def test_report_cycle_ideals_match_the_box_hilbert_basis_oracle():
+    # on each full-dimensional maximal cone with a small oracle box, the
+    # cycle ideal of a face is generated by the elements of the Hilbert basis
+    # of the dual (``oracles.box_hilbert_basis``, on the dual rays of
+    # ``oracles.coordinate_rays``) that are positive on some ray of the
+    # face, in sorted order; the zero face's ideal is empty and the cone's
+    # own holds the whole basis
+    checked = []
+    for doc, sf in drawn_stacky_fans(120) + one_cone_stacky_fans(60):
+        d = doc.rank
+        for chart in report_data(doc, sf)["charts"]:
+            c = tuple(map(int, chart["cone"].split(","))) if chart["cone"] else ()
+            duals = dual_rays([doc.rays[i] for i in c]) if len(c) == d else None
+            if duals is None or oracle_box(duals) > MAX_ORACLE_BOX:
+                continue
+            basis = box_hilbert_basis(duals, d)
+            for ci in chart["cycle_ideals"]:
+                f = tuple(map(int, ci["cone"].split(","))) if ci["cone"] else ()
+                expected = [list(h) for h in basis if any(dot(h, doc.rays[i]) > 0 for i in f)]
+                assert ci["coarse_generators"] == expected, (doc, c, f)
+            checked.append((d, len(basis) > d))
+    # in each rank some dual has more basis elements than rays
+    assert len(checked) >= 200
+    assert {(d, True) for d in (2, 3, 4)} <= set(checked)
