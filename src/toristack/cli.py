@@ -19,6 +19,13 @@ report listing over ``MAX_REPORT_FACES`` cycle ideals, refused
 before it starts, and in a report before any chart or face group; the
 message names the count, the limit and a walk's cone).
 
+A report is streamed: every refusal and tripwire (the face limit, the
+Hilbert-basis walks, the charts and every face group) runs before its
+first byte, so exits 3 and 4 write nothing to stdout; then each entry (a
+chart, a cycle ideal, a ``cones`` row, a boundary divisor) is built just
+before it is written, in chunks of a bounded number of pieces of text
+(JSON) or lines (text). ``report_data`` builds the same report as one dict.
+
 ``main`` may be called any number of times in one process; the argument
 parser is built on the first call and reused.
 """
@@ -31,7 +38,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from json.encoder import encode_basestring
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -80,25 +87,27 @@ class FanDocument(NamedTuple):
     characteristics: Sequence[int] = (0,)
 
 
-def _expect(condition, message):
+def _expect(condition, template, *args):
+    """Raise ``DocumentParseError`` unless condition; the message is
+    ``template.format(*args)``, formatted only then."""
     if not condition:
-        raise DocumentParseError(message)
+        raise DocumentParseError(template.format(*args))
 
 
 def _int_like(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _decimal(text: str, message: str) -> int:
+def _decimal(text: str, template: str, *args) -> int:
     """The integer an ASCII decimal string (``-?[0-9]+``, but not ``-0``,
-    ``-00``, ...) spells, else ``DocumentParseError`` with the message, also
-    for more digits than ``int()`` converts."""
+    ``-00``, ...) spells, else ``DocumentParseError`` with the message
+    ``template.format(*args)``, also for more digits than ``int()`` converts."""
     if re.fullmatch("[0-9]+|-0*[1-9][0-9]*", text):
         try:
             return int(text)
         except ValueError:  # past int()'s digit limit
             pass
-    raise DocumentParseError(message)
+    raise DocumentParseError(template.format(*args))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -130,39 +139,40 @@ def document_from_json(text: str) -> FanDocument:
                                  f"{sys.get_int_max_str_digits()} digits") from e
     _expect(isinstance(raw, dict), "document must be a JSON object")
     unknown = set(raw) - {"rank", "rays", "max_cones", "levels", "characteristics"}
-    _expect(not unknown, f"unknown fields: {sorted(unknown)}")
+    _expect(not unknown, "unknown fields: {}", sorted(unknown))
     _expect("rank" in raw and "rays" in raw and "max_cones" in raw,
             "document requires 'rank', 'rays' and 'max_cones'")
     rank = raw["rank"]
     _expect(_int_like(rank) and rank >= 1, "'rank' must be a positive integer")
-    _expect(rank <= MAX_RANK, f"'rank' {rank} is above the limit of {MAX_RANK}")
+    _expect(rank <= MAX_RANK, "'rank' {} is above the limit of {}", rank, MAX_RANK)
     rays_raw = raw["rays"]
     _expect(isinstance(rays_raw, list), "'rays' must be a list")
     rays = []
     # JSON gives no int subclass but bool, so ``type(x) is int`` is ``_int_like``
     for i, r in enumerate(rays_raw):
         _expect(isinstance(r, list) and len(r) == rank and all(type(x) is int for x in r),
-                f"ray {r!r} must be a list of {rank} integers")
+                "ray {!r} must be a list of {} integers", r, rank)
         _expect(-ENTRY_LIMIT < min(r) and max(r) < ENTRY_LIMIT,
-                f"ray {i} has an entry of absolute value 2^64 or more")
+                "ray {} has an entry of absolute value 2^64 or more", i)
         rays.append(tuple(r))
     cones_raw = raw["max_cones"]
     _expect(isinstance(cones_raw, list), "'max_cones' must be a list")
     max_cones = []
     for c in cones_raw:
         _expect(isinstance(c, list) and all(type(i) is int for i in c),
-                f"cone {c!r} must be a list of ray indices")
+                "cone {!r} must be a list of ray indices", c)
         max_cones.append(tuple(c))
     levels_raw = raw.get("levels")
     _expect(levels_raw is None or isinstance(levels_raw, dict),
             "'levels' must be an object keyed by ray index")
     levels, named = {}, {}
     for key, value in (levels_raw or {}).items():
-        index = _decimal(key, f"level key {key!r} must be a decimal ray index")
-        _expect(index not in named, f"level keys {named.get(index)!r} and {key!r} name ray {index}")
+        index = _decimal(key, "level key {!r} must be a decimal ray index", key)
+        _expect(index not in named, "level keys {!r} and {!r} name ray {}",
+                named.get(index), key, index)
         named[index] = key
-        _expect(_int_like(value), f"level for ray {key} must be an integer")
-        _expect(abs(value) < ENTRY_LIMIT, f"level for ray {key} has absolute value 2^64 or more")
+        _expect(_int_like(value), "level for ray {} must be an integer", key)
+        _expect(abs(value) < ENTRY_LIMIT, "level for ray {} has absolute value 2^64 or more", key)
         levels[index] = value
     chars = raw.get("characteristics", [0])
     _expect(isinstance(chars, list) and all(_int_like(p) for p in chars),
@@ -205,15 +215,47 @@ def validation_errors(doc: FanDocument) -> list[dict]:
 # ---------------------------------------------------------------------------
 # serialization
 
+class _Entries:
+    """A list whose entries are built one at a time, anew on each pass:
+    iterating it calls ``entries()``. The JSON writer may flush after each."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def __iter__(self):
+        return self.entries()
+
+
+class _Stream(list):
+    """Pieces of text; ``flush`` writes them out as one chunk and drops them."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write):
+        self.write = write
+
+    def flush(self) -> None:
+        self.write("".join(self))
+        self.clear()
+
+
+# a streamed report writes a chunk once this many pieces of JSON text (at
+# the end of an entry) or lines of text are pending; a text table reads
+# this many rows at a time for its column widths
+_CHUNK = 512
 # the types the writer knows; an instance of a subclass of one of them is
 # written as that type
-_JSON_TYPES = (str, bool, int, list, tuple, dict, Fraction, type(None))
+_JSON_TYPES = (str, bool, int, list, tuple, dict, Fraction, type(None), _Entries)
 # the sets of element types that the block paths compare against
 _INT, _STR, _FRACTION, _ROWS = {int}, {str}, {Fraction}, {list, tuple}
 
 
-def _write_json(value, out: list[str], newline: str) -> None:
-    """Append the JSON text of value to out; newline ends a line and indents the next."""
+def _write_json(value, out: _Stream, newline: str) -> None:
+    """Append the JSON text of value to out; newline ends a line and indents
+    the next. After each entry of an ``_Entries``, out is flushed once it
+    holds ``_CHUNK`` pieces."""
     kind = type(value)
     if kind not in _JSON_TYPES:
         kind = next((t for t in _JSON_TYPES if isinstance(value, t)), None)
@@ -274,8 +316,27 @@ def _write_json(value, out: list[str], newline: str) -> None:
         out.append("true" if value else "false")
     elif kind is Fraction:
         out.append(f'"{value.numerator}/{value.denominator}"')
+    elif kind is _Entries:
+        inner = newline + "  "
+        sep = "[" + inner
+        for x in value:
+            out.append(sep)
+            _write_json(x, out, inner)
+            if len(out) >= _CHUNK:
+                out.flush()
+            sep = "," + inner
+        out.append("[]" if sep[0] == "[" else newline + "]")
     else:
         out.append("null")
+
+
+def write_json(obj, write) -> None:
+    """Write the text of ``emit_json(obj)`` through write, in chunks that
+    end with an entry of an ``_Entries`` in obj, and then the rest."""
+    out = _Stream(write)
+    _write_json(obj, out, "\n")
+    out.append("\n")
+    out.flush()
 
 
 def emit_json(obj) -> str:
@@ -283,28 +344,28 @@ def emit_json(obj) -> str:
 
     The bytes are those of ``json.dumps(..., sort_keys=True, indent=2,
     ensure_ascii=False)`` plus a final newline, after keys become strings,
-    tuples lists, integers beyond 2^53-1 in absolute value decimal strings
-    and ``Fraction``s ``"p/q"`` strings; other types raise ``TypeError``.
-    Two kinds of list are written as one block: exact ints within 2^53-1 in
-    one ``join``, and non-empty rows of one length, all such ints or all
-    ``Fraction``s, in one ``%`` format of a row template per row. Any other
-    list, and each of its elements, goes through the recursion.
+    tuples and ``_Entries`` lists, integers beyond 2^53-1 in absolute value
+    decimal strings and ``Fraction``s ``"p/q"`` strings; other types raise
+    ``TypeError``. Two kinds of list are written as one block: exact ints
+    within 2^53-1 in one ``join``, and non-empty rows of one length, all
+    such ints or all ``Fraction``s, in one ``%`` format of a row template
+    per row. Any other list, and each of its elements, goes through the
+    recursion.
     """
-    out: list[str] = []
-    _write_json(obj, out, "\n")
-    out.append("\n")
-    return "".join(out)
+    chunks: list[str] = []
+    write_json(obj, chunks.append)
+    return "".join(chunks)
 
 
 def cone_id(indices: Sequence[int]) -> str:
-    return ",".join(str(i) for i in indices)
+    return ",".join(map(str, indices))
 
 
 def _group_dict(g: FiniteAbelianGroup) -> dict:
     return {
         "invariant_factors": list(g.invariant_factors),
         "order": g.order,
-        "cartier_dual": " x ".join(f"mu_{d}" for d in g.invariant_factors) or "trivial",
+        "cartier_dual": " x ".join(map("mu_{}".format, g.invariant_factors)) or "trivial",
     }
 
 
@@ -320,16 +381,26 @@ def _on_cone(key: tuple[int, ...], compute):
         raise
 
 
-def report_data(doc: FanDocument, sf: StackyFan) -> dict:
+def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
+    """The report, with each list that grows with the output (its charts,
+    their cycle ideals, its cones and boundary divisors) an ``_Entries``
+    that builds its entries as they are read.
+
+    Every refusal and tripwire runs here, before any entry: the face limit,
+    each maximal cone's Hilbert-basis walk, the charts, the group of every
+    face and the chart-coordinate check. What the entries read is one group
+    per face and one reference per cycle ideal, not the output.
+    """
     fan = sf.fan
     faces = sum(2 ** len(c) for c in fan.maximal_cones)  # a cycle ideal per chart face
     if faces > MAX_REPORT_FACES:
         raise ReportTooLarge(f"report would list {faces} cycle ideals, "
                              f"above the limit of {MAX_REPORT_FACES}")
     # every maximal cone's coarse generators come first, so that a Hilbert
-    # basis walk over the limit is refused before any chart or face group
+    # basis walk over the limit is refused before any chart or face group;
+    # no cache keeps the cones (or the fan) once the report is written
     generators = {c: _on_cone(c, lambda: monoidlib.monoid_generators(
-        conelib.dual_cone(fan.cone_geometry(c)))) for c in fan.maximal_cones}
+        conelib.dual_cone(fan.build_cone(c)))) for c in fan.maximal_cones}
     chars = doc.characteristics
     charts = {c: chartlib.local_chart(sf, c) for c in fan.maximal_cones}
     smooth_canonical = (all(n == 1 for n in sf.levels)
@@ -341,21 +412,36 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     etale = {c: chartlib.is_kummer_etale_chart(charts[c], chars) for c in fan.maximal_cones}
     tame = all(etale.values())
     # a maximal cone reads its group and multiplicity from its chart, and
-    # every other face from the chart of the first maximal cone that has it
-    groups = {c: (charts[c].group, charts[c].multiplicity) for c in fan.maximal_cones}
+    # every other face from the chart of the first maximal cone that has it;
+    # each value ends with its key, the one tuple the walks below keep per face
+    groups = {c: (charts[c].group, charts[c].multiplicity, c) for c in fan.maximal_cones}
     # per ray, the one coordinate of each chart on it that cuts its divisor
     divisor_coordinates = [{} for _ in fan.rays]
-    charts_out = []
+    # per maximal cone, its faces in walk order: one cycle ideal each
+    walks = {}
     for c in fan.maximal_cones:
+        chart = charts[c]
+        if sorted(chart.fan_rays) != list(c):
+            raise AssertionError("a ray must be cut by exactly one chart coordinate")
+        for i, rho in enumerate(chart.fan_rays):
+            divisor_coordinates[rho][cone_id(c)] = i
+        walk = walks[c] = []
+        for k in range(len(c) + 1):
+            for f in combinations(c, k):
+                known = groups.get(f)
+                if known is None:
+                    known = groups[f] = (*chartlib.face_group(chart, f), f)
+                walk.append(known[2])
+    # the walk above put every face of every maximal cone in groups
+    cones = sorted(groups)
+    cones.sort(key=len)
+
+    def chart_entry(c):
         chart = charts[c]
         # restricted to N' (M modulo the units sigma^perp is M'), they are the
         # Hilbert basis of the chart monoid P, and the units restrict to 0
         coarse = sorted({tuple(dot(h, v) for v in chart.n_prime_basis)
                          for h in generators[c]} - {(0,) * chart.r})
-        if sorted(chart.fan_rays) != list(c):
-            raise AssertionError("a ray must be cut by exactly one chart coordinate")
-        for i, rho in enumerate(chart.fan_rays):
-            divisor_coordinates[rho][cone_id(c)] = i
         # a face of c is a bit mask over c's positions; each generator (>= 0
         # on c) cuts a face's cycle when it is positive on one of its rays,
         # and each chart coordinate lies in a face when its fan ray does
@@ -364,18 +450,17 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
                                   if dot(h, fan.rays[rho]) > 0))
                     for h in sorted(generators[c])]
         coordinate_bits = [position[rho] for rho in chart.fan_rays]
-        cycle_ideals = []
-        for k in range(len(c) + 1):
-            for f in combinations(c, k):
-                if f not in groups:
-                    groups[f] = chartlib.face_group(chart, f)
+
+        def cycle_ideals():
+            for f in walks[c]:
                 mask = sum(position[rho] for rho in f)
-                cycle_ideals.append({
+                yield {
                     "cone": cone_id(f),
                     "chart_coordinates": [i for i, bit in enumerate(coordinate_bits) if bit & mask],
                     "coarse_generators": [h for h, hit in positive if hit & mask],
-                })
-        charts_out.append({
+                }
+
+        return {
             "cone": cone_id(c),
             "r": chart.r,
             "torus_rank": chart.torus_rank,
@@ -389,26 +474,26 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
                 "n_prime_basis": [list(v) for v in chart.n_prime_basis],
                 "n_doubleprime_basis": [list(v) for v in chart.n_doubleprime_basis],
             },
-            "cycle_ideals": cycle_ideals,
-        })
-    # the walk above put every face of every maximal cone in groups
-    cones = sorted(groups, key=lambda f: (len(f), f))
-    cones_out = [{
-        "id": cone_id(c),
-        "ray_indices": list(c),
-        "dim": len(c),
-        "multiplicity": groups[c][1],
-        "stacky_multiplicity": groups[c][0].order,
-        "stabilizer": _group_dict(groups[c][0]),
-    } for c in cones]
-    # the generic stabilizer along a boundary divisor is cyclic of order its level
-    boundary = [{
-        "ray": rho,
-        "level": level,
-        "generic_stabilizer": f"mu_{level}" if level > 1 else "trivial",
-        "chart_coordinates": divisor_coordinates[rho],
-    } for rho, level in enumerate(sf.levels)]
+            "cycle_ideals": _Entries(cycle_ideals),
+        }
+
     out = {
+        # the generic stabilizer along a boundary divisor is cyclic of order its level
+        "boundary_divisors": _Entries(lambda: ({
+            "ray": rho,
+            "level": level,
+            "generic_stabilizer": f"mu_{level}" if level > 1 else "trivial",
+            "chart_coordinates": divisor_coordinates[rho],
+        } for rho, level in enumerate(sf.levels))),
+        "charts": _Entries(lambda: map(chart_entry, fan.maximal_cones)),
+        "cones": _Entries(lambda: ({
+            "id": cone_id(c),
+            "ray_indices": list(c),
+            "dim": len(c),
+            "multiplicity": q,
+            "stacky_multiplicity": group.order,
+            "stabilizer": _group_dict(group),
+        } for group, q, c in map(groups.__getitem__, cones))),
         "document": document_to_dict(doc),
         "fan": {
             "rank": fan.ambient_rank,
@@ -421,14 +506,25 @@ def report_data(doc: FanDocument, sf: StackyFan) -> dict:
             "smooth_canonical": smooth_canonical,
             "characteristics": list(chars),
         },
-        "cones": cones_out,
-        "charts": charts_out,
-        "boundary_divisors": boundary,
     }
     if smooth_canonical:
         out["fan"]["note"] = ("all levels are 1 and every cone is nonsingular: "
                               "the stack coincides with the toric variety of the fan")
     return out
+
+
+def _built(value):
+    """value with each ``_Entries`` in it, at any depth of dicts, built into a list."""
+    if type(value) is _Entries:
+        return [_built(x) for x in value]
+    if type(value) is dict:
+        return {k: _built(x) for k, x in value.items()}
+    return value
+
+
+def report_data(doc: FanDocument, sf: StackyFan) -> dict:
+    """The whole report as one dict: ``report_sections`` with every entry built."""
+    return _built(report_sections(doc, sf))
 
 
 def mfr_data(sf: StackyFan, cone_selector: Sequence[int]) -> dict:
@@ -473,49 +569,67 @@ def stabilizer_data(sf: StackyFan, cone_selector: Sequence[int]) -> dict:
 # ---------------------------------------------------------------------------
 # text rendering
 
-def _render_table(rows: list[list[str]], header: list[str]) -> list[str]:
-    widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
+def _render_table(rows, header: list[str]):
+    """The lines of a table. Its column widths are read ``_CHUNK`` rows at a
+    time; a table of more rows than that is read a second time for its lines."""
+    widths = list(map(len, header))
+    rows_left = iter(rows)
+    batch = first = list(islice(rows_left, _CHUNK))
+    while batch:
+        widths = [max(w, *map(len, map(str, column))) for w, column in zip(widths, zip(*batch))]
+        batch = list(islice(rows_left, _CHUNK))
     fmt = "  ".join("{:<%d}" % w for w in widths)
-    lines = [fmt.format(*header), fmt.format(*["-" * w for w in widths])]
-    lines.extend(fmt.format(*[str(x) for x in r]) for r in rows)
-    return lines
+    yield fmt.format(*header)
+    yield fmt.format(*["-" * w for w in widths])
+    for r in first if len(first) < _CHUNK else rows:
+        yield fmt.format(*map(str, r))
 
 
-def render_report_text(data: dict) -> str:
+def _report_lines(data: dict):
+    """The lines of the text report of data, a ``report_data`` dict or the
+    ``report_sections`` it is built from, each line as it is formatted."""
     fan = data["fan"]
-    lines = [
-        f"stacky fan report (rank {fan['rank']}, {fan['num_rays']} rays, "
-        f"{fan['num_cones']} cones)",
-        f"characteristics: {fan['characteristics']}",
-        f"complete: {fan['complete']}   tame: {fan['tame']}   "
-        f"Deligne-Mumford: {fan['deligne_mumford']}",
-    ]
+    yield (f"stacky fan report (rank {fan['rank']}, {fan['num_rays']} rays, "
+           f"{fan['num_cones']} cones)")
+    yield f"characteristics: {fan['characteristics']}"
+    yield (f"complete: {fan['complete']}   tame: {fan['tame']}   "
+           f"Deligne-Mumford: {fan['deligne_mumford']}")
     if fan.get("note"):
-        lines.append(fan["note"])
-    lines.append("")
-    rows = [[c["id"] or "(zero)", c["dim"], c["multiplicity"],
-             c["stacky_multiplicity"], c["stabilizer"]["cartier_dual"]]
-            for c in data["cones"]]
-    lines.extend(_render_table(rows, ["cone", "dim", "mult", "stacky mult", "stabilizer"]))
-    lines.append("")
+        yield fan["note"]
+    yield ""
+    rows = _Entries(lambda: ([c["id"] or "(zero)", c["dim"], c["multiplicity"],
+                              c["stacky_multiplicity"], c["stabilizer"]["cartier_dual"]]
+                             for c in data["cones"]))
+    yield from _render_table(rows, ["cone", "dim", "mult", "stacky mult", "stabilizer"])
+    yield ""
     for chart in data["charts"]:
-        lines.append(f"chart over cone [{chart['cone']}]: "
-                     f"[A^{chart['r']}/{chart['group']['cartier_dual']}]"
-                     f" x T^{chart['torus_rank']}"
-                     f"   Kummer-log-etale: {chart['kummer_log_etale']}")
-        lines.append(f"  action weights: {chart['action_weights']}"
-                     f"   coordinate levels: {chart['coordinate_levels']}"
-                     f"   coordinate rays: {chart['coordinate_fan_rays']}")
-        lines.append(f"  coarse Hilbert basis: {chart['coarse_hilbert_basis']}")
+        yield (f"chart over cone [{chart['cone']}]: "
+               f"[A^{chart['r']}/{chart['group']['cartier_dual']}]"
+               f" x T^{chart['torus_rank']}"
+               f"   Kummer-log-etale: {chart['kummer_log_etale']}")
+        yield (f"  action weights: {chart['action_weights']}"
+               f"   coordinate levels: {chart['coordinate_levels']}"
+               f"   coordinate rays: {chart['coordinate_fan_rays']}")
+        yield f"  coarse Hilbert basis: {chart['coarse_hilbert_basis']}"
         for ci in chart["cycle_ideals"]:
-            lines.append(f"  cycle [{ci['cone'] or 'zero'}]: coordinates "
-                         f"{ci['chart_coordinates']} coarse {ci['coarse_generators']}")
-        lines.append("")
+            yield (f"  cycle [{ci['cone'] or 'zero'}]: coordinates "
+                   f"{ci['chart_coordinates']} coarse {ci['coarse_generators']}")
+        yield ""
     rows = [[b["ray"], b["level"], b["generic_stabilizer"],
              json.dumps(b["chart_coordinates"], sort_keys=True)]
             for b in data["boundary_divisors"]]
-    lines.extend(_render_table(rows, ["ray", "level", "generic stab", "chart coordinate"]))
-    return "\n".join(lines) + "\n"
+    yield from _render_table(rows, ["ray", "level", "generic stab", "chart coordinate"])
+
+
+def render_report_text(data: dict) -> str:
+    return "\n".join(_report_lines(data)) + "\n"
+
+
+def _chunked(lines):
+    """Lines, each ended by a newline, in chunks of up to ``_CHUNK`` lines."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, _CHUNK)):
+        yield "\n".join(chunk) + "\n"
 
 
 def render_mfr_text(data: dict) -> str:
@@ -552,8 +666,8 @@ def _load_document(path: str) -> FanDocument:
 
 
 def _parse_cone_flag(value: str) -> list[int]:
-    message = f"bad cone selector {value!r}; expected i,j,..."
-    return [_decimal(x, message) for x in map(str.strip, value.split(",")) if x]
+    return [_decimal(x, "bad cone selector {!r}; expected i,j,...", value)
+            for x in map(str.strip, value.split(",")) if x]
 
 
 def cmd_validate(args) -> int:
@@ -566,10 +680,16 @@ def cmd_validate(args) -> int:
     return 0 if not errors else 1
 
 
-def _guarded(doc: FanDocument, compute, args):
+def _checked(doc: FanDocument) -> StackyFan | None:
+    """The document's stacky fan, or None once its violations are on stderr."""
     found, sf = check_document(doc)
     sys.stderr.writelines(f"{type(e).__name__}: {e}\n" for e in found)
-    if found:
+    return sf
+
+
+def _guarded(doc: FanDocument, compute, args):
+    sf = _checked(doc)
+    if sf is None:
         return 1
     data = compute(sf)
     sys.stdout.write(emit_json(data) if args.format == "json" else args.render(data))
@@ -578,8 +698,16 @@ def _guarded(doc: FanDocument, compute, args):
 
 def cmd_report(args) -> int:
     doc = _load_document(args.file)
-    args.render = render_report_text
-    return _guarded(doc, lambda sf: report_data(doc, sf), args)
+    sf = _checked(doc)
+    if sf is None:
+        return 1
+    # every refusal and tripwire runs before the first chunk is written
+    sections = report_sections(doc, sf)
+    if args.format == "json":
+        write_json(sections, sys.stdout.write)
+    else:
+        sys.stdout.writelines(_chunked(_report_lines(sections)))
+    return 0
 
 
 def cmd_mfr(args) -> int:

@@ -149,10 +149,14 @@ class Fan(_FanFields):
         """Per cone key, the ``cones.dual_rows`` of its rays (in key order)."""
         return _DualRows(self.rays, self.ambient_rank)
 
-    @lru_cache(maxsize=None)
-    def cone_geometry(self, indices: tuple[int, ...]) -> Cone:
+    def build_cone(self, indices: tuple[int, ...]) -> Cone:
+        """The ``Cone`` on the rays of a cone key, stored from its dual rows."""
         return Cone.on_rays([self.rays[i] for i in indices], self.dual_rows[indices],
                             self.ambient_rank)
+
+    # a process-wide cache that keeps each Fan it has seen alive; no command
+    # calls it (a report calls ``build_cone``)
+    cone_geometry = lru_cache(maxsize=None)(build_cone)
 
     @cached_property
     def cones_by_ray(self) -> dict[int, list[tuple[int, ...]]]:

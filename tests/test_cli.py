@@ -588,7 +588,7 @@ def test_internal_assertion_exits_3(monkeypatch, capsys):
     def boom(doc, sf):
         raise AssertionError("tripwire")
 
-    monkeypatch.setattr(cli_mod, "report_data", boom)
+    monkeypatch.setattr(cli_mod, "report_sections", boom)
     rc = main(["report", str(FIXTURES / "p2.json")])
     assert rc == 3
     assert "tripwire" in capsys.readouterr().err
@@ -602,7 +602,7 @@ def test_library_bug_exits_3(monkeypatch, capsys, error):
     def boom(doc, sf):
         raise error
 
-    monkeypatch.setattr(cli_mod, "report_data", boom)
+    monkeypatch.setattr(cli_mod, "report_sections", boom)
     rc = main(["report", str(FIXTURES / "p2.json")])
     assert rc == 3
     err = capsys.readouterr().err

@@ -1,0 +1,159 @@
+"""``toristack report`` writes its output entry by entry.
+
+The streamed bytes are those of the report built as one dict
+(``emit_json(report_data(...))`` and ``render_report_text(report_data(...))``),
+they are written in chunks of bounded size, the memory a report needs does
+not grow with its output, nothing is written before a refusal or tripwire,
+and no reported ``Fan`` outlives its command.
+"""
+
+import gc
+import json
+import sys
+import tracemalloc
+from itertools import product
+
+import pytest
+
+from conftest import FIXTURES
+
+from toristack import charts
+from toristack.cli import (
+    check_document,
+    document_from_json,
+    document_to_dict,
+    emit_json,
+    main,
+    render_report_text,
+    report_data,
+)
+from toristack.stackyfan import Fan
+
+
+class Chunks:
+    """A stdout that keeps each chunk written to it, or only their lengths."""
+
+    def __init__(self, keep=True):
+        self.chunks, self.keep, self.sizes = [], keep, []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        if self.keep:
+            self.chunks.append(text)
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def flush(self):
+        pass
+
+
+def streamed(monkeypatch, path, fmt, keep=True):
+    sink = Chunks(keep)
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", sink)
+        rc = main(["report", str(path), "--format", fmt])
+    assert rc == 0
+    return sink
+
+
+def p1_power(tmp_path, d):
+    rays = [e for i in range(d) for e in ([int(j == i) for j in range(d)],
+                                          [-int(j == i) for j in range(d)])]
+    cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=d)]
+    path = tmp_path / f"p1_power_{d}.json"
+    path.write_text(json.dumps({"rank": d, "rays": rays, "max_cones": cones}), encoding="utf-8")
+    return path
+
+
+def check_stream(monkeypatch, path, doc, sf):
+    built = report_data(doc, sf)
+    assert "".join(streamed(monkeypatch, path, "json").chunks) == emit_json(built), path
+    assert "".join(streamed(monkeypatch, path, "text").chunks) == render_report_text(built), path
+
+
+def test_streamed_report_matches_the_built_dict_on_the_fixtures(monkeypatch):
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = document_from_json(path.read_text(encoding="utf-8"))
+        found, sf = check_document(doc)
+        assert found == [], path
+        check_stream(monkeypatch, path, doc, sf)
+
+
+def test_streamed_report_matches_the_built_dict_on_drawn_fans(monkeypatch, tmp_path):
+    pytest.importorskip("hypothesis")
+    from test_validate_properties import drawn_stacky_fans
+
+    drawn = drawn_stacky_fans(120)
+    assert {doc.rank for doc, _ in drawn} == {2, 3, 4, 5}
+    path = tmp_path / "drawn.json"
+    for doc, sf in drawn:
+        path.write_text(json.dumps(document_to_dict(doc)), encoding="utf-8")
+        check_stream(monkeypatch, path, doc, sf)
+
+
+@pytest.mark.parametrize("fmt,output", [("json", 2717558), ("text", 514245)])
+def test_report_memory_does_not_grow_with_its_output(monkeypatch, tmp_path, fmt, output):
+    # (P^1)^6 lists 4,096 cycle ideals. Built as one dict and one string,
+    # its JSON report peaked at 11.6 MB under tracemalloc, the text one at
+    # 4.5 MB; streamed, the report keeps only its charts and face groups,
+    # and writes its 2.7 MB of JSON or 0.5 MB of text in chunks of at most
+    # 64 KiB
+    path = p1_power(tmp_path, 6)
+    streamed(monkeypatch, p1_power(tmp_path, 1), fmt, keep=False)  # builds the parser
+    tracemalloc.start()
+    try:
+        sink = streamed(monkeypatch, path, fmt, keep=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(sink.sizes) == output
+    assert len(sink.sizes) > output // 2 ** 16 and max(sink.sizes) < 2 ** 16
+    assert peak < 2 * 10 ** 6
+
+
+def live_fans():
+    gc.collect()
+    return sum(type(o) is Fan for o in gc.get_objects())
+
+
+def test_no_reported_fan_outlives_its_command(monkeypatch, tmp_path):
+    before = live_fans()
+    for fmt in ("json", "text"):
+        streamed(monkeypatch, p1_power(tmp_path, 3), fmt, keep=False)
+        streamed(monkeypatch, FIXTURES / "mixed_dim.json", fmt, keep=False)
+    assert Fan.cone_geometry.cache_info().currsize == 0
+    assert live_fans() == before
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_nothing_is_written_before_the_last_face_group(monkeypatch, capsys, fmt):
+    # every face group, and so every tripwire in one, comes before the first
+    # chunk: a report whose last face group fails writes nothing
+    path = str(FIXTURES / "quotient_3d.json")
+    calls, original = [], charts.face_group
+
+    def counting(chart, face):
+        calls.append(face)
+        return original(chart, face)
+
+    monkeypatch.setattr(charts, "face_group", counting)
+    assert main(["report", path, "--format", fmt]) == 0
+    capsys.readouterr()
+    last = len(calls)
+    assert last > 1
+    calls.clear()
+
+    def failing_last(chart, face):
+        calls.append(face)
+        if len(calls) == last:
+            raise AssertionError("tripwire in the last face group")
+        return original(chart, face)
+
+    monkeypatch.setattr(charts, "face_group", failing_last)
+    assert main(["report", path, "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error (AssertionError): tripwire in the last face group\n"
