@@ -9,11 +9,13 @@ dualizes each cone it is asked about once (``Fan.dual_rows``, by
 ``cones.dual_rows``, which is also the simpliciality test): validation
 fills that table for every listed cone, and the fan checks, the charts and
 the fan's ``Cone``s read it with no rank test of their own. A complete fan
-is settled from its walls alone (see ``validate_fan``), so no check builds
-a ``Cone`` or a face. A stacky fan adds one positive integer level per
-ray, whose free-net points n_rho * v_rho scale the lattice data of every
-cone containing the ray. Its stacky multiplicities and tameness are read
-off the charts, its cycle ideals and boundary divisors off the report.
+is settled from its walls alone (see ``_checked_fan``), so no check builds
+a ``Cone`` or a face; any other fan's pairs of cones are settled on sign
+masks of its dual rows, packed into a few integers (``_check_pairs``). A
+stacky fan adds one positive integer level per ray, whose free-net points
+n_rho * v_rho scale the lattice data of every cone containing the ray. Its
+stacky multiplicities and tameness are read off the charts, its cycle
+ideals and boundary divisors off the report.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import chain, compress, count, repeat
 from operator import add, mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import cones as conelib
 from .cones import Cone
@@ -257,16 +259,18 @@ def stacky_fan_violations(ambient_rank: int, rays: Sequence[Sequence[int]],
                           maximal_cones: Sequence[Sequence[int]], levels: Mapping[int, int],
                           characteristics: Sequence[int]) -> tuple[list[FanError], StackyFan | None]:
     """Every rule the document breaks, in listing order, and its stacky fan if
-    none. ``validate_fan`` checks the geometric axioms, up to the first failure,
-    once the rays and cone indices are sound."""
-    rays = [tuple(r) for r in rays]
+    none. The rays and cones (of ints) are made tuples and checked by
+    ``_ray_violations`` once; the geometric axioms (``_checked_fan``, as in
+    ``validate_fan``) are checked up to the first failure, once the rays and
+    cone indices are sound."""
+    rays, maximal_cones = [tuple(r) for r in rays], [tuple(c) for c in maximal_cones]
     structural = _ray_violations(rays, maximal_cones, ambient_rank)
     found = (structural + _level_violations(len(rays), levels)
              + [InvalidCharacteristic(p) for p in characteristics
                 if not is_residue_characteristic(p)])
     if not structural:
         try:
-            fan = validate_fan(rays, maximal_cones, ambient_rank)
+            fan = _checked_fan(rays, maximal_cones, ambient_rank)
         except FanError as e:
             found.append(e)
     return found, (None if found else StackyFan.build(fan, levels))
@@ -277,24 +281,13 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     """Construct a fan, checking every axiom; raises the first violation.
 
     Rays must be primitive and pairwise distinct (hence pairwise
-    non-proportional once simpliciality holds), cones simplicial, and the
-    intersection of any two cones must be the cone on their shared rays tau.
-
-    A complete fan whose walls each separate exactly two cones, and whose
-    cones cover one generic point once, is a valid fan with no pair
-    compared (``_covers_once``). Otherwise every pair of maximal cones is
-    settled in order, and the first pair that fails
-    ``_meet_in_shared_face`` is named: after a bulk test by sign masks
-    (``_check_pairs``), a pair is certified by a separating functional from
-    either side (each single dual row off the shared rays, or their sum)
-    before any circuit is enumerated. Before both, each
-    listed cone's ``cones.dual_rows`` is computed in listing order, the
-    simpliciality test (the first cone with dependent rays is named); the
-    rows fill the fan's ``Fan.dual_rows``, so no later step tests rank
-    again.
+    non-proportional once simpliciality holds), cone indices in range
+    (``_ray_violations``), cones simplicial, and the intersection of any two
+    cones must be the cone on their shared rays tau (``_checked_fan``).
+    Any sequences of integers are accepted, and converted by ``int``.
     """
-    rays = [tuple(int(x) for x in r) for r in rays]
-    maximal_cones = [tuple(int(i) for i in c) for c in maximal_cones]
+    rays = [tuple(map(int, r)) for r in rays]
+    maximal_cones = [tuple(map(int, c)) for c in maximal_cones]
     if ambient_rank is None:
         if not rays:
             raise ValueError("ambient rank is required for a fan with no rays")
@@ -302,7 +295,24 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     found = _ray_violations(rays, maximal_cones, ambient_rank)
     if found:
         raise found[0]
+    return _checked_fan(rays, maximal_cones, ambient_rank)
 
+
+def _checked_fan(rays: list[IntVec], maximal_cones: list[tuple[int, ...]],
+                 ambient_rank: int) -> Fan:
+    """The fan on rays and cones, tuples of ints, that ``_ray_violations`` passes;
+    raises the first geometric violation.
+
+    Each listed cone's ``cones.dual_rows`` is computed in listing order, the
+    simpliciality test (the first cone with dependent rays is named); the
+    rows fill the fan's ``Fan.dual_rows``, so no later step tests rank
+    again. A complete fan whose walls each separate exactly two cones, and
+    whose cones cover one generic point once, is a valid fan with no pair
+    compared (``_covers_once``). Otherwise every pair of maximal cones is
+    settled in order, and the first pair that fails is named: sign masks
+    certify most pairs in bulk from either side (``_check_pairs``), and
+    ``_meet_in_shared_face`` settles the rest exactly.
+    """
     listed = {}
     for c in maximal_cones:
         idx = tuple(sorted(set(c)))
@@ -326,32 +336,77 @@ def validate_fan(rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence
     return fan
 
 
+# the top byte of a biased field -> "1" where its pairing is < 0, else "0"
+_NEGATIVE = bytes(b"10"[b >> 7] for b in range(256))
+
+
+def _sign_masks(fan: Fan) -> Callable[[tuple[int, ...]], list[int]]:
+    """A function from a maximal cone to its sign masks: per dual row, in
+    key order, an int with bit j set where the row pairs < 0 with ray j of
+    the fan, and bit i set for the row's own ray i.
+
+    Each coordinate column of the rays is packed into one integer, ray j in
+    field j of W bytes, so a row's pairings with every ray are one sum of d
+    products, each pairing in its own field. A bias of 2^(8W-1) per field
+    keeps every field in [0, 2^(8W)), with its top bit set exactly where the
+    pairing is >= 0, as 2^(8W-1) exceeds d * max |row entry| * max |ray
+    entry| (over the rows of every maximal cone), which bounds every
+    pairing. The top byte of each field, big-endian (ray n - 1 first, the
+    mask's top bit), is read off in one stepped slice and one
+    ``bytes.translate``.
+    """
+    rays, rows = fan.rays, fan.dual_rows
+    entries = chain.from_iterable
+    ray_top = max(map(abs, entries(rays)))
+    row_top = max(map(abs, entries(entries(map(rows.__getitem__, fan.maximal_cones)))))
+    width = (fan.ambient_rank * ray_top * row_top).bit_length() // 8 + 1
+    half = 1 << 8 * width - 1
+    bias = int.from_bytes(half.to_bytes(width, "little") * len(rays), "little")
+    columns = [int.from_bytes(b"".join(map(int.to_bytes, map(add, col, repeat(half)),
+                                           repeat(width), repeat("little"))), "little") - bias
+               for col in zip(*rays)]
+    size = width * len(rays)
+
+    def masks(cone: tuple[int, ...]) -> list[int]:
+        return [int(sum(map(mul, row, columns), bias).to_bytes(size, "big")[::width]
+                    .translate(_NEGATIVE), 2) | 1 << i
+                for i, row in zip(cone, rows[cone])]
+
+    return masks
+
+
 def _check_pairs(fan: Fan) -> None:
     """Raise ``IntersectionNotFace`` on the first pair of maximal cones, in
-    ``combinations`` order, that ``_meet_in_shared_face`` refuses. A pair
-    that one dual row of c1 certifies (``_separates``) skips it: per row of
-    c1, a bitmask (bit i for ray i) of its own ray and the rays where it is
-    < 0, from one pass over the ray columns, certifies c2 when, cut to c2's
-    rays, it is c2's rays off tau. One c1's masks are kept at a time."""
+    ``combinations`` order, that ``_meet_in_shared_face`` refuses.
+
+    A pair that one dual row of either cone certifies (the row is >= 0 on
+    its cone, vanishes on the shared rays tau and is < 0 on the other
+    cone's rays off tau) skips that test. A sign mask m of c1
+    (``_sign_masks``) certifies c2 when, cut to c2's rays, it is c2's rays
+    off tau: when no ray of c2 is among the rays where m and b1 (the bits
+    of c1's rays) agree (the bit of the row's own ray keeps a row at a
+    shared ray out). c1's first mask is tested against every later cone at
+    once, by ``map`` over their bits; each further mask only against the
+    cones left. Only for a cone that no mask of c1 certifies are c2's masks
+    computed, and tested against c1's rays; they are not kept. So one c1's
+    masks and one c2's are in memory at a time."""
     maximal = fan.maximal_cones
-    columns = [col[::-1] for col in zip(*fan.rays)]  # ray n - 1 first, the mask's top bit
-    bits = [sum(1 << i for i in c) for c in maximal]
+    if len(maximal) < 2:
+        return
+    masks_of = _sign_masks(fan)
+    bits = [sum(map((1).__lshift__, c)) for c in maximal]
+    every = (1 << len(fan.rays)) - 1
     for k, (c1, b1) in enumerate(zip(maximal[:-1], bits)):
-        masks = []
-        for i, row in zip(c1, fan.dual_rows[c1]):
-            pairings = map(mul, columns[0], repeat(row[0]))
-            for col, x in zip(columns[1:], row[1:]):
-                pairings = map(add, pairings, map(mul, col, repeat(x)))
-            negative = "".join(map("01".__getitem__, map((0).__gt__, pairings)))
-            masks.append(int(negative, 2) | 1 << i)
-        for c2, b2 in zip(maximal[k + 1:], bits[k + 1:]):
-            off = b2 & ~b1
-            for m in masks:
-                if m & b2 == off:
-                    break
-            else:
-                if not _meet_in_shared_face(fan, c1, c2):
-                    raise IntersectionNotFace(c1, c2)
+        # per mask of c1, the rays whose sign fails it
+        first, *others = [every & ~(m ^ b1) for m in masks_of(c1)]
+        left = compress(count(k + 1), map(first.__and__, bits[k + 1:]))
+        for fails in others:
+            left = [j for j in left if bits[j] & fails]
+        for j in left:
+            c2, b2 = maximal[j], bits[j]
+            if (all(b1 & ~(m ^ b2) for m in masks_of(c2))
+                    and not _meet_in_shared_face(fan, c1, c2)):
+                raise IntersectionNotFace(c1, c2)
 
 
 def _covers_once(fan: Fan) -> bool:
@@ -383,47 +438,39 @@ def _covers_once(fan: Fan) -> bool:
 
 
 def _separates(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...], shared: set[int]) -> bool:
-    """Whether some functional m, each single dual row of c1
-    (``Fan.dual_rows``) at a ray outside the shared rays tau, or their sum,
-    is negative on c2's rays outside tau.
+    """Whether the sum m of c1's dual rows (``Fan.dual_rows``) at the rays
+    outside the shared rays tau is negative on c2's rays outside tau.
 
     Each such row, and so their sum, is >= 0 on c1 and vanishes on tau. For
     a point x of both cones, m.x >= 0 as x lies in c1, and writing x as a
     nonnegative combination of c2's rays, m.x <= 0 with equality only if no
     weight falls on c2's rays outside tau: x lies in the cone on tau. Both
-    tests read one table of pairings, c1's rows outside tau against c2's
-    rays outside tau (neither is empty for two maximal cones). The sum of
-    the rows is the sum of the dual rays of c1's ``Fan.cone_geometry`` that
-    vanish on tau, which ``Cone.on_rays`` stores from the same rows.
-    ``_check_pairs`` runs the single-row test of side 1 on bitmasks, so
-    ``_meet_in_shared_face`` calls this for side 2 only.
+    sets of rays outside tau are nonempty for two maximal cones. The sum is
+    the sum of the dual rays of c1's ``Fan.build_cone`` that vanish on
+    tau, which ``Cone.on_rays`` stores from the same rows. The single rows
+    are tested on sign masks by ``_check_pairs``.
     """
-    table = [[dot(row, fan.rays[j]) for j in c2 if j not in shared]
-             for i, row in zip(c1, fan.dual_rows[c1]) if i not in shared]
-    return any(max(p) < 0 for p in table) or max(map(sum, zip(*table))) < 0
+    total = [sum(x) for x in zip(*(row for i, row in zip(c1, fan.dual_rows[c1])
+                                   if i not in shared))]
+    return max(dot(total, fan.rays[j]) for j in c2 if j not in shared) < 0
 
 
 def _meet_in_shared_face(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
     """Whether two maximal cones of the fan intersect in the cone on their
-    shared rays: the exact test for the pairs that ``_check_pairs``' sign
-    masks leave.
+    shared rays: the exact test for the pairs that no single dual row of
+    either cone certifies (``_check_pairs``' sign masks).
 
-    A separating functional from either side certifies it: the sum of c1's
-    dual rows off the shared rays tau (the masks tested its single rows),
-    then each single row of c2 off tau, or their sum (``_separates``).
-    Otherwise, with A and B the rays of c1 and c2 outside tau, a point of
-    both cones outside tau is a relation among the rays of A, B and tau
-    that is >= 0 on A and <= 0 on B, and nonzero there since each cone's
-    rays are independent. Such a relation is a conformal sum of
+    The sum of either cone's dual rows off the shared rays tau certifies it
+    (``_separates``, c1's side first). Otherwise, with A and B the rays of
+    c1 and c2 outside tau, a point of both cones outside tau is a relation
+    among the rays of A, B and tau that is >= 0 on A and <= 0 on B, and
+    nonzero there since each cone's rays are independent. Such a relation is a conformal sum of
     circuits, so one exists iff some circuit c, or -c, has those signs (De
     Loera-Rambau-Santos, *Triangulations*, ch. 4). Each cone's rays being
     independent, every circuit meets both A and B.
     """
     shared = set(c1) & set(c2)
-    total = [sum(x) for x in zip(*(row for i, row in zip(c1, fan.dual_rows[c1])
-                                   if i not in shared))]
-    if (max(dot(total, fan.rays[j]) for j in c2 if j not in shared) < 0
-            or _separates(fan, c2, c1, shared)):
+    if _separates(fan, c1, c2, shared) or _separates(fan, c2, c1, shared):
         return True
     a = [fan.rays[i] for i in c1 if i not in shared]
     b = [fan.rays[i] for i in c2 if i not in shared]

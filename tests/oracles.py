@@ -8,6 +8,7 @@ cone one ray at a time or from tight subsets of its inequalities, canonical
 JSON from the standard library's encoder,
 the saturation check from a walk over the whole box of coefficients, fan
 validation from every pair of maximal cones with every circuit of their rays,
+the sign masks of dual rows from one plain dot product per ray,
 the closeness and saturation of a submonoid from Fourier-Motzkin and
 every lattice point of a box, multiplicities, stacky multiplicities,
 tameness and the cokernel of a free resolution from gcds of minors, and
@@ -424,6 +425,20 @@ def _overlap(rays, c1, c2):
                     or (max(on_a) <= 0 and min(on_b) >= 0)):
                 return True
     return False
+
+
+def sign_masks(rays, cone, rows):
+    """Per row of a cone, the row at ray cone[k] being rows[k]: an int with
+    bit j set where the row pairs < 0 with rays[j], and the bit of the
+    row's own ray, from one plain dot product per ray."""
+    masks = []
+    for i, row in zip(cone, rows):
+        mask = 1 << i
+        for j, r in enumerate(rays):
+            if sum(p * q for p, q in zip(row, r)) < 0:
+                mask |= 1 << j
+        masks.append(mask)
+    return masks
 
 
 def pairwise_validate_fan(rays, maximal_cones, d):

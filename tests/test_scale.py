@@ -2,13 +2,14 @@
 timed: a lower-dimensional chart's multiplicity takes no sweep over maximal
 minors, validating a complete fan compares no pair of cones and builds at
 most one ``Cone`` per maximal cone, an incomplete fan enumerates circuits
-only for a pair that no dual row certifies and sends fewer pairs than cones
-to the exact pair test when one row of the first cone certifies most of
-them (which tables single rows of the second cone only), ``mfr`` takes
-its cokernel from the chart's one Smith elimination, only a report lists
-the faces of a cone, and each boundary divisor reads only the cones on its
-own ray. One bound is on memory: a Hilbert basis walk holds one integer
-per residue and forms lattice points only for its basis."""
+only for a pair that no dual row certifies and sends to the exact pair test
+only the pairs that no single row of either cone certifies (which sums
+rows, side by side), ``mfr`` takes its cokernel from the chart's one Smith
+elimination, a command normalizes its document and checks its rays once,
+only a report lists the faces of a cone, and each boundary divisor reads
+only the cones on its own ray. One bound is on memory: a Hilbert basis
+walk holds one integer per residue and forms lattice points only for its
+basis."""
 
 import json
 import math
@@ -159,30 +160,43 @@ def test_only_the_overlapping_pair_enumerates_circuits(monkeypatch):
 
 
 def test_sign_masks_leave_few_pairs_to_the_exact_test(monkeypatch):
-    # the masks certify in bulk what one dual row of the first cone
-    # certifies; only the pairs left reach _meet_in_shared_face
+    # the masks certify in bulk what one dual row of either cone certifies;
+    # only the pairs left reach _meet_in_shared_face. On the polygon these
+    # are the seven pairs of cones whose rays no single row separates
+    # (each row vanishes on one ray of the other cone) and the overlap.
     pairs, circuits = [], []
-    counting(monkeypatch, fan_mod, "_meet_in_shared_face", pairs)
     counting(monkeypatch, fan_mod, "circuit_vectors", circuits)
+    meet = fan_mod._meet_in_shared_face
+
+    def recording_meet(fan, c1, c2):
+        pairs.append((c1, c2))
+        return meet(fan, c1, c2)
+
+    monkeypatch.setattr(fan_mod, "_meet_in_shared_face", recording_meet)
     with pytest.raises(IntersectionNotFace) as info:
         validate_fan(POLYGON_RAYS, POLYGON_CONES + [OVERLAP_CONE], 2)
     assert info.value.cone_pair == ((13, 15), (14, 15))
-    assert len(circuits) == 1 and len(pairs) < 16
-    # 300 evenly spaced rays and the cones on consecutive rays but the last: 44,551 pairs
+    assert len(circuits) == 1
+    assert pairs == [((0, 1), (8, 9)), ((0, 15), (7, 8)), ((1, 2), (9, 10)), ((2, 3), (10, 11)),
+                     ((3, 4), (11, 12)), ((4, 5), (12, 13)), ((6, 7), (14, 15)),
+                     ((13, 15), (14, 15))]
+    # 300 evenly spaced rays and the cones on consecutive rays but the last:
+    # 44,551 pairs. Ray k + 150 is -(ray k), so the cones {k, k + 1} and
+    # {k + 150, k + 151} are the only pairs no single row separates.
     rays = evenly_spaced_rays(300)
     cones = [[k, k + 1] for k in range(299)]
     pairs.clear()
     circuits.clear()
     fan = validate_fan(rays, cones, 2)
     assert len(fan.maximal_cones) == 299 and not is_complete(fan)
-    assert 0 < len(pairs) < len(fan.maximal_cones) and circuits == []
+    assert pairs == [((k, k + 1), (k + 150, k + 151)) for k in range(149)] and circuits == []
 
 
-def test_the_exact_pair_test_tables_only_the_second_cone(monkeypatch):
-    # the masks ran the single-row test of the first cone, so a pair left
-    # to _meet_in_shared_face adds only the sum of those rows, and tables
-    # single rows (_separates) for the second cone alone
-    pairs, tables = [], []
+def test_the_exact_pair_test_sums_rows_from_both_sides(monkeypatch):
+    # the masks ran the single-row tests of both cones, so a pair left to
+    # _meet_in_shared_face tries the sum of the first cone's rows off the
+    # shared rays, then the second cone's, then its circuits
+    pairs, sums = [], []
     meet, separates = fan_mod._meet_in_shared_face, fan_mod._separates
 
     def recording_meet(fan, c1, c2):
@@ -190,7 +204,7 @@ def test_the_exact_pair_test_tables_only_the_second_cone(monkeypatch):
         return meet(fan, c1, c2)
 
     def recording_separates(fan, c1, c2, shared):
-        tables.append((c2, c1))
+        sums.append((c1, c2))
         return separates(fan, c1, c2, shared)
 
     monkeypatch.setattr(fan_mod, "_meet_in_shared_face", recording_meet)
@@ -198,7 +212,9 @@ def test_the_exact_pair_test_tables_only_the_second_cone(monkeypatch):
     with pytest.raises(IntersectionNotFace) as info:
         validate_fan(POLYGON_RAYS, POLYGON_CONES + [OVERLAP_CONE], 2)
     assert info.value.cone_pair == ((13, 15), (14, 15))
-    assert tables and set(tables) <= set(pairs) and len(tables) <= len(pairs)
+    assert len(pairs) == 8
+    # the first cone's row sum certifies all but the overlapping pair
+    assert sums == pairs + [((14, 15), (13, 15))]
 
 
 @pytest.mark.parametrize("command", [["validate"], ["stabilizer", "--cone", "0,2,4"],
@@ -211,23 +227,29 @@ def test_commands_other_than_report_list_no_face(tmp_path, monkeypatch, capsys, 
     cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=d)]
     path = tmp_path / "p1_cubed.json"
     path.write_text(json.dumps({"rank": d, "rays": rays, "max_cones": cones}), encoding="utf-8")
-    fans, listed = [], []
-    validate = fan_mod.validate_fan
+    fans, listed, validated, ray_checks = [], [], [], []
+    checked_fan = fan_mod._checked_fan
 
-    def keeping_validate_fan(*args):
-        fans.append(validate(*args))
+    def keeping_checked_fan(*args):
+        fans.append(checked_fan(*args))
         return fans[-1]
 
-    monkeypatch.setattr(fan_mod, "validate_fan", keeping_validate_fan)
+    monkeypatch.setattr(fan_mod, "_checked_fan", keeping_checked_fan)
+    # the document is normalized and its rays checked once, by
+    # stacky_fan_violations; the public validate_fan is not called
+    counting(monkeypatch, fan_mod, "validate_fan", validated)
+    counting(monkeypatch, fan_mod, "_ray_violations", ray_checks)
     # a report walks the faces of each maximal cone, and nothing else lists one
     counting(monkeypatch, cli_mod, "combinations", listed)
     assert not hasattr(Fan, "cones")
     assert main([command[0], str(path), *command[1:]]) == 0
     capsys.readouterr()
     assert len(fans) == 1 and listed == []
+    assert validated == [] and len(ray_checks) == 1
     assert main(["report", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["fan"]["num_cones"] == 27  # 3^3 faces
     assert len(listed) == 8 * 4  # combinations(c, k), k = 0..3, per maximal cone
+    assert len(fans) == 2 and validated == [] and len(ray_checks) == 2
 
 
 class Watched(tuple):

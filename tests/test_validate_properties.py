@@ -8,8 +8,11 @@ dropped, with one more cone, or with some cones cut down to proper faces
 (lower-dimensional maximal cones, and then perhaps one stray 2-cone), fans
 that wind around the origin more than once, whose walls each still
 separate exactly two cones, and polygons with one cone {i, i + 1} replaced
-by {i, i + 2}, times projective spaces above rank 2. The same
-fans, given levels and characteristics, check the report's tameness flag,
+by {i, i + 2}, times projective spaces above rank 2. The same kinds of
+fans in ranks 2-5, under integer maps that take their entries up to 2^62,
+check the packed sign masks of every simplicial cone's dual rows against
+plain dot products (``oracles.sign_masks``). The same fans, given levels
+and characteristics, check the report's tameness flag,
 its cone rows and the stabilizer command. Drawn stacky fans in ranks 2-5
 check the report's chart coordinates; with random one-cone fans, those in
 ranks 2-4 check its cycle ideals.
@@ -29,12 +32,12 @@ from hypothesis import strategies as st
 
 from conftest import fan_faces, overlapping_polygon, random_full_cone_rays
 from oracles import (box_hilbert_basis, coordinate_rays, det, determinantal_divisors, is_tame,
-                     multiplicity, pairwise_validate_fan)
+                     multiplicity, pairwise_validate_fan, sign_masks)
 
 from toristack import stackyfan as fan_mod
 from toristack.cli import FanDocument, check_document, report_data, stabilizer_data
 from toristack.linalg import dot
-from toristack.stackyfan import FanError, is_complete, validate_fan
+from toristack.stackyfan import Fan, FanError, is_complete, validate_fan
 
 
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -225,6 +228,47 @@ def test_a_pair_only_circuits_certify_is_accepted(monkeypatch):
     assert fan.maximal_cones == tuple(cones) and len(enumerated) == 1
     assert not fan_mod._separates(fan, *cones, set())
     assert not fan_mod._separates(fan, *cones[::-1], set())
+
+
+@st.composite
+def wide_fans(draw):
+    """A drawn fan of rank 2-5 under an invertible integer map whose entries
+    take the rays' entries up to 2^62, so that the pairings of dual rows
+    with rays span many bytes."""
+    rays, cones, d, _ = draw(fans(max_rank=5))
+    spare = 62 - (d * max(abs(x) for r in rays for x in r)).bit_length()
+    bits = draw(st.integers(0, max(spare, 0)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    while True:
+        m = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(d)] for _ in range(d)]
+        if det(m):
+            break
+    return [tuple(dot(row, r) for row in m) for r in rays], cones, d
+
+
+@PROPERTY
+@given(wide_fans())
+@example(([(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)], 2))
+@example(([(2 ** 62, 1, 0), (0, 2 ** 62, 1), (1, 0, -2 ** 62), (-2 ** 62, -2 ** 62, -2 ** 62)],
+          [(0, 1, 2), (0, 3), (1, 3)], 3))
+def test_sign_masks_match_plain_dot_signs(drawn):
+    # every listed cone with independent rays, lower-dimensional ones too,
+    # is a maximal cone of a Fan that is not validated
+    rays, cones, d = drawn
+    keys = sorted({tuple(sorted(set(c))) for c in cones})
+    probe = Fan(d, tuple(rays), tuple(keys))
+    simplicial = []
+    for key in keys:
+        try:
+            probe.dual_rows[key]
+        except ValueError:
+            continue
+        simplicial.append(key)
+    assume(simplicial)
+    fan = Fan(d, tuple(rays), tuple(simplicial))
+    masks = fan_mod._sign_masks(fan)
+    for c in fan.maximal_cones:
+        assert masks(c) == sign_masks(fan.rays, c, fan.dual_rows[c])
 
 
 def test_pentagram_is_refused_with_the_first_overlapping_pair():
