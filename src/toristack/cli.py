@@ -27,7 +27,8 @@ before it is written, in chunks of a bounded number of pieces of text
 (JSON) or lines (text). ``report_data`` builds the same report as one dict.
 
 ``main`` may be called any number of times in one process; the argument
-parser is built on the first call and reused.
+parser is built once, on the first call, and each call parses its arguments
+with the parser of the command they name.
 """
 
 from __future__ import annotations
@@ -94,15 +95,11 @@ def _expect(condition, template, *args):
         raise DocumentParseError(template.format(*args))
 
 
-def _int_like(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _decimal(text: str, template: str, *args) -> int:
     """The integer an ASCII decimal string (``-?[0-9]+``, but not ``-0``,
     ``-00``, ...) spells, else ``DocumentParseError`` with the message
     ``template.format(*args)``, also for more digits than ``int()`` converts."""
-    if re.fullmatch("[0-9]+|-0*[1-9][0-9]*", text):
+    if _DECIMAL(text):
         try:
             return int(text)
         except ValueError:  # past int()'s digit limit
@@ -121,6 +118,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # built once, not per document
+_DECIMAL = re.compile("[0-9]+|-0*[1-9][0-9]*").fullmatch  # a decimal, as ``_decimal`` reads it
+_FIELDS = frozenset({"rank", "rays", "max_cones", "levels", "characteristics"})
 
 
 def document_from_json(text: str) -> FanDocument:
@@ -138,46 +137,45 @@ def document_from_json(text: str) -> FanDocument:
         raise DocumentParseError("invalid JSON: an integer literal has more than "
                                  f"{sys.get_int_max_str_digits()} digits") from e
     _expect(isinstance(raw, dict), "document must be a JSON object")
-    unknown = set(raw) - {"rank", "rays", "max_cones", "levels", "characteristics"}
+    unknown = raw.keys() - _FIELDS
     _expect(not unknown, "unknown fields: {}", sorted(unknown))
     _expect("rank" in raw and "rays" in raw and "max_cones" in raw,
             "document requires 'rank', 'rays' and 'max_cones'")
+    # JSON gives no list or dict subclass, and no int subclass but bool, so
+    # a type of exactly int is an integer
     rank = raw["rank"]
-    _expect(_int_like(rank) and rank >= 1, "'rank' must be a positive integer")
+    _expect(type(rank) is int and rank >= 1, "'rank' must be a positive integer")
     _expect(rank <= MAX_RANK, "'rank' {} is above the limit of {}", rank, MAX_RANK)
-    rays_raw = raw["rays"]
-    _expect(isinstance(rays_raw, list), "'rays' must be a list")
-    rays = []
-    # JSON gives no int subclass but bool, so ``type(x) is int`` is ``_int_like``
-    for i, r in enumerate(rays_raw):
-        _expect(isinstance(r, list) and len(r) == rank and all(type(x) is int for x in r),
-                "ray {!r} must be a list of {} integers", r, rank)
-        _expect(-ENTRY_LIMIT < min(r) and max(r) < ENTRY_LIMIT,
-                "ray {} has an entry of absolute value 2^64 or more", i)
-        rays.append(tuple(r))
-    cones_raw = raw["max_cones"]
-    _expect(isinstance(cones_raw, list), "'max_cones' must be a list")
-    max_cones = []
-    for c in cones_raw:
-        _expect(isinstance(c, list) and all(type(i) is int for i in c),
-                "cone {!r} must be a list of ray indices", c)
-        max_cones.append(tuple(c))
+    rays = raw["rays"]
+    _expect(isinstance(rays, list), "'rays' must be a list")
+    for i, r in enumerate(rays):
+        if type(r) is not list or len(r) != rank or not _INT.issuperset(map(type, r)):
+            raise DocumentParseError(f"ray {r!r} must be a list of {rank} integers")
+        if min(r) <= -ENTRY_LIMIT or max(r) >= ENTRY_LIMIT:
+            raise DocumentParseError(f"ray {i} has an entry of absolute value 2^64 or more")
+    cones = raw["max_cones"]
+    _expect(isinstance(cones, list), "'max_cones' must be a list")
+    for c in cones:
+        if type(c) is not list or not _INT.issuperset(map(type, c)):
+            raise DocumentParseError(f"cone {c!r} must be a list of ray indices")
     levels_raw = raw.get("levels")
-    _expect(levels_raw is None or isinstance(levels_raw, dict),
+    _expect(levels_raw is None or type(levels_raw) is dict,
             "'levels' must be an object keyed by ray index")
     levels, named = {}, {}
     for key, value in (levels_raw or {}).items():
         index = _decimal(key, "level key {!r} must be a decimal ray index", key)
-        _expect(index not in named, "level keys {!r} and {!r} name ray {}",
-                named.get(index), key, index)
+        if index in named:
+            raise DocumentParseError(f"level keys {named[index]!r} and {key!r} name ray {index}")
         named[index] = key
-        _expect(_int_like(value), "level for ray {} must be an integer", key)
-        _expect(abs(value) < ENTRY_LIMIT, "level for ray {} has absolute value 2^64 or more", key)
+        if type(value) is not int:
+            raise DocumentParseError(f"level for ray {key} must be an integer")
+        if abs(value) >= ENTRY_LIMIT:
+            raise DocumentParseError(f"level for ray {key} has absolute value 2^64 or more")
         levels[index] = value
     chars = raw.get("characteristics", [0])
-    _expect(isinstance(chars, list) and all(_int_like(p) for p in chars),
+    _expect(type(chars) is list and _INT.issuperset(map(type, chars)),
             "'characteristics' must be a list of integers")
-    return FanDocument(rank=rank, rays=rays, max_cones=max_cones,
+    return FanDocument(rank=rank, rays=list(map(tuple, rays)), max_cones=list(map(tuple, cones)),
                        levels=levels, characteristics=list(chars))
 
 
@@ -248,7 +246,7 @@ _CHUNK = 512
 # the types the writer knows; an instance of a subclass of one of them is
 # written as that type
 _JSON_TYPES = (str, bool, int, list, tuple, dict, Fraction, type(None), _Entries)
-# the sets of element types that the block paths compare against
+# the sets of element types that the document checks and the block paths compare against
 _INT, _STR, _FRACTION, _ROWS = {int}, {str}, {Fraction}, {list, tuple}
 
 
@@ -655,13 +653,16 @@ def render_mfr_text(data: dict) -> str:
 # command dispatch
 
 def _load_document(path: str) -> FanDocument:
+    """The document at path, decoded as text mode decodes UTF-8 (CR LF or CR to LF)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode()
     except OSError as e:
         raise DocumentParseError(f"cannot read {path}: {e.strerror}") from e
     except UnicodeDecodeError as e:
         raise DocumentParseError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from e
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return document_from_json(text)
 
 
@@ -670,8 +671,7 @@ def _parse_cone_flag(value: str) -> list[int]:
             for x in map(str.strip, value.split(",")) if x]
 
 
-def cmd_validate(args) -> int:
-    doc = _load_document(args.file)
+def cmd_validate(doc: FanDocument, args) -> int:
     errors = validation_errors(doc)
     if args.format == "json":
         sys.stdout.write(emit_json({"ok": not errors, "errors": errors}))
@@ -696,8 +696,7 @@ def _guarded(doc: FanDocument, compute, args):
     return 0
 
 
-def cmd_report(args) -> int:
-    doc = _load_document(args.file)
+def cmd_report(doc: FanDocument, args) -> int:
     sf = _checked(doc)
     if sf is None:
         return 1
@@ -710,15 +709,13 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_mfr(args) -> int:
-    doc = _load_document(args.file)
+def cmd_mfr(doc: FanDocument, args) -> int:
     args.render = render_mfr_text
     selector = _parse_cone_flag(args.cone)
     return _guarded(doc, lambda sf: mfr_data(sf, selector), args)
 
 
-def cmd_stabilizer(args) -> int:
-    doc = _load_document(args.file)
+def cmd_stabilizer(doc: FanDocument, args) -> int:
     args.render = lambda d: (
         f"cone [{d['cone']}]: stabilizer {d['stabilizer']['cartier_dual']} "
         f"of order {d['stabilizer']['order']} "
@@ -727,8 +724,7 @@ def cmd_stabilizer(args) -> int:
     return _guarded(doc, lambda sf: stabilizer_data(sf, selector), args)
 
 
-def cmd_complete(args) -> int:
-    doc = _load_document(args.file)
+def cmd_complete(doc: FanDocument, args) -> int:
     args.render = lambda d: f"complete: {d['complete']}\n"
     return _guarded(doc, lambda sf: {"complete": fanlib.is_complete(sf.fan)}, args)
 
@@ -741,36 +737,40 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toristack",
         description="Exact invariants of toric algebraic stacks from stacky-fan files.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    parser.commands = sub.choices  # each command's name -> its parser
+    for name, fn, text in (
+            ("validate", cmd_validate, "check the document against every axiom"),
+            ("report", cmd_report, "full invariant report"),
+            ("mfr", cmd_mfr, "minimal/admissible free resolution of a cone monoid"),
+            ("stabilizer", cmd_stabilizer, "stabilizer group over a cone"),
+            ("complete", cmd_complete, "completeness of the fan")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("file", help="path to a stacky-fan JSON document")
         p.add_argument("--format", choices=["json", "text"], default="json")
-
-    p = sub.add_parser("validate", help="check the document against every axiom")
-    common(p)
-    p.set_defaults(fn=cmd_validate)
-    p = sub.add_parser("report", help="full invariant report")
-    common(p)
-    p.set_defaults(fn=cmd_report)
-    p = sub.add_parser("mfr", help="minimal/admissible free resolution of a cone monoid")
-    common(p)
-    p.add_argument("--cone", required=True, help="comma-separated ray indices")
-    p.set_defaults(fn=cmd_mfr)
-    p = sub.add_parser("stabilizer", help="stabilizer group over a cone")
-    common(p)
-    p.add_argument("--cone", required=True, help="comma-separated ray indices")
-    p.set_defaults(fn=cmd_stabilizer)
-    p = sub.add_parser("complete", help="completeness of the fan")
-    common(p)
-    p.set_defaults(fn=cmd_complete)
+        if name in ("mfr", "stabilizer"):
+            p.add_argument("--cone", required=True, help="comma-separated ray indices")
+        p.set_defaults(fn=fn)
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _parse_argv(argv: Sequence[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` gives, parsed as it parses it:
+    the arguments after a command by that command's parser. The top-level
+    parser parses argv itself only when argv names no command or leaves
+    arguments over, so that its help, usage and exit code stay argparse's."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv and argv[0] in parser.commands:
+        args, rest = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
+        return args.fn(_load_document(args.file), args)
     except DocumentParseError as e:
         sys.stderr.write(f"parse error: {e}\n")
         return 2

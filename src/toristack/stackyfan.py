@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress, count, repeat
-from operator import add, mul
+from operator import add, mul, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import cones as conelib
@@ -310,8 +310,9 @@ def _checked_fan(rays: list[IntVec], maximal_cones: list[tuple[int, ...]],
     whose cones cover one generic point once, is a valid fan with no pair
     compared (``_covers_once``). Otherwise every pair of maximal cones is
     settled in order, and the first pair that fails is named: sign masks
-    certify most pairs in bulk from either side (``_check_pairs``), and
-    ``_meet_in_shared_face`` settles the rest exactly.
+    certify most pairs in bulk from either side (``_check_pairs``), refuse
+    a pair when a ray of one cone lies inside the other, full-dimensional
+    one, and ``_meet_in_shared_face`` settles the rest exactly.
     """
     listed = {}
     for c in maximal_cones:
@@ -387,9 +388,14 @@ def _check_pairs(fan: Fan) -> None:
     of c1's rays) agree (the bit of the row's own ray keeps a row at a
     shared ray out). c1's first mask is tested against every later cone at
     once, by ``map`` over their bits; each further mask only against the
-    cones left. Only for a cone that no mask of c1 certifies are c2's masks
-    computed, and tested against c1's rays; they are not kept. So one c1's
-    masks and one c2's are in memory at a time."""
+    cones left. A cone left that has a ray in none of the masks of a
+    full-dimensional c1 is refused at once: every dual row of c1 is >= 0 on
+    that ray, so it lies in c1 but, independent of the shared rays in c2,
+    not in the cone on them. No mask of c1 certifies such a pair, and the
+    exact test refuses it, so the first pair refused is the same. Only for
+    the other cones left are c2's masks computed, and tested against c1's
+    rays; they are not kept. So one c1's masks and one c2's are in memory
+    at a time."""
     maximal = fan.maximal_cones
     if len(maximal) < 2:
         return
@@ -397,15 +403,18 @@ def _check_pairs(fan: Fan) -> None:
     bits = [sum(map((1).__lshift__, c)) for c in maximal]
     every = (1 << len(fan.rays)) - 1
     for k, (c1, b1) in enumerate(zip(maximal[:-1], bits)):
+        masks = masks_of(c1)
+        # the rays inside a full-dimensional c1: no row of it is < 0 on them
+        inside = every & ~reduce(or_, masks) if len(c1) == fan.ambient_rank else 0
         # per mask of c1, the rays whose sign fails it
-        first, *others = [every & ~(m ^ b1) for m in masks_of(c1)]
+        first, *others = [every & ~(m ^ b1) for m in masks]
         left = compress(count(k + 1), map(first.__and__, bits[k + 1:]))
         for fails in others:
             left = [j for j in left if bits[j] & fails]
         for j in left:
             c2, b2 = maximal[j], bits[j]
-            if (all(b1 & ~(m ^ b2) for m in masks_of(c2))
-                    and not _meet_in_shared_face(fan, c1, c2)):
+            if b2 & inside or (all(b1 & ~(m ^ b2) for m in masks_of(c2))
+                               and not _meet_in_shared_face(fan, c1, c2)):
                 raise IntersectionNotFace(c1, c2)
 
 

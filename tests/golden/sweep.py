@@ -23,7 +23,7 @@ refusals (``refusals``): commands that must exit 1 with ``ConeNotInFan``,
 written to a temporary directory and named by their position in the corpus,
 so no path enters the digest. Beside the digest the sweep prints how many
 commands ended with each exit code. Standard library only; not a pytest
-test.
+test itself, but ``tests/test_golden.py`` runs it and pins its line.
 """
 
 from __future__ import annotations

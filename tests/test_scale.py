@@ -2,14 +2,14 @@
 timed: a lower-dimensional chart's multiplicity takes no sweep over maximal
 minors, validating a complete fan compares no pair of cones and builds at
 most one ``Cone`` per maximal cone, an incomplete fan enumerates circuits
-only for a pair that no dual row certifies and sends to the exact pair test
-only the pairs that no single row of either cone certifies (which sums
-rows, side by side), ``mfr`` takes its cokernel from the chart's one Smith
-elimination, a command normalizes its document and checks its rays once,
-only a report lists the faces of a cone, and each boundary divisor reads
-only the cones on its own ray. One bound is on memory: a Hilbert basis
-walk holds one integer per residue and forms lattice points only for its
-basis."""
+only for a pair that no dual row certifies and no ray inside a cone
+refuses, and sends to the exact pair test only the pairs that no single row
+of either cone certifies (which sums rows, side by side), ``mfr`` takes its
+cokernel from the chart's one Smith elimination, a command normalizes its
+document and checks its rays once, only a report lists the faces of a cone,
+and each boundary divisor reads only the cones on its own ray. One bound is
+on memory: a Hilbert basis walk holds one integer per residue and forms
+lattice points only for its basis."""
 
 import json
 import math
@@ -144,15 +144,16 @@ def evenly_spaced_rays(n):
     return [pool[k * len(pool) // n] for k in range(n)]
 
 
-def test_only_the_overlapping_pair_enumerates_circuits(monkeypatch):
-    # every other pair, disjoint or sharing a ray, is certified by one dual
-    # row or by the sum of the rows off the shared ray, from either side
+def test_no_pair_of_the_polygon_enumerates_circuits(monkeypatch):
+    # every pair, disjoint or sharing a ray, is certified by one dual row or
+    # by the sum of the rows off the shared ray, from either side, except
+    # the overlapping one: ray 14 lies inside the cone {13, 15}, which refuses it
     calls = []
     counting(monkeypatch, fan_mod, "circuit_vectors", calls)
     with pytest.raises(IntersectionNotFace) as info:
         validate_fan(POLYGON_RAYS, POLYGON_CONES + [OVERLAP_CONE], 2)
     assert info.value.cone_pair == ((13, 15), (14, 15))
-    assert len(calls) == 1
+    assert calls == []
     calls.clear()
     fan = validate_fan(POLYGON_RAYS, POLYGON_CONES, 2)  # valid, with a hole at {13, 14}
     assert len(fan.maximal_cones) == 15 and not is_complete(fan)
@@ -163,7 +164,8 @@ def test_sign_masks_leave_few_pairs_to_the_exact_test(monkeypatch):
     # the masks certify in bulk what one dual row of either cone certifies;
     # only the pairs left reach _meet_in_shared_face. On the polygon these
     # are the seven pairs of cones whose rays no single row separates
-    # (each row vanishes on one ray of the other cone) and the overlap.
+    # (each row vanishes on one ray of the other cone); the overlap is
+    # refused before it, as ray 14 lies inside the cone {13, 15}.
     pairs, circuits = [], []
     counting(monkeypatch, fan_mod, "circuit_vectors", circuits)
     meet = fan_mod._meet_in_shared_face
@@ -176,10 +178,9 @@ def test_sign_masks_leave_few_pairs_to_the_exact_test(monkeypatch):
     with pytest.raises(IntersectionNotFace) as info:
         validate_fan(POLYGON_RAYS, POLYGON_CONES + [OVERLAP_CONE], 2)
     assert info.value.cone_pair == ((13, 15), (14, 15))
-    assert len(circuits) == 1
+    assert circuits == []
     assert pairs == [((0, 1), (8, 9)), ((0, 15), (7, 8)), ((1, 2), (9, 10)), ((2, 3), (10, 11)),
-                     ((3, 4), (11, 12)), ((4, 5), (12, 13)), ((6, 7), (14, 15)),
-                     ((13, 15), (14, 15))]
+                     ((3, 4), (11, 12)), ((4, 5), (12, 13)), ((6, 7), (14, 15))]
     # 300 evenly spaced rays and the cones on consecutive rays but the last:
     # 44,551 pairs. Ray k + 150 is -(ray k), so the cones {k, k + 1} and
     # {k + 150, k + 151} are the only pairs no single row separates.
@@ -196,7 +197,8 @@ def test_the_exact_pair_test_sums_rows_from_both_sides(monkeypatch):
     # the masks ran the single-row tests of both cones, so a pair left to
     # _meet_in_shared_face tries the sum of the first cone's rows off the
     # shared rays, then the second cone's, then its circuits
-    pairs, sums = [], []
+    pairs, sums, circuits = [], [], []
+    counting(monkeypatch, fan_mod, "circuit_vectors", circuits)
     meet, separates = fan_mod._meet_in_shared_face, fan_mod._separates
 
     def recording_meet(fan, c1, c2):
@@ -212,9 +214,19 @@ def test_the_exact_pair_test_sums_rows_from_both_sides(monkeypatch):
     with pytest.raises(IntersectionNotFace) as info:
         validate_fan(POLYGON_RAYS, POLYGON_CONES + [OVERLAP_CONE], 2)
     assert info.value.cone_pair == ((13, 15), (14, 15))
-    assert len(pairs) == 8
-    # the first cone's row sum certifies all but the overlapping pair
-    assert sums == pairs + [((14, 15), (13, 15))]
+    # the first cone's row sum certifies each of the seven pairs left; the
+    # overlapping pair never reaches the exact test
+    assert len(pairs) == 7 and sums == pairs and circuits == []
+    # the two triangles of a star of David in the plane z = 1: no vertex of
+    # one lies inside the other, and neither cone's row sum separates them
+    pairs.clear()
+    sums.clear()
+    with pytest.raises(IntersectionNotFace) as info:
+        validate_fan([(0, 2, 1), (-2, -1, 1), (2, -1, 1), (0, -2, 1), (2, 1, 1), (-2, 1, 1)],
+                     [[0, 1, 2], [3, 4, 5]])
+    assert info.value.cone_pair == ((0, 1, 2), (3, 4, 5))
+    assert pairs == [((0, 1, 2), (3, 4, 5))]
+    assert sums == pairs + [((3, 4, 5), (0, 1, 2))] and len(circuits) == 1
 
 
 @pytest.mark.parametrize("command", [["validate"], ["stabilizer", "--cone", "0,2,4"],

@@ -85,10 +85,11 @@ def test_overlapping_cones_rejected():
         validate_fan([(1, 0), (0, 1), (1, 2)], [[0, 1], [1, 2], [0, 2]])
 
 
-def test_overlap_without_certificate_is_refused_by_circuit_test(monkeypatch):
-    # no sum of dual rays separates (0, 1) from (0, 2): both lie above the
-    # shared ray (1, 0), so the circuit sign test decides, without computing
-    # an intersection
+def test_overlap_without_certificate_is_refused_without_intersection(monkeypatch):
+    # no dual row of (0, 1) certifies its pair with (0, 2): both lie above
+    # the shared ray (1, 0). Ray (1, 2) lies inside the cone (0, 1), so no
+    # row of it is negative there and the pair is refused on that alone,
+    # without computing an intersection
     import toristack.cones as cones_mod
 
     def no_intersect(c1, c2):
