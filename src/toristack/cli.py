@@ -23,8 +23,15 @@ A report is streamed: every refusal and tripwire (the face limit, the
 Hilbert-basis walks, the charts and every face group) runs before its
 first byte, so exits 3 and 4 write nothing to stdout; then each entry (a
 chart, a cycle ideal, a ``cones`` row, a boundary divisor) is built just
-before it is written, in chunks of a bounded number of pieces of text
-(JSON) or lines (text). ``report_data`` builds the same report as one dict.
+before it is written. In JSON, the two lists that grow with the faces, the
+cycle ideals and the ``cones`` rows, are not built but written from text:
+each coarse generator and coordinate index once per chart, and each
+distinct stabilizer once per report, joined per face, into a template
+that the JSON writer renders of the entry's keys. Output goes out in
+chunks, at the end of an entry once 512 pieces of JSON text (64 if the
+entries are written from text, one piece each) or 512 lines of text are
+pending. The text report reads the built entries, as does
+``report_data``, which builds the same report as one dict.
 
 ``main`` may be called any number of times in one process; the argument
 parser is built once, on the first call, and each call parses its arguments
@@ -39,7 +46,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, compress, islice
 from json.encoder import encode_basestring
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -215,12 +222,17 @@ def validation_errors(doc: FanDocument) -> list[dict]:
 
 class _Entries:
     """A list whose entries are built one at a time, anew on each pass:
-    iterating it calls ``entries()``. The JSON writer may flush after each."""
+    iterating it calls ``entries()``. ``texts``, if given, maps an indent (a
+    newline and spaces) to an iterator over the entries' JSON text at that
+    indent, byte for byte what ``_write_json`` writes of each entry; the
+    JSON writer then writes those texts and builds no entry. It may flush
+    after each entry, on either path."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "texts")
 
-    def __init__(self, entries):
+    def __init__(self, entries, texts=None):
         self.entries = entries
+        self.texts = texts
 
     def __iter__(self):
         return self.entries()
@@ -243,17 +255,53 @@ class _Stream(list):
 # the end of an entry) or lines of text are pending; a text table reads
 # this many rows at a time for its column widths
 _CHUNK = 512
+# an entry written from its text is one piece, about as much text as the
+# eight or so pieces the recursion appends for a cycle ideal; so a list of
+# them flushes after _CHUNK // _TEXT_PIECES pieces
+_TEXT_PIECES = 8
 # the types the writer knows; an instance of a subclass of one of them is
 # written as that type
 _JSON_TYPES = (str, bool, int, list, tuple, dict, Fraction, type(None), _Entries)
 # the sets of element types that the document checks and the block paths compare against
 _INT, _STR, _FRACTION, _ROWS = {int}, {str}, {Fraction}, {list, tuple}
+# a value "\0key" of a dict as the writer quotes it; ``_json_parts`` splits there
+_FIELD = re.compile(r'"\\u0000(\w+)"')
+
+
+def _int_text(value: int) -> str:
+    """The JSON text of an exact int: a decimal string beyond 2^53-1."""
+    return encode_basestring(str(value)) if abs(value) > _JSON_SAFE_INT else int.__repr__(value)
+
+
+def _json_text(value, newline: str) -> str:
+    """The text ``_write_json`` writes of value, which holds no ``_Entries``."""
+    out = []
+    _write_json(value, out, newline)
+    return "".join(out)
+
+
+@functools.cache
+def _json_parts(keys: tuple[str, ...], newline: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The text ``_write_json`` writes at newline of a dict with these keys,
+    split into pieces, and the position among them of each key's value: in
+    a list of the pieces with each position set to the JSON text of that
+    value, the pieces join to the text of the dict."""
+    parts = _FIELD.split(_json_text({key: "\0" + key for key in keys}, newline))
+    return tuple(parts), tuple(map(parts.index, keys))
+
+
+def _json_list(elements: str, newline: str) -> str:
+    """The JSON text at newline of a list, from the texts of its elements
+    joined by commas, each after its own line break and indent (one level
+    past newline)."""
+    return "[" + elements + newline + "]" if elements else "[]"
 
 
 def _write_json(value, out: _Stream, newline: str) -> None:
     """Append the JSON text of value to out; newline ends a line and indents
     the next. After each entry of an ``_Entries``, out is flushed once it
-    holds ``_CHUNK`` pieces."""
+    holds ``_CHUNK`` pieces, or ``_CHUNK // _TEXT_PIECES`` if the entries are
+    written from their text."""
     kind = type(value)
     if kind not in _JSON_TYPES:
         kind = next((t for t in _JSON_TYPES if isinstance(value, t)), None)
@@ -308,8 +356,7 @@ def _write_json(value, out: _Stream, newline: str) -> None:
     elif kind is str:
         out.append(encode_basestring(value))
     elif kind is int:
-        out.append(encode_basestring(str(value)) if abs(value) > _JSON_SAFE_INT
-                   else int.__repr__(value))
+        out.append(_int_text(value))
     elif kind is bool:
         out.append("true" if value else "false")
     elif kind is Fraction:
@@ -317,10 +364,15 @@ def _write_json(value, out: _Stream, newline: str) -> None:
     elif kind is _Entries:
         inner = newline + "  "
         sep = "[" + inner
-        for x in value:
-            out.append(sep)
-            _write_json(x, out, inner)
-            if len(out) >= _CHUNK:
+        texts = value.texts
+        chunk = _CHUNK // _TEXT_PIECES if texts else _CHUNK
+        for x in texts(inner) if texts else value:
+            if texts:
+                out.append(sep + x)
+            else:
+                out.append(sep)
+                _write_json(x, out, inner)
+            if len(out) >= chunk:
                 out.flush()
             sep = "," + inner
         out.append("[]" if sep[0] == "[" else newline + "]")
@@ -348,7 +400,10 @@ def emit_json(obj) -> str:
     within 2^53-1 in one ``join``, and non-empty rows of one length, all
     such ints or all ``Fraction``s, in one ``%`` format of a row template
     per row. Any other list, and each of its elements, goes through the
-    recursion.
+    recursion. An ``_Entries`` with a text formatter is written from the
+    texts it gives, which are the bytes the recursion would write of its
+    entries; ``emit_json`` of ``report_data`` builds and walks every entry,
+    so it is the reference those texts are tested against.
     """
     chunks: list[str] = []
     write_json(obj, chunks.append)
@@ -458,6 +513,26 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
                     "coarse_generators": [h for h, hit in positive if hit & mask],
                 }
 
+        def cycle_ideal_texts(newline):
+            # the same walk, from each coordinate index and coarse generator
+            # written once, with its line break, at the depth of its list
+            inner = newline + "  "
+            depth = inner + "  "
+            indices = [depth + str(i) for i in range(len(coordinate_bits))]
+            rows = [depth + _json_text(h, depth) for h, _ in positive]
+            hits = [hit for _, hit in positive]
+            parts, (at_cone, at_coordinates, at_generators) = _json_parts(
+                ("cone", "chart_coordinates", "coarse_generators"), newline)
+            entry = list(parts)
+            for f in walks[c]:
+                mask = sum(map(position.__getitem__, f))
+                entry[at_cone] = encode_basestring(cone_id(f))
+                entry[at_coordinates] = _json_list(
+                    ",".join(compress(indices, map(mask.__and__, coordinate_bits))), inner)
+                entry[at_generators] = _json_list(
+                    ",".join(compress(rows, map(mask.__and__, hits))), inner)
+                yield "".join(entry)
+
         return {
             "cone": cone_id(c),
             "r": chart.r,
@@ -472,8 +547,40 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
                 "n_prime_basis": [list(v) for v in chart.n_prime_basis],
                 "n_doubleprime_basis": [list(v) for v in chart.n_doubleprime_basis],
             },
-            "cycle_ideals": _Entries(cycle_ideals),
+            "cycle_ideals": _Entries(cycle_ideals, cycle_ideal_texts),
         }
+
+    def cone_rows():
+        for group, q, c in map(groups.__getitem__, cones):
+            yield {
+                "id": cone_id(c),
+                "ray_indices": list(c),
+                "dim": len(c),
+                "multiplicity": q,
+                "stacky_multiplicity": group.order,
+                "stabilizer": _group_dict(group),
+            }
+
+    def cone_row_texts(newline):
+        # the same rows, from each distinct stabilizer written once
+        inner = newline + "  "
+        indices = [inner + "  " + str(rho) for rho in range(len(fan.rays))]
+        parts, (at_id, at_rays, at_dim, at_q, at_stabilizer, at_order) = _json_parts(
+            ("id", "ray_indices", "dim", "multiplicity", "stabilizer", "stacky_multiplicity"),
+            newline)
+        row = list(parts)
+        stabilizers = {}
+        for group, q, c in map(groups.__getitem__, cones):
+            known = stabilizers.get(group)
+            if known is None:
+                known = stabilizers[group] = (_json_text(_group_dict(group), inner),
+                                              _int_text(group.order))
+            row[at_id] = encode_basestring(cone_id(c))
+            row[at_rays] = _json_list(",".join(map(indices.__getitem__, c)), inner)
+            row[at_dim] = str(len(c))
+            row[at_q] = _int_text(q)
+            row[at_stabilizer], row[at_order] = known
+            yield "".join(row)
 
     out = {
         # the generic stabilizer along a boundary divisor is cyclic of order its level
@@ -484,14 +591,7 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
             "chart_coordinates": divisor_coordinates[rho],
         } for rho, level in enumerate(sf.levels))),
         "charts": _Entries(lambda: map(chart_entry, fan.maximal_cones)),
-        "cones": _Entries(lambda: ({
-            "id": cone_id(c),
-            "ray_indices": list(c),
-            "dim": len(c),
-            "multiplicity": q,
-            "stacky_multiplicity": group.order,
-            "stabilizer": _group_dict(group),
-        } for group, q, c in map(groups.__getitem__, cones))),
+        "cones": _Entries(cone_rows, cone_row_texts),
         "document": document_to_dict(doc),
         "fan": {
             "rank": fan.ambient_rank,

@@ -308,11 +308,13 @@ def _checked_fan(rays: list[IntVec], maximal_cones: list[tuple[int, ...]],
     rows fill the fan's ``Fan.dual_rows``, so no later step tests rank
     again. A complete fan whose walls each separate exactly two cones, and
     whose cones cover one generic point once, is a valid fan with no pair
-    compared (``_covers_once``). Otherwise every pair of maximal cones is
-    settled in order, and the first pair that fails is named: sign masks
-    certify most pairs in bulk from either side (``_check_pairs``), refuse
-    a pair when a ray of one cone lies inside the other, full-dimensional
-    one, and ``_meet_in_shared_face`` settles the rest exactly.
+    compared (``_covers_once``, not tried when a ray lies in fewer than d
+    listed cones, as then the fan is not complete). Otherwise every pair
+    of maximal cones is settled in order, and the first pair that fails is
+    named: sign masks certify most pairs in bulk from either side
+    (``_check_pairs``), refuse a pair when a ray of one cone lies inside
+    the other, full-dimensional one, and ``_meet_in_shared_face`` settles
+    the rest exactly.
     """
     listed = {}
     for c in maximal_cones:
@@ -332,7 +334,10 @@ def _checked_fan(rays: list[IntVec], maximal_cones: list[tuple[int, ...]],
     fan = Fan(ambient_rank, tuple(rays), maximal)
     fan.dual_rows.update(listed)
 
-    if not _covers_once(fan):
+    # a complete fan's walls each lie in two cones, so each ray of a maximal
+    # cone lies in it and in the d - 1 distinct cones across its walls there:
+    # a ray in fewer listed cones (so fewer maximal ones) leaves no wall test
+    if any(len(on) < ambient_rank for on in by_ray.values()) or not _covers_once(fan):
         _check_pairs(fan)
     return fan
 

@@ -17,7 +17,11 @@ import pytest
 
 from conftest import FIXTURES
 
-from toristack import charts
+from oracles import reference_emit_json
+
+from test_limits import BOUND, two_rays, unitriangular
+
+from toristack import charts, cli
 from toristack.cli import (
     check_document,
     document_from_json,
@@ -92,6 +96,51 @@ def test_streamed_report_matches_the_built_dict_on_drawn_fans(monkeypatch, tmp_p
     for doc, sf in drawn:
         path.write_text(json.dumps(document_to_dict(doc)), encoding="utf-8")
         check_stream(monkeypatch, path, doc, sf)
+
+
+@pytest.mark.parametrize("rays", [unitriangular(2), unitriangular(4), two_rays(3), two_rays(5)],
+                         ids=["full-2", "full-4", "two-rays-3", "two-rays-5"])
+def test_streamed_report_quotes_large_integers(monkeypatch, tmp_path, rays):
+    # every level at 2^64 - 1: coarse generators, stacky multiplicities and
+    # the multiplicity of two rays leave the range a JSON reader holds
+    # exactly, and the entries written from their text quote them as the
+    # generic writer does
+    rank = len(rays[0])
+    doc = document_from_json(json.dumps({
+        "rank": rank, "rays": rays, "max_cones": [list(range(len(rays)))],
+        "levels": {str(i): BOUND for i in range(len(rays))}}))
+    found, sf = check_document(doc)
+    assert found == []
+    built = report_data(doc, sf)
+    cones, (chart,) = built["cones"], built["charts"]
+    safe = 2 ** 53 - 1
+    assert max(abs(x) for ci in chart["cycle_ideals"] for h in ci["coarse_generators"]
+               for x in h) > safe
+    assert max(c["stacky_multiplicity"] for c in cones) > safe
+    assert (max(c["multiplicity"] for c in cones) > safe) == (len(rays) < rank)
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(document_to_dict(doc)), encoding="utf-8")
+    check_stream(monkeypatch, path, doc, sf)
+    assert "".join(streamed(monkeypatch, path, "json").chunks) == reference_emit_json(built)
+
+
+def test_cycle_ideals_and_cone_rows_are_written_from_their_text(monkeypatch, tmp_path):
+    cycle_ideal = {"chart_coordinates", "coarse_generators", "cone"}
+    cone_row = {"dim", "id", "multiplicity", "ray_indices", "stabilizer", "stacky_multiplicity"}
+    written, write_json = [], cli._write_json
+
+    def spy(value, out, newline):
+        written.append(set(value) if type(value) is dict else None)
+        write_json(value, out, newline)
+
+    monkeypatch.setattr(cli, "_write_json", spy)
+    for path in (p1_power(tmp_path, 3), FIXTURES / "quotient_3d.json"):
+        written.clear()
+        streamed(monkeypatch, path, "json", keep=False)
+        # the spy sees the charts, which the generic writer still walks, and
+        # at most the one template of each list's keys, but no entry
+        assert any(keys and "cycle_ideals" in keys for keys in written), path
+        assert written.count(cycle_ideal) <= 1 and written.count(cone_row) <= 1, path
 
 
 @pytest.mark.parametrize("fmt,output", [("json", 2717558), ("text", 514245)])

@@ -145,6 +145,32 @@ def test_validation_never_runs_the_double_description(monkeypatch):
         assert set(info.value.cone_pair) == pair
 
 
+def test_incomplete_fan_is_refused_without_its_walls(monkeypatch):
+    # in an overlap polygon, the ray between the overlapping cones lies in
+    # one maximal cone, fewer than a complete fan of rank 2 puts on a ray, so
+    # the pairs are compared with no table of walls built
+    reads = []
+    walls = Fan._walls
+
+    def counted(fan):
+        reads.append(fan)
+        return walls.func(fan)
+
+    monkeypatch.setattr(Fan, "_walls", property(counted))
+    rng = random.Random(7)
+    for n in range(8, 17):
+        rays, cones, pair = overlapping_polygon(rng, n)
+        with pytest.raises(IntersectionNotFace) as info:
+            validate_fan(rays, cones, 2)
+        assert set(info.value.cone_pair) == pair
+        assert pairwise_validate_fan(rays, cones, 2) == ("IntersectionNotFace",
+                                                         info.value.cone_pair)
+    assert reads == []
+    # a complete fan is still validated from its walls
+    validate_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1], [1, 2], [2, 3], [0, 3]], 2)
+    assert reads
+
+
 def test_non_primitive_ray_rejected():
     with pytest.raises(NonPrimitiveRay) as info:
         validate_fan([(2, 4)], [[0]])
