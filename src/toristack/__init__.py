@@ -21,7 +21,6 @@ from .cones import (
     intersect,
     is_full_dimensional,
     is_simplicial,
-    ray_star,
 )
 from .monoids import (
     AffineMonoid,
@@ -94,7 +93,6 @@ __all__ = [
     "minimal_free_resolution",
     "quotient_group",
     "quotient_invariants",
-    "ray_star",
     "restrict_resolution",
     "saturate",
     "saturation_intersection_check",

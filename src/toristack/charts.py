@@ -37,12 +37,13 @@ from .linalg import (
     complete_to_basis,
     determinant,
     dot,
+    echelon_coordinates,
     identity_rows,
     primitive_vector,
     saturate,
     smith_elimination,
 )
-from .monoids import AffineMonoid, admissible_resolution, split_coordinates
+from .monoids import AffineMonoid, admissible_resolution
 from .stackyfan import Fan, StackyFan
 
 
@@ -56,9 +57,10 @@ class LocalChart(NamedTuple):
     the splitting N = N' + N'' (``n_prime_basis``, ``n_doubleprime_basis``);
     for coordinate i, ``fan_rays[i]`` is the index of the fan ray it
     corresponds to under the ray-star bijection (the one ray of the cone
-    that the i-th ray of C(P) pairs positively with), ``levels[i]`` its
-    level and ``action_weights[i]`` the image of the i-th free generator in
-    G, written as residues in invariant-factor coordinates.
+    that the i-th ray of C(P) pairs positively with, which
+    ``defining_cone.dual_rays[i]`` holds in N' coordinates), ``levels[i]``
+    its level and ``action_weights[i]`` the image of the i-th free generator
+    in G, written as residues in invariant-factor coordinates.
     """
 
     cone: tuple[int, ...]
@@ -98,7 +100,9 @@ def _coordinates(fan: Fan, key: tuple[int, ...]):
     pairs positively with ray j and to 0 with the other rays. Restricted to
     N' (w_k = <row, n'_k>) and made primitive, it is the ray w of C(P) on
     the ray star of ray j. When N'' is empty, N' is Z^d in the standard
-    basis, so the rows and the rays are their own N' coordinates. Each w is
+    basis, so the rows and the rays are their own N' coordinates; otherwise
+    the rays' are read by substitution in the Hermite basis of N'
+    (``echelon_coordinates``), which inverts nothing. Each w is
     certified against the rays in N' coordinates: it pairs to 0 with every
     other ray and positively with its own, so the w are exactly the
     primitive rays of C(P) and the rays of the cone the rays of its dual.
@@ -112,7 +116,7 @@ def _coordinates(fan: Fan, key: tuple[int, ...]):
     rows, local = fan.dual_rows[key], rays
     if n_doubleprime:
         rows = [primitive_vector([dot(row, n) for n in n_prime]) for row in rows]
-        local = split_coordinates(rays, n_prime, n_doubleprime)
+        local = echelon_coordinates(rays, n_prime)
     coordinates = sorted(zip(rows, local, key))
     for w, u, _ in coordinates:
         if any(dot(w, v) != 0 for v in local if v != u) or dot(w, u) <= 0:

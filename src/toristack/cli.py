@@ -28,9 +28,9 @@ cycle ideals and the ``cones`` rows, are not built but written from text:
 each coarse generator and coordinate index once per chart, and each
 distinct stabilizer once per report, joined per face, into a template
 that the JSON writer renders of the entry's keys. Output goes out in
-chunks, at the end of an entry once 512 pieces of JSON text (64 if the
-entries are written from text, one piece each) or 512 lines of text are
-pending. The text report reads the built entries, as does
+chunks, at the end of an entry once 512 pieces of JSON text (an entry
+written from text, one piece, counting as eight within its list) or 512
+lines of text are pending. The text report reads the built entries, as does
 ``report_data``, which builds the same report as one dict.
 
 ``main`` may be called any number of times in one process; the argument
@@ -256,12 +256,9 @@ class _Stream(list):
 # this many rows at a time for its column widths
 _CHUNK = 512
 # an entry written from its text is one piece, about as much text as the
-# eight or so pieces the recursion appends for a cycle ideal; so a list of
-# them flushes after _CHUNK // _TEXT_PIECES pieces
+# eight or so pieces the recursion appends for a cycle ideal, and counts as
+# that many against _CHUNK within its list
 _TEXT_PIECES = 8
-# the types the writer knows; an instance of a subclass of one of them is
-# written as that type
-_JSON_TYPES = (str, bool, int, list, tuple, dict, Fraction, type(None), _Entries)
 # the sets of element types that the document checks and the block paths compare against
 _INT, _STR, _FRACTION, _ROWS = {int}, {str}, {Fraction}, {list, tuple}
 # a value "\0key" of a dict as the writer quotes it; ``_json_parts`` splits there
@@ -299,14 +296,10 @@ def _json_list(elements: str, newline: str) -> str:
 
 def _write_json(value, out: _Stream, newline: str) -> None:
     """Append the JSON text of value to out; newline ends a line and indents
-    the next. After each entry of an ``_Entries``, out is flushed once it
-    holds ``_CHUNK`` pieces, or ``_CHUNK // _TEXT_PIECES`` if the entries are
-    written from their text."""
+    the next. Dispatch is on the exact type of value; any other type raises
+    ``TypeError``. After each entry of an ``_Entries``, out is flushed once
+    it holds ``_CHUNK`` pieces, a text entry counting as ``_TEXT_PIECES``."""
     kind = type(value)
-    if kind not in _JSON_TYPES:
-        kind = next((t for t in _JSON_TYPES if isinstance(value, t)), None)
-        if kind is None:
-            raise TypeError(f"cannot serialize {type(value).__name__}")
     if kind is dict:
         if not value:
             out.append("{}")
@@ -365,19 +358,23 @@ def _write_json(value, out: _Stream, newline: str) -> None:
         inner = newline + "  "
         sep = "[" + inner
         texts = value.texts
-        chunk = _CHUNK // _TEXT_PIECES if texts else _CHUNK
+        weight = 0  # what each text since the last flush counts beyond its one piece
         for x in texts(inner) if texts else value:
             if texts:
                 out.append(sep + x)
+                weight += _TEXT_PIECES - 1
             else:
                 out.append(sep)
                 _write_json(x, out, inner)
-            if len(out) >= chunk:
+            if len(out) + weight >= _CHUNK:
                 out.flush()
+                weight = 0
             sep = "," + inner
         out.append("[]" if sep[0] == "[" else newline + "]")
-    else:
+    elif value is None:
         out.append("null")
+    else:
+        raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def write_json(obj, write) -> None:
@@ -395,12 +392,12 @@ def emit_json(obj) -> str:
     The bytes are those of ``json.dumps(..., sort_keys=True, indent=2,
     ensure_ascii=False)`` plus a final newline, after keys become strings,
     tuples and ``_Entries`` lists, integers beyond 2^53-1 in absolute value
-    decimal strings and ``Fraction``s ``"p/q"`` strings; other types raise
-    ``TypeError``. Two kinds of list are written as one block: exact ints
-    within 2^53-1 in one ``join``, and non-empty rows of one length, all
-    such ints or all ``Fraction``s, in one ``%`` format of a row template
-    per row. Any other list, and each of its elements, goes through the
-    recursion. An ``_Entries`` with a text formatter is written from the
+    decimal strings and ``Fraction``s ``"p/q"`` strings; any other type, a
+    subclass such as a named tuple included, raises ``TypeError``. Two kinds
+    of list are written as one block: exact ints within 2^53-1 in one
+    ``join``, and non-empty rows of one length, all such ints or all
+    ``Fraction``s, in one ``%`` format of a row template per row. Any other
+    list, and each of its elements, goes through the recursion. An ``_Entries`` with a text formatter is written from the
     texts it gives, which are the bytes the recursion would write of its
     entries; ``emit_json`` of ``report_data`` builds and walks every entry,
     so it is the reference those texts are tested against.

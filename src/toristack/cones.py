@@ -3,10 +3,12 @@
 A cone is the cone on linearly independent generators, the only kind a
 stacky fan has. It is stored with both descriptions: its extreme rays (the
 generators made primitive, lexicographically sorted) and the inequalities
-cutting it out (the generators of the dual cone). ``dual_rows`` is the one
-place a simplicial cone is dualized, and so the one simpliciality test: one
-inverse of the ray matrix, or of its Gram matrix when there are fewer than
-d rays. Then the kernel of the rays (one normal form) is the dual
+cutting it out (the generators of the dual cone), the i-th dual ray being
+the one that pairs positively with the i-th ray and to zero with the
+others, so the ray-star bijection is read by position. ``dual_rows`` is the
+one place a simplicial cone is dualized, and so the one simpliciality test:
+one inverse of the ray matrix, or of its Gram matrix when there are fewer
+than d rays. Then the kernel of the rays (one normal form) is the dual
 lineality, and the dual rays are their representatives in the span of the
 rays. The dual swaps the two descriptions. Dependent generators raise
 ``ValueError``.
@@ -55,7 +57,9 @@ def dual_rows(rays: Sequence[IntVec], d: int) -> list[IntVec]:
 
 
 class Cone(NamedTuple):
-    """Simplicial rational polyhedral cone with cached ray and inequality data."""
+    """Simplicial rational polyhedral cone with cached ray and inequality
+    data: ``dual_rays[i]`` pairs positively with ``rays[i]`` and to zero
+    with every other ray."""
 
     ambient_rank: int
     rays: tuple[IntVec, ...] = ()
@@ -71,8 +75,8 @@ class Cone(NamedTuple):
         Zero generators are dropped and positive multiples of one vector
         count once; what is left must be linearly independent, or
         ``ValueError`` is raised. The dual rays are the ``dual_rows`` of the
-        generators (one ``integer_inverse``); fewer than d generators also
-        take the kernel normal form of ``on_rays``.
+        generators (one ``integer_inverse``), in ray order; fewer than d
+        generators also take the kernel normal form of ``on_rays``.
         """
         gens = []
         for g in generators:
@@ -90,11 +94,12 @@ class Cone(NamedTuple):
     @classmethod
     def on_rays(cls, rays: Sequence[IntVec], rows: Sequence[IntVec], ambient_rank: int) -> "Cone":
         """The cone on linearly independent primitive rays whose ``dual_rows``
-        are ``rows``: both lists are stored lex-sorted, and below full
-        dimension the kernel of the rays is the dual lineality."""
-        rays = sorted(rays)
+        are ``rows``: the rays are stored lex-sorted, each row beside its
+        ray, and below full dimension the kernel of the rays is the dual
+        lineality."""
+        rays, rows = _by_ray(rays, rows)
         lineality = integer_kernel(rays, ambient_rank) if len(rays) < ambient_rank else ()
-        return cls(ambient_rank, tuple(rays), (), len(rays), tuple(sorted(rows)), tuple(lineality))
+        return cls(ambient_rank, rays, (), len(rays), rows, tuple(lineality))
 
     @property
     def strictly_convex(self) -> bool:
@@ -105,15 +110,24 @@ class Cone(NamedTuple):
         return self.dim == 0
 
 
+def _by_ray(rays: Iterable[IntVec], rows: Iterable[IntVec]) -> tuple[tuple, tuple]:
+    """The rays lex-sorted, and the rows permuted with them, so that the i-th
+    row stays paired with the i-th ray."""
+    pairs = sorted(zip(rays, rows))
+    return tuple(v for v, _ in pairs), tuple(u for _, u in pairs)
+
+
 def dual_cone(c: Cone) -> Cone:
     """The dual cone {m : <m, u> >= 0 for all u in c}.
 
     Strictly convex iff c is full-dimensional; otherwise the result carries
     its lineality basis and is flagged via ``strictly_convex``. Both
-    descriptions are already stored on c, so the two swap places.
+    descriptions are already stored on c, so the two swap places, sorted by
+    the dual rays with each ray of c kept beside its dual ray.
     """
-    return Cone(c.ambient_rank, c.dual_rays, c.dual_lineality,
-                c.ambient_rank - len(c.lineality), c.rays, c.lineality)
+    rays, rows = _by_ray(c.dual_rays, c.rays)
+    return Cone(c.ambient_rank, rays, c.dual_lineality,
+                c.ambient_rank - len(c.lineality), rows, c.lineality)
 
 
 def is_simplicial(c: Cone) -> bool:
@@ -152,21 +166,4 @@ def intersect(c1: Cone, c2: Cone) -> Cone:
     except IntersectionNotFace:
         raise ValueError("the cones overlap beyond the cone on their shared rays") from None
     return Cone.from_generators(set(c1.rays) & set(c2.rays), c1.ambient_rank)
-
-
-def ray_star(c: Cone, rho: Sequence[int]) -> IntVec:
-    """The unique ray of the dual cone pairing positively with the ray rho.
-
-    Requires c simplicial and full-dimensional; this is the bijection between
-    the rays of c and the rays of its dual.
-    """
-    if not is_simplicial(c) or not is_full_dimensional(c):
-        raise ValueError("ray_star requires a simplicial full-dimensional cone")
-    rho = tuple(int(x) for x in rho)
-    if rho not in c.rays:
-        raise ValueError(f"{rho} is not a ray of the cone")
-    hits = [m for m in c.dual_rays if dot(m, rho) > 0]
-    if len(hits) != 1:
-        raise AssertionError("ray star correspondence failed; cone data corrupt")
-    return hits[0]
 

@@ -378,6 +378,26 @@ def saturate(generators: Sequence[Sequence[int]]) -> list[IntVec]:
     return canonical_basis([[row[j] for row in uinv] for j in range(rank)])
 
 
+def echelon_coordinates(vectors: Sequence[Sequence[int]],
+                        basis: Sequence[IntVec]) -> list[IntVec]:
+    """Coordinates of vectors in a Hermite basis (``saturate``), with no
+    inverse: row k is the first to reach its pivot, so once rows 0..k-1 are
+    taken off, the k-th coordinate is read there. What is left must be 0 (a
+    remainder at a pivot stays), else ``AssertionError``: the vector lies
+    outside the lattice the basis spans."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    out = []
+    for v in vectors:
+        rest, coords = list(v), []
+        for row, p in zip(basis, pivots):
+            coords.append(rest[p] // row[p])
+            rest = [x - coords[-1] * y for x, y in zip(rest, row)]
+        if any(rest):
+            raise AssertionError("ray escapes the saturated span")
+        out.append(tuple(coords))
+    return out
+
+
 def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[IntVec]:
     """Canonical basis of {x in Z^cols : A x = 0} for A given by its rows:
     the columns of V at the zero (and missing) diagonal entries of A V = U^-1 S."""

@@ -38,6 +38,7 @@ from .linalg import (
     canonical_basis,
     complete_to_basis,
     dot,
+    echelon_coordinates,
     identity_rows,
     integer_inverse,
     integer_solve,
@@ -221,29 +222,12 @@ def _hilbert_basis_full(ray_list: Sequence[IntVec], d: int) -> list[IntVec]:
     return sorted(basis)
 
 
-def split_coordinates(vectors: Sequence[IntVec], n_prime: Sequence[IntVec],
-                      n_doubleprime: Sequence[IntVec]) -> list[IntVec]:
-    """Coordinates in the basis n_prime of vectors lying in its span.
-
-    n_prime + n_doubleprime must be a basis of the ambient lattice (one
-    inverse serves every vector); a vector outside the span of n_prime raises.
-    """
-    inverse = integer_inverse([list(col) for col in zip(*n_prime, *n_doubleprime)])
-    r = len(n_prime)
-    out = []
-    for v in vectors:
-        coords = integer_solve(inverse, v)
-        if coords is None or any(coords[r:]):
-            raise AssertionError("ray escapes the saturated span")
-        out.append(coords[:r])
-    return out
-
-
 def hilbert_basis(c: Cone) -> list[IntVec]:
     """Minimal generating set of c intersected with the ambient lattice.
 
     The cone must be simplicial and strictly convex; lower-dimensional cones
-    are handled inside the saturation of their span, so every 2-cone, in any
+    are handled inside the saturation of their span, in the coordinates of
+    its Hermite basis (``echelon_coordinates``), so every 2-cone, in any
     ambient rank, takes the Hirzebruch-Jung path of ``_hilbert_basis_full``.
     A walk over more than ``MAX_LATTICE_POINTS`` points raises
     ``LatticeWalkTooLarge`` before it starts.
@@ -256,7 +240,7 @@ def hilbert_basis(c: Cone) -> list[IntVec]:
     if c.dim == d:
         return _hilbert_basis_full(c.rays, d)
     span = saturate(list(c.rays))
-    local = _hilbert_basis_full(split_coordinates(c.rays, span, complete_to_basis(span, d)), c.dim)
+    local = _hilbert_basis_full(echelon_coordinates(c.rays, span), c.dim)
     lifted = [tuple(dot(h, col) for col in zip(*span)) for h in local]
     return sorted(lifted)
 
@@ -334,31 +318,30 @@ class FreeResolution(_ResolutionFields):
     generators are the minimal free generators f_i = v_i / b_i sitting on the
     rays v_i of C(P); realized_generators g_i = f_i / n_i carry the level
     scalings (all n_i = 1 for the minimal resolution). In the g basis the
-    i-th coordinate of m is n_i <u_i, m>, for the dual ray
-    u_i = ``cones.ray_star(C(P), v_i)`` that C(P) already stores, so no
-    matrix is inverted. Construction checks that P lies in the free monoid
-    on the f_i, hence in the one on the g_i: for each Hilbert-basis element
-    h, every <u_i, h> >= 0, and those coordinates rebuild h exactly,
+    i-th coordinate of m is n_i <u_i, m>, for the dual ray u_i that C(P)
+    stores beside v_i (``defining_cone.dual_rays[i]``), so no matrix is
+    inverted. Construction checks that P lies in the free monoid on the f_i,
+    hence in the one on the g_i: for each Hilbert-basis element h, every
+    <u_i, h> >= 0, and those coordinates rebuild h exactly,
     sum_i n_i <u_i, h> (L g_i) = L h over the common denominator L of the
-    g_i. Generators off the rays of C(P) fail that check. The Hilbert basis
-    generates P^gp, so the matrix of P^gp -> F^gp is integral. The
-    realized generators over L and the dual rays are kept in the instance
-    ``__dict__``, beside the fields; ``dual_rays``, when given, are the u_i
-    in ray order, so that a caller that already has them (as
-    ``admissible_resolution`` does) does not pair each ray again.
+    g_i. Generators off the rays of C(P) fail that check, and so do dual
+    rays out of step with the rays: the rays of C(P) are Hilbert-basis
+    elements, and v_k is rebuilt only if <u_i, v_k> = b_i delta_ik. The
+    Hilbert basis generates P^gp, so the matrix of P^gp -> F^gp is
+    integral. The realized generators over L are kept in the instance
+    ``__dict__``, beside the fields.
     """
 
-    def __new__(cls, *args, dual_rays=None, **kwargs):
+    def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if dual_rays is not None:
-            self.__dict__["_dual_rays"] = dual_rays
         if any(n < 1 for n in self.levels):
             raise ValueError("levels must be positive integers")
         if any(b < 1 for b in self.denominators):
             raise ValueError("denominators must be positive integers")
         scale, gens = self._scaled_generators
         columns = list(zip(*gens))
-        rows = [[n * x for x in u] for u, n in zip(self._dual_rays, self.levels)]
+        rows = [[n * x for x in u]
+                for u, n in zip(self.source.defining_cone.dual_rays, self.levels)]
         for h in self.source.hilbert_basis:
             coordinates = [sum(map(mul, row, h)) for row in rows]
             if (min(coordinates) < 0
@@ -378,12 +361,6 @@ class FreeResolution(_ResolutionFields):
         return scale, [tuple(x.numerator * (scale // x.denominator) for x in g)
                        for g in self.realized_generators]
 
-    @cached_property
-    def _dual_rays(self) -> tuple[IntVec, ...]:
-        """u_i = ``cones.ray_star(C(P), v_i)`` for each ray v_i, in ray order."""
-        c = self.source.defining_cone
-        return tuple(cones.ray_star(c, v) for v in c.rays)
-
 
 def minimal_free_resolution(p: AffineMonoid) -> FreeResolution:
     """Canonical construction of the minimal free resolution of P: the
@@ -397,16 +374,16 @@ def admissible_resolution(p: AffineMonoid, levels: Mapping[IntVec, int]) -> Free
     The free generators are f_i = v_i / b_i, where v_i are the primitive rays
     of C(P) (lex order) and (1/b_i) Z is the image of P^gp under the i-th
     ray coordinate <u_i, .> / <u_i, v_i>, for the dual ray
-    u_i = ``cones.ray_star(C(P), v_i)`` that C(P) already stores: u_i is
+    u_i = ``defining_cone.dual_rays[i]`` that C(P) stores beside v_i: u_i is
     primitive, so that image is generated by 1 / <u_i, v_i>, and
-    b_i = <u_i, v_i>. levels maps primitive rays of C(P) to positive
-    integers; missing rays default to 1. The realized generators are
-    f_i / n_i.
+    b_i = <u_i, v_i>, asserted positive before any division. levels maps
+    primitive rays of C(P) to positive integers; missing rays default to 1.
+    The realized generators are f_i / n_i.
     """
     if not p.sharp:
         raise ValueError("minimal free resolution requires a sharp monoid")
     c = p.defining_cone
-    if c.dim != p.lattice_rank:
+    if not cones.is_full_dimensional(c):
         raise ValueError("defining cone must be full-dimensional (P^gp of full rank)")
     ray_list = c.rays
     known = set(ray_list)
@@ -419,8 +396,9 @@ def admissible_resolution(p: AffineMonoid, levels: Mapping[IntVec, int]) -> Free
             raise ValueError(f"level on ray {key} must be >= 1")
         by_ray[key] = int(n)
     ns = tuple(by_ray.get(r, 1) for r in ray_list)
-    duals = tuple(cones.ray_star(c, v) for v in ray_list)
-    denominators = tuple(map(dot, duals, ray_list))
+    denominators = tuple(map(dot, c.dual_rays, ray_list))
+    if any(b < 1 for b in denominators):
+        raise AssertionError("a dual ray of C(P) does not pair positively with its ray")
     gens = tuple(tuple(Fraction(x, b) for x in v) for v, b in zip(ray_list, denominators))
     return FreeResolution(
         source=p, rank=p.lattice_rank,
@@ -428,7 +406,6 @@ def admissible_resolution(p: AffineMonoid, levels: Mapping[IntVec, int]) -> Free
         levels=ns,
         generators=gens,
         realized_generators=tuple(tuple(x / n for x in f) for f, n in zip(gens, ns)),
-        dual_rays=duals,
     )
 
 
@@ -512,7 +489,7 @@ def restrict_resolution(p: AffineMonoid, res: FreeResolution,
     if len(subset) == d:
         return p, res
     r = len(subset)
-    duals = res._dual_rays  # <u_i, x> is the i-th coordinate at level 1
+    duals = res.source.defining_cone.dual_rays  # <u_i, x> is the i-th coordinate at level 1
 
     def project(x: IntVec) -> IntVec:
         return tuple(dot(duals[i], x) for i in subset)

@@ -460,9 +460,10 @@ def _separates(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...], shared: set[i
     nonnegative combination of c2's rays, m.x <= 0 with equality only if no
     weight falls on c2's rays outside tau: x lies in the cone on tau. Both
     sets of rays outside tau are nonempty for two maximal cones. The sum is
-    the sum of the dual rays of c1's ``Fan.build_cone`` that vanish on
-    tau, which ``Cone.on_rays`` stores from the same rows. The single rows
-    are tested on sign masks by ``_check_pairs``.
+    the sum of the dual rays of c1's ``Fan.build_cone`` beside its rays
+    outside tau, which ``Cone.on_rays`` stores from the same rows, each
+    paired with its ray. The single rows are tested on sign masks by
+    ``_check_pairs``.
     """
     total = [sum(x) for x in zip(*(row for i, row in zip(c1, fan.dual_rows[c1])
                                    if i not in shared))]

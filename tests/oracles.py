@@ -441,6 +441,16 @@ def sign_masks(rays, cone, rows):
     return masks
 
 
+def paired_by_position(cone):
+    """Whether the rays of a cone are lex-sorted and its i-th dual ray pairs
+    positively with its i-th ray and to zero with every other ray."""
+    rays, dual_rays = cone.rays, cone.dual_rays
+    pairings = [[sum(a * b for a, b in zip(u, v)) for v in rays] for u in dual_rays]
+    return (list(rays) == sorted(rays) and len(dual_rays) == len(rays)
+            and all((x > 0) if i == k else (x == 0)
+                    for i, row in enumerate(pairings) for k, x in enumerate(row)))
+
+
 def pairwise_validate_fan(rays, maximal_cones, d):
     """Fan validation that compares every pair of maximal cones, as the
     library did before it read complete fans from their walls.

@@ -1,10 +1,12 @@
-"""Every name the package exports has a caller.
+"""Every name the package defines has a caller.
 
-Each name in ``toristack.__all__`` is used somewhere in ``src/toristack``
-outside its own definition and ``__init__.py``, or a row of ``KEPT`` says
-why it stays: the benchmark's tracer wraps it (``bench/tracing.py``'s
+Each top-level function and class of ``src/toristack``, and each name in
+``toristack.__all__``, is used somewhere in ``src/toristack`` outside its
+own definition and ``__init__.py``, or a row of ``KEPT`` says why it
+stays: the benchmark's tracer wraps it (``bench/tracing.py``'s
 ``LAYERS``), or it states a result of the paper that no command prints and
-the named test checks it against an oracle. README's import block takes
+the named test checks it against an oracle. So a helper that loses its
+last caller fails here, exported or not. README's import block takes
 exported names only.
 
 The value types are immutable named tuples: no field of one can be
@@ -30,22 +32,29 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "toristack"
 
 BENCH = "wrapped by bench/tracing.py"
+# module.name -> (reason, the test that checks it, or None)
 KEPT = {
-    "hermite_normal_form": (BENCH, None),
-    "smith_normal_form": (BENCH, None),
-    "intersect": (BENCH, None),
-    "quotient_group": ("P/Q for a close saturated submonoid",
-                       "test_monoids.py::test_quotient_matches_box_oracle"),
-    "restrict_resolution": ("projection stability of the minimal resolution",
-                            "test_monoids.py::"
-                            "test_restrict_resolution_matches_the_projected_monoid_oracle"),
+    "linalg.hermite_normal_form": (BENCH, None),
+    "linalg.smith_normal_form": (BENCH, None),
+    "cones.intersect": (BENCH, None),
+    "monoids.quotient_group": ("P/Q for a close saturated submonoid",
+                               "test_monoids.py::test_quotient_matches_box_oracle"),
+    "monoids.restrict_resolution": ("projection stability of the minimal resolution",
+                                    "test_monoids.py::"
+                                    "test_restrict_resolution_matches_the_projected_monoid_oracle"),
+    # the report built as one dict, and its text: the reference of the streamed report
+    "cli.report_data": (BENCH, "test_report_stream.py::"
+                               "test_streamed_report_matches_the_built_dict_on_the_fixtures"),
+    "cli.render_report_text": (BENCH, "test_report_stream.py::"
+                                      "test_streamed_report_matches_the_built_dict_on_the_fixtures"),
 }
 
 
 def defined_and_used():
-    """(name -> module that defines it at top level, the names used in the
-    package outside their own top-level definition), without ``__init__.py``."""
-    defined, used = {}, set()
+    """(name -> module that defines it at top level, the names of the
+    top-level functions and classes, the names used in the package outside
+    their own top-level definition), without ``__init__.py``."""
+    defined, units, used = {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -57,6 +66,7 @@ def defined_and_used():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 owner = {node.name}
+                units.add(node.name)
             elif isinstance(node, ast.Assign):
                 owner = {t.id for t in node.targets if isinstance(t, ast.Name)}
             else:
@@ -71,32 +81,39 @@ def defined_and_used():
                     continue
                 if name not in owner:
                     used.add(name)
-    return defined, used
+    return defined, units, used
 
 
 def test_every_export_has_a_caller_or_a_recorded_reason():
-    defined, used = defined_and_used()
-    unused = sorted(name for name in toristack.__all__ if name not in used)
-    assert unused == sorted(KEPT)
+    defined, _, used = defined_and_used()
     for name in toristack.__all__:
         assert name in defined, name
+    unused = sorted(f"{defined[name]}.{name}" for name in toristack.__all__ if name not in used)
+    assert unused == sorted(k for k in KEPT if k.split(".")[1] in toristack.__all__)
+
+
+def test_every_top_level_function_and_class_has_a_caller_or_a_recorded_reason():
+    defined, units, used = defined_and_used()
+    unused = sorted(f"{defined[name]}.{name}" for name in units if name not in used)
+    assert unused == sorted(KEPT)
 
 
 def test_every_kept_name_has_its_reason():
     tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
     layers = next(ast.literal_eval(node.value) for node in tracing.body
                   if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS")
-    wrapped = {attr for targets in layers.values() for _, attr in targets}
-    for name, (reason, test) in KEPT.items():
-        assert name in toristack.__all__, name
-        if reason == BENCH:
-            assert name in wrapped, name
+    wrapped = {f"{module}.{attr}" for targets in layers.values() for module, attr in targets}
+    for key, (reason, test) in KEPT.items():
+        module, name = key.split(".")
+        assert reason != BENCH or key in wrapped, key
+        if test is None:
             continue
-        module, function = test.split("::")
-        tree = ast.parse((ROOT / "tests" / module).read_text(encoding="utf-8"))
+        path, function = test.split("::")
+        tree = ast.parse((ROOT / "tests" / path).read_text(encoding="utf-8"))
         tests = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
         assert function in tests, test
-        assert function in getattr(toristack, name).__doc__, name
+        # a result of the paper names the test that checks it
+        assert reason == BENCH or function in getattr(getattr(toristack, module), name).__doc__, key
 
 
 def test_readme_imports_only_exported_names():

@@ -44,10 +44,11 @@ from toristack.linalg import (
     FiniteAbelianGroup,
     determinant,
     dot,
+    echelon_coordinates,
     primitive_vector,
     smith_normal_form,
 )
-from toristack.monoids import AffineMonoid, admissible_resolution, split_coordinates
+from toristack.monoids import AffineMonoid, admissible_resolution
 from toristack.stackyfan import StackyFan, validate_fan
 
 
@@ -466,7 +467,7 @@ def chart_through_resolution(sf, c):
     time, the level-scaled resolution, its coordinate matrix and its Smith
     normal form."""
     rays = [sf.fan.rays[i] for i in c]
-    local = split_coordinates(rays, *split_cone(rays, sf.fan.ambient_rank))
+    local = echelon_coordinates(rays, split_cone(rays, sf.fan.ambient_rank)[0])
     p = AffineMonoid.from_dual_cone(dual_cone(Cone.from_generators(local, len(c))))
     fan_rays = []
     for w in p.defining_cone.rays:

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from oracles import fm_cone_contains, rank
+from oracles import fm_cone_contains, paired_by_position, rank
 
 from toristack.cones import (
     Cone,
@@ -9,7 +9,6 @@ from toristack.cones import (
     dual_cone,
     intersect,
     is_simplicial,
-    ray_star,
 )
 from toristack.charts import local_chart
 from toristack.linalg import smith_normal_form
@@ -148,18 +147,21 @@ def test_multiplicity_examples():
 
 def test_ray_star_standard_basis():
     c = cone((1, 0), (0, 1))
-    assert ray_star(c, (1, 0)) == (1, 0)
-    assert ray_star(c, (0, 1)) == (0, 1)
+    assert c.rays == c.dual_rays == ((0, 1), (1, 0))
 
 
 def test_ray_star_spec_example():
-    c = cone((1, 0), (1, 2))
-    assert ray_star(c, (1, 0)) == (2, -1)
-    assert ray_star(c, (1, 2)) == (0, 1)
-    with pytest.raises(ValueError):
-        ray_star(c, (1, 1))
-    with pytest.raises(ValueError):
-        ray_star(cone((1, 1, 0), (1, -1, 0)), (1, 1, 0))
+    # the ray-star bijection is read by position: (1,0) <-> (2,-1), (1,2) <-> (0,1)
+    c = cone((1, 2), (1, 0))
+    assert c.rays == ((1, 0), (1, 2)) and c.dual_rays == ((2, -1), (0, 1))
+    assert paired_by_position(c)
+    # the dual keeps each pair, sorted by its own rays
+    d = dual_cone(c)
+    assert d.rays == ((0, 1), (2, -1)) and d.dual_rays == ((1, 2), (1, 0))
+    # below full dimension each dual ray lies in the span and pairs the same way
+    c = cone((1, 1, 0), (1, -1, 0))
+    assert c.rays == c.dual_rays == ((1, -1, 0), (1, 1, 0))
+    assert paired_by_position(c) and paired_by_position(dual_cone(c))
 
 
 def independent_generators(rng, d, n, bound):
@@ -198,9 +200,9 @@ def test_ray_star_is_bijection_random():
     for _ in range(60):
         d = rng.randint(1, 3)
         c = Cone.from_generators(random_full_cone_rays(rng, d), d)
-        stars = [ray_star(c, r) for r in c.rays]
-        assert len(set(stars)) == len(c.rays)
-        assert set(stars) == set(dual_cone(c).rays)
+        assert paired_by_position(c) and paired_by_position(dual_cone(c))
+        assert len(set(c.dual_rays)) == len(c.rays)
+        assert set(c.dual_rays) == set(dual_cone(c).rays)
 
 
 def test_multiplicity_one_iff_unimodular_extension():

@@ -1,6 +1,7 @@
-"""Property tests: the simplicial cone against a tight-subset oracle, and the
-pairwise check (separating certificate, then circuit sign test) and
-``intersect`` against the pairwise fan-validation oracle."""
+"""Property tests: the simplicial cone against a tight-subset oracle, the
+pairing of each cone's dual rays with its rays, and the pairwise check
+(separating certificate, then circuit sign test) and ``intersect`` against
+the pairwise fan-validation oracle."""
 
 import math
 
@@ -10,8 +11,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import pairwise_validate_fan, rank, tight_subset_rays
+from oracles import paired_by_position, pairwise_validate_fan, rank, tight_subset_rays
+from test_validate_properties import drawn_stacky_fans
 
+from toristack.charts import local_chart
 from toristack.cones import Cone, dual_cone, intersect
 from toristack.linalg import primitive_vector, smith_normal_form
 from toristack.stackyfan import IntersectionNotFace, validate_fan
@@ -51,7 +54,7 @@ def test_simplicial_path_matches_double_description(drawn):
     if len(gens) == d:
         # both descriptions are canonical: the double description of the oracle
         dual_rays = tight_subset_rays(gens, d)
-        assert list(c.dual_rays) == dual_rays and c.dual_lineality == ()
+        assert sorted(c.dual_rays) == dual_rays and c.dual_lineality == ()
         assert list(c.rays) == tight_subset_rays(dual_rays, d)
         return
     # below full dimension the dual rays are fixed up to the dual lineality:
@@ -68,6 +71,32 @@ def test_simplicial_path_matches_double_description(drawn):
     assert all(pairing(v, g) == 0 for v in c.dual_lineality for g in gens)
     # the representatives are the ones in the span of the generators
     assert all(pairing(m, v) == 0 for m in c.dual_rays for v in c.dual_lineality)
+
+
+@PROPERTY
+@given(independent_generators())
+@example(([(1, 2), (1, 0)], 2))
+@example(([(1, 1, 0), (1, -1, 0)], 3))
+def test_every_cone_pairs_each_dual_ray_with_its_ray(drawn):
+    gens, d = drawn
+    c = Cone.from_generators(gens, d)
+    assert paired_by_position(c)
+    assert paired_by_position(dual_cone(c))
+
+
+def test_fan_and_chart_cones_pair_each_dual_ray_with_its_ray():
+    # each maximal cone and the face without its first ray, in ranks 2-5:
+    # the cone ``Fan.build_cone`` stores from the fan's dual rows, its dual,
+    # and the chart's C(P), whose dual rays are the cone's rays in N'
+    drawn = drawn_stacky_fans(40)
+    assert {doc.rank for doc, _ in drawn} == {2, 3, 4, 5}
+    for _, sf in drawn:
+        for m in sf.fan.maximal_cones:
+            for key in {m, m[1:] or m}:
+                c = sf.fan.build_cone(key)
+                assert paired_by_position(c)
+                assert paired_by_position(dual_cone(c))
+                assert paired_by_position(local_chart(sf, key).defining_cone)
 
 
 @st.composite

@@ -16,6 +16,7 @@ from oracles import reference_emit_json
 
 import toristack.cli
 from toristack.cli import emit_json
+from toristack.linalg import FiniteAbelianGroup
 
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -147,4 +148,9 @@ def test_emit_json_refuses_floats_and_sets():
         with pytest.raises(TypeError):
             reference_emit_json(value)
         with pytest.raises(TypeError):
+            emit_json(value)
+    # the writer dispatches on exact types: a named tuple passed by mistake,
+    # such as a group, is refused rather than written as a list
+    for value in (FiniteAbelianGroup((2,)), {"group": FiniteAbelianGroup(())}):
+        with pytest.raises(TypeError, match="FiniteAbelianGroup"):
             emit_json(value)

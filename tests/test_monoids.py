@@ -458,17 +458,33 @@ def test_saturation_check_examples():
 
 
 
-def test_resolution_pairs_each_ray_with_its_dual_ray_once(monkeypatch):
-    # the denominators and the P <= F check read one dual ray per ray of C(P)
-    import toristack.cones
-    calls = []
-    ray_star = toristack.cones.ray_star
-    monkeypatch.setattr(toristack.cones, "ray_star", lambda c, v: calls.append(v) or ray_star(c, v))
+def test_resolution_reads_the_cones_dual_rays():
+    # u_i is the dual ray C(P) stores beside its ray v_i: the denominators
+    # are b_i = <u_i, v_i>, and the resolution keeps no copy of the u_i
     p = monoid_of(sigma((1, 0, 0), (0, 1, 0), (2, 3, 6)))
-    res = admissible_resolution(p, {p.defining_cone.rays[0]: 2})
-    assert calls == list(p.defining_cone.rays)
-    assert res._dual_rays == tuple(ray_star(p.defining_cone, v) for v in p.defining_cone.rays)
-    assert res.denominators == tuple(map(dot, res._dual_rays, p.defining_cone.rays))
+    c = p.defining_cone
+    res = admissible_resolution(p, {c.rays[0]: 2})
+    assert res.denominators == tuple(map(dot, c.dual_rays, c.rays)) != (1, 1, 1)
+    assert res.generators == tuple(tuple(frac(x, b) for x in v)
+                                   for v, b in zip(c.rays, res.denominators))
+    assert set(vars(res)) == {"_scaled_generators"}
+
+
+def test_resolution_refuses_dual_rays_out_of_step_with_the_rays():
+    # with two dual rays of C(P) swapped, each pairs to 0 with the ray beside
+    # it: the denominators are refused, and a resolution built from the right
+    # ones fails the rebuild of the rays, which are Hilbert-basis elements
+    p = monoid_of(sigma((1, 0, 0), (0, 1, 0), (2, 3, 6)))
+    c = p.defining_cone
+    res = minimal_free_resolution(p)
+    u = c.dual_rays
+    swapped = p._replace(defining_cone=c._replace(dual_rays=(u[1], u[0], *u[2:])))
+    with pytest.raises(AssertionError, match="does not pair positively"):
+        minimal_free_resolution(swapped)
+    with pytest.raises(AssertionError, match="not a lattice point of the free monoid"):
+        FreeResolution(swapped, *res[1:])
+    assert FreeResolution(p, *res[1:]) == res
+
 
 # -- tripwires on broken resolution data ------------------------------------------
 

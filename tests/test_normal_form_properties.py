@@ -2,8 +2,9 @@
 Smith normal form (and the diagonal-only elimination and cokernel with it),
 the Hermite normal form with its transform and its uniqueness on the row
 lattice (and the elimination without U with it), the fraction-free
-unimodular inverse against sympy's inverse, and the normal-form-free
-splitting of a full-dimensional cone against the generic one."""
+unimodular inverse against sympy's inverse, the normal-form-free
+splitting of a full-dimensional cone against the generic one, and
+coordinates in a saturated Hermite basis read by substitution."""
 
 import pytest
 
@@ -14,11 +15,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
-from oracles import det
+from oracles import det, rank
 
 from toristack.charts import split_cone
 from toristack.linalg import (
     complete_to_basis,
+    echelon_coordinates,
     hermite_elimination,
     hermite_normal_form,
     invert_unimodular,
@@ -149,3 +151,25 @@ def test_full_dimensional_split_matches_the_generic_splitting(data):
     rays = [primitive_vector(r) for r in rays]
     n_prime = saturate(rays)
     assert split_cone(rays, d) == (n_prime, complete_to_basis(n_prime, d))
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_echelon_coordinates_rebuild_or_raise(rows, data):
+    # a combination of the saturated basis has its coefficients as
+    # coordinates; a unit vector outside the span raises
+    assume(any(map(any, rows)))
+    basis = saturate(rows)
+    d = len(rows[0])
+    coefficients = data.draw(st.lists(st.integers(-5, 5), min_size=len(basis),
+                                      max_size=len(basis)))
+    v = [sum(c * row[j] for c, row in zip(coefficients, basis)) for j in range(d)]
+    assert echelon_coordinates([v], basis) == [tuple(coefficients)]
+    for j in range(d):
+        e = [int(i == j) for i in range(d)]
+        if rank(basis + [e]) == len(basis):
+            [x] = echelon_coordinates([e], basis)
+            assert [sum(c * row[i] for c, row in zip(x, basis)) for i in range(d)] == e
+        else:
+            with pytest.raises(AssertionError, match="ray escapes the saturated span"):
+                echelon_coordinates([e], basis)

@@ -143,6 +143,17 @@ def test_cycle_ideals_and_cone_rows_are_written_from_their_text(monkeypatch, tmp
         assert written.count(cycle_ideal) <= 1 and written.count(cone_row) <= 1, path
 
 
+def test_small_json_reports_are_written_in_few_chunks(monkeypatch, tmp_path):
+    # an entry written from its text counts as cli._TEXT_PIECES pieces against
+    # the one bound cli._CHUNK, beside what the charts before it left
+    # pending: every fixture's report is one chunk (2 to 4 when a list
+    # written from text flushed once 64 pieces of any kind were pending), and
+    # (P^1)^3's, 35 KB with 64 cycle ideals, two
+    for path in sorted(FIXTURES.glob("*.json")):
+        assert len(streamed(monkeypatch, path, "json", keep=False).sizes) == 1, path
+    assert len(streamed(monkeypatch, p1_power(tmp_path, 3), "json", keep=False).sizes) == 2
+
+
 @pytest.mark.parametrize("fmt,output", [("json", 2717558), ("text", 514245)])
 def test_report_memory_does_not_grow_with_its_output(monkeypatch, tmp_path, fmt, output):
     # (P^1)^6 lists 4,096 cycle ideals. Built as one dict and one string,
