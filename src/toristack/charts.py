@@ -213,7 +213,7 @@ def stabilizer(sf: StackyFan, sigma: Iterable[int]) -> FiniteAbelianGroup:
     return face_group(local_chart(sf, home), key)[0]
 
 
-def is_kummer_etale_chart(chart: LocalChart, residue_characteristics: Sequence[int]) -> bool:
+def is_kummer_etale_chart(chart: LocalChart, residue_characteristics: Iterable[int]) -> bool:
     """Whether the chart covering is Kummer log etale: |G| invertible."""
     chars = [int(p) for p in residue_characteristics if int(p) != 0]
     return all(math.gcd(chart.group.order, p) == 1 for p in chars)

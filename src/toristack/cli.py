@@ -46,7 +46,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, combinations, compress, islice
+from itertools import combinations, compress, islice
 from json.encoder import encode_basestring
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -259,8 +259,8 @@ _CHUNK = 512
 # eight or so pieces the recursion appends for a cycle ideal, and counts as
 # that many against _CHUNK within its list
 _TEXT_PIECES = 8
-# the sets of element types that the document checks and the block paths compare against
-_INT, _STR, _FRACTION, _ROWS = {int}, {str}, {Fraction}, {list, tuple}
+# the sets of element types that the document checks and the writer compare against
+_INT, _STR = {int}, {str}
 # a value "\0key" of a dict as the writer quotes it; ``_json_parts`` splits there
 _FIELD = re.compile(r'"\\u0000(\w+)"')
 
@@ -297,7 +297,8 @@ def _json_list(elements: str, newline: str) -> str:
 def _write_json(value, out: _Stream, newline: str) -> None:
     """Append the JSON text of value to out; newline ends a line and indents
     the next. Dispatch is on the exact type of value; any other type raises
-    ``TypeError``. After each entry of an ``_Entries``, out is flushed once
+    ``TypeError``. A list of exact ints within 2^53-1 is one ``join``. After
+    each entry of an ``_Entries``, out (then a ``_Stream``) is flushed once
     it holds ``_CHUNK`` pieces, a text entry counting as ``_TEXT_PIECES``."""
     kind = type(value)
     if kind is dict:
@@ -317,29 +318,10 @@ def _write_json(value, out: _Stream, newline: str) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        kinds = set(map(type, value))
-        # a list of exact ints in the safe range is one join, and a list of
-        # equal-length rows of them one format of a row template per row
-        if kinds == _INT:
-            if -_JSON_SAFE_INT <= min(value) and max(value) <= _JSON_SAFE_INT:
-                out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
-                return
-        elif kinds <= _ROWS and len(value[0]) and len(set(map(len, value))) == 1:
-            flat = tuple(chain.from_iterable(value))
-            cells = set(map(type, flat))
-            if cells == _INT and -_JSON_SAFE_INT <= min(flat) and max(flat) <= _JSON_SAFE_INT:
-                cell = "%d"
-            elif cells == _FRACTION:
-                cell = '"%d/%d"'
-                flat = tuple(chain.from_iterable((x.numerator, x.denominator) for x in flat))
-            else:
-                cell = None
-            if cell:
-                row = inner + "  "
-                row = "[" + row + ("," + row).join((cell,) * len(value[0])) + inner + "]"
-                out.append(("[" + inner + ("," + inner).join((row,) * len(value))
-                            + newline + "]") % flat)
-                return
+        if (set(map(type, value)) == _INT
+                and -_JSON_SAFE_INT <= min(value) and max(value) <= _JSON_SAFE_INT):
+            out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+            return
         sep = "[" + inner
         for x in value:
             out.append(sep)
@@ -378,8 +360,9 @@ def _write_json(value, out: _Stream, newline: str) -> None:
 
 
 def write_json(obj, write) -> None:
-    """Write the text of ``emit_json(obj)`` through write, in chunks that
-    end with an entry of an ``_Entries`` in obj, and then the rest."""
+    """Write the text of ``emit_json`` of obj, with each ``_Entries`` in it
+    built, through write, in chunks that end with an entry of an
+    ``_Entries`` in obj, and then the rest."""
     out = _Stream(write)
     _write_json(obj, out, "\n")
     out.append("\n")
@@ -387,24 +370,13 @@ def write_json(obj, write) -> None:
 
 
 def emit_json(obj) -> str:
-    """Canonical JSON text of obj, in one pass.
-
-    The bytes are those of ``json.dumps(..., sort_keys=True, indent=2,
-    ensure_ascii=False)`` plus a final newline, after keys become strings,
-    tuples and ``_Entries`` lists, integers beyond 2^53-1 in absolute value
-    decimal strings and ``Fraction``s ``"p/q"`` strings; any other type, a
-    subclass such as a named tuple included, raises ``TypeError``. Two kinds
-    of list are written as one block: exact ints within 2^53-1 in one
-    ``join``, and non-empty rows of one length, all such ints or all
-    ``Fraction``s, in one ``%`` format of a row template per row. Any other
-    list, and each of its elements, goes through the recursion. An ``_Entries`` with a text formatter is written from the
-    texts it gives, which are the bytes the recursion would write of its
-    entries; ``emit_json`` of ``report_data`` builds and walks every entry,
-    so it is the reference those texts are tested against.
-    """
-    chunks: list[str] = []
-    write_json(obj, chunks.append)
-    return "".join(chunks)
+    """Canonical JSON text of obj, which holds no ``_Entries``: the bytes
+    of ``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)``
+    plus a final newline, after keys become strings, tuples lists, integers
+    beyond 2^53-1 in absolute value decimal strings and ``Fraction``s
+    ``"p/q"`` strings; any other type, a subclass such as a named tuple
+    included, raises ``TypeError``."""
+    return _json_text(obj, "\n") + "\n"
 
 
 def cone_id(indices: Sequence[int]) -> str:
@@ -451,7 +423,7 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
     # no cache keeps the cones (or the fan) once the report is written
     generators = {c: _on_cone(c, lambda: monoidlib.monoid_generators(
         conelib.dual_cone(fan.build_cone(c)))) for c in fan.maximal_cones}
-    chars = doc.characteristics
+    chars = set(doc.characteristics)  # each distinct one decides tameness once
     charts = {c: chartlib.local_chart(sf, c) for c in fan.maximal_cones}
     smooth_canonical = (all(n == 1 for n in sf.levels)
                         and all(charts[c].multiplicity == 1 for c in fan.maximal_cones))
@@ -599,7 +571,7 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
             "tame": tame,
             "deligne_mumford": tame,
             "smooth_canonical": smooth_canonical,
-            "characteristics": list(chars),
+            "characteristics": list(doc.characteristics),
         },
     }
     if smooth_canonical:

@@ -132,19 +132,11 @@ class _FanFields(NamedTuple):
 class Fan(_FanFields):
     """Finite simplicial fan, given by its maximal cones.
 
-    Its hash, its index from rays to maximal cones and its walls are
-    computed once per instance and kept in its ``__dict__``, so a lookup
-    costs the same in a fan of any size. Each cone's dual rows are computed
-    once: ``validate_fan`` fills those of the listed cones, and a face's are
-    computed on first lookup.
+    Its index from rays to maximal cones and its walls are computed once
+    per instance and kept in its ``__dict__``. Each cone's dual rows are
+    computed once: ``validate_fan`` fills those of the listed cones, and a
+    face's are computed on first lookup.
     """
-
-    @cached_property
-    def _hash(self) -> int:
-        return tuple.__hash__(self)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @cached_property
     def dual_rows(self) -> _DualRows:
@@ -265,9 +257,9 @@ def stacky_fan_violations(ambient_rank: int, rays: Sequence[Sequence[int]],
     cone indices are sound."""
     rays, maximal_cones = [tuple(r) for r in rays], [tuple(c) for c in maximal_cones]
     structural = _ray_violations(rays, maximal_cones, ambient_rank)
+    valid = {p: is_residue_characteristic(p) for p in set(characteristics)}
     found = (structural + _level_violations(len(rays), levels)
-             + [InvalidCharacteristic(p) for p in characteristics
-                if not is_residue_characteristic(p)])
+             + [InvalidCharacteristic(p) for p in characteristics if not valid[p]])
     if not structural:
         try:
             fan = _checked_fan(rays, maximal_cones, ambient_rank)
@@ -303,24 +295,26 @@ def _checked_fan(rays: list[IntVec], maximal_cones: list[tuple[int, ...]],
     """The fan on rays and cones, tuples of ints, that ``_ray_violations`` passes;
     raises the first geometric violation.
 
-    Each listed cone's ``cones.dual_rows`` is computed in listing order, the
-    simpliciality test (the first cone with dependent rays is named); the
-    rows fill the fan's ``Fan.dual_rows``, so no later step tests rank
-    again. A complete fan whose walls each separate exactly two cones, and
-    whose cones cover one generic point once, is a valid fan with no pair
-    compared (``_covers_once``, not tried when a ray lies in fewer than d
-    listed cones, as then the fan is not complete). Otherwise every pair
-    of maximal cones is settled in order, and the first pair that fails is
-    named: sign masks certify most pairs in bulk from either side
-    (``_check_pairs``), refuse a pair when a ray of one cone lies inside
-    the other, full-dimensional one, and ``_meet_in_shared_face`` settles
-    the rest exactly.
+    Each listed cone's ``cones.dual_rows`` is computed in listing order,
+    once per distinct cone: the simpliciality test (the first cone with
+    dependent rays is named); the rows fill the fan's ``Fan.dual_rows``, so
+    no later step tests rank again. A complete fan whose walls each separate
+    exactly two cones, and whose cones cover one generic point once, is a
+    valid fan with no pair compared (``_covers_once``, not tried when a ray
+    lies in fewer than d listed cones, as then the fan is not complete).
+    Otherwise every pair of maximal cones is settled in order, and the first
+    pair that fails is named: sign masks certify most pairs in bulk from
+    either side (``_check_pairs``), refuse a pair when a ray of one cone
+    lies inside the other, full-dimensional one, and
+    ``_meet_in_shared_face`` settles the rest exactly.
     """
     listed = {}
     for c in maximal_cones:
         idx = tuple(sorted(set(c)))
         if len(idx) != len(c):
             raise FanError(f"cone {c} repeats a ray index")
+        if idx in listed:  # dualized at its first listing
+            continue
         try:
             listed[idx] = conelib.dual_rows([rays[i] for i in idx], ambient_rank)
         except ValueError:  # dependent rays

@@ -13,7 +13,8 @@ line before and after it. The corpus:
 - documents that reach each way a pair of cones is settled or refused
   (``certificate_documents``), and each kind of refused characteristic;
 - cones with 62-bit ray entries (``big_entry_documents``), whose reports and
-  resolutions hold integers beyond 2^53-1, written as strings, inside rows.
+  resolutions hold integers beyond 2^53-1, written as strings, inside rows;
+- repeated characteristics and cone listings (``repetition_documents``).
 
 Each document runs ``validate``, ``report`` and ``complete`` (JSON and
 text), and ``mfr`` and ``stabilizer`` (JSON and text) on every prefix of
@@ -191,6 +192,30 @@ def big_entry_documents():
     ]
 
 
+def repetition_documents():
+    """(name, document) pairs that repeat characteristics or cone listings,
+    each decided once but named at every refused entry."""
+    p2 = projective(2)[0]
+    rays, cones = hirzebruch(2)
+    square = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    return [
+        ("repeated-valid-characteristics",
+         {"rank": 2, "rays": p2, "max_cones": [[0, 1], [1, 2], [0, 2]], "levels": {"2": 3},
+          "characteristics": [3, 0, 3, 2 ** 61 - 1, 0, 2 ** 61 - 1, 3]}),
+        ("repeated-refused-characteristics",
+         {"rank": 2, "rays": p2, "max_cones": [[0, 1], [1, 2], [0, 2]],
+          "characteristics": [0, 91, 2 ** 61 - 1, 91, -1, 2 ** 64, 0, -1, 91]}),
+        # the second listing of each cone in another order of its indices
+        ("every-cone-listed-twice", {"rank": 2, "rays": rays, "levels": {"1": 2, "3": 4},
+                                     "max_cones": cones + [c[::-1] for c in cones]}),
+        # named at its first listing, before the later dependent cone (1, 3)
+        ("dependent-cone-listed-twice",
+         {"rank": 2, "rays": square, "max_cones": [[0, 1], [2, 0], [1, 2], [0, 2], [1, 3]]}),
+        ("repeated-listing-repeats-an-index",
+         {"rank": 2, "rays": p2, "max_cones": [[0, 1], [1, 2], [0, 2], [1, 0, 1]]}),
+    ]
+
+
 def refusals():
     """(name, document text, argvs) of the commands that must be refused."""
     p2 = (ROOT / "tests" / "fixtures" / "p2.json").read_text(encoding="utf-8")
@@ -245,7 +270,8 @@ def corpus():
         docs = seeded_documents(seed) + one_cone_documents(seed)
         out += [(f"seed-{seed}-{i}", json.dumps(doc)) for i, doc in enumerate(docs)]
     return out + [(name, json.dumps(doc))
-                  for name, doc in certificate_documents() + big_entry_documents()]
+                  for name, doc in (certificate_documents() + big_entry_documents()
+                                    + repetition_documents())]
 
 
 def main() -> int:

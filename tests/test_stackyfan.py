@@ -37,6 +37,7 @@ from toristack.stackyfan import (
     ConeNotInFan,
     DuplicateRay,
     Fan,
+    FanError,
     IntersectionNotFace,
     InvalidLevel,
     NonPrimitiveRay,
@@ -199,6 +200,9 @@ def test_duplicate_ray_rejected():
                  [[0, 1, 2, 3], [0, 1, 4]], (0, 1, 2, 3), id="four-in-rank3"),
     # the first listed cone with dependent rays is named
     pytest.param([(1, 0), (0, 1), (-1, 0)], [[0, 1], [2, 0]], (0, 2), id="second-listed"),
+    # also when it is listed again, before another dependent cone
+    pytest.param([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1], [2, 0], [1, 0], [0, 2], [1, 3]],
+                 (0, 2), id="listed-twice"),
 ])
 def test_non_simplicial_cone_rejected(rays, cones, named):
     with pytest.raises(NonSimplicial) as err:
@@ -219,6 +223,24 @@ def test_validation_fills_the_dual_rows_of_every_listed_cone(rays, cones):
     for c in listed:
         assert dict.__getitem__(fan.dual_rows, c) == conelib.dual_rows(
             [fan.rays[i] for i in c], fan.ambient_rank)
+
+
+def test_each_distinct_listed_cone_is_dualized_once(monkeypatch):
+    dualized, dual_rows = [], conelib.dual_rows
+    monkeypatch.setattr(conelib, "dual_rows",
+                        lambda rays, d: dualized.append(rays) or dual_rows(rays, d))
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    cones = [(0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (0, 2), (0, 1)]
+    found, sf = stacky_fan_violations(2, rays, cones, {}, [0])
+    assert found == [] and sf.fan.maximal_cones == ((0, 1), (0, 2), (1, 2))
+    assert sorted(dualized) == sorted([rays[i] for i in c] for c in sf.fan.maximal_cones)
+
+
+@pytest.mark.parametrize("cones", [[(0, 1), (1, 0, 1)], [(0, 1), (0, 1), (0, 0, 1)]])
+def test_a_repeated_listing_that_repeats_a_ray_index_is_refused(cones):
+    with pytest.raises(FanError, match=re.escape(f"cone {cones[-1]} repeats a ray index")):
+        validate_fan([(1, 0), (0, 1)], cones)
+    assert pairwise_validate_fan([(1, 0), (0, 1)], cones, 2) == ("FanError", cones[-1])
 
 
 def test_build_reads_the_validated_rows_and_keeps_its_tripwire(monkeypatch):
@@ -324,6 +346,21 @@ def test_residue_characteristics():
     assert is_residue_characteristic(2 ** 64 - 59)
     assert not is_residue_characteristic(2 ** 64 + 13)  # prime, but beyond the limit
     assert not is_residue_characteristic(-3)
+
+
+def test_each_distinct_characteristic_is_tested_once(monkeypatch):
+    import toristack.stackyfan as fan_mod
+
+    tested, test = [], fan_mod.is_residue_characteristic
+    monkeypatch.setattr(fan_mod, "is_residue_characteristic", lambda p: tested.append(p) or test(p))
+    chars = [2 ** 61 - 1, 91, 0, 2 ** 61 - 1, 91, -1, 2 ** 64, 91, 0, 2 ** 64]
+    found, sf = stacky_fan_violations(1, [(1,), (-1,)], [(0,), (1,)], {}, chars)
+    assert sorted(tested) == sorted(set(chars))
+    # each refused entry is named, in listing order
+    assert sf is None and [e.value for e in found] == [91, 91, -1, 2 ** 64, 91, 2 ** 64]
+    tested.clear()
+    found, sf = stacky_fan_violations(1, [(1,), (-1,)], [(0,), (1,)], {}, [3, 3, 0, 3])
+    assert found == [] and sorted(tested) == [0, 3]
 
 
 # -- free nets -------------------------------------------------------------------
