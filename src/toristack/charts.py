@@ -19,8 +19,11 @@ full-dimensional cone is free (N' = Z^d, N'' = 0); a lower-dimensional cone
 saturates the span of its rays and completes it to a basis, with one Smith
 normal form each. A point on the orbit of a face tau of sigma is fixed by
 the subgroup of D(G) fixing every coordinate off tau, so tau's group is
-G_tau = G / <w_i : rho_i not in tau>, w_i the action weights (``face_group``):
-no face eliminates ray coordinates. P and its resolution are built from a
+G_tau = G / <w_i : rho_i not in tau>, w_i the action weights: a face with
+one ray more, divided by one weight more (``add_relation``, on a Hermite
+triangle in G's invariant-factor coordinates). No face eliminates ray
+coordinates: ``face_lattices`` takes one such step per face it is asked
+for, from the whole cone down. P and its resolution are built from a
 chart only by ``chart_resolution``.
 """
 
@@ -182,25 +185,68 @@ def local_chart(sf: StackyFan, sigma: Iterable[int]) -> LocalChart:
     )
 
 
-def face_group(chart: LocalChart, face: Sequence[int]) -> tuple[FiniteAbelianGroup, int]:
-    """The group G_tau and the multiplicity of a face tau of the chart's cone.
+def add_relation(lattice, weight):
+    """A relation lattice in G's invariant-factor coordinates, as the rows of
+    its Hermite triangle, plus weight: Euclid on each pivot column moves a
+    gcd into the pivot, and the entries above it are reduced modulo it. The
+    lattice holds G's relations, so the triangle has full rank and weight
+    ends at 0."""
+    if not any(weight):
+        return lattice
+    rows = list(lattice)
+    for j, h in enumerate(rows):
+        while weight[j]:
+            q = h[j] // weight[j]
+            h, weight = weight, [a - q * b for a, b in zip(h, weight)]
+        rows[j] = h = h if h[j] > 0 else [-a for a in h]
+        for i in range(j):
+            q = rows[i][j] // h[j]
+            rows[i] = [a - q * b for a, b in zip(rows[i], h)]
+    return tuple(map(tuple, rows))
 
-    G_tau = G / <w_i : rho_i not in tau>: one Smith elimination of G's
-    relations diag(d_k) and the weights of the coordinates off the face (none
-    for a trivial G or the whole cone). The multiplicity is |G_tau| over the
-    levels on the face, which must divide it (asserted).
-    """
-    group, factors = chart.group, chart.group.invariant_factors
-    off = [list(w) for w, rho in zip(chart.action_weights, chart.fan_rays) if rho not in face]
-    if factors and off:
-        relations = [[d * (j == k) for j in range(len(factors))] for k, d in enumerate(factors)]
-        group = FiniteAbelianGroup(tuple(x for x in smith_elimination(relations + off) if x > 1))
-    levels = math.prod(n for n, rho in zip(chart.levels, chart.fan_rays) if rho in face)
-    q, rest = divmod(group.order, levels)
+
+def face_quotient(lattice, levels: int, face: Sequence) -> tuple[FiniteAbelianGroup, int]:
+    """G_tau, Z^k over a face's relation lattice, and its multiplicity:
+    |G_tau| (the pivots' product) over the levels on the face, which must
+    divide it (asserted; ``face``, its ray indices, names it in the message).
+    For k <= 2 the invariant factors are d_1, the gcd of the entries, and
+    |G_tau| / d_1; past that, a Smith elimination gives them."""
+    order = math.prod(row[j] for j, row in enumerate(lattice))
+    g = math.gcd(order, *(x for row in lattice for x in row))
+    diag = ([g, order // g][:len(lattice)] if len(lattice) < 3
+            else smith_elimination([list(row) for row in lattice]))
+    q, rest = divmod(order, levels)
     if rest:
-        raise AssertionError(f"levels {levels} on face {tuple(face)} do not divide "
-                             f"its stabilizer order {group.order}")
-    return group, q
+        raise AssertionError(f"levels {levels} on face {tuple(map(int, face))} do not divide "
+                             f"its stabilizer order {order}")
+    return FiniteAbelianGroup(tuple(x for x in diag if x > 1)), q
+
+
+def face_lattices(chart: LocalChart):
+    """The function of a face, as a bit mask over ``chart.cone``'s positions,
+    to its relation lattice and the product of its levels, each computed
+    once: G's relations diag(d_k) for the whole cone, else its parent's (the
+    face with the lowest position off it added) plus that position's weight."""
+    d = chart.group.invariant_factors
+    at = [chart.fan_rays.index(rho) for rho in chart.cone]  # each position's coordinate
+    known = {(1 << chart.r) - 1: (tuple(tuple(x * (i == j) for j in range(len(d)))
+                                        for i, x in enumerate(d)), math.prod(chart.levels))}
+
+    def lattice(mask):
+        if mask not in known:
+            i = at[(mask ^ (mask + 1)).bit_length() - 1]
+            parent, levels = lattice(mask | (mask + 1))
+            known[mask] = add_relation(parent, chart.action_weights[i]), levels // chart.levels[i]
+        return known[mask]
+    return lattice
+
+
+def face_group(chart: LocalChart, face: Sequence[int]) -> tuple[FiniteAbelianGroup, int]:
+    """The group G_tau = G / <w_i : rho_i not in tau> and the multiplicity of
+    a face tau of the chart's cone: G's relations plus the weight of each
+    coordinate off tau, one ``add_relation`` each (``face_lattices``)."""
+    mask = sum(1 << k for k, rho in enumerate(chart.cone) if rho in face)
+    return face_quotient(*face_lattices(chart)(mask), face)
 
 
 def stabilizer(sf: StackyFan, sigma: Iterable[int]) -> FiniteAbelianGroup:

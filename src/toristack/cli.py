@@ -16,18 +16,22 @@ above ``MAX_RANK``, and a ray entry or level whose absolute value is
 or any other exception; indicates a bug, never expected), 4 limit exceeded
 (a Hilbert basis walk over ``monoids.MAX_LATTICE_POINTS`` points, or a
 report listing over ``MAX_REPORT_FACES`` cycle ideals, refused
-before it starts, and in a report before any chart or face group; the
+before it starts, and in a report before any chart or face lattice; the
 message names the count, the limit and a walk's cone).
 
 A report is streamed: every refusal and tripwire (the face limit, the
-Hilbert-basis walks, the charts and every face group) runs before its
-first byte, so exits 3 and 4 write nothing to stdout; then each entry (a
-chart, a cycle ideal, a ``cones`` row, a boundary divisor) is built just
-before it is written. In JSON, the two lists that grow with the faces, the
-cycle ideals and the ``cones`` rows, are not built but written from text:
-each coarse generator and coordinate index once per chart, and each
-distinct stabilizer once per report, joined per face, into a template
-that the JSON writer renders of the entry's keys. Output goes out in
+Hilbert-basis walks, the charts and every face group, each from its
+parent's by one relation) runs before its first byte, so exits 3 and 4
+write nothing to stdout; then each entry (a chart, a cycle ideal, a
+``cones`` row, a boundary divisor) is built just before it is written.
+The walk builds each face's id once, as JSON quotes it, which its cycle
+ideals and ``cones`` row read, and a cycle ideal reads its face's bit mask
+over the cone's positions from one list per cone size. In JSON,
+the two lists that grow with the faces, the cycle ideals and the ``cones``
+rows, are not built but written from text: each coarse generator and
+coordinate index once per chart, and each distinct stabilizer once per
+report, joined per face, into a template that the JSON writer renders of
+the entry's keys. Output goes out in
 chunks, at the end of an entry once 512 pieces of JSON text (an entry
 written from text, one piece, counting as eight within its list) or 512
 lines of text are pending. The text report reads the built entries, as does
@@ -46,7 +50,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import combinations, compress, islice
+from itertools import chain, combinations, compress, islice
 from json.encoder import encode_basestring
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -296,10 +300,11 @@ def _json_list(elements: str, newline: str) -> str:
 
 def _write_json(value, out: _Stream, newline: str) -> None:
     """Append the JSON text of value to out; newline ends a line and indents
-    the next. Dispatch is on the exact type of value; any other type raises
-    ``TypeError``. A list of exact ints within 2^53-1 is one ``join``. After
-    each entry of an ``_Entries``, out (then a ``_Stream``) is flushed once
-    it holds ``_CHUNK`` pieces, a text entry counting as ``_TEXT_PIECES``."""
+    the next. Dispatch is on the exact type of value; any other type, and
+    an ``_Entries`` when out is no ``_Stream``, raises ``TypeError``. A list
+    of exact ints within 2^53-1 is one ``join``. After each entry of an
+    ``_Entries``, out is flushed once it holds ``_CHUNK`` pieces, a text
+    entry counting as ``_TEXT_PIECES``."""
     kind = type(value)
     if kind is dict:
         if not value:
@@ -336,7 +341,7 @@ def _write_json(value, out: _Stream, newline: str) -> None:
         out.append("true" if value else "false")
     elif kind is Fraction:
         out.append(f'"{value.numerator}/{value.denominator}"')
-    elif kind is _Entries:
+    elif kind is _Entries and type(out) is _Stream:  # written only as a stream
         inner = newline + "  "
         sep = "[" + inner
         texts = value.texts
@@ -370,17 +375,22 @@ def write_json(obj, write) -> None:
 
 
 def emit_json(obj) -> str:
-    """Canonical JSON text of obj, which holds no ``_Entries``: the bytes
-    of ``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)``
-    plus a final newline, after keys become strings, tuples lists, integers
-    beyond 2^53-1 in absolute value decimal strings and ``Fraction``s
-    ``"p/q"`` strings; any other type, a subclass such as a named tuple
-    included, raises ``TypeError``."""
+    """Canonical JSON text of obj: the bytes of ``json.dumps(...,
+    sort_keys=True, indent=2, ensure_ascii=False)`` plus a final newline,
+    after keys become strings, tuples lists, integers beyond 2^53-1 in
+    absolute value decimal strings and ``Fraction``s ``"p/q"`` strings; any
+    other type, a subclass such as a named tuple or an ``_Entries``
+    (``write_json`` writes those) included, raises ``TypeError``."""
     return _json_text(obj, "\n") + "\n"
 
 
 def cone_id(indices: Sequence[int]) -> str:
     return ",".join(map(str, indices))
+
+
+def _ray_indices(face: str) -> list[int]:
+    """The ray indices of a face, from its id as JSON quotes it."""
+    return [*map(int, face[1:-1].split(","))] if len(face) > 2 else []
 
 
 def _group_dict(g: FiniteAbelianGroup) -> dict:
@@ -410,8 +420,9 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
 
     Every refusal and tripwire runs here, before any entry: the face limit,
     each maximal cone's Hilbert-basis walk, the charts, the group of every
-    face and the chart-coordinate check. What the entries read is one group
-    per face and one reference per cycle ideal, not the output.
+    face and the chart-coordinate check. What the entries read is one id
+    and one group per face, and one id and bit mask per cycle ideal, not
+    the output.
     """
     fan = sf.fan
     faces = sum(2 ** len(c) for c in fan.maximal_cones)  # a cycle ideal per chart face
@@ -419,7 +430,7 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
         raise ReportTooLarge(f"report would list {faces} cycle ideals, "
                              f"above the limit of {MAX_REPORT_FACES}")
     # every maximal cone's coarse generators come first, so that a Hilbert
-    # basis walk over the limit is refused before any chart or face group;
+    # basis walk over the limit is refused before any chart or face lattice;
     # no cache keeps the cones (or the fan) once the report is written
     generators = {c: _on_cone(c, lambda: monoidlib.monoid_generators(
         conelib.dual_cone(fan.build_cone(c)))) for c in fan.maximal_cones}
@@ -433,30 +444,44 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
     # that of its cone, so the maximal cones' charts decide it
     etale = {c: chartlib.is_kummer_etale_chart(charts[c], chars) for c in fan.maximal_cones}
     tame = all(etale.values())
-    # a maximal cone reads its group and multiplicity from its chart, and
-    # every other face from the chart of the first maximal cone that has it;
-    # each value ends with its key, the one tuple the walks below keep per face
-    groups = {c: (charts[c].group, charts[c].multiplicity, c) for c in fan.maximal_cones}
     # per ray, the one coordinate of each chart on it that cuts its divisor
     divisor_coordinates = [{} for _ in fan.rays]
-    # per maximal cone, its faces in walk order: one cycle ideal each
-    walks = {}
+    # per dimension, each face's id, as JSON quotes it, -> its group and
+    # multiplicity (each distinct pair kept once), from the chart of the
+    # first maximal cone that has the face
+    groups = [{} for _ in range(max(map(len, fan.maximal_cones)) + 1)]
+    trivial, distinct, shared = (FiniteAbelianGroup(), 1), {}, {}
+    # per maximal cone, its faces' ids in walk order (by size, then lex), one
+    # cycle ideal each; per cone size, the faces' bit masks in that order
+    walks, masks = {}, {}
     for c in fan.maximal_cones:
-        chart = charts[c]
+        chart, r, key = charts[c], len(c), cone_id(c)
         if sorted(chart.fan_rays) != list(c):
             raise AssertionError("a ray must be cut by exactly one chart coordinate")
         for i, rho in enumerate(chart.fan_rays):
-            divisor_coordinates[rho][cone_id(c)] = i
+            divisor_coordinates[rho][key] = i
+        groups[r]['"' + key + '"'] = (chart.group, chart.multiplicity)
+        if r not in masks:
+            masks[r] = [list(map(sum, combinations([1 << i for i in range(r)], k)))
+                        for k in range(r + 1)]
+        # a trivial G has levels 1 (asserted by local_chart): its faces' groups
+        # are trivial; any other G's faces come with their parents' lattices
+        lattice = chartlib.face_lattices(chart) if chart.group.invariant_factors else None
+        names = list(map(str, c))
         walk = walks[c] = []
-        for k in range(len(c) + 1):
-            for f in combinations(c, k):
-                known = groups.get(f)
-                if known is None:
-                    known = groups[f] = (*chartlib.face_group(chart, f), f)
-                walk.append(known[2])
-    # the walk above put every face of every maximal cone in groups
-    cones = sorted(groups)
-    cones.sort(key=len)
+        for k, layer in enumerate(groups[:r + 1]):
+            for f, mask in zip(combinations(names, k), masks[r][k]):
+                face = '"' + ",".join(f) + '"'
+                if face not in layer:
+                    value = (trivial if lattice is None
+                             else chartlib.face_quotient(*lattice(mask), f))
+                    layer[face] = distinct.setdefault(value, value)
+                else:  # a face of an earlier cone: its walks share one id
+                    face = shared.setdefault(face, face)
+                walk.append(face)
+    if len(walks) > 1:  # one cone's walk is in the cones' order already
+        groups = [dict(sorted(layer.items(), key=lambda item: _ray_indices(item[0])))
+                  for layer in groups]
 
     def chart_entry(c):
         chart = charts[c]
@@ -474,10 +499,9 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
         coordinate_bits = [position[rho] for rho in chart.fan_rays]
 
         def cycle_ideals():
-            for f in walks[c]:
-                mask = sum(position[rho] for rho in f)
+            for face, mask in zip(walks[c], chain.from_iterable(masks[len(c)])):
                 yield {
-                    "cone": cone_id(f),
+                    "cone": face[1:-1],
                     "chart_coordinates": [i for i, bit in enumerate(coordinate_bits) if bit & mask],
                     "coarse_generators": [h for h, hit in positive if hit & mask],
                 }
@@ -493,9 +517,7 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
             parts, (at_cone, at_coordinates, at_generators) = _json_parts(
                 ("cone", "chart_coordinates", "coarse_generators"), newline)
             entry = list(parts)
-            for f in walks[c]:
-                mask = sum(map(position.__getitem__, f))
-                entry[at_cone] = encode_basestring(cone_id(f))
+            for entry[at_cone], mask in zip(walks[c], chain.from_iterable(masks[len(c)])):
                 entry[at_coordinates] = _json_list(
                     ",".join(compress(indices, map(mask.__and__, coordinate_bits))), inner)
                 entry[at_generators] = _json_list(
@@ -520,36 +542,38 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
         }
 
     def cone_rows():
-        for group, q, c in map(groups.__getitem__, cones):
-            yield {
-                "id": cone_id(c),
-                "ray_indices": list(c),
-                "dim": len(c),
-                "multiplicity": q,
-                "stacky_multiplicity": group.order,
-                "stabilizer": _group_dict(group),
-            }
+        for k, layer in enumerate(groups):
+            for face, (group, q) in layer.items():
+                yield {
+                    "id": face[1:-1],
+                    "ray_indices": _ray_indices(face),
+                    "dim": k,
+                    "multiplicity": q,
+                    "stacky_multiplicity": group.order,
+                    "stabilizer": _group_dict(group),
+                }
 
     def cone_row_texts(newline):
-        # the same rows, from each distinct stabilizer written once
+        # the same rows, from each distinct stabilizer and multiplicity
+        # written once, and the ray indices from the id
         inner = newline + "  "
-        indices = [inner + "  " + str(rho) for rho in range(len(fan.rays))]
+        depth = "," + inner + "  "
         parts, (at_id, at_rays, at_dim, at_q, at_stabilizer, at_order) = _json_parts(
             ("id", "ray_indices", "dim", "multiplicity", "stabilizer", "stacky_multiplicity"),
             newline)
         row = list(parts)
         stabilizers = {}
-        for group, q, c in map(groups.__getitem__, cones):
-            known = stabilizers.get(group)
-            if known is None:
-                known = stabilizers[group] = (_json_text(_group_dict(group), inner),
-                                              _int_text(group.order))
-            row[at_id] = encode_basestring(cone_id(c))
-            row[at_rays] = _json_list(",".join(map(indices.__getitem__, c)), inner)
-            row[at_dim] = str(len(c))
-            row[at_q] = _int_text(q)
-            row[at_stabilizer], row[at_order] = known
-            yield "".join(row)
+        for k, layer in enumerate(groups):
+            row[at_dim] = str(k)
+            for row[at_id], value in layer.items():
+                known = stabilizers.get(value)
+                if known is None:
+                    known = stabilizers[value] = (_int_text(value[1]), _json_text(
+                        _group_dict(value[0]), inner), _int_text(value[0].order))
+                row[at_q], row[at_stabilizer], row[at_order] = known
+                row[at_rays] = _json_list(
+                    depth[1:] + row[at_id][1:-1].replace(",", depth) if k else "", inner)
+                yield "".join(row)
 
     out = {
         # the generic stabilizer along a boundary divisor is cyclic of order its level
@@ -565,7 +589,7 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
         "fan": {
             "rank": fan.ambient_rank,
             "num_rays": len(fan.rays),
-            "num_cones": len(cones),
+            "num_cones": sum(map(len, groups)),
             "maximal_cones": [cone_id(c) for c in fan.maximal_cones],
             "complete": fanlib.is_complete(fan),
             "tame": tame,

@@ -34,6 +34,8 @@ from toristack.cones import Cone, dual_cone
 from toristack.charts import (
     LocalChart,
     face_group,
+    face_lattices,
+    face_quotient,
     is_kummer_etale_chart,
     local_chart,
     split_cone,
@@ -492,11 +494,27 @@ def test_chart_matches_the_resolution_path():
             assert chart.multiplicity == cone_multiplicity(sf, c)
 
 
+def walked_face_groups(chart):
+    """Each face of the chart's cone (its ray indices) -> its group and
+    multiplicity, as the report's walk reads them: a trivial group for a
+    trivial G, else ``face_quotient`` of what ``face_lattices`` gives the
+    face's bit mask over the cone's positions."""
+    lattice = face_lattices(chart) if chart.group.invariant_factors else None
+    groups = {}
+    for k in range(chart.r + 1):
+        for f in combinations(chart.cone, k):
+            mask = sum(1 << chart.cone.index(rho) for rho in f)
+            groups[f] = ((FiniteAbelianGroup(), 1) if lattice is None
+                         else face_quotient(*lattice(mask), f))
+    return groups
+
+
 def test_face_group_and_multiplicity_need_no_splitting(monkeypatch):
     # a face's group is the quotient of a maximal cone's group by the action
     # weights of the coordinates off the face, and its multiplicity |G_tau|
-    # over the levels on it: face_group splits, inverts and Hermite-reduces
-    # nothing. Whichever maximal cone holds the face, it agrees with the
+    # over the levels on it: neither face_group nor the walk's relation
+    # steps (face_lattices, face_quotient) split, invert or Hermite-reduce
+    # anything. Whichever maximal cone holds the face, both agree with the
     # face's own chart, the multiplicity of its cone and the stabilizer.
     # The charts are built before anything is forbidden.
     import toristack.charts as charts_mod
@@ -504,7 +522,7 @@ def test_face_group_and_multiplicity_need_no_splitting(monkeypatch):
 
     def forbidden(name):
         def fail(*args, **kwargs):
-            raise AssertionError(f"face_group called {name}")
+            raise AssertionError(f"a face group called {name}")
         return fail
 
     charts = [(sf, local_chart(sf, m)) for sf in stacky_fans_with_shuffled_rays()
@@ -516,16 +534,154 @@ def test_face_group_and_multiplicity_need_no_splitting(monkeypatch):
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("toristack") and vars(module).get("integer_inverse") is inverse:
             monkeypatch.setattr(module, "integer_inverse", forbidden("integer_inverse"))
-    built = [(sf, f, face_group(chart, f)) for sf, chart in charts
-             for k in range(chart.r + 1) for f in combinations(chart.cone, k)]
-    assert any(0 < len(f) < sf.fan.ambient_rank for sf, f, _ in built)
+    built = [(sf, f, face_group(chart, f), walked) for sf, chart in charts
+             for f, walked in walked_face_groups(chart).items()]
+    assert any(0 < len(f) < sf.fan.ambient_rank for sf, f, _, _ in built)
     monkeypatch.undo()
-    for sf, f, (group, q) in built:
+    for sf, f, (group, q), walked in built:
+        assert walked == (group, q), (sf.fan.rays, sf.levels, f)
         assert q == cone_multiplicity(sf, f)
         assert group.order == cone_stacky_multiplicity(sf, f)
         assert stabilizer(sf, f) == group
         own = local_chart(sf, f)
         assert (own.group, own.multiplicity) == (group, q), (sf.fan.rays, sf.levels, f)
+
+
+def test_a_trivial_group_walks_its_faces_with_no_work(monkeypatch):
+    # a chart with trivial G builds nothing per face: the walk reads neither
+    # its weights nor its levels, adds no relation, forms no face group and
+    # runs no elimination; P^2, (P^1)^3 and a smooth cone with no levels
+    import toristack.charts as charts_mod
+    import toristack.cli as cli_mod
+    import toristack.linalg as linalg_mod
+
+    class Untouchable(tuple):
+        def __iter__(self):
+            raise AssertionError("the walk read a trivial chart's weights or levels")
+
+        __getitem__ = __len__ = __iter__
+
+    calls = []
+    for name in ("add_relation", "face_quotient"):
+        monkeypatch.setattr(charts_mod, name, lambda *args, name=name: calls.append(name))
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.startswith("toristack")
+                and vars(module).get("smith_elimination") is linalg_mod.smith_elimination):
+            monkeypatch.setattr(module, "smith_elimination", lambda *args, **kwargs: calls.append(
+                "smith_elimination"))
+    rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
+                                          [-int(j == i) for j in range(3)])]
+    cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=3)]
+    documents = [(FIXTURES / "p2.json").read_text(),
+                 json.dumps({"rank": 3, "rays": rays, "max_cones": cones}),
+                 json.dumps({"rank": 3, "rays": [[1, 0, 0], [1, 1, 0], [1, 1, 1]],
+                             "max_cones": [[0, 1, 2]]})]
+    for doc in map(document_from_json, documents):
+        sf = check_document(doc)[1]
+        charts = {c: local_chart(sf, c) for c in sf.fan.maximal_cones}
+        assert all(chart.group == FiniteAbelianGroup() for chart in charts.values())
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(cli_mod.chartlib, "local_chart", lambda sf, c: charts[c]._replace(
+                action_weights=Untouchable(), levels=Untouchable()))
+            sections = cli_mod.report_sections(doc, sf)
+        assert calls == []
+        rows = [row["stabilizer"]["order"] for row in sections["cones"]]
+        assert rows and set(rows) == {1}
+
+
+def test_each_face_adds_one_relation_to_its_parents(monkeypatch, tmp_path, capsys):
+    # the walk derives the lattice of each face whose group a chart gives
+    # (the faces of its cone in no earlier maximal cone) from that of the
+    # face with one ray more: one add_relation per such face but the whole
+    # cone, with a weight of the chart as the relation, and as the input G's
+    # relations or an earlier lattice of the same chart. A chart with
+    # trivial G adds none.
+    import toristack.charts as charts_mod
+    from toristack.cli import main
+
+    steps, add_relation = [], charts_mod.add_relation
+
+    def recording(lattice, weight):
+        out = add_relation(lattice, weight)
+        steps.append((lattice, weight, out))
+        return out
+
+    monkeypatch.setattr(charts_mod, "add_relation", recording)
+    rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
+                                          [-int(j == i) for j in range(3)])]
+    cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=3)]
+    p1_cubed = tmp_path / "p1_cubed.json"
+    p1_cubed.write_text(json.dumps({"rank": 3, "rays": rays, "max_cones": cones,
+                                    "levels": {"0": 2, "3": 3}}))
+    for path in [p1_cubed, *sorted(FIXTURES.glob("*.json"))]:
+        sf = check_document(document_from_json(path.read_text()))[1]
+        owned, seen = [], set()  # per maximal cone, the faces whose groups its chart gives
+        for c in sf.fan.maximal_cones:
+            faces = {f for k in range(len(c) + 1) for f in combinations(c, k)}
+            owned.append((local_chart(sf, c), faces - seen))
+            seen |= faces
+        steps.clear()
+        assert main(["report", str(path)]) == 0
+        nontrivial = [(chart, faces) for chart, faces in owned if chart.group.invariant_factors]
+        assert nontrivial or path.name != "p1_cubed.json"
+        assert len(steps) == sum(len(faces) - 1 for _, faces in nontrivial), path.name
+        for chart, faces in nontrivial:
+            mine, steps[:len(faces) - 1] = steps[:len(faces) - 1], []
+            factors = chart.group.invariant_factors
+            relations = tuple(tuple(d * (i == j) for i in range(len(factors)))
+                              for j, d in enumerate(factors))
+            earlier = set()  # the steps' outputs, kept alive by steps
+            for lattice, weight, out in mine:
+                assert id(lattice) in earlier or lattice == relations, path.name
+                assert weight in chart.action_weights
+                earlier.add(id(out))
+    capsys.readouterr()
+
+
+# charts whose groups have three or more invariant factors, so that a face's
+# factors come off its Hermite triangle by a Smith elimination: a seeded
+# random rank-4 cone, whose G is Z/2 x Z/6 x Z/24, the standard cones of rank
+# 3 and 4 with levels, and a plane cone in rank 4 with levels
+THREE_FACTOR_DOCUMENTS = [
+    ({"rank": 4, "rays": [[-4, 19, -2, 9], [0, 0, -1, -1], [-2, 5, 0, 4], [-2, 9, -4, 0]],
+      "max_cones": [[0, 1, 2, 3]], "levels": {"0": 2, "1": 2, "2": 1, "3": 3}}, (2, 6, 24)),
+    ({"rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "max_cones": [[0, 1, 2]],
+      "levels": {"0": 4, "1": 6, "2": 10}}, (2, 2, 60)),
+    ({"rank": 4, "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 3]],
+      "max_cones": [[0, 1, 2, 3]], "levels": {"0": 2, "1": 2, "2": 2, "3": 2}}, (2, 2, 2, 6)),
+    ({"rank": 4, "rays": [[1, 0, 0, 0], [1, 2, 0, 0], [1, 0, 2, 0]], "max_cones": [[0, 1, 2]],
+      "levels": {"0": 3, "1": 3, "2": 3}}, (3, 6, 6)),
+]
+
+
+@pytest.mark.parametrize("document,factors", THREE_FACTOR_DOCUMENTS)
+def test_walked_face_groups_match_face_group_and_the_minors(document, factors):
+    # every face group of the report's walk, against face_group and the gcds
+    # of minors of the face's free-net rows n_rho v_rho: the stacky
+    # multiplicity is D_k and the invariant factors the quotients
+    # D_i / D_(i-1) that are not 1
+    from oracles import determinantal_divisors
+
+    from toristack.cli import report_data
+
+    doc = document_from_json(json.dumps(document))
+    sf = check_document(doc)[1]
+    chart = local_chart(sf, sf.fan.maximal_cones[0])
+    assert chart.group.invariant_factors == factors
+    rows = {tuple(row["ray_indices"]): row for row in report_data(doc, sf)["cones"]}
+    assert len(rows) == 2 ** chart.r
+    for f, row in rows.items():
+        group, q = face_group(chart, f)
+        assert (row["stabilizer"]["invariant_factors"], row["multiplicity"]) \
+            == (list(group.invariant_factors), q), f
+        levels = [sf.levels[rho] for rho in f]
+        divisors = [1] + determinantal_divisors([[n * x for x in sf.fan.rays[rho]]
+                                                 for n, rho in zip(levels, f)])
+        assert group.order == divisors[-1], f
+        assert list(group.invariant_factors) == [b // a for a, b in zip(divisors, divisors[1:])
+                                                 if b // a > 1], f
+        assert q * math.prod(levels) == group.order, f
 
 
 def test_only_cones_dualizes_a_simplicial_cone():

@@ -611,10 +611,11 @@ def test_library_bug_exits_3(monkeypatch, capsys, error):
 
 
 def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatch, capsys):
-    # (P^1)^3: 27 cones and 8 maximal cones. The fan is complete and its
-    # walls settle it, so no pair of maximal cones is compared; one chart per
-    # maximal cone, one face group per other face (the maximal cones read
-    # their charts'), no exact intersection, and one Hilbert basis per maximal cone
+    # (P^1)^3 with level 2 on the rays +-e1, so every chart's group is Z/2:
+    # 27 cones and 8 maximal cones. The fan is complete and its walls settle
+    # it, so no pair of maximal cones is compared; one chart per maximal
+    # cone, one face group per other face (the maximal cones read their
+    # charts'), no exact intersection, and one Hilbert basis per maximal cone
     # (its printed coarse generators) and none in the charts. The
     # non-complete mixed_dim fixture compares each pair of maximal cones once.
     import toristack.charts as charts_mod
@@ -625,7 +626,7 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
 
     charts, groups, pairs, intersections, hilbert_bases = [], [], [], [], []
     local_chart, meet = charts_mod.local_chart, fan_mod._meet_in_shared_face
-    face_group = charts_mod.face_group
+    face_quotient = charts_mod.face_quotient
     intersect = cones_mod.intersect
     hilbert_basis_full = monoids_mod._hilbert_basis_full
 
@@ -633,9 +634,9 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
         charts.append(tuple(sigma))
         return local_chart(sf, sigma)
 
-    def counting_group(chart, face):
-        groups.append(face)
-        return face_group(chart, face)
+    def counting_group(lattice, levels, face):
+        groups.append(tuple(map(int, face)))
+        return face_quotient(lattice, levels, face)
 
     def counting_meet(fan, c1, c2, *args, **kwargs):
         pairs.append(frozenset((c1, c2)))
@@ -650,16 +651,18 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
         return hilbert_basis_full(ray_list, d)
 
     monkeypatch.setattr(charts_mod, "local_chart", counting_chart)
-    monkeypatch.setattr(charts_mod, "face_group", counting_group)
+    monkeypatch.setattr(charts_mod, "face_quotient", counting_group)
     monkeypatch.setattr(fan_mod, "_meet_in_shared_face", counting_meet)
     monkeypatch.setattr(cones_mod, "intersect", counting_intersect)
     monkeypatch.setattr(monoids_mod, "_hilbert_basis_full", counting_hilbert_basis)
     rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
                                           [-int(j == i) for j in range(3)])]
     cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=3)]
-    path = write_doc(tmp_path, "p1_cubed.json", {"rank": 3, "rays": rays, "max_cones": cones})
+    path = write_doc(tmp_path, "p1_cubed.json", {"rank": 3, "rays": rays, "max_cones": cones,
+                                                 "levels": {"0": 2, "1": 2}})
     assert main(["report", path]) == 0
     data = json.loads(capsys.readouterr().out)
+    assert [chart["group"]["order"] for chart in data["charts"]] == [2] * 8
     assert data["fan"]["num_cones"] == 27
     assert data["fan"]["complete"] is True
     assert sorted(charts) == sorted(tuple(c) for c in cones)
@@ -679,22 +682,30 @@ def test_report_computes_each_chart_and_pairwise_check_once(tmp_path, monkeypatc
 
 
 def test_face_rows_eliminate_no_ray_coordinates(tmp_path, monkeypatch, capsys):
-    # (P^1)^3 with levels: the only Smith eliminations of 3 columns are the
-    # 8 charts' free-net matrices and the 8 Hilbert bases' ray matrices.
-    # Every other input is a face group's, in the invariant-factor
-    # coordinates of its chart's group: one column here, for Z/2, Z/3 or Z/6
+    # (P^1)^3 with levels: the only Smith eliminations are those of 3
+    # columns, the 8 charts' free-net matrices and the 8 Hilbert bases' ray
+    # matrices. Every face group's input is a relation added to its parent's
+    # lattice, in the invariant-factor coordinates of its chart's group: one
+    # column here, for Z/2, Z/3 or Z/6
+    import toristack.charts as charts_mod
     import toristack.linalg as linalg_mod
     from itertools import product
 
-    widths, original = [], linalg_mod.smith_elimination
+    widths, steps, original = [], [], linalg_mod.smith_elimination
+    add_relation = charts_mod.add_relation
 
     def recording(s, *args, **kwargs):
         widths.append(len(s[0]) if s else 0)
         return original(s, *args, **kwargs)
 
+    def recording_step(lattice, weight):
+        steps.extend(map(len, (weight, *lattice)))
+        return add_relation(lattice, weight)
+
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("toristack") and vars(module).get("smith_elimination") is original:
             monkeypatch.setattr(module, "smith_elimination", recording)
+    monkeypatch.setattr(charts_mod, "add_relation", recording_step)
     rays = [e for i in range(3) for e in ([int(j == i) for j in range(3)],
                                           [-int(j == i) for j in range(3)])]
     cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=3)]
@@ -704,9 +715,8 @@ def test_face_rows_eliminate_no_ray_coordinates(tmp_path, monkeypatch, capsys):
     data = json.loads(capsys.readouterr().out)
     factors = max(len(chart["group"]["invariant_factors"]) for chart in data["charts"])
     assert factors == 1
-    assert widths.count(3) == 16
-    faces = [w for w in widths if w != 3]
-    assert faces and max(faces) <= factors
+    assert widths == [3] * 16
+    assert steps and max(steps) <= factors
 
 
 def test_report_inverts_each_maximal_cone_once(monkeypatch, tmp_path, capsys):
@@ -852,8 +862,9 @@ def record_splitting(monkeypatch, module, name):
 def test_stabilizer_and_face_rows_split_only_maximal_cones(monkeypatch, capsys):
     # stabilizer splits one maximal cone, the first that holds the selected
     # cone, and reads the group off its chart; the report's rows for faces
-    # that are no maximal cone read the maximal cones' charts: face_group
-    # computes no coordinates, splitting, Hermite form or inverse.
+    # that are no maximal cone read the maximal cones' charts: neither the
+    # faces' lattices nor their groups compute coordinates, a splitting, a
+    # Hermite form or an inverse.
     # mixed_dim has lower-dimensional maximal cones and faces.
     import toristack.charts as charts_mod
 
@@ -872,11 +883,12 @@ def test_stabilizer_and_face_rows_split_only_maximal_cones(monkeypatch, capsys):
                     home = next(c for c in maximal if set(cone[:k]) <= set(c))
                     assert split == [home], (path.name, selector)
         with monkeypatch.context() as m:
-            seen, split = record_splitting(m, charts_mod, "face_group"), []
-            coordinates = charts_mod._coordinates
+            seen = [record_splitting(m, charts_mod, name)
+                    for name in ("face_lattices", "face_quotient")]
+            split, coordinates = [], charts_mod._coordinates
             m.setattr(charts_mod, "_coordinates",
                       lambda fan, key: split.append(key) or coordinates(fan, key))
             assert main(["report", str(path)]) == 0
-            assert seen == [], path.name
+            assert seen == [[], []], path.name
             assert sorted(split) == sorted(maximal)
     capsys.readouterr()

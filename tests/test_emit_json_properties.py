@@ -149,3 +149,14 @@ def test_emit_json_refuses_floats_and_sets():
     for value in (FiniteAbelianGroup((2,)), {"group": FiniteAbelianGroup(())}):
         with pytest.raises(TypeError, match="FiniteAbelianGroup"):
             emit_json(value)
+
+
+@pytest.mark.parametrize("size", [3, toristack.cli._CHUNK + 1])
+def test_emit_json_refuses_entries_whatever_their_size(size):
+    # an _Entries is written only by write_json, as a stream: emit_json
+    # refuses it as it refuses any type it does not write, before and
+    # after the pieces it would leave pending pass the flush bound
+    entries = toristack.cli._Entries(lambda: iter(range(size)))
+    for value in (entries, {"list": entries}, [entries]):
+        with pytest.raises(TypeError, match="_Entries"):
+            emit_json(value)

@@ -218,7 +218,8 @@ def test_limit_error_is_no_fan_or_parse_error():
 def test_walk_over_the_limit_is_refused_before_any_chart(tmp_path, monkeypatch, capsys):
     # one cone of 12 random rays with 62-bit entries validates at once; its
     # dual's parallelepiped is far over the limit, and the report refuses it
-    # before it builds any chart or face group, wherever a module binds them
+    # before it builds any chart, face lattice or face group, wherever a
+    # module binds them
     import random
 
     from toristack import charts
@@ -231,7 +232,7 @@ def test_walk_over_the_limit_is_refused_before_any_chart(tmp_path, monkeypatch, 
     path.write_text(json.dumps({"rank": 12, "rays": rays, "max_cones": [list(range(12))]}),
                     encoding="utf-8")
     calls = []
-    for name in ("local_chart", "face_group"):
+    for name in ("local_chart", "face_lattices", "add_relation", "face_quotient"):
         original = getattr(charts, name)
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("toristack") and vars(module).get(name) is original:

@@ -191,29 +191,31 @@ def test_no_reported_fan_outlives_its_command(monkeypatch, tmp_path):
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_nothing_is_written_before_the_last_face_group(monkeypatch, capsys, fmt):
     # every face group, and so every tripwire in one, comes before the first
-    # chunk: a report whose last face group fails writes nothing
+    # chunk: a report whose last relation step or last face group fails
+    # writes nothing
     path = str(FIXTURES / "quotient_3d.json")
-    calls, original = [], charts.face_group
+    for name in ("add_relation", "face_quotient"):
+        calls, original = [], getattr(charts, name)
 
-    def counting(chart, face):
-        calls.append(face)
-        return original(chart, face)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-    monkeypatch.setattr(charts, "face_group", counting)
-    assert main(["report", path, "--format", fmt]) == 0
-    capsys.readouterr()
-    last = len(calls)
-    assert last > 1
-    calls.clear()
+        def failing_last(*args):
+            calls.append(args)
+            if len(calls) == last:
+                raise AssertionError("tripwire in the last face group")
+            return original(*args)
 
-    def failing_last(chart, face):
-        calls.append(face)
-        if len(calls) == last:
-            raise AssertionError("tripwire in the last face group")
-        return original(chart, face)
-
-    monkeypatch.setattr(charts, "face_group", failing_last)
-    assert main(["report", path, "--format", fmt]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "internal error (AssertionError): tripwire in the last face group\n"
+        with monkeypatch.context() as m:
+            m.setattr(charts, name, counting)
+            assert main(["report", path, "--format", fmt]) == 0
+            capsys.readouterr()
+            last = len(calls)
+            assert last > 1, name
+            calls.clear()
+            m.setattr(charts, name, failing_last)
+            assert main(["report", path, "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert captured.err == "internal error (AssertionError): tripwire in the last face group\n"

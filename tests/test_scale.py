@@ -260,7 +260,9 @@ def test_commands_other_than_report_list_no_face(tmp_path, monkeypatch, capsys, 
     assert validated == [] and len(ray_checks) == 1
     assert main(["report", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["fan"]["num_cones"] == 27  # 3^3 faces
-    assert len(listed) == 8 * 4  # combinations(c, k), k = 0..3, per maximal cone
+    # combinations(c, k), k = 0..3, per maximal cone, and once per k the
+    # faces' bit masks over the positions of a cone of 3 rays
+    assert len(listed) == 8 * 4 + 4
     assert len(fans) == 2 and validated == [] and len(ray_checks) == 2
 
 
