@@ -24,18 +24,16 @@ Hilbert-basis walks, the charts and every face group, each from its
 parent's by one relation) runs before its first byte, so exits 3 and 4
 write nothing to stdout; then each entry (a chart, a cycle ideal, a
 ``cones`` row, a boundary divisor) is built just before it is written.
-The walk builds each face's id once, as JSON quotes it, which its cycle
-ideals and ``cones`` row read, and a cycle ideal reads its face's bit mask
-over the cone's positions from one list per cone size. In JSON,
-the two lists that grow with the faces, the cycle ideals and the ``cones``
-rows, are not built but written from text: each coarse generator and
-coordinate index once per chart, and each distinct stabilizer once per
-report, joined per face, into a template that the JSON writer renders of
-the entry's keys. Output goes out in
-chunks, at the end of an entry once 512 pieces of JSON text (an entry
-written from text, one piece, counting as eight within its list) or 512
-lines of text are pending. The text report reads the built entries, as does
-``report_data``, which builds the same report as one dict.
+The walk builds each face's id once, as JSON quotes it. Each list that
+grows with the faces, a chart's cycle ideals (over its faces' bit masks)
+and the ``cones`` rows (over the face layers), is one walk that three
+renderings read: the dicts of ``report_data``, which builds the whole
+report as one dict; JSON text, filled into a template of the entry's keys;
+and the text report's lines and table cells. Each forms each coordinate
+index and coarse generator once per chart, and each distinct stabilizer
+once. Output goes out in chunks, at the end of an entry once 512 pieces
+of JSON text (an entry written from text, one piece, counting as eight
+within its list) or 512 lines of text are pending.
 
 ``main`` may be called any number of times in one process; the argument
 parser is built once, on the first call, and each call parses its arguments
@@ -230,13 +228,15 @@ class _Entries:
     newline and spaces) to an iterator over the entries' JSON text at that
     indent, byte for byte what ``_write_json`` writes of each entry; the
     JSON writer then writes those texts and builds no entry. It may flush
-    after each entry, on either path."""
+    after each entry, on either path. ``lines``, if given, iterates what
+    the text report writes of each entry: a line, or the cells of a row."""
 
-    __slots__ = ("entries", "texts")
+    __slots__ = ("entries", "texts", "lines")
 
-    def __init__(self, entries, texts=None):
+    def __init__(self, entries, texts=None, lines=None):
         self.entries = entries
         self.texts = texts
+        self.lines = lines
 
     def __iter__(self):
         return self.entries()
@@ -289,13 +289,6 @@ def _json_parts(keys: tuple[str, ...], newline: str) -> tuple[tuple[str, ...], t
     value, the pieces join to the text of the dict."""
     parts = _FIELD.split(_json_text({key: "\0" + key for key in keys}, newline))
     return tuple(parts), tuple(map(parts.index, keys))
-
-
-def _json_list(elements: str, newline: str) -> str:
-    """The JSON text at newline of a list, from the texts of its elements
-    joined by commas, each after its own line break and indent (one level
-    past newline)."""
-    return "[" + elements + newline + "]" if elements else "[]"
 
 
 def _write_json(value, out: _Stream, newline: str) -> None:
@@ -421,8 +414,8 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
     Every refusal and tripwire runs here, before any entry: the face limit,
     each maximal cone's Hilbert-basis walk, the charts, the group of every
     face and the chart-coordinate check. What the entries read is one id
-    and one group per face, and one id and bit mask per cycle ideal, not
-    the output.
+    and the position of one distinct group per face, and one id and bit
+    mask per cycle ideal, not the output.
     """
     fan = sf.fan
     faces = sum(2 ** len(c) for c in fan.maximal_cones)  # a cycle ideal per chart face
@@ -446,11 +439,11 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
     tame = all(etale.values())
     # per ray, the one coordinate of each chart on it that cuts its divisor
     divisor_coordinates = [{} for _ in fan.rays]
-    # per dimension, each face's id, as JSON quotes it, -> its group and
-    # multiplicity (each distinct pair kept once), from the chart of the
-    # first maximal cone that has the face
+    # per dimension, each face's id, as JSON quotes it, -> the position in
+    # distinct of its (group, multiplicity) (the zero face's, trivial, at 0),
+    # from the chart of the first maximal cone that has the face
     groups = [{} for _ in range(max(map(len, fan.maximal_cones)) + 1)]
-    trivial, distinct, shared = (FiniteAbelianGroup(), 1), {}, {}
+    distinct, shared = {(FiniteAbelianGroup(), 1): 0}, {}
     # per maximal cone, its faces' ids in walk order (by size, then lex), one
     # cycle ideal each; per cone size, the faces' bit masks in that order
     walks, masks = {}, {}
@@ -460,7 +453,8 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
             raise AssertionError("a ray must be cut by exactly one chart coordinate")
         for i, rho in enumerate(chart.fan_rays):
             divisor_coordinates[rho][key] = i
-        groups[r]['"' + key + '"'] = (chart.group, chart.multiplicity)
+        groups[r]['"' + key + '"'] = distinct.setdefault((chart.group, chart.multiplicity),
+                                                         len(distinct))
         if r not in masks:
             masks[r] = [list(map(sum, combinations([1 << i for i in range(r)], k)))
                         for k in range(r + 1)]
@@ -473,9 +467,8 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
             for f, mask in zip(combinations(names, k), masks[r][k]):
                 face = '"' + ",".join(f) + '"'
                 if face not in layer:
-                    value = (trivial if lattice is None
-                             else chartlib.face_quotient(*lattice(mask), f))
-                    layer[face] = distinct.setdefault(value, value)
+                    layer[face] = 0 if lattice is None else distinct.setdefault(
+                        chartlib.face_quotient(*lattice(mask), f), len(distinct))
                 else:  # a face of an earlier cone: its walks share one id
                     face = shared.setdefault(face, face)
                 walk.append(face)
@@ -493,36 +486,37 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
         # on c) cuts a face's cycle when it is positive on one of its rays,
         # and each chart coordinate lies in a face when its fan ray does
         position = {rho: 1 << k for k, rho in enumerate(c)}
-        positive = [(list(h), sum(bit for rho, bit in position.items()
-                                  if dot(h, fan.rays[rho]) > 0))
-                    for h in sorted(generators[c])]
+        basis = sorted(generators[c])
+        hits = [sum(bit for rho, bit in position.items() if dot(h, fan.rays[rho]) > 0)
+                for h in basis]
         coordinate_bits = [position[rho] for rho in chart.fan_rays]
 
-        def cycle_ideals():
+        def cycle_ideals(index, generator, entry):
+            # every rendering's one walk: entry of each face's id and of the
+            # indices and generators it selects, each formed once per pass
+            indices = [*map(index, range(len(coordinate_bits)))]
+            rows = [generator(list(h)) for h in basis]
             for face, mask in zip(walks[c], chain.from_iterable(masks[len(c)])):
-                yield {
-                    "cone": face[1:-1],
-                    "chart_coordinates": [i for i, bit in enumerate(coordinate_bits) if bit & mask],
-                    "coarse_generators": [h for h, hit in positive if hit & mask],
-                }
+                yield entry(face, compress(indices, map(mask.__and__, coordinate_bits)),
+                            compress(rows, map(mask.__and__, hits)))
 
         def cycle_ideal_texts(newline):
-            # the same walk, from each coordinate index and coarse generator
-            # written once, with its line break, at the depth of its list
+            # each index and generator with its line break, at its list's depth
             inner = newline + "  "
             depth = inner + "  "
-            indices = [depth + str(i) for i in range(len(coordinate_bits))]
-            rows = [depth + _json_text(h, depth) for h, _ in positive]
-            hits = [hit for _, hit in positive]
             parts, (at_cone, at_coordinates, at_generators) = _json_parts(
                 ("cone", "chart_coordinates", "coarse_generators"), newline)
-            entry = list(parts)
-            for entry[at_cone], mask in zip(walks[c], chain.from_iterable(masks[len(c)])):
-                entry[at_coordinates] = _json_list(
-                    ",".join(compress(indices, map(mask.__and__, coordinate_bits))), inner)
-                entry[at_generators] = _json_list(
-                    ",".join(compress(rows, map(mask.__and__, hits))), inner)
-                yield "".join(entry)
+            text = list(parts)
+
+            def entry(face, coordinates, generators):
+                text[at_cone] = face
+                elements = ",".join(coordinates)
+                text[at_coordinates] = "[" + elements + inner + "]" if elements else "[]"
+                elements = ",".join(generators)
+                text[at_generators] = "[" + elements + inner + "]" if elements else "[]"
+                return "".join(text)
+
+            return cycle_ideals((depth + "{}").format, lambda h: depth + _json_text(h, depth), entry)
 
         return {
             "cone": cone_id(c),
@@ -538,42 +532,42 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
                 "n_prime_basis": [list(v) for v in chart.n_prime_basis],
                 "n_doubleprime_basis": [list(v) for v in chart.n_doubleprime_basis],
             },
-            "cycle_ideals": _Entries(cycle_ideals, cycle_ideal_texts),
+            "cycle_ideals": _Entries(
+                lambda: cycle_ideals(int, list, lambda face, coordinates, generators: {
+                    "cone": face[1:-1], "chart_coordinates": [*coordinates],
+                    "coarse_generators": [*generators]}),
+                cycle_ideal_texts,
+                lambda: cycle_ideals(str, str, lambda face, coordinates, generators: (
+                    f"  cycle [{face[1:-1] or 'zero'}]: coordinates [{', '.join(coordinates)}]"
+                    f" coarse [{', '.join(generators)}]"))),
         }
 
-    def cone_rows():
-        for k, layer in enumerate(groups):
-            for face, (group, q) in layer.items():
-                yield {
-                    "id": face[1:-1],
-                    "ray_indices": _ray_indices(face),
-                    "dim": k,
-                    "multiplicity": q,
-                    "stacky_multiplicity": group.order,
-                    "stabilizer": _group_dict(group),
-                }
+    def cone_rows(dimension, stabilizer, row):
+        # every rendering's one pass over the face layers: row of each face's
+        # dimension, id and (group, multiplicity), each formed once per pass
+        fields = [stabilizer(q, group.order, _group_dict(group)) for group, q in distinct]
+        for k, layer in zip(map(dimension, range(len(groups))), groups):
+            for face, at in layer.items():
+                yield row(k, face, fields[at])
 
     def cone_row_texts(newline):
-        # the same rows, from each distinct stabilizer and multiplicity
-        # written once, and the ray indices from the id
         inner = newline + "  "
         depth = "," + inner + "  "
-        parts, (at_id, at_rays, at_dim, at_q, at_stabilizer, at_order) = _json_parts(
-            ("id", "ray_indices", "dim", "multiplicity", "stabilizer", "stacky_multiplicity"),
+        parts, (at_id, at_rays, at_dim, at_q, at_order, at_stabilizer) = _json_parts(
+            ("id", "ray_indices", "dim", "multiplicity", "stacky_multiplicity", "stabilizer"),
             newline)
-        row = list(parts)
-        stabilizers = {}
-        for k, layer in enumerate(groups):
-            row[at_dim] = str(k)
-            for row[at_id], value in layer.items():
-                known = stabilizers.get(value)
-                if known is None:
-                    known = stabilizers[value] = (_int_text(value[1]), _json_text(
-                        _group_dict(value[0]), inner), _int_text(value[0].order))
-                row[at_q], row[at_stabilizer], row[at_order] = known
-                row[at_rays] = _json_list(
-                    depth[1:] + row[at_id][1:-1].replace(",", depth) if k else "", inner)
-                yield "".join(row)
+        text = list(parts)
+
+        def row(k, face, fields):
+            text[at_dim] = k
+            text[at_id] = face
+            text[at_q], text[at_order], text[at_stabilizer] = fields
+            text[at_rays] = ("[" + depth[1:] + face[1:-1].replace(",", depth) + inner + "]"
+                             if len(face) > 2 else "[]")
+            return "".join(text)
+
+        return cone_rows(str, lambda q, order, group: (_int_text(q), _int_text(order),
+                                                       _json_text(group, inner)), row)
 
     out = {
         # the generic stabilizer along a boundary divisor is cyclic of order its level
@@ -584,7 +578,15 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
             "chart_coordinates": divisor_coordinates[rho],
         } for rho, level in enumerate(sf.levels))),
         "charts": _Entries(lambda: map(chart_entry, fan.maximal_cones)),
-        "cones": _Entries(cone_rows, cone_row_texts),
+        "cones": _Entries(
+            lambda: cone_rows(int, lambda q, order, group: {
+                "multiplicity": q, "stacky_multiplicity": order, "stabilizer": group},
+                lambda k, face, fields: {"id": face[1:-1], "ray_indices": _ray_indices(face),
+                                         "dim": k, **fields}),
+            cone_row_texts,
+            lambda: cone_rows(str, lambda q, order, group: (str(q), str(order),
+                                                            group["cartier_dual"]),
+                              lambda k, face, fields: (face[1:-1] or "(zero)", k, *fields))),
         "document": document_to_dict(doc),
         "fan": {
             "rank": fan.ambient_rank,
@@ -676,10 +678,10 @@ def _render_table(rows, header: list[str]):
         yield fmt.format(*map(str, r))
 
 
-def _report_lines(data: dict):
-    """The lines of the text report of data, a ``report_data`` dict or the
-    ``report_sections`` it is built from, each line as it is formatted."""
-    fan = data["fan"]
+def _report_lines(sections: dict):
+    """The lines of the text report of ``report_sections``' output, each as it
+    is formatted, the cycle ideals and ``cones`` rows from their ``lines``."""
+    fan = sections["fan"]
     yield (f"stacky fan report (rank {fan['rank']}, {fan['num_rays']} rays, "
            f"{fan['num_cones']} cones)")
     yield f"characteristics: {fan['characteristics']}"
@@ -688,12 +690,10 @@ def _report_lines(data: dict):
     if fan.get("note"):
         yield fan["note"]
     yield ""
-    rows = _Entries(lambda: ([c["id"] or "(zero)", c["dim"], c["multiplicity"],
-                              c["stacky_multiplicity"], c["stabilizer"]["cartier_dual"]]
-                             for c in data["cones"]))
-    yield from _render_table(rows, ["cone", "dim", "mult", "stacky mult", "stabilizer"])
+    yield from _render_table(_Entries(sections["cones"].lines),
+                             ["cone", "dim", "mult", "stacky mult", "stabilizer"])
     yield ""
-    for chart in data["charts"]:
+    for chart in sections["charts"]:
         yield (f"chart over cone [{chart['cone']}]: "
                f"[A^{chart['r']}/{chart['group']['cartier_dual']}]"
                f" x T^{chart['torus_rank']}"
@@ -702,18 +702,17 @@ def _report_lines(data: dict):
                f"   coordinate levels: {chart['coordinate_levels']}"
                f"   coordinate rays: {chart['coordinate_fan_rays']}")
         yield f"  coarse Hilbert basis: {chart['coarse_hilbert_basis']}"
-        for ci in chart["cycle_ideals"]:
-            yield (f"  cycle [{ci['cone'] or 'zero'}]: coordinates "
-                   f"{ci['chart_coordinates']} coarse {ci['coarse_generators']}")
+        yield from chart["cycle_ideals"].lines()
         yield ""
     rows = [[b["ray"], b["level"], b["generic_stabilizer"],
              json.dumps(b["chart_coordinates"], sort_keys=True)]
-            for b in data["boundary_divisors"]]
+            for b in sections["boundary_divisors"]]
     yield from _render_table(rows, ["ray", "level", "generic stab", "chart coordinate"])
 
 
-def render_report_text(data: dict) -> str:
-    return "\n".join(_report_lines(data)) + "\n"
+def render_report_text(sections: dict) -> str:
+    """The text report of ``report_sections``' output, as one string."""
+    return "\n".join(_report_lines(sections)) + "\n"
 
 
 def _chunked(lines):

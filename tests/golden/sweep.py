@@ -14,7 +14,9 @@ line before and after it. The corpus:
   (``certificate_documents``), and each kind of refused characteristic;
 - cones with 62-bit ray entries (``big_entry_documents``), whose reports and
   resolutions hold integers beyond 2^53-1, written as strings, inside rows;
-- repeated characteristics and cone listings (``repetition_documents``).
+- repeated characteristics and cone listings (``repetition_documents``);
+- a cone whose text ``cones`` table has more than 512 rows
+  (``long_table_documents``), which the text writer reads twice.
 
 Each document runs ``validate``, ``report`` and ``complete`` (JSON and
 text), and ``mfr`` and ``stabilizer`` (JSON and text) on every prefix of
@@ -216,6 +218,15 @@ def repetition_documents():
     ]
 
 
+def long_table_documents():
+    """(name, document) pairs whose text report lists more than 512 ``cones``
+    rows: a rank-10 unimodular cone, 1,024 faces, with level 2 on rays 0-2
+    (G = (Z/2)^3)."""
+    rays = [[int(i == j) for j in range(10)] for i in range(10)]
+    return [("rank-10-cone-levels-2", {"rank": 10, "rays": rays, "max_cones": [list(range(10))],
+                                       "levels": {"0": 2, "1": 2, "2": 2}})]
+
+
 def refusals():
     """(name, document text, argvs) of the commands that must be refused."""
     p2 = (ROOT / "tests" / "fixtures" / "p2.json").read_text(encoding="utf-8")
@@ -271,7 +282,7 @@ def corpus():
         out += [(f"seed-{seed}-{i}", json.dumps(doc)) for i, doc in enumerate(docs)]
     return out + [(name, json.dumps(doc))
                   for name, doc in (certificate_documents() + big_entry_documents()
-                                    + repetition_documents())]
+                                    + repetition_documents() + long_table_documents())]
 
 
 def main() -> int:

@@ -5,7 +5,8 @@ local Gaussian solver, Hilbert bases come from exhaustive box enumeration,
 cone membership from Fourier-Motzkin elimination, quotient groups from
 residue-class exploration keyed by fractional parts, the rays of a dual
 cone one ray at a time or from tight subsets of its inequalities, canonical
-JSON from the standard library's encoder,
+JSON from the standard library's encoder, the text report from the keys of
+the report's entry dicts,
 the saturation check from a walk over the whole box of coefficients, fan
 validation from every pair of maximal cones with every circuit of their rays,
 the sign masks of dual rows from one plain dot product per ray,
@@ -298,6 +299,52 @@ def _json_value(value):
 def reference_emit_json(obj):
     """Canonical report JSON through ``json.dumps``: sorted keys, indent 2."""
     return json.dumps(_json_value(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def _reference_table(rows, header):
+    """The lines of a text table: every column as wide as its widest cell."""
+    cells = [header] + [[str(x) for x in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    fmt = "  ".join("{:<%d}" % w for w in widths)
+    return [fmt.format(*cells[0]), fmt.format(*["-" * w for w in widths])] \
+        + [fmt.format(*row) for row in cells[1:]]
+
+
+def reference_report_text(data):
+    """The text report of a ``report_data`` dict, each line formatted from
+    the keys of its entries."""
+    fan = data["fan"]
+    lines = [f"stacky fan report (rank {fan['rank']}, {fan['num_rays']} rays, "
+             f"{fan['num_cones']} cones)",
+             f"characteristics: {fan['characteristics']}",
+             f"complete: {fan['complete']}   tame: {fan['tame']}   "
+             f"Deligne-Mumford: {fan['deligne_mumford']}"]
+    if fan.get("note"):
+        lines.append(fan["note"])
+    lines.append("")
+    lines += _reference_table([[c["id"] or "(zero)", c["dim"], c["multiplicity"],
+                                c["stacky_multiplicity"], c["stabilizer"]["cartier_dual"]]
+                               for c in data["cones"]],
+                              ["cone", "dim", "mult", "stacky mult", "stabilizer"])
+    lines.append("")
+    for chart in data["charts"]:
+        lines.append(f"chart over cone [{chart['cone']}]: "
+                     f"[A^{chart['r']}/{chart['group']['cartier_dual']}]"
+                     f" x T^{chart['torus_rank']}"
+                     f"   Kummer-log-etale: {chart['kummer_log_etale']}")
+        lines.append(f"  action weights: {chart['action_weights']}"
+                     f"   coordinate levels: {chart['coordinate_levels']}"
+                     f"   coordinate rays: {chart['coordinate_fan_rays']}")
+        lines.append(f"  coarse Hilbert basis: {chart['coarse_hilbert_basis']}")
+        lines += [f"  cycle [{ci['cone'] or 'zero'}]: coordinates "
+                  f"{ci['chart_coordinates']} coarse {ci['coarse_generators']}"
+                  for ci in chart["cycle_ideals"]]
+        lines.append("")
+    lines += _reference_table([[b["ray"], b["level"], b["generic_stabilizer"],
+                                json.dumps(b["chart_coordinates"], sort_keys=True)]
+                               for b in data["boundary_divisors"]],
+                              ["ray", "level", "generic stab", "chart coordinate"])
+    return "\n".join(lines) + "\n"
 
 
 def box_saturation_check(res, degree_bound):

@@ -42,7 +42,9 @@ KEPT = {
     "monoids.restrict_resolution": ("projection stability of the minimal resolution",
                                     "test_monoids.py::"
                                     "test_restrict_resolution_matches_the_projected_monoid_oracle"),
-    # the report built as one dict, and its text: the reference of the streamed report
+    # the report built as one dict, the reference of the streamed JSON and, read
+    # by oracles.reference_report_text, of the streamed text; and the text of
+    # report_sections as one string, which the streamed chunks must join to
     "cli.report_data": (BENCH, "test_report_stream.py::"
                                "test_streamed_report_matches_the_built_dict_on_the_fixtures"),
     "cli.render_report_text": (BENCH, "test_report_stream.py::"

@@ -1,8 +1,10 @@
 """``toristack report`` writes its output entry by entry.
 
 The streamed bytes are those of the report built as one dict
-(``emit_json(report_data(...))`` and ``render_report_text(report_data(...))``),
-they are written in chunks of bounded size, the memory a report needs does
+(``emit_json(report_data(...))``, and for text the independent
+``oracles.reference_report_text(report_data(...))`` as well as
+``render_report_text(report_sections(...))`` written as one string), they
+are written in chunks of bounded size, the memory a report needs does
 not grow with its output, nothing is written before a refusal or tripwire,
 and no reported ``Fan`` outlives its command.
 """
@@ -17,7 +19,7 @@ import pytest
 
 from conftest import FIXTURES
 
-from oracles import reference_emit_json
+from oracles import reference_emit_json, reference_report_text
 
 from test_limits import BOUND, two_rays, unitriangular
 
@@ -30,6 +32,7 @@ from toristack.cli import (
     main,
     render_report_text,
     report_data,
+    report_sections,
 )
 from toristack.stackyfan import Fan
 
@@ -75,7 +78,9 @@ def p1_power(tmp_path, d):
 def check_stream(monkeypatch, path, doc, sf):
     built = report_data(doc, sf)
     assert "".join(streamed(monkeypatch, path, "json").chunks) == emit_json(built), path
-    assert "".join(streamed(monkeypatch, path, "text").chunks) == render_report_text(built), path
+    text = "".join(streamed(monkeypatch, path, "text").chunks)
+    assert text == reference_report_text(built), path
+    assert text == render_report_text(report_sections(doc, sf)), path
 
 
 def test_streamed_report_matches_the_built_dict_on_the_fixtures(monkeypatch):
@@ -141,6 +146,23 @@ def test_cycle_ideals_and_cone_rows_are_written_from_their_text(monkeypatch, tmp
         # at most the one template of each list's keys, but no entry
         assert any(keys and "cycle_ideals" in keys for keys in written), path
         assert written.count(cycle_ideal) <= 1 and written.count(cone_row) <= 1, path
+
+
+def test_text_and_json_reports_build_each_stabilizer_once(monkeypatch, tmp_path):
+    # (P^1)^3 with level 2 on rays 0 and 1: every chart's G is Z/2, and its
+    # 27 cones rows have 2 distinct stabilizers. Either report builds a
+    # group dict per chart and one per distinct stabilizer, none per row
+    doc = json.loads(p1_power(tmp_path, 3).read_text(encoding="utf-8"))
+    path = tmp_path / "levels.json"
+    path.write_text(json.dumps({**doc, "levels": {"0": 2, "1": 2}}), encoding="utf-8")
+    calls, group_dict = [], cli._group_dict
+    monkeypatch.setattr(cli, "_group_dict", lambda group: calls.append(group) or group_dict(group))
+    counts = {}
+    for fmt in ("json", "text"):
+        calls.clear()
+        streamed(monkeypatch, path, fmt, keep=False)
+        counts[fmt] = len(calls)
+    assert counts == {"json": 8 + 2, "text": 8 + 2}
 
 
 def test_small_json_reports_are_written_in_few_chunks(monkeypatch, tmp_path):
