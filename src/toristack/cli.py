@@ -19,21 +19,22 @@ report listing over ``MAX_REPORT_FACES`` cycle ideals, refused
 before it starts, and in a report before any chart or face lattice; the
 message names the count, the limit and a walk's cone).
 
-A report is streamed: every refusal and tripwire (the face limit, the
-Hilbert-basis walks, the charts and every face group, each from its
-parent's by one relation) runs before its first byte, so exits 3 and 4
-write nothing to stdout; then each entry (a chart, a cycle ideal, a
-``cones`` row, a boundary divisor) is built just before it is written.
-The walk builds each face's id once, as JSON quotes it. Each list that
+A report is streamed. ``report_data`` runs every refusal and tripwire
+(the face limit, the Hilbert-basis walks, the charts and every face group,
+each from its parent's by one relation) before its first byte, so exits 3
+and 4 write nothing to stdout; its lists are ``_Entries``, and
+``emit_json`` or ``render_report_text`` builds each entry (a chart, a
+cycle ideal, a ``cones`` row, a boundary divisor) just before it writes
+it. The walk builds each face's id once, as JSON quotes it. Each list that
 grows with the faces, a chart's cycle ideals (over its faces' bit masks)
 and the ``cones`` rows (over the face layers), is one walk that three
-renderings read: the dicts of ``report_data``, which builds the whole
-report as one dict; JSON text, filled into a template of the entry's keys;
-and the text report's lines and table cells. Each forms each coordinate
-index and coarse generator once per chart, and each distinct stabilizer
-once. Output goes out in chunks, at the end of an entry once 512 pieces
-of JSON text (an entry written from text, one piece, counting as eight
-within its list) or 512 lines of text are pending.
+renderings read: entry dicts, which a list yields when iterated; JSON
+text, filled into a template of the entry's keys; and the text report's
+lines and table cells. Each forms each coordinate index and coarse
+generator once per chart, and each distinct stabilizer once. Output goes
+out in chunks, at the end of an entry once 512 pieces of JSON text (an
+entry written from text, one piece, counting as eight within its list) or
+512 lines of text are pending.
 
 ``main`` may be called any number of times in one process; the argument
 parser is built once, on the first call, and each call parses its arguments
@@ -224,12 +225,13 @@ def validation_errors(doc: FanDocument) -> list[dict]:
 
 class _Entries:
     """A list whose entries are built one at a time, anew on each pass:
-    iterating it calls ``entries()``. ``texts``, if given, maps an indent (a
-    newline and spaces) to an iterator over the entries' JSON text at that
-    indent, byte for byte what ``_write_json`` writes of each entry; the
-    JSON writer then writes those texts and builds no entry. It may flush
-    after each entry, on either path. ``lines``, if given, iterates what
-    the text report writes of each entry: a line, or the cells of a row."""
+    iterating it calls ``entries()``. ``emit_json`` writes it as the JSON
+    list of its entries, and may flush after each. ``texts``, if given,
+    maps an indent (a newline and spaces) to an iterator over the entries'
+    JSON text at that indent, byte for byte what ``_append_json`` writes of
+    each entry; ``emit_json`` then writes those texts and builds no entry.
+    ``lines``, if given, iterates what ``render_report_text`` writes of
+    each entry: a line, or the string cells of a row."""
 
     __slots__ = ("entries", "texts", "lines")
 
@@ -275,15 +277,15 @@ def _int_text(value: int) -> str:
 
 
 def _json_text(value, newline: str) -> str:
-    """The text ``_write_json`` writes of value, which holds no ``_Entries``."""
+    """The text ``_append_json`` writes of value, which holds no ``_Entries``."""
     out = []
-    _write_json(value, out, newline)
+    _append_json(value, out, newline)
     return "".join(out)
 
 
 @functools.cache
 def _json_parts(keys: tuple[str, ...], newline: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The text ``_write_json`` writes at newline of a dict with these keys,
+    """The text ``_append_json`` writes at newline of a dict with these keys,
     split into pieces, and the position among them of each key's value: in
     a list of the pieces with each position set to the JSON text of that
     value, the pieces join to the text of the dict."""
@@ -291,11 +293,11 @@ def _json_parts(keys: tuple[str, ...], newline: str) -> tuple[tuple[str, ...], t
     return tuple(parts), tuple(map(parts.index, keys))
 
 
-def _write_json(value, out: _Stream, newline: str) -> None:
-    """Append the JSON text of value to out; newline ends a line and indents
-    the next. Dispatch is on the exact type of value; any other type, and
-    an ``_Entries`` when out is no ``_Stream``, raises ``TypeError``. A list
-    of exact ints within 2^53-1 is one ``join``. After each entry of an
+def _append_json(value, out: _Stream, newline: str) -> None:
+    """Append the JSON text of value to out, a ``_Stream`` if value holds an
+    ``_Entries``; newline ends a line and indents the next. Dispatch is on
+    the exact type of value; any other type raises ``TypeError``. A list of
+    exact ints within 2^53-1 is one ``join``. After each entry of an
     ``_Entries``, out is flushed once it holds ``_CHUNK`` pieces, a text
     entry counting as ``_TEXT_PIECES``."""
     kind = type(value)
@@ -308,7 +310,7 @@ def _write_json(value, out: _Stream, newline: str) -> None:
         sep = "{" + inner
         for key, x in sorted(items.items()):
             out.append(sep + encode_basestring(key) + ": ")
-            _write_json(x, out, inner)
+            _append_json(x, out, inner)
             sep = "," + inner
         out.append(newline + "}")
     elif kind is list or kind is tuple:
@@ -323,7 +325,7 @@ def _write_json(value, out: _Stream, newline: str) -> None:
         sep = "[" + inner
         for x in value:
             out.append(sep)
-            _write_json(x, out, inner)
+            _append_json(x, out, inner)
             sep = "," + inner
         out.append(newline + "]")
     elif kind is str:
@@ -334,7 +336,7 @@ def _write_json(value, out: _Stream, newline: str) -> None:
         out.append("true" if value else "false")
     elif kind is Fraction:
         out.append(f'"{value.numerator}/{value.denominator}"')
-    elif kind is _Entries and type(out) is _Stream:  # written only as a stream
+    elif kind is _Entries:
         inner = newline + "  "
         sep = "[" + inner
         texts = value.texts
@@ -345,7 +347,7 @@ def _write_json(value, out: _Stream, newline: str) -> None:
                 weight += _TEXT_PIECES - 1
             else:
                 out.append(sep)
-                _write_json(x, out, inner)
+                _append_json(x, out, inner)
             if len(out) + weight >= _CHUNK:
                 out.flush()
                 weight = 0
@@ -357,24 +359,19 @@ def _write_json(value, out: _Stream, newline: str) -> None:
         raise TypeError(f"cannot serialize {kind.__name__}")
 
 
-def write_json(obj, write) -> None:
-    """Write the text of ``emit_json`` of obj, with each ``_Entries`` in it
-    built, through write, in chunks that end with an entry of an
-    ``_Entries`` in obj, and then the rest."""
+def emit_json(obj, write) -> None:
+    """Write the canonical JSON text of obj through write: the bytes of
+    ``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)`` plus a
+    final newline, after keys become strings, tuples lists, integers beyond
+    2^53-1 in absolute value decimal strings, ``Fraction``s ``"p/q"``
+    strings and each ``_Entries`` the list of its entries. Output goes out
+    in chunks that end with an entry of an ``_Entries`` in obj, and then
+    the rest, so obj with none is one write. Any other type, a subclass
+    such as a named tuple included, raises ``TypeError``."""
     out = _Stream(write)
-    _write_json(obj, out, "\n")
+    _append_json(obj, out, "\n")
     out.append("\n")
     out.flush()
-
-
-def emit_json(obj) -> str:
-    """Canonical JSON text of obj: the bytes of ``json.dumps(...,
-    sort_keys=True, indent=2, ensure_ascii=False)`` plus a final newline,
-    after keys become strings, tuples lists, integers beyond 2^53-1 in
-    absolute value decimal strings and ``Fraction``s ``"p/q"`` strings; any
-    other type, a subclass such as a named tuple or an ``_Entries``
-    (``write_json`` writes those) included, raises ``TypeError``."""
-    return _json_text(obj, "\n") + "\n"
 
 
 def cone_id(indices: Sequence[int]) -> str:
@@ -406,10 +403,11 @@ def _on_cone(key: tuple[int, ...], compute):
         raise
 
 
-def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
+def report_data(doc: FanDocument, sf: StackyFan) -> dict:
     """The report, with each list that grows with the output (its charts,
     their cycle ideals, its cones and boundary divisors) an ``_Entries``
-    that builds its entries as they are read.
+    that builds its entries anew each time it is read: ``emit_json`` and
+    ``render_report_text`` write it as they build it.
 
     Every refusal and tripwire runs here, before any entry: the face limit,
     each maximal cone's Hilbert-basis walk, the charts, the group of every
@@ -606,20 +604,6 @@ def report_sections(doc: FanDocument, sf: StackyFan) -> dict:
     return out
 
 
-def _built(value):
-    """value with each ``_Entries`` in it, at any depth of dicts, built into a list."""
-    if type(value) is _Entries:
-        return [_built(x) for x in value]
-    if type(value) is dict:
-        return {k: _built(x) for k, x in value.items()}
-    return value
-
-
-def report_data(doc: FanDocument, sf: StackyFan) -> dict:
-    """The whole report as one dict: ``report_sections`` with every entry built."""
-    return _built(report_sections(doc, sf))
-
-
 def mfr_data(sf: StackyFan, cone_selector: Sequence[int]) -> dict:
     key = sf.fan.normalize(cone_selector)
     chart = chartlib.local_chart(sf, key)
@@ -663,23 +647,24 @@ def stabilizer_data(sf: StackyFan, cone_selector: Sequence[int]) -> dict:
 # text rendering
 
 def _render_table(rows, header: list[str]):
-    """The lines of a table. Its column widths are read ``_CHUNK`` rows at a
-    time; a table of more rows than that is read a second time for its lines."""
+    """The lines of a table of string cells. Its column widths are read
+    ``_CHUNK`` rows at a time; a table of more rows than that is read a
+    second time for its lines."""
     widths = list(map(len, header))
     rows_left = iter(rows)
     batch = first = list(islice(rows_left, _CHUNK))
     while batch:
-        widths = [max(w, *map(len, map(str, column))) for w, column in zip(widths, zip(*batch))]
+        widths = [max(w, *map(len, column)) for w, column in zip(widths, zip(*batch))]
         batch = list(islice(rows_left, _CHUNK))
-    fmt = "  ".join("{:<%d}" % w for w in widths)
-    yield fmt.format(*header)
-    yield fmt.format(*["-" * w for w in widths])
+    fmt = "  ".join("{:<%d}" % w for w in widths).format
+    yield fmt(*header)
+    yield fmt(*["-" * w for w in widths])
     for r in first if len(first) < _CHUNK else rows:
-        yield fmt.format(*map(str, r))
+        yield fmt(*r)
 
 
 def _report_lines(sections: dict):
-    """The lines of the text report of ``report_sections``' output, each as it
+    """The lines of the text report of ``report_data``' output, each as it
     is formatted, the cycle ideals and ``cones`` rows from their ``lines``."""
     fan = sections["fan"]
     yield (f"stacky fan report (rank {fan['rank']}, {fan['num_rays']} rays, "
@@ -704,22 +689,18 @@ def _report_lines(sections: dict):
         yield f"  coarse Hilbert basis: {chart['coarse_hilbert_basis']}"
         yield from chart["cycle_ideals"].lines()
         yield ""
-    rows = [[b["ray"], b["level"], b["generic_stabilizer"],
+    rows = [[str(b["ray"]), str(b["level"]), b["generic_stabilizer"],
              json.dumps(b["chart_coordinates"], sort_keys=True)]
             for b in sections["boundary_divisors"]]
     yield from _render_table(rows, ["ray", "level", "generic stab", "chart coordinate"])
 
 
-def render_report_text(sections: dict) -> str:
-    """The text report of ``report_sections``' output, as one string."""
-    return "\n".join(_report_lines(sections)) + "\n"
-
-
-def _chunked(lines):
-    """Lines, each ended by a newline, in chunks of up to ``_CHUNK`` lines."""
-    lines = iter(lines)
+def render_report_text(sections: dict, write) -> None:
+    """Write the text report of ``report_data``' output through write, each
+    line ended by a newline, in chunks of up to ``_CHUNK`` lines."""
+    lines = _report_lines(sections)
     while chunk := list(islice(lines, _CHUNK)):
-        yield "\n".join(chunk) + "\n"
+        write("\n".join(chunk) + "\n")
 
 
 def render_mfr_text(data: dict) -> str:
@@ -734,8 +715,8 @@ def render_mfr_text(data: dict) -> str:
         f"(invariant factors {data['cokernel']['invariant_factors']})",
         f"saturation check: {data['saturation_check']}",
     ]
-    rows = [[c["index"], [str(x) for x in c["free_generator"]], c["ray"],
-             c["fan_ray"], c["prime_facet_rays"]] for c in data["correspondence"]]
+    rows = [[str(c["index"]), str([str(x) for x in c["free_generator"]]), str(c["ray"]),
+             str(c["fan_ray"]), str(c["prime_facet_rays"])] for c in data["correspondence"]]
     lines.extend(_render_table(rows, ["i", "generator", "ray of C(P)",
                                       "fan ray", "prime (facet rays)"]))
     return "\n".join(lines) + "\n"
@@ -766,7 +747,7 @@ def _parse_cone_flag(value: str) -> list[int]:
 def cmd_validate(doc: FanDocument, args) -> int:
     errors = validation_errors(doc)
     if args.format == "json":
-        sys.stdout.write(emit_json({"ok": not errors, "errors": errors}))
+        emit_json({"ok": not errors, "errors": errors}, sys.stdout.write)
     else:
         sys.stdout.write("".join(f"{e['code']}: {e['message']}\n" for e in errors) or "OK\n")
     return 0 if not errors else 1
@@ -784,7 +765,10 @@ def _guarded(doc: FanDocument, compute, args):
     if sf is None:
         return 1
     data = compute(sf)
-    sys.stdout.write(emit_json(data) if args.format == "json" else args.render(data))
+    if args.format == "json":
+        emit_json(data, sys.stdout.write)
+    else:
+        sys.stdout.write(args.render(data))
     return 0
 
 
@@ -793,11 +777,8 @@ def cmd_report(doc: FanDocument, args) -> int:
     if sf is None:
         return 1
     # every refusal and tripwire runs before the first chunk is written
-    sections = report_sections(doc, sf)
-    if args.format == "json":
-        write_json(sections, sys.stdout.write)
-    else:
-        sys.stdout.writelines(_chunked(_report_lines(sections)))
+    sections = report_data(doc, sf)
+    (emit_json if args.format == "json" else render_report_text)(sections, sys.stdout.write)
     return 0
 
 

@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import det  # noqa: E402
 
 from toristack import StackyFan, validate_fan  # noqa: E402
-from toristack.cli import FanDocument, report_data  # noqa: E402
+from toristack.cli import FanDocument, _Entries, emit_json, report_data  # noqa: E402
 from toristack.linalg import primitive_vector  # noqa: E402
 from toristack.stackyfan import Fan  # noqa: E402
 
@@ -97,12 +97,28 @@ def fan_faces(fan):
                    for f in combinations(c, k)}, key=lambda f: (len(f), f))
 
 
+def built(value):
+    """value with each ``_Entries`` in it, at any depth of dicts, built into a list."""
+    if type(value) is _Entries:
+        return [built(x) for x in value]
+    if type(value) is dict:
+        return {k: built(x) for k, x in value.items()}
+    return value
+
+
+def json_text(obj):
+    """What ``emit_json`` writes of obj, as one string."""
+    chunks = []
+    emit_json(obj, chunks.append)
+    return "".join(chunks)
+
+
 def report_of(sf, characteristics=(0,)):
-    """``report_data`` of the stacky fan, listed as its own document."""
+    """``report_data`` of the stacky fan, listed as its own document, built as one dict."""
     fan = sf.fan
     doc = FanDocument(fan.ambient_rank, list(fan.rays), list(fan.maximal_cones),
                       dict(enumerate(sf.levels)), list(characteristics))
-    return report_data(doc, sf)
+    return built(report_data(doc, sf))
 
 
 def zoo_fans():

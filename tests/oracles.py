@@ -311,8 +311,8 @@ def _reference_table(rows, header):
 
 
 def reference_report_text(data):
-    """The text report of a ``report_data`` dict, each line formatted from
-    the keys of its entries."""
+    """The text report of ``report_data``' output built as one dict
+    (``conftest.built``), each line formatted from the keys of its entries."""
     fan = data["fan"]
     lines = [f"stacky fan report (rank {fan['rank']}, {fan['num_rays']} rays, "
              f"{fan['num_cones']} cones)",

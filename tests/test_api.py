@@ -42,13 +42,6 @@ KEPT = {
     "monoids.restrict_resolution": ("projection stability of the minimal resolution",
                                     "test_monoids.py::"
                                     "test_restrict_resolution_matches_the_projected_monoid_oracle"),
-    # the report built as one dict, the reference of the streamed JSON and, read
-    # by oracles.reference_report_text, of the streamed text; and the text of
-    # report_sections as one string, which the streamed chunks must join to
-    "cli.report_data": (BENCH, "test_report_stream.py::"
-                               "test_streamed_report_matches_the_built_dict_on_the_fixtures"),
-    "cli.render_report_text": (BENCH, "test_report_stream.py::"
-                                      "test_streamed_report_matches_the_built_dict_on_the_fixtures"),
 }
 
 

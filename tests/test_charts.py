@@ -11,6 +11,7 @@ from conftest import (
     FIXTURES,
     a1_singularity_fan,
     a2_fan,
+    built,
     fan_faces,
     p1_fan,
     p2_fan,
@@ -584,7 +585,7 @@ def test_a_trivial_group_walks_its_faces_with_no_work(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(cli_mod.chartlib, "local_chart", lambda sf, c: charts[c]._replace(
                 action_weights=Untouchable(), levels=Untouchable()))
-            sections = cli_mod.report_sections(doc, sf)
+            sections = cli_mod.report_data(doc, sf)
         assert calls == []
         rows = [row["stabilizer"]["order"] for row in sections["cones"]]
         assert rows and set(rows) == {1}
@@ -669,7 +670,7 @@ def test_walked_face_groups_match_face_group_and_the_minors(document, factors):
     sf = check_document(doc)[1]
     chart = local_chart(sf, sf.fan.maximal_cones[0])
     assert chart.group.invariant_factors == factors
-    rows = {tuple(row["ray_indices"]): row for row in report_data(doc, sf)["cones"]}
+    rows = {tuple(row["ray_indices"]): row for row in built(report_data(doc, sf))["cones"]}
     assert len(rows) == 2 ** chart.r
     for f, row in rows.items():
         group, q = face_group(chart, f)

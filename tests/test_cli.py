@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from conftest import FIXTURES, random_stacky, shuffled, zoo_fans
+from conftest import FIXTURES, built, json_text, random_stacky, shuffled, zoo_fans
 from oracles import coordinate_rays
 
 from toristack.cli import (
@@ -15,7 +15,6 @@ from toristack.cli import (
     check_document,
     document_from_json,
     document_to_dict,
-    emit_json,
     main,
     mfr_data,
     report_data,
@@ -49,7 +48,7 @@ def write_doc(tmp_path, name, payload):
 def test_document_roundtrip():
     doc = FanDocument(rank=2, rays=[(1, 0), (1, 2)], max_cones=[(0, 1)],
                       levels={1: 4}, characteristics=[0, 5])
-    again = document_from_json(emit_json(document_to_dict(doc)))
+    again = document_from_json(json_text(document_to_dict(doc)))
     assert again == doc
 
 
@@ -335,7 +334,7 @@ def test_report_byte_deterministic_on_fixtures():
 
 def test_report_values_p1_levels23():
     doc = document_from_json((FIXTURES / "p1_levels23.json").read_text())
-    data = report_data(doc, stacky_fan(doc))
+    data = built(report_data(doc, stacky_fan(doc)))
     assert data["fan"]["complete"] is True
     assert data["fan"]["tame"] is True
     assert data["fan"]["deligne_mumford"] is True
@@ -345,7 +344,7 @@ def test_report_values_p1_levels23():
 
 def test_report_a1_char2_not_tame():
     doc = document_from_json((FIXTURES / "a1_cone.json").read_text())
-    data = report_data(doc, stacky_fan(doc))
+    data = built(report_data(doc, stacky_fan(doc)))
     assert data["fan"]["tame"] is False
     assert data["fan"]["deligne_mumford"] is False
     assert data["fan"]["complete"] is False
@@ -353,7 +352,7 @@ def test_report_a1_char2_not_tame():
 
 def test_report_smooth_fan_notes_toric_variety():
     doc = document_from_json((FIXTURES / "p2.json").read_text())
-    data = report_data(doc, stacky_fan(doc))
+    data = built(report_data(doc, stacky_fan(doc)))
     assert data["fan"]["smooth_canonical"] is True
     assert "toric variety" in data["fan"]["note"]
     for cone in data["cones"]:
@@ -371,7 +370,7 @@ def test_report_cycle_coordinates_carry_their_coarse_generators():
                                 max_cones=list(sf.fan.maximal_cones),
                                 levels=dict(enumerate(sf.levels))))
     for doc in docs:
-        data = report_data(doc, stacky_fan(doc))
+        data = built(report_data(doc, stacky_fan(doc)))
         for chart in data["charts"]:
             cone = [int(i) for i in chart["cone"].split(",") if i]
             basis = chart["splitting"]["n_prime_basis"]
@@ -531,14 +530,14 @@ def test_degree_bound_env_var(monkeypatch, capsys):
 
 def test_big_integers_serialize_as_strings():
     big = 2 ** 70
-    out = json.loads(emit_json({"x": big, "small": 12}))
+    out = json.loads(json_text({"x": big, "small": 12}))
     assert out["x"] == str(big)
     assert out["small"] == 12
 
 
 def test_fractions_serialize_as_ratio_strings():
     from fractions import Fraction
-    out = json.loads(emit_json({"f": Fraction(-1, 2)}))
+    out = json.loads(json_text({"f": Fraction(-1, 2)}))
     assert out["f"] == "-1/2"
 
 
@@ -588,7 +587,7 @@ def test_internal_assertion_exits_3(monkeypatch, capsys):
     def boom(doc, sf):
         raise AssertionError("tripwire")
 
-    monkeypatch.setattr(cli_mod, "report_sections", boom)
+    monkeypatch.setattr(cli_mod, "report_data", boom)
     rc = main(["report", str(FIXTURES / "p2.json")])
     assert rc == 3
     assert "tripwire" in capsys.readouterr().err
@@ -602,7 +601,7 @@ def test_library_bug_exits_3(monkeypatch, capsys, error):
     def boom(doc, sf):
         raise error
 
-    monkeypatch.setattr(cli_mod, "report_sections", boom)
+    monkeypatch.setattr(cli_mod, "report_data", boom)
     rc = main(["report", str(FIXTURES / "p2.json")])
     assert rc == 3
     err = capsys.readouterr().err

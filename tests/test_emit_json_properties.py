@@ -12,6 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import built, json_text
 from oracles import reference_emit_json
 
 import toristack.cli
@@ -86,7 +87,7 @@ values = st.recursive(
 @example([1, 2, True])
 @example((1, (2, 3), [Fraction(1, 2)]))
 def test_emit_json_matches_the_reference_encoder(value):
-    assert emit_json(value) == reference_emit_json(value)
+    assert json_text(value) == reference_emit_json(value)
 
 
 @PROPERTY
@@ -105,16 +106,16 @@ def test_emit_json_matches_the_reference_encoder(value):
 @example([[Fraction(1, 2), 1], [2, Fraction(3, 4)]])
 @example({"a": [[1, 2], [3, 4]], "b": {"c": ((SAFE, 1), (2, -SAFE))}})  # indented rows
 def test_rows_match_the_reference_encoder(value):
-    assert emit_json(value) == reference_emit_json(value)
+    assert json_text(value) == reference_emit_json(value)
 
 
 def written_with_calls(value, monkeypatch):
-    """(text, the values _write_json was called on) of one emit_json."""
+    """(text, the values _append_json was called on) of one emit_json."""
     calls = []
-    write = toristack.cli._write_json
-    monkeypatch.setattr(toristack.cli, "_write_json",
+    write = toristack.cli._append_json
+    monkeypatch.setattr(toristack.cli, "_append_json",
                         lambda v, out, nl: calls.append(v) or write(v, out, nl))
-    return emit_json(value), calls
+    return json_text(value), calls
 
 
 @pytest.mark.parametrize("value", [[SAFE, -SAFE, 0], (-SAFE, 0, SAFE)])
@@ -139,24 +140,34 @@ def test_rows_past_the_bound_or_mixed_fall_back_to_the_recursion(value, monkeypa
 
 
 def test_emit_json_refuses_floats_and_sets():
+    # refused before any byte is written: a value without _Entries is one write
+    chunks = []
     for value in (1.5, [1, 2.0], {"a": {1, 2}}):
         with pytest.raises(TypeError):
             reference_emit_json(value)
-        with pytest.raises(TypeError):
-            emit_json(value)
+        with pytest.raises(TypeError, match="cannot serialize"):
+            emit_json(value, chunks.append)
     # the writer dispatches on exact types: a named tuple passed by mistake,
     # such as a group, is refused rather than written as a list
     for value in (FiniteAbelianGroup((2,)), {"group": FiniteAbelianGroup(())}):
         with pytest.raises(TypeError, match="FiniteAbelianGroup"):
-            emit_json(value)
+            emit_json(value, chunks.append)
+    assert chunks == []
 
 
-@pytest.mark.parametrize("size", [3, toristack.cli._CHUNK + 1])
-def test_emit_json_refuses_entries_whatever_their_size(size):
-    # an _Entries is written only by write_json, as a stream: emit_json
-    # refuses it as it refuses any type it does not write, before and
-    # after the pieces it would leave pending pass the flush bound
-    entries = toristack.cli._Entries(lambda: iter(range(size)))
-    for value in (entries, {"list": entries}, [entries]):
-        with pytest.raises(TypeError, match="_Entries"):
-            emit_json(value)
+@pytest.mark.parametrize("size", [0, 3, toristack.cli._CHUNK + 1, 3 * toristack.cli._CHUNK])
+def test_emit_json_writes_entries_as_their_built_list(size):
+    # an _Entries is the JSON list of its entries, alone, in a dict and in a
+    # list, below and past the pieces that flush a chunk: the short lists
+    # are one write, and every chunk of a long one but the last ends with
+    # one of its entries
+    entries = toristack.cli._Entries(lambda: ({"i": i, "row": [i, -i]} for i in range(size)))
+    listed = built(entries)
+    assert len(listed) == size
+    for value, expected in ((entries, listed), ({"list": entries}, {"list": listed}),
+                            ([entries], [listed])):
+        chunks = []
+        emit_json(value, chunks.append)
+        assert "".join(chunks) == json_text(expected) == reference_emit_json(expected)
+        assert (len(chunks) == 1) == (size <= 3)
+        assert all(chunk.endswith("}") for chunk in chunks[:-1])

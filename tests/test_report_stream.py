@@ -1,12 +1,12 @@
 """``toristack report`` writes its output entry by entry.
 
 The streamed bytes are those of the report built as one dict
-(``emit_json(report_data(...))``, and for text the independent
-``oracles.reference_report_text(report_data(...))`` as well as
-``render_report_text(report_sections(...))`` written as one string), they
-are written in chunks of bounded size, the memory a report needs does
-not grow with its output, nothing is written before a refusal or tripwire,
-and no reported ``Fan`` outlives its command.
+(``built(report_data(...))``, written by ``emit_json`` and by the
+independent ``oracles.reference_emit_json``, and for text by
+``oracles.reference_report_text``), they are written in chunks of bounded
+size, the memory a report needs does not grow with its output, nothing is
+written before a refusal or tripwire, and no reported ``Fan`` outlives its
+command.
 """
 
 import gc
@@ -17,7 +17,7 @@ from itertools import product
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, built, json_text
 
 from oracles import reference_emit_json, reference_report_text
 
@@ -28,11 +28,8 @@ from toristack.cli import (
     check_document,
     document_from_json,
     document_to_dict,
-    emit_json,
     main,
-    render_report_text,
     report_data,
-    report_sections,
 )
 from toristack.stackyfan import Fan
 
@@ -76,11 +73,12 @@ def p1_power(tmp_path, d):
 
 
 def check_stream(monkeypatch, path, doc, sf):
-    built = report_data(doc, sf)
-    assert "".join(streamed(monkeypatch, path, "json").chunks) == emit_json(built), path
+    data = built(report_data(doc, sf))
+    text = "".join(streamed(monkeypatch, path, "json").chunks)
+    assert text == json_text(data), path
+    assert text == reference_emit_json(data), path
     text = "".join(streamed(monkeypatch, path, "text").chunks)
-    assert text == reference_report_text(built), path
-    assert text == render_report_text(report_sections(doc, sf)), path
+    assert text == reference_report_text(data), path
 
 
 def test_streamed_report_matches_the_built_dict_on_the_fixtures(monkeypatch):
@@ -116,8 +114,8 @@ def test_streamed_report_quotes_large_integers(monkeypatch, tmp_path, rays):
         "levels": {str(i): BOUND for i in range(len(rays))}}))
     found, sf = check_document(doc)
     assert found == []
-    built = report_data(doc, sf)
-    cones, (chart,) = built["cones"], built["charts"]
+    data = built(report_data(doc, sf))
+    cones, (chart,) = data["cones"], data["charts"]
     safe = 2 ** 53 - 1
     assert max(abs(x) for ci in chart["cycle_ideals"] for h in ci["coarse_generators"]
                for x in h) > safe
@@ -126,19 +124,18 @@ def test_streamed_report_quotes_large_integers(monkeypatch, tmp_path, rays):
     path = tmp_path / "bound.json"
     path.write_text(json.dumps(document_to_dict(doc)), encoding="utf-8")
     check_stream(monkeypatch, path, doc, sf)
-    assert "".join(streamed(monkeypatch, path, "json").chunks) == reference_emit_json(built)
 
 
 def test_cycle_ideals_and_cone_rows_are_written_from_their_text(monkeypatch, tmp_path):
     cycle_ideal = {"chart_coordinates", "coarse_generators", "cone"}
     cone_row = {"dim", "id", "multiplicity", "ray_indices", "stabilizer", "stacky_multiplicity"}
-    written, write_json = [], cli._write_json
+    written, append_json = [], cli._append_json
 
     def spy(value, out, newline):
         written.append(set(value) if type(value) is dict else None)
-        write_json(value, out, newline)
+        append_json(value, out, newline)
 
-    monkeypatch.setattr(cli, "_write_json", spy)
+    monkeypatch.setattr(cli, "_append_json", spy)
     for path in (p1_power(tmp_path, 3), FIXTURES / "quotient_3d.json"):
         written.clear()
         streamed(monkeypatch, path, "json", keep=False)

@@ -18,7 +18,7 @@ from itertools import product
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, built
 
 from toristack import charts as charts_mod
 from toristack import cli as cli_mod
@@ -293,9 +293,9 @@ def test_boundary_divisors_read_only_the_cones_on_each_ray():
         watched = StackyFan(Fan(2, fan.rays, tuple(map(Watched, fan.maximal_cones))), sf.levels)
         doc = FanDocument(2, rays, list(fan.maximal_cones))
         Watched.reads = 0
-        divisors = report_data(doc, watched)["boundary_divisors"]
+        divisors = built(report_data(doc, watched))["boundary_divisors"]
         reads.append(Watched.reads)
-        assert divisors == report_data(doc, sf)["boundary_divisors"]
+        assert divisors == built(report_data(doc, sf))["boundary_divisors"]
         assert [set(d["chart_coordinates"]) for d in divisors] \
             == [{cone_id(c) for c in fan.maximal_cones if k in c} for k in range(n)]
     assert reads[1] <= 2 * reads[0] + 8, reads

@@ -12,6 +12,7 @@ from conftest import (
     a1_singularity_fan,
     a2_fan,
     a3_fan,
+    built,
     fan_faces,
     hirzebruch_fan,
     mixed_dim_fan,
@@ -482,7 +483,7 @@ def cycle_ideals(fan, chart_cone):
     doc = FanDocument(fan.ambient_rank, list(fan.rays), list(fan.maximal_cones))
     found, sf = check_document(doc)
     assert not found
-    chart = next(ch for ch in report_data(doc, sf)["charts"] if ch["cone"] == cone_id(chart_cone))
+    chart = next(ch for ch in built(report_data(doc, sf))["charts"] if ch["cone"] == cone_id(chart_cone))
     return {ci["cone"]: [tuple(h) for h in ci["coarse_generators"]] for ci in chart["cycle_ideals"]}
 
 

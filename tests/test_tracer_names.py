@@ -18,6 +18,7 @@ import pytest
 
 import toristack
 import toristack.cli  # noqa: F401  (the tracer wraps functions of the CLI too)
+from conftest import FIXTURES
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -40,6 +41,31 @@ def test_every_traced_name_exists(tracing):
     assert isinstance(toristack.cones.Cone.__dict__["from_generators"], classmethod)
     info = toristack.stackyfan.Fan.cone_geometry.cache_info()
     assert {"hits", "misses"} <= set(info._fields)
+
+
+def test_some_command_calls_every_traced_cli_name(tracing, monkeypatch, capsys):
+    # a stage of the CLI the tracer times but no command calls reads 0 in
+    # every traced run; each name is counted where the tracer would wrap it
+    cli = toristack.cli
+    names = {attr for targets in tracing.LAYERS.values() for module, attr in targets
+             if module == "cli"}
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    path = str(FIXTURES / "a1_cone.json")
+    for argv in (["validate", path], ["report", path], ["report", path, "--format", "text"],
+                 ["mfr", path, "--cone", "0,1"], ["mfr", path, "--cone", "0,1", "--format", "text"],
+                 ["stabilizer", path, "--cone", "0,1"]):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert names and sorted(name for name, n in calls.items() if not n) == []
 
 
 def test_build_parser_takes_no_arguments():

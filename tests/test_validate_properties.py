@@ -30,7 +30,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fan_faces, overlapping_polygon, random_full_cone_rays
+from conftest import built, fan_faces, overlapping_polygon, random_full_cone_rays
 from oracles import (box_hilbert_basis, coordinate_rays, det, determinantal_divisors, is_tame,
                      multiplicity, pairwise_validate_fan, sign_masks)
 
@@ -296,7 +296,7 @@ def test_report_tameness_is_read_from_the_maximal_charts(drawn, data):
     doc = FanDocument(d, rays, [tuple(c) for c in cones], levels, chars)
     found, sf = check_document(doc)
     assume(not found)
-    fan = report_data(doc, sf)["fan"]
+    fan = built(report_data(doc, sf))["fan"]
     tame = is_tame(rays, [levels[i] for i in range(len(rays))], cones, chars)
     assert fan["tame"] == fan["deligne_mumford"] == tame
 
@@ -316,7 +316,7 @@ def test_report_cone_rows_match_determinantal_divisors(drawn, data):
     found, sf = check_document(doc)
     assume(not found)
     minor = functools.cache(det)
-    for row in report_data(doc, sf)["cones"]:
+    for row in built(report_data(doc, sf))["cones"]:
         c = row["ray_indices"]
         free_net = [[levels[i] * x for x in rays[i]] for i in c]
         divisors = [1] + determinantal_divisors(free_net, minor)
@@ -393,7 +393,7 @@ def test_report_chart_coordinates_match_the_coordinate_rays_oracle():
     drawn = drawn_stacky_fans(120)
     assert {doc.rank for doc, _ in drawn} == {2, 3, 4, 5}
     for doc, sf in drawn:
-        data = report_data(doc, sf)
+        data = built(report_data(doc, sf))
         cut = [{} for _ in doc.rays]
         for chart in data["charts"]:
             c = tuple(map(int, chart["cone"].split(","))) if chart["cone"] else ()
@@ -460,7 +460,7 @@ def test_report_cycle_ideals_match_the_box_hilbert_basis_oracle():
     checked = []
     for doc, sf in drawn_stacky_fans(120) + one_cone_stacky_fans(60):
         d = doc.rank
-        for chart in report_data(doc, sf)["charts"]:
+        for chart in built(report_data(doc, sf))["charts"]:
             c = tuple(map(int, chart["cone"].split(","))) if chart["cone"] else ()
             duals = dual_rays([doc.rays[i] for i in c]) if len(c) == d else None
             if duals is None or oracle_box(duals) > MAX_ORACLE_BOX:
